@@ -44,13 +44,11 @@ from .sde import (
     linearize,
 )
 from .lyapunov import (
-    ClosedFormDensity,
     DegeneratePhaseDiffusionError,
     LyapunovEstimate,
     PhaseCoefficients,
     PhaseDensity,
     SweepResult,
-    closed_form_density,
     closed_form_lyapunov,
     lyapunov_fd,
     lyapunov_mc,

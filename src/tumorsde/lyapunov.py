@@ -12,15 +12,18 @@ with the trigonometric coefficients
     q2 = b11 cos^2 + (b12 + b21) cos sin + b22 sin^2
     q3 = a21 cos^2 + (a22 - a11) cos sin - a12 sin^2
     q4 = b21 cos^2 + (b22 - b11) cos sin - b12 sin^2
-    q5 = -(b12 + b21) sin 2th - (b22 - b11) cos 2th
+    q5 = dq4/dth = (b22 - b11) cos 2th - (b12 + b21) sin 2th
 
-The exponent is the stationary average of the log r drift against the
-angle density p(theta).  Three estimators are provided:
+All five are held once, as (mean, cos 2th, sin 2th) coefficients, in
+``_angle_table``; q5's row is derived from q4's.  The exponent is the
+stationary average of the log r drift against the angle density
+p(theta).  Three estimators are provided:
 
 * ``lyapunov_fd``   -- backward-difference solve of the stationary
   angle equation on a uniform grid,
-* ``closed_form_lyapunov`` -- exponential-form density available when
-  B = [[alpha, -beta], [beta, alpha]],
+* ``closed_form_lyapunov`` -- the exact periodic density (probability
+  flux included) when B = [[alpha, -beta], [beta, alpha]], whose angle
+  diffusion beta^2 is constant,
 * ``lyapunov_mc``   -- first-order Euler simulation of the polar pair.
 
 ``stability_sweep`` maps alpha to the exponent for the alpha-family
@@ -34,7 +37,6 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
-from scipy.integrate import quad
 
 from .integrate import RngStream, gaussian_pairs
 from .models import Equilibrium, Mat2, ModelSpec
@@ -46,11 +48,9 @@ __all__ = [
     "PhaseDensity",
     "LyapunovEstimate",
     "SweepResult",
-    "ClosedFormDensity",
     "phase_coefficients",
     "stationary_density_fd",
     "lyapunov_fd",
-    "closed_form_density",
     "closed_form_lyapunov",
     "lyapunov_mc",
     "stability_sweep",
@@ -60,13 +60,15 @@ TWO_PI = 2.0 * math.pi
 
 
 class DegeneratePhaseDiffusionError(ArithmeticError):
-    """q4 vanishes somewhere on the grid; the stationary angle equation
-    degenerates there.  Use the mc method for such noise matrices."""
+    """The stationary angle equation cannot be solved reliably: q4
+    vanishes somewhere on the grid, or the density's dynamic range
+    exceeds floating point.  Use the mc method for such systems."""
 
 
 @dataclass(frozen=True)
 class PhaseCoefficients:
-    """The five angle coefficients at one angle."""
+    """The five angle coefficients at one angle (floats) or on an
+    angle array (arrays of its shape)."""
 
     q1: float
     q2: float
@@ -75,31 +77,25 @@ class PhaseCoefficients:
     q5: float
 
 
-def phase_coefficients(sys: LinearSDE, theta: float) -> PhaseCoefficients:
+def _angle_table(sys: LinearSDE) -> tuple:
+    """(mean, cos 2th, sin 2th) coefficients of q1..q5: q = m + c cos 2th
+    + s sin 2th.  q5 = dq4/dth, so its row is (0, 2 s4, -2 c4)."""
     a, b = sys.A, sys.B
-    c, s = math.cos(theta), math.sin(theta)
-    cc, ss, cs = c * c, s * s, c * s
-    return PhaseCoefficients(
-        q1=a.a11 * cc + (a.a12 + a.a21) * cs + a.a22 * ss,
-        q2=b.a11 * cc + (b.a12 + b.a21) * cs + b.a22 * ss,
-        q3=a.a21 * cc + (a.a22 - a.a11) * cs - a.a12 * ss,
-        q4=b.a21 * cc + (b.a22 - b.a11) * cs - b.a12 * ss,
-        q5=-(b.a12 + b.a21) * math.sin(2 * theta)
-           - (b.a22 - b.a11) * math.cos(2 * theta),
+    q4 = (0.5 * (b.a21 - b.a12), 0.5 * (b.a12 + b.a21), -0.5 * (b.a11 - b.a22))
+    return (
+        (0.5 * (a.a11 + a.a22), 0.5 * (a.a11 - a.a22), 0.5 * (a.a12 + a.a21)),
+        (0.5 * (b.a11 + b.a22), 0.5 * (b.a11 - b.a22), 0.5 * (b.a12 + b.a21)),
+        (0.5 * (a.a21 - a.a12), 0.5 * (a.a12 + a.a21), -0.5 * (a.a11 - a.a22)),
+        q4,
+        (0.0, 2.0 * q4[2], -2.0 * q4[1]),
     )
 
 
-def _phase_grid(sys: LinearSDE, theta: np.ndarray):
-    """Vectorized q1..q5 on an angle array."""
-    a, b = sys.A, sys.B
-    c, s = np.cos(theta), np.sin(theta)
-    cc, ss, cs = c * c, s * s, c * s
-    q1 = a.a11 * cc + (a.a12 + a.a21) * cs + a.a22 * ss
-    q2 = b.a11 * cc + (b.a12 + b.a21) * cs + b.a22 * ss
-    q3 = a.a21 * cc + (a.a22 - a.a11) * cs - a.a12 * ss
-    q4 = b.a21 * cc + (b.a22 - b.a11) * cs - b.a12 * ss
-    q5 = -(b.a12 + b.a21) * np.sin(2 * theta) - (b.a22 - b.a11) * np.cos(2 * theta)
-    return q1, q2, q3, q4, q5
+def phase_coefficients(sys: LinearSDE, theta) -> PhaseCoefficients:
+    """q1..q5 at theta, a float or an array of angles."""
+    c2t, s2t = np.cos(2.0 * theta), np.sin(2.0 * theta)
+    return PhaseCoefficients(*(m + c * c2t + s * s2t
+                               for m, c, s in _angle_table(sys)))
 
 
 @dataclass
@@ -179,14 +175,14 @@ def stationary_density_fd(sys: LinearSDE, n: int = 10000, span: float = TWO_PI,
         raise ValueError("span must be positive")
     h = span / n
     theta = h * np.arange(n + 1)
-    q1, q2, q3, q4, q5 = _phase_grid(sys, theta)
-    q4sq = q4 * q4
+    q = phase_coefficients(sys, theta)
+    q4sq = q.q4 * q.q4
     min_q4_sq = float(q4sq.min())
     if min_q4_sq < eps_q:
         raise DegeneratePhaseDiffusionError(
             f"min q4^2 = {min_q4_sq:.3e} < {eps_q:.1e} on the grid; "
             "the angle diffusion degenerates there -- use the mc method")
-    denom = 2.0 * h * (-q3 + q2 * q4 + q4 * q5) + q4sq
+    denom = 2.0 * h * (-q.q3 + q.q2 * q.q4 + q.q4 * q.q5) + q4sq
     if np.any(denom == 0):
         raise DegeneratePhaseDiffusionError("singular recurrence denominator")
     # homogeneous (flux 0) and unit-flux particular solutions, run in
@@ -234,8 +230,8 @@ def lyapunov_fd(sys: LinearSDE, n: int = 10000, span: float = TWO_PI,
     """
     dens = stationary_density_fd(sys, n=n, span=span, eps_q=eps_q)
     theta = dens.step * np.arange(n + 1)
-    q1, q2, q3, q4, q5 = _phase_grid(sys, theta)
-    integrand = q1 + 0.5 * (q4 * q4 - q2 * q2)
+    q = phase_coefficients(sys, theta)
+    integrand = q.q1 + 0.5 * (q.q4 * q.q4 - q.q2 * q.q2)
     value = float(np.sum(integrand[1:] * dens.values[1:]) * dens.step)
     return LyapunovEstimate(
         value=value, method="fd", stderr=0.0, n=n,
@@ -243,80 +239,69 @@ def lyapunov_fd(sys: LinearSDE, n: int = 10000, span: float = TWO_PI,
                      "min_q4_sq": dens.min_q4_sq, "span": span})
 
 
-@dataclass
-class ClosedFormDensity:
-    """Exponential-form angle density for the alpha-family noise.
-
-    p(theta) is proportional to exp(E(theta)) with
-
-        E = ((a21 - a12 - alpha*beta) theta
-             + (a11 - a22) cos(2 theta) / 2
-             + (a21 - a12) sin(2 theta) / 2) / beta^2
-
-    normalized to unit mass on [0, 2pi).  E is generally not
-    2pi-periodic; periodicity_defect = |p(2pi)/p(0) - 1| flags how far
-    from a true circle density the form is.  Prefer the fd or mc
-    estimators when the defect is large.
-    """
-
-    A: Mat2
-    alpha: float
-    beta: float
-    K: float
-    periodicity_defect: float
-    _e0: float
-    _mass: float
-
-    def _exponent(self, theta):
-        a = self.A
-        return ((a.a21 - a.a12 - self.alpha * self.beta) * theta
-                + 0.5 * (a.a11 - a.a22) * np.cos(2.0 * theta)
-                + 0.5 * (a.a21 - a.a12) * np.sin(2.0 * theta)) / self.beta ** 2
-
-    def __call__(self, theta):
-        return np.exp(self._exponent(theta) - self._e0) / self._mass
-
-
-def closed_form_density(A: Mat2, alpha: float, beta: float) -> ClosedFormDensity:
-    """Normalized exponential-form density; beta must be nonzero."""
-    if beta == 0:
-        raise ValueError("beta = 0: closed-form density undefined")
-    shell = ClosedFormDensity(A=A, alpha=alpha, beta=beta, K=0.0,
-                              periodicity_defect=0.0, _e0=0.0, _mass=1.0)
-    probe = shell._exponent(np.linspace(0.0, TWO_PI, 513))
-    e0 = float(probe.max())
-    mass, err = quad(lambda t: math.exp(shell._exponent(t) - e0),
-                     0.0, TWO_PI, epsabs=1e-10, epsrel=1e-10, limit=300)
-    if mass <= 0 or not math.isfinite(mass):
-        raise ValueError("closed-form density not normalizable")
-    # K in p = (K / beta^2) exp(E): K = beta^2 / integral(exp E)
-    k = beta ** 2 / (mass * math.exp(e0)) if e0 < 700 else 0.0
-    drift = (A.a21 - A.a12 - alpha * beta) * TWO_PI / beta ** 2
-    defect = abs(math.expm1(drift)) if drift < 700 else math.inf
-    return ClosedFormDensity(A=A, alpha=alpha, beta=beta, K=k,
-                             periodicity_defect=defect, _e0=e0, _mass=mass)
+# beyond this amplitude e^{+-P} leaves floating-point range
+_MAX_AMPLITUDE = 700.0
+# largest accepted round-off bound on a closed-form exponent
+_CLOSED_ROUNDOFF = 1e-9
 
 
 def closed_form_lyapunov(A: Mat2, alpha: float, beta: float) -> LyapunovEstimate:
-    """Exponent from the exponential-form density:
+    """Exact exponent for the noise B = alpha I + beta J (Khasminskii 1967).
 
-        lambda = (a11 + a22 + beta^2 - alpha^2) / 2
-                 + (a11 - a22) c2 / 2 + (a21 + a12) s2 / 2
+    The angle obeys d theta = (q3 - alpha beta) dt + beta dW, so the
+    periodic stationary density solves beta^2/2 p' - (q3 - alpha beta) p
+    = -flux.  Write E' = 2 (q3 - alpha beta) / beta^2 = k0 + P' with P
+    periodic; from q3's row (m3, c3, s3)
 
-    with c2, s2 the cos(2 theta) / sin(2 theta) averages under the
-    density, computed by adaptive quadrature.
+        k0 = 2 (m3 - alpha beta) / beta^2,
+        P  = (c3 sin 2theta - s3 cos 2theta) / beta^2.
+
+    Then p = e^P u with u' - k0 u proportional to e^{-P}: in Fourier
+    modes u_n ~ c_n k0 / (k0 - i n), c_n those of e^{-P}, and the n = 0
+    weight is 1 (also at k0 = 0, where the flux vanishes).  P has
+    amplitude amp = hypot(c3, s3) / beta^2 and the modes of e^{-P} fall
+    like I_n(amp), so a power-of-two grid of at least 8 amp + 64 nodes
+    resolves it spectrally.  With q1's row (m1, c1, s1),
+
+        lambda = m1 + c1 <cos 2theta> + s1 <sin 2theta> + (beta^2 - alpha^2) / 2.
+
+    The inverse FFT is accurate to about eps max(e^{-P}) per node, so
+    the exponent's round-off is bounded by hypot(c1, s1) eps
+    max(e^{-P}) sum(e^P) / sum(p) (diagnostic ``roundoff``).  That grows
+    like e^{2 amp} when |k0| >> amp; above 1e-9, or for amp > 700, the
+    system is rejected with DegeneratePhaseDiffusionError.
     """
-    dens = closed_form_density(A, alpha, beta)
-    c2, _ = quad(lambda t: math.cos(2 * t) * float(dens(t)), 0.0, TWO_PI,
-                 epsabs=1e-10, epsrel=1e-10, limit=300)
-    s2, _ = quad(lambda t: math.sin(2 * t) * float(dens(t)), 0.0, TWO_PI,
-                 epsabs=1e-10, epsrel=1e-10, limit=300)
-    value = (0.5 * (A.a11 + A.a22 + beta ** 2 - alpha ** 2)
-             + 0.5 * (A.a11 - A.a22) * c2 + 0.5 * (A.a21 + A.a12) * s2)
-    return LyapunovEstimate(
-        value=float(value), method="closed", stderr=0.0, n=0,
-        diagnostics={"periodicity_defect": dens.periodicity_defect,
-                     "K": dens.K, "c2": c2, "s2": s2})
+    if beta == 0:
+        raise ValueError("beta = 0: the angle diffusion vanishes")
+    (m1, c1, s1), _, (m3, c3, s3), _, _ = _angle_table(
+        LinearSDE(A, alpha_family(alpha, beta)))
+    amp = math.hypot(c3, s3) / beta ** 2
+    if amp > _MAX_AMPLITUDE:
+        raise DegeneratePhaseDiffusionError(
+            f"angle density amplitude {amp:.3g} leaves floating-point range; "
+            "use the mc method")
+    m = 1 << math.ceil(math.log2(8.0 * amp + 64.0))
+    theta = TWO_PI / m * np.arange(m)
+    c2t, s2t = np.cos(2.0 * theta), np.sin(2.0 * theta)
+    per = (c3 * s2t - s3 * c2t) / beta ** 2
+    k0 = 2.0 * (m3 - alpha * beta) / beta ** 2
+    n = np.fft.fftfreq(m, 1.0 / m)
+    weights = np.ones(m, dtype=complex)
+    weights[1:] = k0 / (k0 - 1j * n[1:])
+    # e^{-P} and e^{P}, each scaled by e^{-amp} so that neither overflows
+    down, up = np.exp(-per - amp), np.exp(per - amp)
+    dens = up * np.fft.ifft(np.fft.fft(down) * weights).real
+    mass = float(dens.sum())
+    roundoff = (math.hypot(c1, s1) * math.ulp(1.0)
+                * float(down.max() * up.sum()) / mass) if mass > 0 else math.inf
+    if not roundoff <= _CLOSED_ROUNDOFF:
+        raise DegeneratePhaseDiffusionError(
+            f"closed-form round-off bound {roundoff:.3g} exceeds "
+            f"{_CLOSED_ROUNDOFF:g}; use the fd or mc method")
+    c2, s2 = float(dens @ c2t) / mass, float(dens @ s2t) / mass
+    value = m1 + c1 * c2 + s1 * s2 + 0.5 * (beta ** 2 - alpha ** 2)
+    return LyapunovEstimate(value=value, method="closed", stderr=0.0, n=m,
+                            diagnostics={"c2": c2, "s2": s2, "roundoff": roundoff})
 
 
 _MC_BLOCK = 8192
@@ -340,12 +325,8 @@ def lyapunov_mc(sys: LinearSDE, horizon: float = 200.0, dt: float = 1e-3,
         raise ValueError("paths must be >= 1")
     if r0 <= 0:
         raise ValueError("r0 must be > 0")
-    a, b = sys.A, sys.B
-    # double-angle form of the coefficients: q = mid + ca*cos2th + sa*sin2th
-    q1m, q1c, q1s = 0.5 * (a.a11 + a.a22), 0.5 * (a.a11 - a.a22), 0.5 * (a.a12 + a.a21)
-    q2m, q2c, q2s = 0.5 * (b.a11 + b.a22), 0.5 * (b.a11 - b.a22), 0.5 * (b.a12 + b.a21)
-    q3m, q3c, q3s = 0.5 * (a.a21 - a.a12), 0.5 * (a.a12 + a.a21), -0.5 * (a.a11 - a.a22)
-    q4m, q4c, q4s = 0.5 * (b.a21 - b.a12), 0.5 * (b.a12 + b.a21), -0.5 * (b.a11 - b.a22)
+    (q1m, q1c, q1s), (q2m, q2c, q2s), (q3m, q3c, q3s), (q4m, q4c, q4s), _ = \
+        _angle_table(sys)
     nsteps = int(round(horizon / dt))
     streams = [RngStream(seed, stream_base + p) for p in range(paths)]
     theta = np.array([TWO_PI * s.uniforms(1)[0] for s in streams])

@@ -1,5 +1,10 @@
 """Flag/config parsing, CSV emission, exit codes."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -209,3 +214,23 @@ def test_cli_equilibrium_selector_errors(capsys):
                  "--equilibrium", "P2"]) == 2
     err = capsys.readouterr().err
     assert "equilibrium" in err
+
+
+def test_cli_lyapunov_closed_line_and_unresolvable_exit_three(capsys):
+    argv = ["lyapunov", "--model", "bell", "--equilibrium", "P1",
+            "--alpha", "1.5", "--beta", "-2", "--method", "closed"]
+    assert main(argv) == 0
+    out = capsys.readouterr().out
+    assert out.startswith("lambda=0.67407295079") and "method=closed" in out
+    # beta = 0.01 puts the density exponent's amplitude far beyond exp's range
+    assert main(argv[:-4] + ["--beta", "0.01", "--method", "closed"]) == 3
+    assert "numerical failure" in capsys.readouterr().err
+
+
+def test_runtime_imports_without_scipy():
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    code = ("import tumorsde, tumorsde.cli, sys; assert not any("
+            "m == 'scipy' or m.startswith('scipy.') for m in sys.modules)")
+    subprocess.run([sys.executable, "-c", code], env=env, check=True)

@@ -9,7 +9,6 @@ import alpha_exact
 from tumorsde.lyapunov import (
     TWO_PI,
     DegeneratePhaseDiffusionError,
-    closed_form_density,
     closed_form_lyapunov,
     lyapunov_fd,
     lyapunov_mc,
@@ -44,8 +43,10 @@ def test_phase_coefficients_at_zero():
     rng = np.random.default_rng(3)
     a, b = rng.normal(size=4), rng.normal(size=4)
     q = phase_coefficients(_sys(a, b), 0.0)
-    assert (q.q1, q.q2, q.q3, q.q4) == (a[0], b[0], a[2], b[2])
-    assert q.q5 == -(b[3] - b[0])
+    tol = 1e-14
+    assert abs(q.q1 - a[0]) < tol and abs(q.q2 - b[0]) < tol
+    assert abs(q.q3 - a[2]) < tol and abs(q.q4 - b[2]) < tol
+    assert abs(q.q5 - (b[3] - b[0])) < tol
 
 
 def test_phase_coefficients_at_half_pi():
@@ -55,7 +56,7 @@ def test_phase_coefficients_at_half_pi():
     tol = 1e-14
     assert abs(q.q1 - a[3]) < tol and abs(q.q2 - b[3]) < tol
     assert abs(q.q3 + a[1]) < tol and abs(q.q4 + b[1]) < tol
-    assert abs(q.q5 - (b[3] - b[0])) < tol
+    assert abs(q.q5 + (b[3] - b[0])) < tol
 
 
 def test_trace_identities_random():
@@ -67,6 +68,20 @@ def test_trace_identities_random():
         q, qq = phase_coefficients(s, th), phase_coefficients(s, th + math.pi / 2)
         assert abs(q.q1 + qq.q1 - (a[0] + a[3])) < 1e-12
         assert abs(q.q2 + qq.q2 - (b[0] + b[3])) < 1e-12
+        # q5 is dq4/dtheta
+        h = 1e-5
+        dq4 = (phase_coefficients(s, th + h).q4 - phase_coefficients(s, th - h).q4) / (2 * h)
+        assert abs(q.q5 - dq4) < 1e-6
+
+
+def test_phase_coefficients_on_arrays_match_scalars():
+    s = _sys((0.3, -1.0, 0.7, -0.5), (1.5, -0.4, 1.1, 0.2))
+    th = np.linspace(0.0, TWO_PI, 7)
+    grid = phase_coefficients(s, th)
+    for k, t in enumerate(th):
+        one = phase_coefficients(s, float(t))
+        for name in ("q1", "q2", "q3", "q4", "q5"):
+            assert getattr(grid, name)[k] == getattr(one, name)
 
 
 # --------------------------------------------------------------------- density
@@ -158,27 +173,9 @@ def test_fd_error_does_not_grow_with_n(alpha):
 
 # ------------------------------------------------------------------ closed form
 
-def test_closed_density_uniform_when_symmetric():
-    dens = closed_form_density(Mat2(0.5, 0, 0, 0.5), alpha=0.0, beta=2.0)
-    th = np.linspace(0, TWO_PI, 33)
-    assert np.abs(dens(th) - 1.0 / TWO_PI).max() < 1e-9
-    assert abs(dens.K - 4.0 / TWO_PI) < 1e-9
-    assert dens.periodicity_defect < 1e-12
-
-
 def test_closed_density_beta_zero_rejected():
     with pytest.raises(ValueError):
-        closed_form_density(Mat2(0.5, 0, 0, 0.5), alpha=0.0, beta=0.0)
-    with pytest.raises(ValueError):
         closed_form_lyapunov(Mat2(0.5, 0, 0, 0.5), alpha=0.0, beta=0.0)
-
-
-def test_closed_density_rotation_defect():
-    # exponent linear term (a21 - a12) theta = 2 theta, so the ratio
-    # p(2pi)/p(0) is e^{4pi}: flagged as non-periodic
-    dens = closed_form_density(Mat2(0, -1.0, 1.0, 0), alpha=0.0, beta=1.0)
-    assert abs((dens.periodicity_defect + 1.0) / math.exp(4 * math.pi) - 1.0) < 1e-12
-    assert dens.periodicity_defect > 1e-6
 
 
 def test_closed_lyapunov_symmetric_family():
@@ -193,6 +190,63 @@ def test_closed_matches_fd_on_constant_integrand():
         fd = lyapunov_fd(s, n=4000).value
         cl = closed_form_lyapunov(Mat2(a, 0, 0, a), alpha, beta).value
         assert abs(fd - cl) < 1e-6
+
+
+_ALPHA_FAMILY_SYSTEMS = {
+    "Bell-P1": (bell_model, bell_equilibria, BELL_PARAMS, 0),
+    "Bell-P2": (bell_model, bell_equilibria, BELL_PARAMS, 1),
+    "KT-P1": (kt_model, kt_equilibria, KT_PARAMS, 0),
+    "KT-P2": (kt_model, kt_equilibria, KT_PARAMS, 1),
+}
+
+
+def _drift_matrix(label, beta=-2.0):
+    model, equilibria, params, k = _ALPHA_FAMILY_SYSTEMS[label]
+    return linearize(model(), alpha_family(0.0, beta), equilibria(params)[k]).A
+
+
+@pytest.mark.parametrize("label", sorted(_ALPHA_FAMILY_SYSTEMS))
+def test_closed_matches_exact_alpha_family(label):
+    a_mat = _drift_matrix(label)
+    alphas = np.linspace(-5.0, 5.0, 81)
+    exact = alpha_exact.top_lyapunov(a_mat, alphas, -2.0, m=512)
+    closed = np.array([closed_form_lyapunov(a_mat, al, -2.0).value for al in alphas])
+    assert np.abs(closed - exact).max() <= 1e-12
+
+
+def test_closed_reference_values():
+    bell = closed_form_lyapunov(_drift_matrix("Bell-P1"), 1.5, -2.0)
+    kt = closed_form_lyapunov(_drift_matrix("KT-P2"), 0.0, -2.0)
+    assert abs(bell.value - 0.674072950792) < 1e-12
+    assert abs(kt.value - 5.066377875413) < 1e-12
+    assert bell.diagnostics["roundoff"] < 1e-14
+
+
+def test_closed_within_fd_error_on_bell_p1_grid():
+    # fd is an independent, first-order algorithm: its error at grid n is
+    # bounded by (2 pi / n) osc(q1)
+    a_mat = _drift_matrix("Bell-P1")
+    n = 10000
+    tol = TWO_PI / n * alpha_exact.osc_q1(a_mat)
+    for alpha in np.arange(-4.0, 4.01, 0.25):
+        fd = lyapunov_fd(LinearSDE(a_mat, alpha_family(alpha, -2.0)), n=n).value
+        cl = closed_form_lyapunov(a_mat, alpha, -2.0).value
+        assert abs(fd - cl) <= tol, alpha
+
+
+def test_closed_rejects_unresolvable_density():
+    # |P| reaches amp = 20 with a large drift k0 = 40: the FFT round-off of
+    # e^{-P} is amplified by about e^{2 amp}, so no exponent is returned
+    beta, alpha, amp, k0 = -1.0, 0.3, 20.0, 40.0
+    d = k0 * beta ** 2 + 2 * alpha * beta
+    a_mat = Mat2(amp * beta ** 2, -d / 2, d / 2, -amp * beta ** 2)
+    with pytest.raises(DegeneratePhaseDiffusionError, match="round-off"):
+        closed_form_lyapunov(a_mat, alpha, beta)
+    with pytest.raises(DegeneratePhaseDiffusionError, match="range"):
+        closed_form_lyapunov(Mat2(800.0, 0.0, 0.0, -800.0), alpha, beta)
+    # the same amplitude without drift has zero flux and p = e^P exactly
+    ok = closed_form_lyapunov(Mat2(amp, 0.3, -0.3, -amp), 0.3, beta)
+    assert ok.diagnostics["roundoff"] < 1e-12
 
 
 def test_closed_large_alpha_is_negative():
@@ -259,6 +313,15 @@ def test_density_independent_methods_agree():
     assert abs(fd - cl) < 1e-6
     assert abs(fd - expect) < 1e-6
     assert abs(mc.value - expect) < 3 * mc.stderr
+
+
+def test_fd_matches_mc_for_general_noise():
+    # b11 != b22, so q5 = dq4/dtheta enters the fd recurrence; the alpha
+    # family (b11 = b22, q5 = 0) cannot see an error in it
+    s = _sys((-0.2, 0.5, -0.8, 0.1), (0.5, -1.2, 1.0, 1.4))
+    fd = lyapunov_fd(s, n=10000).value
+    mc = lyapunov_mc(s, horizon=100.0, dt=1e-3, paths=64, seed=31)
+    assert abs(fd - mc.value) <= 4 * mc.stderr + 0.01
 
 
 # ----------------------------------------------------------------------- sweep
