@@ -68,8 +68,7 @@ shared flags:
   --alpha X | lo:hi:step  alpha-family noise [[a,-b],[b,a]]; a range for sweep
   --beta X                alpha-family beta (default -2)
   --method M              fd | closed | mc  (default fd)
-  --grid-n N              density grid size (default 10000)
-  --span S                pi | 2pi          (default 2pi)
+  --grid-n N              density steps over [0, pi] (default 10000)
   --dt X                  time step         (default 0.001)
   --steps N               trajectory steps  (default 1000)
   --paths N               mc paths          (default 64)
@@ -103,7 +102,6 @@ class RunConfig:
     beta: float = -2.0
     method: str = "fd"
     grid_n: int = 10000
-    span: str = "2pi"
     dt: float = 1e-3
     steps: int = 1000
     paths: int = 64
@@ -133,22 +131,51 @@ def _parse_int(key, v):
         raise ConfigError(key, f"malformed integer {v!r}") from None
 
 
-def _parse_choice(key, v, choices):
-    if v not in choices:
-        raise ConfigError(key, f"must be one of {'|'.join(choices)}, got {v!r}")
-    return v
+def _choice(*choices):
+    """Parser of one of the given words."""
+    def parse(key, v):
+        if v not in choices:
+            raise ConfigError(key, f"must be one of {'|'.join(choices)}, got {v!r}")
+        return v
+    return parse
+
+
+def _bounded_int(lo, hi, what="must be"):
+    """Parser of an integer in [lo, hi]."""
+    def parse(key, v):
+        n = _parse_int(key, v)
+        if n < lo:
+            raise ConfigError(key, f"{what} >= {lo}, got {n}")
+        if n > hi:
+            raise ConfigError(key, f"{what} <= {hi}, got {n}")
+        return n
+    return parse
+
+
+def _positive_float(key, v):
+    x = _parse_float(key, v)
+    if x <= 0:
+        raise ConfigError(key, f"must be > 0, got {v}")
+    return x
 
 
 def _parse_params(key, v):
+    """k=v[,k=v...] as sorted (key, value) pairs."""
     out = {}
     if not v.strip():
-        return out
+        return ()
     for item in v.split(","):
         if "=" not in item:
             raise ConfigError(key, f"expected k=v, got {item!r}")
         k, val = item.split("=", 1)
         out[k.strip()] = _parse_float(key, val.strip())
-    return out
+    return tuple(sorted(out.items()))
+
+
+def _parse_equilibrium(key, v):
+    if v not in ("P1", "P2") and not v.isdigit():
+        raise ConfigError(key, f"must be P1, P2 or an index, got {v!r}")
+    return v
 
 
 def _parse_noise(key, v):
@@ -159,8 +186,17 @@ def _parse_noise(key, v):
     return Mat2(*m)
 
 
+# Sizes above these allocate without useful bound; they are rejected
+# while parsing, before anything is allocated.
+_MAX_STEPS = 10 ** 7
+_MAX_GRID_N = 10 ** 6
+_MAX_PATHS = 10 ** 4
+_MAX_ALPHA_POINTS = 10 ** 6
+
+
 def _parse_alpha(key, v):
-    """A single real, or an inclusive lo:hi:step range."""
+    """A single real, or an inclusive lo:hi:step range of at most
+    _MAX_ALPHA_POINTS points; returns (alpha, alpha_range)."""
     if ":" in v:
         parts = v.split(":")
         if len(parts) != 3:
@@ -170,8 +206,12 @@ def _parse_alpha(key, v):
             raise ConfigError(key, "range step must be > 0")
         if hi < lo:
             raise ConfigError(key, "range needs hi >= lo")
-        return ("range", (lo, hi, step))
-    return ("value", _parse_float(key, v))
+        # alpha_range_values' point count, floor((hi - lo) / step + 0.5) + 1,
+        # compared as a float so that an overflowing range is rejected too
+        if not (hi - lo) / step + 0.5 < _MAX_ALPHA_POINTS:
+            raise ConfigError(key, f"range has more than {_MAX_ALPHA_POINTS} points")
+        return None, (lo, hi, step)
+    return _parse_float(key, v), None
 
 
 def alpha_range_values(lo: float, hi: float, step: float) -> np.ndarray:
@@ -181,79 +221,38 @@ def alpha_range_values(lo: float, hi: float, step: float) -> np.ndarray:
     return vals[vals <= hi + 0.5 * step]
 
 
-_KEYS = ("model", "params", "equilibrium", "noise", "alpha", "beta", "method",
-         "grid_n", "span", "dt", "steps", "paths", "horizon", "seed", "out",
-         "scheme", "x0", "y0", "noise_streams", "command", "config")
+# config key -> parser(key, text) of its RunConfig value
+_PARSERS = {
+    "model": _choice("kt", "volterra", "bell", "stepanova", "vladar",
+                     "exponential", "logistic"),
+    "params": _parse_params,
+    "equilibrium": _parse_equilibrium,
+    "noise": _parse_noise,
+    "alpha": _parse_alpha,
+    "beta": _parse_float,
+    "method": _choice("fd", "closed", "mc"),
+    "grid_n": _bounded_int(2, _MAX_GRID_N, "grid size must be"),
+    "dt": _positive_float,
+    "steps": _bounded_int(1, _MAX_STEPS),
+    "paths": _bounded_int(1, _MAX_PATHS),
+    "horizon": _positive_float,
+    "seed": _parse_int,
+    "out": lambda key, v: v,
+    "scheme": _choice("euler1", "euler2"),
+    "x0": _parse_float,
+    "y0": _parse_float,
+    "noise_streams": _choice("shared", "independent"),
+    "command": _choice(*COMMANDS),
+}
+_KEYS = (*_PARSERS, "config")
 
 
 def _convert(key, val, cfg_dict):
-    if key == "model":
-        cfg_dict["model"] = _parse_choice(key, val, (
-            "kt", "volterra", "bell", "stepanova", "vladar", "exponential",
-            "logistic"))
-    elif key == "params":
-        cfg_dict["params"] = tuple(sorted(_parse_params(key, val).items()))
-    elif key == "equilibrium":
-        if val not in ("P1", "P2") and not val.isdigit():
-            raise ConfigError(key, f"must be P1, P2 or an index, got {val!r}")
-        cfg_dict["equilibrium"] = val
-    elif key == "noise":
-        cfg_dict["noise"] = _parse_noise(key, val)
-    elif key == "alpha":
-        kind, parsed = _parse_alpha(key, val)
-        if kind == "range":
-            cfg_dict["alpha_range"] = parsed
-            cfg_dict["alpha"] = None
-        else:
-            cfg_dict["alpha"] = parsed
-            cfg_dict["alpha_range"] = None
-    elif key == "beta":
-        cfg_dict["beta"] = _parse_float(key, val)
-    elif key == "method":
-        cfg_dict["method"] = _parse_choice(key, val, ("fd", "closed", "mc"))
-    elif key == "grid_n":
-        n = _parse_int(key, val)
-        if n < 2:
-            raise ConfigError(key, f"grid size must be >= 2, got {n}")
-        cfg_dict["grid_n"] = n
-    elif key == "span":
-        cfg_dict["span"] = _parse_choice(key, val, ("pi", "2pi"))
-    elif key == "dt":
-        x = _parse_float(key, val)
-        if x <= 0:
-            raise ConfigError(key, f"must be > 0, got {val}")
-        cfg_dict["dt"] = x
-    elif key == "steps":
-        n = _parse_int(key, val)
-        if n < 1:
-            raise ConfigError(key, f"must be >= 1, got {n}")
-        cfg_dict["steps"] = n
-    elif key == "paths":
-        n = _parse_int(key, val)
-        if n < 1:
-            raise ConfigError(key, f"must be >= 1, got {n}")
-        cfg_dict["paths"] = n
-    elif key == "horizon":
-        x = _parse_float(key, val)
-        if x <= 0:
-            raise ConfigError(key, f"must be > 0, got {val}")
-        cfg_dict["horizon"] = x
-    elif key == "seed":
-        cfg_dict["seed"] = _parse_int(key, val)
-    elif key == "out":
-        cfg_dict["out"] = val
-    elif key == "scheme":
-        cfg_dict["scheme"] = _parse_choice(key, val, ("euler1", "euler2"))
-    elif key == "x0":
-        cfg_dict["x0"] = _parse_float(key, val)
-    elif key == "y0":
-        cfg_dict["y0"] = _parse_float(key, val)
-    elif key == "noise_streams":
-        cfg_dict["noise_streams"] = _parse_choice(key, val, ("shared", "independent"))
-    elif key == "command":
-        cfg_dict["command"] = _parse_choice(key, val, COMMANDS)
+    value = _PARSERS[key](key, val)  # keys were checked against _KEYS
+    if key == "alpha":
+        cfg_dict["alpha"], cfg_dict["alpha_range"] = value
     else:
-        raise ConfigError(key, "unknown key")
+        cfg_dict[key] = value
 
 
 def _read_config_file(path: str) -> dict:
@@ -271,7 +270,7 @@ def _read_config_file(path: str) -> dict:
             raise ConfigError("config", f"{path}:{lineno}: expected key = value")
         key, val = (part.strip() for part in line.split("=", 1))
         key = key.replace("-", "_")
-        if key not in _KEYS or key == "config":
+        if key not in _PARSERS:
             raise ConfigError(key, "unknown key")
         out[key] = val
     return out
@@ -343,7 +342,6 @@ def emit_config(cfg: RunConfig) -> str:
         f"beta = {_fmt(cfg.beta)}",
         f"method = {cfg.method}",
         f"grid_n = {cfg.grid_n}",
-        f"span = {cfg.span}",
         f"dt = {_fmt(cfg.dt)}",
         f"steps = {cfg.steps}",
         f"paths = {cfg.paths}",
@@ -438,10 +436,6 @@ def _noise_matrix(cfg: RunConfig) -> Mat2:
     return KT_NOISE
 
 
-def _span_value(cfg: RunConfig) -> float:
-    return math.pi if cfg.span == "pi" else 2.0 * math.pi
-
-
 def _cmd_equilibria(cfg: RunConfig) -> int:
     _, eqs, notes = _model_equilibria(cfg)
     for e in eqs:
@@ -480,7 +474,7 @@ def _cmd_lyapunov(cfg: RunConfig) -> int:
     eq = _select_equilibrium(cfg, eqs)
     sys_lin = linearize(model, _noise_matrix(cfg), eq)
     if cfg.method == "fd":
-        est = lyapunov_fd(sys_lin, n=cfg.grid_n, span=_span_value(cfg))
+        est = lyapunov_fd(sys_lin, n=cfg.grid_n)
     elif cfg.method == "closed":
         if cfg.alpha is None or cfg.noise is not None:
             raise ConfigError("method", "closed needs the alpha/beta noise family")
@@ -503,7 +497,7 @@ def _cmd_sweep(cfg: RunConfig) -> int:
     lo, hi, step = cfg.alpha_range
     grid = alpha_range_values(lo, hi, step)
     result = stability_sweep(model, eq, cfg.beta, grid, method=cfg.method,
-                             grid_n=cfg.grid_n, span=_span_value(cfg),
+                             grid_n=cfg.grid_n,
                              horizon=cfg.horizon, dt=cfg.dt,
                              paths=cfg.paths, seed=cfg.seed)
     out = cfg.out or "sweep.csv"

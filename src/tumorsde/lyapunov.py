@@ -15,12 +15,14 @@ with the trigonometric coefficients
     q5 = dq4/dth = (b22 - b11) cos 2th - (b12 + b21) sin 2th
 
 All five are held once, as (mean, cos 2th, sin 2th) coefficients, in
-``_angle_table``; q5's row is derived from q4's.  The exponent is the
-stationary average of the log r drift against the angle density
-p(theta).  Three estimators are provided:
+``_angle_table``; q5's row is derived from q4's.  Being functions of
+2th, they have period pi: the angle matters only through the line it
+spans (Khasminskii 1967).  The exponent is the stationary average of
+the log r drift against the angle density p(theta).  Three estimators
+are provided:
 
 * ``lyapunov_fd``   -- backward-difference solve of the stationary
-  angle equation on a uniform grid,
+  angle equation on a uniform grid over one period [0, pi],
 * ``closed_form_lyapunov`` -- the exact periodic density (probability
   flux included) when B = [[alpha, -beta], [beta, alpha]], whose angle
   diffusion beta^2 is constant,
@@ -102,13 +104,12 @@ def phase_coefficients(sys: LinearSDE, theta) -> PhaseCoefficients:
 class PhaseDensity:
     """Discrete stationary angle density on a uniform grid.
 
-    values holds p(0..n); the quadrature convention is
-    sum(values[1:]) * step = 1 over the covered span.
+    values holds p(0..n) at theta = i * step, step = pi / n; the
+    quadrature convention is sum(values[1:]) * step = 1 over [0, pi].
     """
 
     n: int
     step: float
-    span: float
     values: np.ndarray
     periodicity_defect: float
     min_q4_sq: float
@@ -142,72 +143,75 @@ class SweepResult:
     failures: list
 
 
-def stationary_density_fd(sys: LinearSDE, n: int = 10000, span: float = TWO_PI,
-                          eps_q: float = 1e-12) -> PhaseDensity:
-    """Stationary angle density by a backward-difference recurrence.
+# q4^2 below this somewhere on the grid counts as a vanishing angle diffusion
+_MIN_Q4_SQ = 1e-12
+
+
+def stationary_density_fd(sys: LinearSDE, n: int = 10000) -> PhaseDensity:
+    """Stationary angle density by a backward-difference recurrence on
+    n steps of h = pi / n over one period [0, pi].
 
     Discretizing  q4^2/2 p' + (-q3 + q2 q4 + q4 q5) p = p0  with the
     backward difference gives
 
         p(i) = (2 h p0 + q4(i)^2 p(i-1)) / (2 h (-q3 + q2 q4 + q4 q5)(i) + q4(i)^2)
 
-    The constant p0 is the stationary probability flux around the
-    circle.  Seeding p(0) = 1 and solving the linear two-parameter
-    family for the p0 that closes the circle (p(n) = p(0)) selects the
+    The constant p0 is the stationary probability flux through the
+    period.  Seeding p(0) = 1 and solving the linear two-parameter
+    family for the p0 that closes the period (p(n) = p(0)) selects the
     periodic solution; the result is then rescaled to unit mass.  A
     constant-coefficient system (q2, q4 constant, q3 = q5 = 0) has zero
-    flux and the recurrence reproduces the uniform density exactly.
+    flux and the recurrence reproduces the uniform density 1/pi exactly.
 
-    The homogeneous part changes by the factor exp(G) across the span,
+    The homogeneous part changes by the factor exp(G) across the period,
     G = sum_i log(q4(i)^2 / |denom(i)|).  Run forward with G > 0 it
     grows, and the periodic combination cancels catastrophically (for
-    the alpha family G ~ 2 pi k0 with k0 = (a21 - a12 - 2 alpha beta) /
+    the alpha family G ~ pi k0 with k0 = (a21 - a12 - 2 alpha beta) /
     beta^2).  So when G > 0 the same recurrence is solved backwards,
 
         p(i-1) = (denom(i) p(i) - 2 h p0) / q4(i)^2,
 
-    seeded at p(n) = 1; when G <= 0 it runs forward as above.  Both
-    directions give the same discrete solution up to rounding.
+    seeded at p(n) = 1: one loop reads the coefficients in reverse and
+    its result is reversed once.  Both directions give the same
+    discrete solution up to rounding.
     """
     if n < 2:
         raise ValueError("grid size n must be >= 2")
-    if span <= 0:
-        raise ValueError("span must be positive")
-    h = span / n
+    h = math.pi / n
     theta = h * np.arange(n + 1)
     q = phase_coefficients(sys, theta)
     q4sq = q.q4 * q.q4
     min_q4_sq = float(q4sq.min())
-    if min_q4_sq < eps_q:
+    if min_q4_sq < _MIN_Q4_SQ:
         raise DegeneratePhaseDiffusionError(
-            f"min q4^2 = {min_q4_sq:.3e} < {eps_q:.1e} on the grid; "
+            f"min q4^2 = {min_q4_sq:.3e} < {_MIN_Q4_SQ:.1e} on the grid; "
             "the angle diffusion degenerates there -- use the mc method")
     denom = 2.0 * h * (-q.q3 + q.q2 * q.q4 + q.q4 * q.q5) + q4sq
     if np.any(denom == 0):
         raise DegeneratePhaseDiffusionError("singular recurrence denominator")
     # homogeneous (flux 0) and unit-flux particular solutions, run in
     # the direction in which the homogeneous part decays
-    growth = float(np.sum(np.log(q4sq[1:] / np.abs(denom[1:]))))
-    start, end = (0, n) if growth <= 0.0 else (n, 0)
+    forward = float(np.sum(np.log(q4sq[1:] / np.abs(denom[1:])))) <= 0.0
+    if forward:
+        num, den, flux = q4sq[1:], denom[1:], 2.0 * h
+    else:
+        num, den, flux = denom[:0:-1], q4sq[:0:-1], -2.0 * h
     ph = np.empty(n + 1)
     pp = np.empty(n + 1)
-    ph[start] = 1.0
-    pp[start] = 0.0
+    ph[0] = 1.0
+    pp[0] = 0.0
     with np.errstate(over="ignore", invalid="ignore"):
-        if start == 0:
-            for i in range(1, n + 1):
-                ph[i] = q4sq[i] * ph[i - 1] / denom[i]
-                pp[i] = (2.0 * h + q4sq[i] * pp[i - 1]) / denom[i]
-        else:
-            for i in range(n, 0, -1):
-                ph[i - 1] = denom[i] * ph[i] / q4sq[i]
-                pp[i - 1] = (denom[i] * pp[i] - 2.0 * h) / q4sq[i]
-    if not (math.isfinite(ph[end]) and math.isfinite(pp[end])):
+        for i in range(n):
+            ph[i + 1] = num[i] * ph[i] / den[i]
+            pp[i + 1] = (flux + num[i] * pp[i]) / den[i]
+    if not (math.isfinite(ph[n]) and math.isfinite(pp[n])):
         raise DegeneratePhaseDiffusionError(
             "recurrence dynamic range overflows for this system; "
             "use the mc method")
-    p0 = (ph[start] - ph[end]) / pp[end] if pp[end] != 0.0 else 0.0
+    p0 = (ph[0] - ph[n]) / pp[n] if pp[n] != 0.0 else 0.0
     p = ph + p0 * pp
+    if not forward:
+        p = np.ascontiguousarray(p[::-1])
     mass = float(np.sum(p[1:]) * h)
     if not math.isfinite(mass) or mass <= 0:
         raise DegeneratePhaseDiffusionError(
@@ -217,18 +221,18 @@ def stationary_density_fd(sys: LinearSDE, n: int = 10000, span: float = TWO_PI,
         raise DegeneratePhaseDiffusionError(
             "recurrence lost positivity; increase the grid size or use "
             "the mc method")
-    return PhaseDensity(n=n, step=h, span=span, values=p,
+    return PhaseDensity(n=n, step=h, values=p,
                         periodicity_defect=float(abs(p[n] - p[0])),
                         min_q4_sq=min_q4_sq)
 
 
-def lyapunov_fd(sys: LinearSDE, n: int = 10000, span: float = TWO_PI,
-                eps_q: float = 1e-12) -> LyapunovEstimate:
-    """Grid quadrature of the log r drift against the angle density:
+def lyapunov_fd(sys: LinearSDE, n: int = 10000) -> LyapunovEstimate:
+    """Grid quadrature of the log r drift against the angle density on
+    n steps over [0, pi]:
 
         lambda = sum_i (q1(i) + (q4(i)^2 - q2(i)^2) / 2) p(i) h
     """
-    dens = stationary_density_fd(sys, n=n, span=span, eps_q=eps_q)
+    dens = stationary_density_fd(sys, n=n)
     theta = dens.step * np.arange(n + 1)
     q = phase_coefficients(sys, theta)
     integrand = q.q1 + 0.5 * (q.q4 * q.q4 - q.q2 * q.q2)
@@ -236,7 +240,7 @@ def lyapunov_fd(sys: LinearSDE, n: int = 10000, span: float = TWO_PI,
     return LyapunovEstimate(
         value=value, method="fd", stderr=0.0, n=n,
         diagnostics={"periodicity_defect": dens.periodicity_defect,
-                     "min_q4_sq": dens.min_q4_sq, "span": span})
+                     "min_q4_sq": dens.min_q4_sq})
 
 
 # beyond this amplitude e^{+-P} leaves floating-point range
@@ -308,7 +312,7 @@ _MC_BLOCK = 8192
 
 
 def lyapunov_mc(sys: LinearSDE, horizon: float = 200.0, dt: float = 1e-3,
-                paths: int = 64, seed: int = 1, r0: float = 1.0,
+                paths: int = 64, seed: int = 1,
                 stream_base: int = 0) -> LyapunovEstimate:
     """Monte Carlo estimate from the polar pair.
 
@@ -317,14 +321,13 @@ def lyapunov_mc(sys: LinearSDE, horizon: float = 200.0, dt: float = 1e-3,
     uniform angle; the estimate is the path mean of log(r(T)/r(0)) / T
     with its standard error.  Path p draws from stream (seed,
     stream_base + p), so results do not depend on scheduling.  The
-    estimate is invariant under scaling of r0 (the system is linear).
+    stderr is statistical only: it does not cover the O(dt) bias of the
+    Euler scheme.
     """
     if horizon <= 0 or dt <= 0:
         raise ValueError("horizon and dt must be > 0")
     if paths < 1:
         raise ValueError("paths must be >= 1")
-    if r0 <= 0:
-        raise ValueError("r0 must be > 0")
     (q1m, q1c, q1s), (q2m, q2c, q2s), (q3m, q3c, q3s), (q4m, q4c, q4s), _ = \
         _angle_table(sys)
     nsteps = int(round(horizon / dt))
@@ -372,7 +375,7 @@ def _refine_stream_base(alpha: float) -> int:
 
 def stability_sweep(model: ModelSpec, equilibrium: Equilibrium, beta: float,
                     alpha_grid, method: str = "fd", *,
-                    grid_n: int = 10000, span: float = TWO_PI,
+                    grid_n: int = 10000,
                     horizon: float = 200.0, dt: float = 1e-3,
                     paths: int = 64, seed: int = 1,
                     refine_tol: float = 1e-3) -> SweepResult:
@@ -394,8 +397,7 @@ def stability_sweep(model: ModelSpec, equilibrium: Equilibrium, beta: float,
 
     def evaluate(alpha: float, stream_base: int) -> LyapunovEstimate:
         if method == "fd":
-            return lyapunov_fd(LinearSDE(a_mat, alpha_family(alpha, beta)),
-                               n=grid_n, span=span)
+            return lyapunov_fd(LinearSDE(a_mat, alpha_family(alpha, beta)), n=grid_n)
         if method == "closed":
             return closed_form_lyapunov(a_mat, alpha, beta)
         return lyapunov_mc(LinearSDE(a_mat, alpha_family(alpha, beta)),

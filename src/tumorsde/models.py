@@ -9,15 +9,16 @@ count x:
 
 Presets: volterra, bell, stepanova, vladar, exponential, logistic.  The
 Kuznetsov-Taylor right-hand side does not fit the family (its y-equation
-is quadratic in y) and is implemented directly.  Each model exposes
-analytic or finite-difference Jacobians and the own-component partial
-derivatives needed by the second-order integration scheme.
+is quadratic in y) and is implemented directly.  Jacobians and the
+own-component partial derivatives needed by the second-order
+integration scheme are analytic for every preset and central
+differences for custom right-hand sides.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, replace
 from typing import Callable, Mapping, Optional, Sequence
 
 import numpy as np
@@ -195,14 +196,10 @@ BELL_PARAMS = BellParams(a1=2.5, a2=1.0, b1=1.0, b2=0.4, b3=0.95, b4=2.0)
 
 def kt_model(params: KTParams = KT_PARAMS) -> ModelSpec:
     """Kuznetsov-Taylor model (positive immune response)."""
-    p = {"a1": params.a1, "a2": params.a2, "a3": params.a3,
-         "b1": params.b1, "b2": params.b2}
-    return ModelSpec(name="kt", params=p)
+    return ModelSpec(name="kt", params=asdict(params))
 
 
 def bell_model(params: BellParams = BELL_PARAMS) -> ModelSpec:
-    p = {"a1": params.a1, "a2": params.a2, "b1": params.b1,
-         "b2": params.b2, "b3": params.b3, "b4": params.b4}
     h = (
         _const("h1", params.a1),
         _const("h2", params.a2),
@@ -211,7 +208,7 @@ def bell_model(params: BellParams = BELL_PARAMS) -> ModelSpec:
         HFun("h5", lambda x: -params.b2 * x + params.b4,
              lambda x: -params.b2, lambda x: 0.0),
     )
-    return ModelSpec(name="bell", params=p, h=h)
+    return ModelSpec(name="bell", params=asdict(params), h=h)
 
 
 def volterra_model(a: float, b: float, d: float, f: float, k: float) -> ModelSpec:
@@ -299,22 +296,17 @@ _FACTORY_ARGS = {
 }
 
 
+_DEFAULTED = {"kt": (kt_model, KT_PARAMS), "bell": (bell_model, BELL_PARAMS)}
+
+
 def make_model(name: str, params: Optional[Mapping[str, float]] = None) -> ModelSpec:
     """Build a preset by name; kt and bell fall back to their defaults
     for any coefficient not overridden, other presets need every one."""
     params = dict(params or {})
-    if name == "kt":
-        base = {"a1": KT_PARAMS.a1, "a2": KT_PARAMS.a2, "a3": KT_PARAMS.a3,
-                "b1": KT_PARAMS.b1, "b2": KT_PARAMS.b2}
-        _reject_unknown(name, params, base)
-        base.update(params)
-        return kt_model(KTParams(**base))
-    if name == "bell":
-        base = {"a1": BELL_PARAMS.a1, "a2": BELL_PARAMS.a2, "b1": BELL_PARAMS.b1,
-                "b2": BELL_PARAMS.b2, "b3": BELL_PARAMS.b3, "b4": BELL_PARAMS.b4}
-        _reject_unknown(name, params, base)
-        base.update(params)
-        return bell_model(BellParams(**base))
+    if name in _DEFAULTED:
+        factory, defaults = _DEFAULTED[name]
+        _reject_unknown(name, params, asdict(defaults))
+        return factory(replace(defaults, **params))
     if name in _FACTORY_ARGS:
         keys = _FACTORY_ARGS[name]
         missing = [k for k in keys if k not in params]
@@ -368,6 +360,17 @@ def _residual(model: ModelSpec, x: float, y: float) -> float:
     return max(abs(f1), abs(f2))
 
 
+def _kt_p2_root(p: KTParams) -> Optional[tuple]:
+    """(x2, y2) from the positive root of the coexistence quadratic, or
+    None when its discriminant is negative."""
+    delta = p.b1 ** 2 * (p.b2 * p.a2 - p.a3) ** 2 + 4.0 * p.b1 * p.b2 * p.a1 * p.a3
+    if delta < 0:
+        return None
+    sd = math.sqrt(delta)
+    return ((p.b1 * (p.a3 - p.b2 * p.a2) + sd) / (2.0 * p.a3),
+            (p.b1 * (p.a3 + p.b2 * p.a2) - sd) / (2.0 * p.b1 * p.b2 * p.a3))
+
+
 def kt_equilibria(p: KTParams) -> list:
     """Tumor-present equilibria of the Kuznetsov-Taylor model.
 
@@ -378,26 +381,21 @@ def kt_equilibria(p: KTParams) -> list:
     model = kt_model(p)
     x1 = p.a1 / p.a2
     out = [Equilibrium(State(x1, 0.0), "P1", _residual(model, x1, 0.0))]
-    delta = p.b1 ** 2 * (p.b2 * p.a2 - p.a3) ** 2 + 4.0 * p.b1 * p.b2 * p.a1 * p.a3
-    if delta < 0:
-        return out
-    sd = math.sqrt(delta)
-    x2 = (p.b1 * (p.a3 - p.b2 * p.a2) + sd) / (2.0 * p.a3)
-    y2 = (p.b1 * (p.a3 + p.b2 * p.a2) - sd) / (2.0 * p.b1 * p.b2 * p.a3)
-    if y2 > 0:
+    root = _kt_p2_root(p)
+    if root is not None and root[1] > 0:
+        x2, y2 = root
         out.append(Equilibrium(State(x2, y2), "P2", _residual(model, x2, y2)))
     return out
 
 
 def kt_p2_status(p: KTParams) -> str:
     """One-line note on P2 existence for reporting."""
-    delta = p.b1 ** 2 * (p.b2 * p.a2 - p.a3) ** 2 + 4.0 * p.b1 * p.b2 * p.a1 * p.a3
-    if delta < 0:
+    root = _kt_p2_root(p)
+    if root is None:
         return "P2 omitted: discriminant < 0"
-    y2 = (p.b1 * (p.a3 + p.b2 * p.a2) - math.sqrt(delta)) / (2.0 * p.b1 * p.b2 * p.a3)
-    if y2 > 0:
+    if root[1] > 0:
         return "P2 present"
-    return f"P2 omitted: y2 = {y2:.6g} <= 0"
+    return f"P2 omitted: y2 = {root[1]:.6g} <= 0"
 
 
 def bell_equilibria(p: BellParams) -> list:
@@ -418,26 +416,24 @@ def bell_equilibria(p: BellParams) -> list:
 
 
 def jacobian(model: ModelSpec, at: State) -> Mat2:
-    """Jacobian of the vector field: analytic for kt and bell, central
-    finite differences (step 1e-6 * max(1, |coordinate|)) otherwise."""
+    """Jacobian of the vector field: analytic for every preset (its
+    diagonal from diag_partials), central finite differences (step
+    1e-6 * max(1, |coordinate|)) for custom right-hand sides."""
     x, y = at.x, at.y
+    if model.rhs is not None:
+        hx = 1e-6 * max(1.0, abs(x))
+        hy = 1e-6 * max(1.0, abs(y))
+        fxp = _rhs(model, x + hx, y)
+        fxm = _rhs(model, x - hx, y)
+        fyp = _rhs(model, x, y + hy)
+        fym = _rhs(model, x, y - hy)
+        return Mat2((fxp[0] - fxm[0]) / (2 * hx), (fyp[0] - fym[0]) / (2 * hy),
+                    (fxp[1] - fxm[1]) / (2 * hx), (fyp[1] - fym[1]) / (2 * hy))
+    (j11, _), (j22, _) = diag_partials(model, at)
     if model.name == "kt":
-        p = model.params
-        return Mat2(-p["a2"] + p["a3"] * y, p["a3"] * x,
-                    -y, p["b1"] * (1.0 - 2.0 * p["b2"] * y) - x)
-    if model.name == "bell":
-        p = model.params
-        return Mat2(p["a1"] - p["a2"] * y, -p["a2"] * x,
-                    p["b1"] * y - p["b2"], p["b1"] * x - p["b3"])
-    hx = 1e-6 * max(1.0, abs(x))
-    hy = 1e-6 * max(1.0, abs(y))
-    fxp = _rhs(model, x + hx, y)
-    fxm = _rhs(model, x - hx, y)
-    fyp = _rhs(model, x, y + hy)
-    fym = _rhs(model, x, y - hy)
-    m = Mat2((fxp[0] - fxm[0]) / (2 * hx), (fyp[0] - fym[0]) / (2 * hy),
-             (fxp[1] - fxm[1]) / (2 * hx), (fyp[1] - fym[1]) / (2 * hy))
-    return m
+        return Mat2(j11, model.params["a3"] * x, -y, j22)
+    _, h2, h3, h4, h5 = model.h
+    return Mat2(j11, -x * h2(x), (h3.d1(x) - h4.d1(x)) * y + h5.d1(x), j22)
 
 
 def diag_partials(model: ModelSpec, at: State) -> tuple:

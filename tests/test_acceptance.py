@@ -177,8 +177,9 @@ def _drift_matrix(model, eq):
 
 
 def _fd_tol(a_mat):
-    """First-order scale of the fd grid error: step times osc(q1)."""
-    return TWO_PI / GRID_N * alpha_exact.osc_q1(a_mat)
+    """First-order scale of the fd grid error: the step pi / GRID_N over
+    the density's period times osc(q1)."""
+    return math.pi / GRID_N * alpha_exact.osc_q1(a_mat)
 
 
 def _crossing_tol(a_mat, root):

@@ -57,8 +57,29 @@ def test_parse_rejects_bad_values():
 def test_defaults():
     cfg = parse_config(["lyapunov"])
     assert cfg.model == "kt" and cfg.beta == -2.0 and cfg.grid_n == 10000
-    assert cfg.span == "2pi" and cfg.dt == 1e-3 and cfg.seed == 1
+    assert cfg.dt == 1e-3 and cfg.seed == 1
     assert cfg.method == "fd" and cfg.equilibrium == "P1"
+
+
+def test_removed_span_flag_is_unknown(capsys):
+    assert main(["lyapunov", "--span", "pi"]) == 2
+    assert "span: unknown key" in capsys.readouterr().err
+
+
+def test_sizes_capped_before_allocation(capsys):
+    caps = ["--steps", str(10 ** 7), "--grid-n", str(10 ** 6),
+            "--paths", str(10 ** 4), "--alpha=0:999999:1"]  # 10**6 points
+    cfg = parse_config(["sweep"] + caps)
+    assert (cfg.steps, cfg.grid_n, cfg.paths) == (10 ** 7, 10 ** 6, 10 ** 4)
+    over = [("steps", str(10 ** 7 + 1)), ("grid_n", str(10 ** 6 + 1)),
+            ("paths", str(10 ** 4 + 1)), ("alpha", "0:1000000:1"),
+            ("alpha", "0:1e9:1e-3"), ("alpha", "-1e300:1e300:1e-300")]
+    for key, value in over:
+        with pytest.raises(ConfigError, match=f"^{key}: "):
+            parse_config(["sweep", f"--{key}={value}"])
+    # this range used to overflow int() in alpha_range_values
+    assert main(["sweep", "--model", "bell", "--alpha=-1e300:1e300:1e-300"]) == 2
+    assert capsys.readouterr().err.startswith("config error: alpha:")
 
 
 def test_config_file_and_override(tmp_path):

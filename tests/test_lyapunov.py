@@ -89,9 +89,15 @@ def test_phase_coefficients_on_arrays_match_scalars():
 @pytest.mark.parametrize("a", [0.3, -1.2])
 @pytest.mark.parametrize("span", [TWO_PI, math.pi])
 def test_uniform_density_for_rotation_noise(a, span):
+    # the density is solved over one period [0, pi]; its pi-periodic
+    # extension to [0, span], renormalised, is uniform at 1/span
     s = _sys((a, 0, 0, a), (0, -1.0, 1.0, 0))
-    dens = stationary_density_fd(s, n=500, span=span)
-    assert np.abs(dens.values - 1.0 / span).max() < 1e-12
+    dens = stationary_density_fd(s, n=500)
+    assert np.abs(dens.values - 1.0 / math.pi).max() < 1e-12
+    periods = round(span / math.pi)
+    extended = np.concatenate([dens.values[1:]] * periods) / periods
+    assert len(extended) == 500 * periods
+    assert np.abs(extended - 1.0 / span).max() < 1e-12
     assert dens.periodicity_defect < 1e-12
 
 
@@ -141,12 +147,18 @@ def test_fd_diagnostics_fields():
     assert abs(est.diagnostics["min_q4_sq"] - 4.0) < 1e-12
 
 
-def test_fd_span_halves_agree():
+def test_fd_solves_one_period():
+    # q1..q5 are functions of 2 theta: the density is solved on n steps
+    # over [0, pi], so the first-order error bound has step pi / n
+    a_mat = _drift_matrix("KT-P2")
+    n = 10000
+    tol = math.pi / n * alpha_exact.osc_q1(a_mat)
     for alpha in (-1.0, 1.5):
-        s = _kt_p2_sys(alpha)
-        full = lyapunov_fd(s, n=4000, span=TWO_PI).value
-        half = lyapunov_fd(s, n=2000, span=math.pi).value
-        assert abs(full - half) < 1e-6
+        s = LinearSDE(a_mat, alpha_family(alpha, -2.0))
+        dens = stationary_density_fd(s, n=n)
+        assert dens.step == math.pi / n and len(dens.values) == n + 1
+        exact = float(alpha_exact.top_lyapunov(a_mat, alpha, -2.0, m=512))
+        assert abs(lyapunov_fd(s, n=n).value - exact) <= tol, alpha
 
 
 @pytest.mark.parametrize("make_sys", [_kt_p2_sys, _bell_p1_sys])
@@ -167,7 +179,7 @@ def test_fd_error_does_not_grow_with_n(alpha):
     s = LinearSDE(a_mat, alpha_family(alpha, -2.0))
     err = {n: abs(lyapunov_fd(s, n=n).value - exact) for n in (10000, 40000)}
     for n, e in err.items():
-        assert e <= TWO_PI / n * alpha_exact.osc_q1(a_mat)
+        assert e <= math.pi / n * alpha_exact.osc_q1(a_mat)
     assert err[40000] <= err[10000]
 
 
@@ -224,10 +236,10 @@ def test_closed_reference_values():
 
 def test_closed_within_fd_error_on_bell_p1_grid():
     # fd is an independent, first-order algorithm: its error at grid n is
-    # bounded by (2 pi / n) osc(q1)
+    # bounded by (pi / n) osc(q1)
     a_mat = _drift_matrix("Bell-P1")
     n = 10000
-    tol = TWO_PI / n * alpha_exact.osc_q1(a_mat)
+    tol = math.pi / n * alpha_exact.osc_q1(a_mat)
     for alpha in np.arange(-4.0, 4.01, 0.25):
         fd = lyapunov_fd(LinearSDE(a_mat, alpha_family(alpha, -2.0)), n=n).value
         cl = closed_form_lyapunov(a_mat, alpha, -2.0).value
@@ -282,13 +294,6 @@ def test_mc_zero_noise_top_eigenvalue():
     s = _sys((0.2, 0, 0, -0.5), (0, 0, 0, 0))
     est = lyapunov_mc(s, horizon=500.0, dt=2e-3, paths=4, seed=4)
     assert abs(est.value - 0.2) < 1e-2
-
-
-def test_mc_r0_scaling_invariance():
-    s = _kt_p2_sys(1.0)
-    e1 = lyapunov_mc(s, horizon=5.0, dt=1e-3, paths=8, seed=5, r0=1.0)
-    e2 = lyapunov_mc(s, horizon=5.0, dt=1e-3, paths=8, seed=5, r0=37.5)
-    assert abs(e1.value - e2.value) <= 1e-9
 
 
 def test_mc_determinism_and_config_checks():

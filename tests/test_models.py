@@ -19,6 +19,7 @@ from tumorsde.models import (
     custom_model,
     diag_partials,
     eval_vector_field,
+    exponential_model,
     find_equilibria_numeric,
     jacobian,
     kt_equilibria,
@@ -152,13 +153,39 @@ def _fd_jacobian(model, s):
                      [(fxp[1] - fxm[1]) / (2 * hx), (fyp[1] - fym[1]) / (2 * hy)]])
 
 
-@pytest.mark.parametrize("model", [kt_model(), bell_model()])
+_PRESETS = [
+    kt_model(),
+    bell_model(),
+    volterra_model(a=1.0, b=0.5, d=0.3, f=0.4, k=0.2),
+    stepanova_model(a1=1.2, b=0.6, b1=0.8, b2=0.3, b4=1.1),
+    vladar_model(K=10.0, b1=0.5, b2=0.2, b3=0.05),
+    exponential_model(b1=0.7, b2=0.3, b3=0.1),
+    logistic_model(a1=0.4, b1=0.9, b2=0.2, b3=0.06),
+]
+
+
+@pytest.mark.parametrize("model", _PRESETS)
 def test_analytic_vs_fd_jacobian_random_states(model):
     rng = np.random.default_rng(7)
     for _ in range(10):
         s = State(*rng.uniform(0.1, 5.0, 2))
         diff = np.abs(jacobian(model, s).as_array() - _fd_jacobian(model, s))
         assert diff.max() < 1e-5
+
+
+def test_h_family_jacobian_matches_hand_derivation():
+    # exact to rounding, which central differences (error ~1e-10) are not
+    vol = volterra_model(a=1.0, b=0.5, d=0.3, f=0.4, k=0.2)
+    vla = vladar_model(K=10.0, b1=0.5, b2=0.2, b3=0.05)
+    rng = np.random.default_rng(13)
+    for _ in range(10):
+        x, y = rng.uniform(0.1, 5.0, 2)
+        expect = [(vol, ((1.0 - 0.5 * y, -0.5 * x), (0.3 * y - 0.2, 0.3 * x - 0.4))),
+                  (vla, ((math.log(10.0 / x) - 1.0 - y, -x),
+                         ((0.5 - 0.1 * x) * y, 0.5 * x - 0.2 - 0.05 * x * x)))]
+        for model, rows in expect:
+            diff = np.abs(jacobian(model, State(x, y)).as_array() - np.array(rows))
+            assert diff.max() < 1e-12, model.name
 
 
 def test_fd_jacobian_kt_p2():
