@@ -26,6 +26,7 @@ from .lyapunov import (
     closed_form_lyapunov,
     lyapunov_fd,
     lyapunov_mc,
+    mc_step_count,
     stability_sweep,
 )
 from .models import (
@@ -279,8 +280,9 @@ def _read_config_file(path: str) -> dict:
 def parse_config(argv) -> RunConfig:
     """Merge defaults, config-file values and command-line flags.
 
-    Raises ConfigError on unknown keys, malformed numbers or values out
-    of their documented ranges.
+    Raises ConfigError on unknown keys, malformed numbers, values out
+    of their documented ranges, or an mc lyapunov/sweep run whose Euler
+    step count round(horizon / dt) is not 1 to 10^7.
     """
     tokens = list(argv)
     command = None
@@ -316,7 +318,13 @@ def parse_config(argv) -> RunConfig:
         cfg["command"] = command
     if "command" not in cfg:
         raise ConfigError("command", "no command given (on the line or in the file)")
-    return RunConfig(**cfg)
+    run = RunConfig(**cfg)
+    if run.command in ("lyapunov", "sweep") and run.method == "mc":
+        try:
+            mc_step_count(run.horizon, run.dt)
+        except ValueError as exc:
+            raise ConfigError("horizon", str(exc)) from None
+    return run
 
 
 def _fmt(v: float) -> str:

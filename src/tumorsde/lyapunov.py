@@ -34,6 +34,7 @@ noise, brackets the zero crossings and reports the stable alpha-set.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 from typing import Optional
@@ -55,6 +56,7 @@ __all__ = [
     "lyapunov_fd",
     "closed_form_lyapunov",
     "lyapunov_mc",
+    "mc_step_count",
     "stability_sweep",
 ]
 
@@ -93,11 +95,25 @@ def _angle_table(sys: LinearSDE) -> tuple:
     )
 
 
-def phase_coefficients(sys: LinearSDE, theta) -> PhaseCoefficients:
-    """q1..q5 at theta, a float or an array of angles."""
-    c2t, s2t = np.cos(2.0 * theta), np.sin(2.0 * theta)
+def _coefficients(sys: LinearSDE, c2t, s2t) -> PhaseCoefficients:
+    """q1..q5 from cos 2th and sin 2th."""
     return PhaseCoefficients(*(m + c * c2t + s * s2t
                                for m, c, s in _angle_table(sys)))
+
+
+def phase_coefficients(sys: LinearSDE, theta) -> PhaseCoefficients:
+    """q1..q5 at theta, a float or an array of angles."""
+    return _coefficients(sys, np.cos(2.0 * theta), np.sin(2.0 * theta))
+
+
+@functools.lru_cache(maxsize=2)  # two grids of 10^6 steps hold 32 MB
+def _double_angle_grid(n: int) -> tuple:
+    """Read-only cos 2th and sin 2th at th = i pi / n, i = 0..n."""
+    theta = math.pi / n * np.arange(n + 1)
+    out = np.cos(2.0 * theta), np.sin(2.0 * theta)
+    for a in out:
+        a.flags.writeable = False
+    return out
 
 
 @dataclass
@@ -145,6 +161,43 @@ class SweepResult:
 
 # q4^2 below this somewhere on the grid counts as a vanishing angle diffusion
 _MIN_Q4_SQ = 1e-12
+# steps per block of the recurrence scan, and the largest |log| of a
+# product of its ratios that a block may hold
+_SCAN_BLOCK = 128
+_SCAN_RANGE = 600.0
+
+
+def _affine_scan(r: np.ndarray, f: np.ndarray, max_log_r: float) -> tuple:
+    """Solutions x(0..m) of x(i+1) = r(i) x(i) + f(i), i < m: ph with
+    x(0) = 1 and f = 0, pp with x(0) = 0.
+
+    The m steps are cut into blocks.  Inside a block the running
+    products P of r and the block's own solution from 0, Q = P cumsum(f
+    / P), come from cumprod and cumsum; a short loop then carries both
+    states across the block ends.  A block holds at most _SCAN_RANGE /
+    max|log r| steps, so P stays within e^(+-_SCAN_RANGE) and f / P does
+    not overflow where the solutions themselves do not.  Signs of r
+    pass through cumprod unchanged.
+    """
+    m = r.size
+    step = (_SCAN_BLOCK if max_log_r * _SCAN_BLOCK <= _SCAN_RANGE
+            else max(1, int(_SCAN_RANGE / max_log_r)))
+    blocks = -(-m // step)
+    pad = blocks * step - m
+    r = np.concatenate((r, np.ones(pad))).reshape(blocks, step)
+    f = np.concatenate((f, np.zeros(pad))).reshape(blocks, step)
+    P = np.cumprod(r, axis=1)
+    Q = np.cumsum(f / P, axis=1)
+    Q *= P
+    hs, ps = [], []  # ph and pp at the block starts
+    h, p = 1.0, 0.0
+    for pe, qe in zip(P[:, -1].tolist(), Q[:, -1].tolist()):
+        hs.append(h)
+        ps.append(p)
+        h, p = pe * h, pe * p + qe
+    ph = np.concatenate(([1.0], (P * np.array(hs)[:, None]).ravel()[:m]))
+    pp = np.concatenate(([0.0], (P * np.array(ps)[:, None] + Q).ravel()[:m]))
+    return ph, pp
 
 
 def stationary_density_fd(sys: LinearSDE, n: int = 10000) -> PhaseDensity:
@@ -171,15 +224,14 @@ def stationary_density_fd(sys: LinearSDE, n: int = 10000) -> PhaseDensity:
 
         p(i-1) = (denom(i) p(i) - 2 h p0) / q4(i)^2,
 
-    seeded at p(n) = 1: one loop reads the coefficients in reverse and
-    its result is reversed once.  Both directions give the same
-    discrete solution up to rounding.
+    seeded at p(n) = 1.  Either way it is the first-order affine scan
+    x(i+1) = r(i) x(i) + f(i) of ``_affine_scan``, and both directions
+    give the same discrete solution up to rounding.
     """
     if n < 2:
         raise ValueError("grid size n must be >= 2")
     h = math.pi / n
-    theta = h * np.arange(n + 1)
-    q = phase_coefficients(sys, theta)
+    q = _coefficients(sys, *_double_angle_grid(n))
     q4sq = q.q4 * q.q4
     min_q4_sq = float(q4sq.min())
     if min_q4_sq < _MIN_Q4_SQ:
@@ -191,20 +243,16 @@ def stationary_density_fd(sys: LinearSDE, n: int = 10000) -> PhaseDensity:
         raise DegeneratePhaseDiffusionError("singular recurrence denominator")
     # homogeneous (flux 0) and unit-flux particular solutions, run in
     # the direction in which the homogeneous part decays
-    forward = float(np.sum(np.log(q4sq[1:] / np.abs(denom[1:])))) <= 0.0
+    log_ratio = np.log(q4sq[1:] / np.abs(denom[1:]))
+    forward = float(np.sum(log_ratio)) <= 0.0
     if forward:
         num, den, flux = q4sq[1:], denom[1:], 2.0 * h
     else:
         num, den, flux = denom[:0:-1], q4sq[:0:-1], -2.0 * h
-    ph = np.empty(n + 1)
-    pp = np.empty(n + 1)
-    ph[0] = 1.0
-    pp[0] = 0.0
     with np.errstate(over="ignore", invalid="ignore"):
-        for i in range(n):
-            ph[i + 1] = num[i] * ph[i] / den[i]
-            pp[i + 1] = (flux + num[i] * pp[i]) / den[i]
-    if not (math.isfinite(ph[n]) and math.isfinite(pp[n])):
+        ph, pp = _affine_scan(num / den, flux / den,
+                              float(np.abs(log_ratio).max()))
+    if not (np.isfinite(ph).all() and np.isfinite(pp).all()):
         raise DegeneratePhaseDiffusionError(
             "recurrence dynamic range overflows for this system; "
             "use the mc method")
@@ -233,8 +281,7 @@ def lyapunov_fd(sys: LinearSDE, n: int = 10000) -> LyapunovEstimate:
         lambda = sum_i (q1(i) + (q4(i)^2 - q2(i)^2) / 2) p(i) h
     """
     dens = stationary_density_fd(sys, n=n)
-    theta = dens.step * np.arange(n + 1)
-    q = phase_coefficients(sys, theta)
+    q = _coefficients(sys, *_double_angle_grid(n))
     integrand = q.q1 + 0.5 * (q.q4 * q.q4 - q.q2 * q.q2)
     value = float(np.sum(integrand[1:] * dens.values[1:]) * dens.step)
     return LyapunovEstimate(
@@ -309,6 +356,18 @@ def closed_form_lyapunov(A: Mat2, alpha: float, beta: float) -> LyapunovEstimate
 
 
 _MC_BLOCK = 8192
+# an mc estimate of more Euler steps than this is refused
+_MAX_MC_STEPS = 10 ** 7
+
+
+def mc_step_count(horizon: float, dt: float) -> int:
+    """Euler steps of an mc estimate, round(horizon / dt); ValueError
+    when that is not finite or not in 1.._MAX_MC_STEPS."""
+    ratio = horizon / dt
+    if not (math.isfinite(ratio) and 1 <= round(ratio) <= _MAX_MC_STEPS):
+        raise ValueError(f"horizon / dt = {ratio:.6g}: the Euler step "
+                         f"count must be 1 to {_MAX_MC_STEPS}")
+    return round(ratio)
 
 
 def lyapunov_mc(sys: LinearSDE, horizon: float = 200.0, dt: float = 1e-3,
@@ -330,7 +389,7 @@ def lyapunov_mc(sys: LinearSDE, horizon: float = 200.0, dt: float = 1e-3,
         raise ValueError("paths must be >= 1")
     (q1m, q1c, q1s), (q2m, q2c, q2s), (q3m, q3c, q3s), (q4m, q4c, q4s), _ = \
         _angle_table(sys)
-    nsteps = int(round(horizon / dt))
+    nsteps = mc_step_count(horizon, dt)
     streams = [RngStream(seed, stream_base + p) for p in range(paths)]
     theta = np.array([TWO_PI * s.uniforms(1)[0] for s in streams])
     logr = np.zeros(paths)

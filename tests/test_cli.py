@@ -82,6 +82,22 @@ def test_sizes_capped_before_allocation(capsys):
     assert capsys.readouterr().err.startswith("config error: alpha:")
 
 
+def test_mc_step_count_capped(capsys):
+    mc = ["--method", "mc", "--paths", "1"]
+    for cmd in ("lyapunov", "sweep"):
+        for horizon, dt in (("1e300", "1e-300"), ("1e9", "1e-9"),
+                            ("10000.001", "0.001"), ("0.0004", "0.001")):
+            with pytest.raises(ConfigError, match="^horizon: "):
+                parse_config([cmd, *mc, "--horizon", horizon, "--dt", dt])
+        # 1 and 10**7 steps are accepted; fd runs take no steps
+        parse_config([cmd, *mc, "--horizon", "0.001", "--dt", "0.001"])
+        parse_config([cmd, *mc, "--horizon", "10000", "--dt", "0.001"])
+        parse_config([cmd, "--horizon", "1e300", "--dt", "1e-300"])
+    # this used to escape lyapunov_mc as an OverflowError
+    assert main(["lyapunov", *mc, "--horizon", "1e300", "--dt", "1e-300"]) == 2
+    assert capsys.readouterr().err.startswith("config error: horizon:")
+
+
 def test_config_file_and_override(tmp_path):
     f = tmp_path / "run.cfg"
     f.write_text("# sweep settings\nmodel = bell\nbeta = -2\n"

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 import alpha_exact
+from tumorsde import lyapunov
 from tumorsde.lyapunov import (
     TWO_PI,
     DegeneratePhaseDiffusionError,
@@ -183,6 +184,149 @@ def test_fd_error_does_not_grow_with_n(alpha):
     assert err[40000] <= err[10000]
 
 
+# -------------------------------------------------------- recurrence scan
+
+def _loop_scan(r, f, max_log_r):
+    """The node-by-node loop that _affine_scan replaced, in its r = num /
+    den, f = flux / den form: a reference for the blocked scan."""
+    ph, pp = [1.0], [0.0]
+    for ri, fi in zip(r.tolist(), f.tolist()):
+        ph.append(ri * ph[-1])
+        pp.append(fi + ri * pp[-1])
+    return np.array(ph), np.array(pp)
+
+
+def _density_or_error(s, n):
+    try:
+        return stationary_density_fd(s, n=n).values
+    except DegeneratePhaseDiffusionError as exc:
+        return str(exc)
+
+
+def _scan_and_loop(monkeypatch, s, n):
+    """stationary_density_fd's values (or rejection message) by the scan
+    and by the reference loop."""
+    scan = _density_or_error(s, n)
+    with monkeypatch.context() as m:
+        m.setattr(lyapunov, "_affine_scan", _loop_scan)
+        loop = _density_or_error(s, n)
+    return scan, loop
+
+
+def _assert_same_density(scan, loop):
+    assert not isinstance(loop, str), loop
+    assert not isinstance(scan, str), scan
+    assert np.abs(scan - loop).max() <= 1e-12 * np.abs(loop).max()
+
+
+# A = (0.3, -1, 0.7, -0.5), B = (1.5, -0.4, 1.1, 0.2): q4 nearly vanishes,
+# so coarse grids carry non-positive recurrence denominators
+_ROUGH = ((0.3, -1.0, 0.7, -0.5), (1.5, -0.4, 1.1, 0.2))
+
+
+def _nonpositive_denominators(s, n):
+    """Grid nodes i = 1..n whose recurrence denominator is <= 0."""
+    h = math.pi / n
+    q = phase_coefficients(s, h * np.arange(1, n + 1))
+    denom = 2 * h * (-q.q3 + q.q2 * q.q4 + q.q4 * q.q5) + q.q4 ** 2
+    return np.count_nonzero(denom <= 0)
+
+
+def test_scan_matches_loop_on_random_general_noise(monkeypatch):
+    rng = np.random.default_rng(11)
+    resolved = 0
+    for _ in range(200):
+        s = _sys(rng.normal(size=4), rng.normal(size=4))
+        scan, loop = _scan_and_loop(monkeypatch, s, 10000)
+        if isinstance(loop, str):
+            # q4 has roots here and the solve amplifies rounding: both
+            # reject, but rounding decides whether the mass or the
+            # positivity check fires first
+            assert isinstance(scan, str)
+            continue
+        if _nonpositive_denominators(s, 10000):
+            # negative ratios amplify rounding: against an extended-
+            # precision run the loop itself is off by about 1e-5 here
+            assert not isinstance(scan, str), scan
+            assert np.abs(scan - loop).max() <= 1e-5 * np.abs(loop).max()
+            continue
+        _assert_same_density(scan, loop)
+        resolved += 1
+    assert resolved >= 80
+
+
+def _scan_io(monkeypatch, s, n):
+    """(r, f, max_log_r, ph): what stationary_density_fd passes to
+    _affine_scan and the homogeneous solution it gets back."""
+    seen = []
+    real = lyapunov._affine_scan
+
+    def spy(r, f, max_log_r):
+        ph, pp = real(r, f, max_log_r)
+        seen.append((r, f, max_log_r, ph))
+        return ph, pp
+
+    with monkeypatch.context() as m:
+        m.setattr(lyapunov, "_affine_scan", spy)
+        stationary_density_fd(s, n=n)
+    return seen[0]
+
+
+@pytest.mark.parametrize("alpha, beta", [(-1.0, -0.1), (0.0, -0.1),
+                                         (1.0, -0.1), (0.0, -0.08)])
+def test_scan_matches_loop_at_small_beta(monkeypatch, alpha, beta):
+    # Bell P1 at small |beta|: the homogeneous solution decays by e^-500
+    # to e^-630 (beta = -0.1) and below the smallest double (beta = -0.08)
+    # across the period; at -0.08 a one-pass ph cumsum(f / ph) overflows
+    s = _bell_p1_sys(alpha, beta=beta)
+    _, f, _, ph = _scan_io(monkeypatch, s, 10000)
+    with np.errstate(divide="ignore", over="ignore"):
+        naive_finite = np.isfinite(np.cumsum(f / ph[1:])).all()
+    assert naive_finite == (beta == -0.1)
+    _assert_same_density(*_scan_and_loop(monkeypatch, s, 10000))
+
+
+@pytest.mark.parametrize("beta, n", [(-0.01, 1000), (-0.005, 10000)])
+def test_scan_shortens_blocks_for_steep_ratios(monkeypatch, beta, n):
+    # KT P2 at tiny |beta|: single steps change the solution by e^7 and
+    # more, so a full block's products would leave floating-point range
+    s = _kt_p2_sys(0.0, beta=beta)
+    _, _, max_log_r, _ = _scan_io(monkeypatch, s, n)
+    assert max_log_r * lyapunov._SCAN_BLOCK > 709
+    _assert_same_density(*_scan_and_loop(monkeypatch, s, n))
+
+
+def test_scan_keeps_rejection_of_unresolved_grid(monkeypatch):
+    # at n = 10^4 the grid has non-positive denominators and the density
+    # loses positivity; scan and loop reject it with the same message
+    s = _sys(*_ROUGH)
+    assert _nonpositive_denominators(s, 10000) == 437
+    scan, loop = _scan_and_loop(monkeypatch, s, 10000)
+    assert scan == loop and "lost positivity" in scan
+
+
+def test_fd_resolves_rough_system_on_finer_grid(monkeypatch):
+    # the n = 4e4 grid resolves it; the value agrees with mc's -0.120 +- 0.004
+    s = _sys(*_ROUGH)
+    assert _nonpositive_denominators(s, 40000) == 0
+    _assert_same_density(*_scan_and_loop(monkeypatch, s, 40000))
+    value = lyapunov_fd(s, n=40000).value
+    with monkeypatch.context() as m:
+        m.setattr(lyapunov, "_affine_scan", _loop_scan)
+        assert abs(value - lyapunov_fd(s, n=40000).value) <= 1e-9
+    assert abs(value - (-0.121373)) < 1e-6
+
+
+def test_double_angle_grid_is_cached_and_read_only():
+    c2t, s2t = lyapunov._double_angle_grid(64)
+    assert lyapunov._double_angle_grid(64)[0] is c2t
+    theta = math.pi / 64 * np.arange(65)
+    assert np.array_equal(c2t, np.cos(2.0 * theta))
+    assert np.array_equal(s2t, np.sin(2.0 * theta))
+    with pytest.raises(ValueError):
+        c2t[0] = 0.0
+
+
 # ------------------------------------------------------------------ closed form
 
 def test_closed_density_beta_zero_rejected():
@@ -305,6 +449,9 @@ def test_mc_determinism_and_config_checks():
         lyapunov_mc(s, horizon=0.0, dt=1e-3, paths=4)
     with pytest.raises(ValueError):
         lyapunov_mc(s, horizon=1.0, dt=1e-3, paths=0)
+    for horizon, dt in ((1e300, 1e-300), (1e9, 1e-9), (4e-4, 1e-3)):
+        with pytest.raises(ValueError, match="Euler step count"):
+            lyapunov_mc(s, horizon=horizon, dt=dt, paths=1)
 
 
 def test_density_independent_methods_agree():
