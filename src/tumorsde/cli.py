@@ -367,13 +367,20 @@ def emit_config(cfg: RunConfig) -> str:
     return "\n".join(lines) + "\n"
 
 
+_CSV_CHUNK = 4096  # trajectory rows formatted per write
+
+
 def emit_trajectory_csv(t: Trajectory, path: str) -> None:
-    lines = ["n,t,x,y"]
-    for n, (tt, st) in enumerate(zip(t.times, t.states)):
-        lines.append(f"{n},{_fmt(tt)},{_fmt(st[0])},{_fmt(st[1])}")
-    if t.blowup_index is not None:
-        lines.append(f"# blowup at n={t.blowup_index}")
-    _write(path, lines)
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        fh.write("n,t,x,y\n")
+        for start in range(0, len(t.times), _CSV_CHUNK):
+            stop = start + _CSV_CHUNK
+            fh.write("".join(
+                f"{n},{tt:.17g},{x:.17g},{y:.17g}\n" for n, tt, (x, y) in zip(
+                    range(start, stop), t.times[start:stop].tolist(),
+                    t.states[start:stop].tolist())))
+        if t.blowup_index is not None:
+            fh.write(f"# blowup at n={t.blowup_index}\n")
 
 
 def emit_sweep_csv(r: SweepResult, path: str) -> None:

@@ -148,10 +148,16 @@ class Ensemble:
     variance: np.ndarray  # shape (len(times), 2), ddof=1
 
 
+def _finite(v) -> bool:
+    return math.isfinite(v) if isinstance(v, float) else bool(np.isfinite(v).all())
+
+
 def _check_finite(x, y):
-    if not np.all(np.isfinite(x)):
+    """BlowUpError naming the first non-finite component; x and y are
+    floats or arrays."""
+    if not _finite(x):
         raise BlowUpError(1)
-    if not np.all(np.isfinite(y)):
+    if not _finite(y):
         raise BlowUpError(2)
 
 
@@ -244,12 +250,16 @@ def _diffusion_fns(system, diffusion):
     return g, partials
 
 
+_SIM_CHUNK = 4096
+
+
 def simulate(system, diffusion, cfg: SimConfig) -> Trajectory:
     """Iterate the selected scheme from cfg.initial.
 
     system is a ModelSpec or LinearSDE; diffusion an AffineDiffusion or
     None (a LinearSDE with diffusion=None uses its own B-matrix noise).
-    The run is fully determined by (cfg, seed); a non-finite step
+    The run is fully determined by (cfg, seed).  A step that is
+    non-finite, leaves a model's domain, overflows or divides by zero
     truncates the trajectory and records the offending step index.
     """
     drift, dpart = _drift_fns(system)
@@ -263,21 +273,32 @@ def simulate(system, diffusion, cfg: SimConfig) -> Trajectory:
         inc2 = wiener_increments(stream.substream(1), cfg.steps, cfg.dt)
     states = np.empty((cfg.steps + 1, 2))
     states[0] = (cfg.initial.x, cfg.initial.y)
+    # the state is carried as a tuple of Python floats; increments are
+    # read and states stored in chunks of _SIM_CHUNK steps
+    s = tuple(states[0].tolist())
+    dt, euler1 = cfg.dt, cfg.scheme == "euler1"
     blowup = None
     n_done = cfg.steps
-    for n in range(cfg.steps):
-        s = (states[n, 0], states[n, 1])
-        try:
-            if cfg.scheme == "euler1":
-                x, y = euler1_step(drift, g, s, cfg.dt, inc1[n], inc2[n])
-            else:
-                x, y = euler2_step(drift, g, dpart, gpart, s, cfg.dt,
-                                   inc1[n], inc2[n])
-        except (BlowUpError, DomainError, OverflowError):
-            blowup = n + 1
-            n_done = n
+    for start in range(0, cfg.steps, _SIM_CHUNK):
+        stop = min(start + _SIM_CHUNK, cfg.steps)
+        w1 = inc1[start:stop].tolist()
+        w2 = w1 if inc2 is inc1 else inc2[start:stop].tolist()
+        rows = []
+        for w1n, w2n in zip(w1, w2):
+            try:
+                if euler1:
+                    s = euler1_step(drift, g, s, dt, w1n, w2n)
+                else:
+                    s = euler2_step(drift, g, dpart, gpart, s, dt, w1n, w2n)
+            except (BlowUpError, DomainError, OverflowError, ZeroDivisionError):
+                n_done = start + len(rows)
+                blowup = n_done + 1
+                break
+            rows.append(s)
+        if rows:
+            states[start + 1:start + 1 + len(rows)] = rows
+        if blowup is not None:
             break
-        states[n + 1] = (x, y)
     times = cfg.dt * np.arange(n_done + 1)
     return Trajectory(times=times, states=states[:n_done + 1], blowup_index=blowup)
 

@@ -95,6 +95,25 @@ def _angle_table(sys: LinearSDE) -> tuple:
     )
 
 
+def _polar_rows(sys: LinearSDE) -> tuple:
+    """The polar drifts Q = q1 + (q4^2 - q2^2) / 2 (of log r) and
+    D = q3 - q2 q4 (of theta) as rows in the basis (1, c, s, c^2, c s),
+    c = cos 2th and s = sin 2th, with s^2 folded into 1 - c^2."""
+    (m1, c1, s1), (m2, c2, s2), (m3, c3, s3), (m4, c4, s4), _ = \
+        _angle_table(sys)
+    q = (m1 + 0.5 * (m4 * m4 + s4 * s4 - m2 * m2 - s2 * s2),
+         c1 + m4 * c4 - m2 * c2,
+         s1 + m4 * s4 - m2 * s2,
+         0.5 * (c4 * c4 - s4 * s4 - c2 * c2 + s2 * s2),
+         c4 * s4 - c2 * s2)
+    d = (m3 - m2 * m4 - s2 * s4,
+         c3 - m2 * c4 - m4 * c2,
+         s3 - m2 * s4 - m4 * s2,
+         s2 * s4 - c2 * c4,
+         -(c2 * s4 + s2 * c4))
+    return q, d
+
+
 def _coefficients(sys: LinearSDE, c2t, s2t) -> PhaseCoefficients:
     """q1..q5 from cos 2th and sin 2th."""
     return PhaseCoefficients(*(m + c * c2t + s * s2t
@@ -129,6 +148,7 @@ class PhaseDensity:
     values: np.ndarray
     periodicity_defect: float
     min_q4_sq: float
+    nonpositive_denominators: int  # nodes 1..n whose denominator is <= 0
 
 
 @dataclass
@@ -271,23 +291,31 @@ def stationary_density_fd(sys: LinearSDE, n: int = 10000) -> PhaseDensity:
             "the mc method")
     return PhaseDensity(n=n, step=h, values=p,
                         periodicity_defect=float(abs(p[n] - p[0])),
-                        min_q4_sq=min_q4_sq)
+                        min_q4_sq=min_q4_sq,
+                        nonpositive_denominators=int(
+                            np.count_nonzero(denom[1:] <= 0)))
 
 
 def lyapunov_fd(sys: LinearSDE, n: int = 10000) -> LyapunovEstimate:
-    """Grid quadrature of the log r drift against the angle density on
-    n steps over [0, pi]:
+    """Grid quadrature of the log r drift Q (``_polar_rows``) against
+    the angle density on n steps over [0, pi]:
 
-        lambda = sum_i (q1(i) + (q4(i)^2 - q2(i)^2) / 2) p(i) h
+        lambda = sum_i Q(i) p(i) h
+
+    Diagnostic ``nonpositive_denominators`` counts the grid nodes at
+    which the recurrence divides by a non-positive number; a density
+    solved through such nodes carries amplified rounding.
     """
     dens = stationary_density_fd(sys, n=n)
-    q = _coefficients(sys, *_double_angle_grid(n))
-    integrand = q.q1 + 0.5 * (q.q4 * q.q4 - q.q2 * q.q2)
-    value = float(np.sum(integrand[1:] * dens.values[1:]) * dens.step)
+    q, _ = _polar_rows(sys)
+    c, s = (a[1:] for a in _double_angle_grid(n))
+    integrand = q[0] + q[1] * c + q[2] * s + (q[3] * c + q[4] * s) * c
+    value = float(np.sum(integrand * dens.values[1:]) * dens.step)
     return LyapunovEstimate(
         value=value, method="fd", stderr=0.0, n=n,
         diagnostics={"periodicity_defect": dens.periodicity_defect,
-                     "min_q4_sq": dens.min_q4_sq})
+                     "min_q4_sq": dens.min_q4_sq,
+                     "nonpositive_denominators": dens.nonpositive_denominators})
 
 
 # beyond this amplitude e^{+-P} leaves floating-point range
@@ -375,44 +403,55 @@ def lyapunov_mc(sys: LinearSDE, horizon: float = 200.0, dt: float = 1e-3,
                 stream_base: int = 0) -> LyapunovEstimate:
     """Monte Carlo estimate from the polar pair.
 
-    Each path integrates (log r, theta) with the first-order Euler
-    scheme and one shared Wiener increment per step, starting from a
-    uniform angle; the estimate is the path mean of log(r(T)/r(0)) / T
+    Each path integrates (log r, phi = 2 theta) with the first-order
+    Euler scheme and one shared Wiener increment per step, starting from
+    a uniform angle; the estimate is the path mean of log(r(T)/r(0)) / T
     with its standard error.  Path p draws from stream (seed,
     stream_base + p), so results do not depend on scheduling.  The
     stderr is statistical only: it does not cover the O(dt) bias of the
     Euler scheme.
+
+    All paths advance together: a step evaluates V = (1, c, s, c^2, c s)
+    at c = cos phi, s = sin phi, and one product of V with the rows
+    (dt Q, 2 dt D, q2, 2 q4) of ``_polar_rows`` gives the drift and
+    noise increments of (log r, phi).
     """
     if horizon <= 0 or dt <= 0:
         raise ValueError("horizon and dt must be > 0")
     if paths < 1:
         raise ValueError("paths must be >= 1")
-    (q1m, q1c, q1s), (q2m, q2c, q2s), (q3m, q3c, q3s), (q4m, q4c, q4s), _ = \
-        _angle_table(sys)
+    m = np.zeros((4, 5))  # rows dt Q, 2 dt D, q2, 2 q4 over V
+    m[0], m[1] = _polar_rows(sys)
+    _, m[2, :3], _, m[3, :3], _ = _angle_table(sys)
+    m *= [[dt], [2.0 * dt], [1.0], [2.0]]
     nsteps = mc_step_count(horizon, dt)
     streams = [RngStream(seed, stream_base + p) for p in range(paths)]
-    theta = np.array([TWO_PI * s.uniforms(1)[0] for s in streams])
-    logr = np.zeros(paths)
+    x = np.zeros((2, paths))  # log r, phi; theta starts uniform on [0, 2 pi)
+    x[1] = [2.0 * TWO_PI * st.uniforms(1)[0] for st in streams]
+    v = np.ones((5, paths))
+    inc = np.empty((4, paths))
+    phi, c, s, cc, cs = x[1], v[1], v[2], v[3], v[4]
+    drift, noise = inc[:2], inc[2:]
+    cos, sin, mul, matmul = np.cos, np.sin, np.multiply, np.matmul
     sdt = math.sqrt(dt)
     done = 0
     while done < nsteps:
         blen = min(_MC_BLOCK, nsteps - done)
-        dw = np.empty((paths, blen))
+        dw = np.empty((blen, paths))
         for p, st in enumerate(streams):
-            dw[p] = gaussian_pairs(st, blen)
+            dw[:, p] = gaussian_pairs(st, blen)
         dw *= sdt
-        for k in range(blen):
-            c2t = np.cos(2.0 * theta)
-            s2t = np.sin(2.0 * theta)
-            q1 = q1m + q1c * c2t + q1s * s2t
-            q2 = q2m + q2c * c2t + q2s * s2t
-            q3 = q3m + q3c * c2t + q3s * s2t
-            q4 = q4m + q4c * c2t + q4s * s2t
-            w = dw[:, k]
-            logr += (q1 + 0.5 * (q4 * q4 - q2 * q2)) * dt + q2 * w
-            theta += (q3 - q2 * q4) * dt + q4 * w
+        for w in dw:
+            cos(phi, out=c)
+            sin(phi, out=s)
+            mul(c, c, out=cc)
+            mul(c, s, out=cs)
+            matmul(m, v, out=inc)
+            x += drift
+            noise *= w
+            x += noise
         done += blen
-    per_path = logr / (nsteps * dt)
+    per_path = x[0] / (nsteps * dt)
     value = float(per_path.mean())
     stderr = float(per_path.std(ddof=1) / math.sqrt(paths)) if paths > 1 else 0.0
     return LyapunovEstimate(value=value, method="mc", stderr=stderr, n=paths,

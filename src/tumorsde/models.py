@@ -328,9 +328,12 @@ def _reject_unknown(name, given, allowed):
 
 def eval_vector_field(model: ModelSpec, s: State) -> tuple:
     """Evaluate (f1, f2) at the state.  Raises DomainError when a shape
-    function is undefined or evaluates non-finite there."""
+    function is undefined or evaluates non-finite there, or when the
+    right-hand side is not real (a fractional power of a negative float
+    is complex in Python)."""
     f1, f2 = _rhs(model, s.x, s.y)
-    if not (math.isfinite(f1) and math.isfinite(f2)):
+    if (isinstance(f1, complex) or isinstance(f2, complex)
+            or not (math.isfinite(f1) and math.isfinite(f2))):
         raise DomainError(f"vector field non-finite at ({s.x!r}, {s.y!r})")
     return f1, f2
 

@@ -8,6 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from tumorsde import cli
 from tumorsde.cli import (
     ConfigError,
     alpha_range_values,
@@ -139,6 +140,21 @@ def test_trajectory_csv_rows(tmp_path):
     assert lines[0] == "n,t,x,y"
     assert len(lines) == 5  # header + 4 data rows, no marker
     assert lines[1].startswith("0,0,1,2")
+
+
+def test_trajectory_csv_rows_across_chunks(tmp_path):
+    # rows are formatted in chunks; the file is the row-by-row text
+    rng = np.random.default_rng(5)
+    rows = 2 * cli._CSV_CHUNK + 3
+    t = Trajectory(times=1e-3 * np.arange(rows), states=rng.normal(size=(rows, 2)),
+                   blowup_index=rows)
+    p = tmp_path / "t.csv"
+    emit_trajectory_csv(t, str(p))
+    expect = ["n,t,x,y"] + [
+        f"{n},{format(float(tt), '.17g')},{format(float(st[0]), '.17g')},"
+        f"{format(float(st[1]), '.17g')}" for n, (tt, st) in enumerate(zip(t.times, t.states))]
+    expect.append(f"# blowup at n={rows}")
+    assert p.read_text(encoding="utf-8") == "\n".join(expect) + "\n"
 
 
 def test_trajectory_csv_blowup_marker(tmp_path):

@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from tumorsde import integrate
 from tumorsde.integrate import (
     BlowUpError,
     RngStream,
@@ -17,7 +18,8 @@ from tumorsde.integrate import (
     simulate,
     wiener_increments,
 )
-from tumorsde.models import KT_PARAMS, Mat2, State, custom_model, kt_equilibria, kt_model
+from tumorsde.models import BELL_PARAMS, KT_PARAMS, DomainError, Mat2, State, \
+    bell_equilibria, bell_model, custom_model, kt_equilibria, kt_model
 from tumorsde.sde import LinearSDE, diffusion_at_equilibrium
 
 KT_P2 = (1.5534604346698473, 25.2260285238853)
@@ -195,6 +197,84 @@ def test_simulate_blowup_truncates():
     assert traj.blowup_index is not None
     assert len(traj.states) == traj.blowup_index
     assert np.isfinite(traj.states).all()
+
+
+def _float64_loop(system, diffusion, cfg):
+    """The trajectory loop that simulate replaced, on np.float64 scalars
+    read from and stored into the state array: a reference for the
+    loop on Python floats.  Returns (states, blowup_index)."""
+    drift, dpart = integrate._drift_fns(system)
+    g, gpart = integrate._diffusion_fns(system, diffusion)
+    stream = RngStream(cfg.seed, cfg.stream)
+    if cfg.noise_streams == "shared":
+        inc1 = inc2 = wiener_increments(stream, cfg.steps, cfg.dt)
+    else:
+        inc1 = wiener_increments(stream.substream(0), cfg.steps, cfg.dt)
+        inc2 = wiener_increments(stream.substream(1), cfg.steps, cfg.dt)
+    states = np.empty((cfg.steps + 1, 2))
+    states[0] = (cfg.initial.x, cfg.initial.y)
+    for n in range(cfg.steps):
+        s = (states[n, 0], states[n, 1])
+        try:
+            if cfg.scheme == "euler1":
+                x, y = euler1_step(drift, g, s, cfg.dt, inc1[n], inc2[n])
+            else:
+                x, y = euler2_step(drift, g, dpart, gpart, s, cfg.dt,
+                                   inc1[n], inc2[n])
+        except (BlowUpError, DomainError, OverflowError):
+            return states[:n + 1], n + 1
+        states[n + 1] = (x, y)
+    return states, None
+
+
+def _assert_simulate_matches_float64_loop(system, diffusion, cfg):
+    traj = simulate(system, diffusion, cfg)
+    with np.errstate(all="ignore"):
+        states, blowup = _float64_loop(system, diffusion, cfg)
+    assert traj.blowup_index == blowup
+    assert np.array_equal(traj.states, states)
+    return traj
+
+
+def test_simulate_matches_float64_loop_kt_euler2():
+    e = kt_equilibria(KT_PARAMS)[1]
+    d = diffusion_at_equilibrium(Mat2(1.0, -0.2, 0.2, 1.0), e)
+    cfg = SimConfig(dt=1e-3, steps=10_000, initial=State(1.6, 25.0),
+                    scheme="euler2", seed=3)
+    assert cfg.steps > 2 * integrate._SIM_CHUNK  # several chunks of steps
+    traj = _assert_simulate_matches_float64_loop(kt_model(), d, cfg)
+    assert traj.blowup_index is None
+
+
+def test_simulate_matches_float64_loop_bell_euler1():
+    e = bell_equilibria(BELL_PARAMS)[1]
+    d = diffusion_at_equilibrium(Mat2(0.5, -0.1, 0.1, 0.5), e)
+    cfg = SimConfig(dt=0.01, steps=5_000, initial=State(e.point.x + 0.1, e.point.y),
+                    scheme="euler1", seed=4)
+    _assert_simulate_matches_float64_loop(bell_model(), d, cfg)
+
+
+def test_simulate_matches_float64_loop_at_blowup():
+    # KT with independent streams leaves the domain at step 2926
+    e = kt_equilibria(KT_PARAMS)[1]
+    d = diffusion_at_equilibrium(Mat2(1.0, -0.2, 0.2, 1.0), e)
+    cfg = SimConfig(dt=1e-3, steps=3_000, initial=State(1.6, 25.0),
+                    noise_streams="independent", seed=7)
+    traj = _assert_simulate_matches_float64_loop(kt_model(), d, cfg)
+    assert traj.blowup_index == 2926
+
+
+@pytest.mark.parametrize("scheme", ["euler1", "euler2"])
+@pytest.mark.parametrize("rhs, x0", [(lambda x, y: (1.0 / x, 0.0), 0.0),
+                                     (lambda x, y: (x ** 0.5, 0.0), -1.0)],
+                         ids=["reciprocal", "sqrt"])
+def test_simulate_undefined_rhs_is_a_blowup(rhs, x0, scheme):
+    # on a Python float 1/x at x = 0 raises ZeroDivisionError and x ** 0.5
+    # at x < 0 is complex, where an np.float64 gave inf and nan; each ends
+    # the trajectory at step 1
+    cfg = SimConfig(dt=0.1, steps=5, initial=State(x0, 1.0), scheme=scheme)
+    traj = _assert_simulate_matches_float64_loop(custom_model(rhs), None, cfg)
+    assert traj.blowup_index == 1 and len(traj.states) == 1
 
 
 def test_shared_vs_independent_streams():

@@ -7,6 +7,7 @@ import pytest
 
 import alpha_exact
 from tumorsde import lyapunov
+from tumorsde.integrate import RngStream, gaussian_pairs
 from tumorsde.lyapunov import (
     TWO_PI,
     DegeneratePhaseDiffusionError,
@@ -255,6 +256,28 @@ def test_scan_matches_loop_on_random_general_noise(monkeypatch):
     assert resolved >= 80
 
 
+def test_fd_reports_nonpositive_denominators():
+    # none on the alpha family at beta = -2; on the seed-11 random
+    # systems the density solve accepts some grids that have them
+    for label in ("Bell-P1", "Bell-P2", "KT-P1", "KT-P2"):
+        for alpha in (-4.0, -1.5, 0.0, 2.5):
+            s = LinearSDE(_drift_matrix(label), alpha_family(alpha, -2.0))
+            assert stationary_density_fd(s, n=10000).nonpositive_denominators == 0
+            assert lyapunov_fd(s, n=10000).diagnostics["nonpositive_denominators"] == 0
+    rng = np.random.default_rng(11)
+    flagged = 0
+    for _ in range(200):
+        s = _sys(rng.normal(size=4), rng.normal(size=4))
+        try:
+            est = lyapunov_fd(s, n=10000)
+        except DegeneratePhaseDiffusionError:
+            continue
+        count = est.diagnostics["nonpositive_denominators"]
+        assert count == _nonpositive_denominators(s, 10000)
+        flagged += count > 0
+    assert flagged == 2
+
+
 def _scan_io(monkeypatch, s, n):
     """(r, f, max_log_r, ph): what stationary_density_fd passes to
     _affine_scan and the homogeneous solution it gets back."""
@@ -413,6 +436,77 @@ def test_closed_large_alpha_is_negative():
 
 
 # ------------------------------------------------------------------ monte carlo
+
+def _reference_mc(s, horizon, dt, paths, seed, stream_base=0):
+    """The per-step loop that lyapunov_mc's fused kernel replaced: theta
+    itself is advanced and q1..q4 are evaluated from the angle table at
+    every step.  A reference for the kernel; returns (value, stderr)."""
+    (q1m, q1c, q1s), (q2m, q2c, q2s), (q3m, q3c, q3s), (q4m, q4c, q4s), _ = \
+        lyapunov._angle_table(s)
+    nsteps = lyapunov.mc_step_count(horizon, dt)
+    streams = [RngStream(seed, stream_base + p) for p in range(paths)]
+    theta = np.array([TWO_PI * st.uniforms(1)[0] for st in streams])
+    logr = np.zeros(paths)
+    done = 0
+    while done < nsteps:
+        blen = min(lyapunov._MC_BLOCK, nsteps - done)
+        dw = np.empty((paths, blen))
+        for p, st in enumerate(streams):
+            dw[p] = gaussian_pairs(st, blen)
+        dw *= math.sqrt(dt)
+        for k in range(blen):
+            c2t = np.cos(2.0 * theta)
+            s2t = np.sin(2.0 * theta)
+            q1 = q1m + q1c * c2t + q1s * s2t
+            q2 = q2m + q2c * c2t + q2s * s2t
+            q3 = q3m + q3c * c2t + q3s * s2t
+            q4 = q4m + q4c * c2t + q4s * s2t
+            w = dw[:, k]
+            logr += (q1 + 0.5 * (q4 * q4 - q2 * q2)) * dt + q2 * w
+            theta += (q3 - q2 * q4) * dt + q4 * w
+        done += blen
+    per_path = logr / (nsteps * dt)
+    stderr = float(per_path.std(ddof=1) / math.sqrt(paths)) if paths > 1 else 0.0
+    return float(per_path.mean()), stderr
+
+
+_MC_KERNEL_CASES = {
+    "Bell-P1": (lambda: _bell_p1_sys(1.5), dict(horizon=2.0, paths=32, seed=3)),
+    "KT-P2": (lambda: _kt_p2_sys(-3.0), dict(horizon=2.0, paths=32, seed=7)),
+    "general-noise": (lambda: _sys((-0.2, 0.5, -0.8, 0.1), (0.5, -1.2, 1.0, 1.4)),
+                      dict(horizon=5.0, paths=16, seed=31)),
+    "sigma-I": (lambda: _sys((1.0, 0, 0, 1.0), (0.5, 0, 0, 0.5)),
+                dict(horizon=5.0, paths=16, seed=2)),
+    "zero-noise": (lambda: _sys((0.2, 0, 0, -0.5), (0, 0, 0, 0)),
+                   dict(horizon=20.0, dt=2e-3, paths=4, seed=4)),
+    "one-path": (lambda: _kt_p2_sys(0.5), dict(horizon=2.0, paths=1, seed=6)),
+    "two-blocks": (lambda: _kt_p2_sys(0.5),
+                   dict(horizon=1e-3 * (lyapunov._MC_BLOCK + 500), paths=3, seed=9)),
+}
+
+
+@pytest.mark.parametrize("label", list(_MC_KERNEL_CASES))
+def test_mc_kernel_matches_reference_loop(monkeypatch, label):
+    make, kw = _MC_KERNEL_CASES[label]
+    kw = {"dt": 1e-3, **kw}
+    s = make()
+    calls = []
+
+    def counted(stream, count):
+        calls.append(count)
+        return gaussian_pairs(stream, count)
+
+    with monkeypatch.context() as m:
+        m.setattr(lyapunov, "gaussian_pairs", counted)
+        est = lyapunov_mc(s, **kw)
+    # one gaussian_pairs call per path and block, through the module
+    nsteps = lyapunov.mc_step_count(kw["horizon"], kw["dt"])
+    assert len(calls) == kw["paths"] * -(-nsteps // lyapunov._MC_BLOCK)
+    assert sum(calls) == kw["paths"] * nsteps
+    value, stderr = _reference_mc(s, **kw)
+    assert abs(est.value - value) <= 1e-12 * abs(value)
+    assert abs(est.stderr - stderr) <= 1e-12 * stderr
+
 
 def test_mc_scalar_noise_oracle():
     # B = sigma I gives q4 = 0: log-growth a - sigma^2/2; fd is inapplicable
