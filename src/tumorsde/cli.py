@@ -174,7 +174,7 @@ def _parse_params(key, v):
 
 
 def _parse_equilibrium(key, v):
-    if v not in ("P1", "P2") and not v.isdigit():
+    if v not in ("P1", "P2") and not (v.isascii() and v.isdigit()):
         raise ConfigError(key, f"must be P1, P2 or an index, got {v!r}")
     return v
 

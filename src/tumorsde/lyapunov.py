@@ -15,11 +15,12 @@ with the trigonometric coefficients
     q5 = dq4/dth = (b22 - b11) cos 2th - (b12 + b21) sin 2th
 
 All five are held once, as (mean, cos 2th, sin 2th) coefficients, in
-``_angle_table``; q5's row is derived from q4's.  Being functions of
-2th, they have period pi: the angle matters only through the line it
-spans (Khasminskii 1967).  The exponent is the stationary average of
-the log r drift against the angle density p(theta).  Three estimators
-are provided:
+``_angle_table``; q5's row is derived from q4's, and their products come
+from one rule, ``_times``, as rows over the basis of ``_double_angle_grid``.
+Being functions of 2th, they have period pi: the angle matters only
+through the line it spans (Khasminskii 1967).  The exponent is the
+stationary average of the log r drift against the angle density
+p(theta).  Three estimators are provided:
 
 * ``lyapunov_fd``   -- backward-difference solve of the stationary
   angle equation on a uniform grid over one period [0, pi],
@@ -95,43 +96,42 @@ def _angle_table(sys: LinearSDE) -> tuple:
     )
 
 
-def _polar_rows(sys: LinearSDE) -> tuple:
-    """The polar drifts Q = q1 + (q4^2 - q2^2) / 2 (of log r) and
-    D = q3 - q2 q4 (of theta) as rows in the basis (1, c, s, c^2, c s),
-    c = cos 2th and s = sin 2th, with s^2 folded into 1 - c^2."""
-    (m1, c1, s1), (m2, c2, s2), (m3, c3, s3), (m4, c4, s4), _ = \
-        _angle_table(sys)
-    q = (m1 + 0.5 * (m4 * m4 + s4 * s4 - m2 * m2 - s2 * s2),
-         c1 + m4 * c4 - m2 * c2,
-         s1 + m4 * s4 - m2 * s2,
-         0.5 * (c4 * c4 - s4 * s4 - c2 * c2 + s2 * s2),
-         c4 * s4 - c2 * s2)
-    d = (m3 - m2 * m4 - s2 * s4,
-         c3 - m2 * c4 - m4 * c2,
-         s3 - m2 * s4 - m4 * s2,
-         s2 * s4 - c2 * c4,
-         -(c2 * s4 + s2 * c4))
-    return q, d
+def _times(a, b) -> np.ndarray:
+    """The product of two (mean, cos 2th, sin 2th) rows as a row over
+    the basis (1, c, s, c^2, c s), c = cos 2th and s = sin 2th, with s^2
+    folded into 1 - c^2."""
+    (ma, ca, sa), (mb, cb, sb) = a, b
+    return np.array((ma * mb + sa * sb, ma * cb + ca * mb, ma * sb + sa * mb,
+                     ca * cb - sa * sb, ca * sb + sa * cb))
 
 
-def _coefficients(sys: LinearSDE, c2t, s2t) -> PhaseCoefficients:
-    """q1..q5 from cos 2th and sin 2th."""
-    return PhaseCoefficients(*(m + c * c2t + s * s2t
-                               for m, c, s in _angle_table(sys)))
+def _polar_rows(sys: LinearSDE) -> np.ndarray:
+    """Rows over the basis of ``_times``, stacked: the log r drift Q =
+    q1 + (q4^2 - q2^2) / 2, the theta drift D = q3 - q2 q4, q2, q4, and
+    fd's angle drift -D + q4 q5."""
+    r1, r2, r3, r4, r5 = _angle_table(sys)
+    q1, q2, q3, q4 = (np.array(r + (0.0, 0.0)) for r in (r1, r2, r3, r4))
+    d = q3 - _times(r2, r4)
+    return np.array((q1 + 0.5 * (_times(r4, r4) - _times(r2, r2)), d, q2, q4,
+                     _times(r4, r5) - d))
 
 
 def phase_coefficients(sys: LinearSDE, theta) -> PhaseCoefficients:
     """q1..q5 at theta, a float or an array of angles."""
-    return _coefficients(sys, np.cos(2.0 * theta), np.sin(2.0 * theta))
+    c2t, s2t = np.cos(2.0 * theta), np.sin(2.0 * theta)
+    return PhaseCoefficients(*(m + c * c2t + s * s2t
+                               for m, c, s in _angle_table(sys)))
 
 
-@functools.lru_cache(maxsize=2)  # two grids of 10^6 steps hold 32 MB
-def _double_angle_grid(n: int) -> tuple:
-    """Read-only cos 2th and sin 2th at th = i pi / n, i = 0..n."""
+# five rows of 10^6 + 1 doubles each: the two grids at --grid-n 10^6 hold 80 MB
+@functools.lru_cache(maxsize=2)
+def _double_angle_grid(n: int) -> np.ndarray:
+    """Read-only basis rows (1, c, s, c^2, c s), c = cos 2th and s =
+    sin 2th, at th = i pi / n, i = 0..n."""
     theta = math.pi / n * np.arange(n + 1)
-    out = np.cos(2.0 * theta), np.sin(2.0 * theta)
-    for a in out:
-        a.flags.writeable = False
+    c, s = np.cos(2.0 * theta), np.sin(2.0 * theta)
+    out = np.stack((np.ones(n + 1), c, s, c * c, c * s))
+    out.flags.writeable = False
     return out
 
 
@@ -251,14 +251,14 @@ def stationary_density_fd(sys: LinearSDE, n: int = 10000) -> PhaseDensity:
     if n < 2:
         raise ValueError("grid size n must be >= 2")
     h = math.pi / n
-    q = _coefficients(sys, *_double_angle_grid(n))
-    q4sq = q.q4 * q.q4
+    q4, drift = _polar_rows(sys)[3:] @ _double_angle_grid(n)
+    q4sq = q4 * q4
     min_q4_sq = float(q4sq.min())
     if min_q4_sq < _MIN_Q4_SQ:
         raise DegeneratePhaseDiffusionError(
             f"min q4^2 = {min_q4_sq:.3e} < {_MIN_Q4_SQ:.1e} on the grid; "
             "the angle diffusion degenerates there -- use the mc method")
-    denom = 2.0 * h * (-q.q3 + q.q2 * q.q4 + q.q4 * q.q5) + q4sq
+    denom = 2.0 * h * drift + q4sq
     if np.any(denom == 0):
         raise DegeneratePhaseDiffusionError("singular recurrence denominator")
     # homogeneous (flux 0) and unit-flux particular solutions, run in
@@ -307,10 +307,8 @@ def lyapunov_fd(sys: LinearSDE, n: int = 10000) -> LyapunovEstimate:
     solved through such nodes carries amplified rounding.
     """
     dens = stationary_density_fd(sys, n=n)
-    q, _ = _polar_rows(sys)
-    c, s = (a[1:] for a in _double_angle_grid(n))
-    integrand = q[0] + q[1] * c + q[2] * s + (q[3] * c + q[4] * s) * c
-    value = float(np.sum(integrand * dens.values[1:]) * dens.step)
+    moments = _double_angle_grid(n)[:, 1:] @ dens.values[1:]
+    value = float(_polar_rows(sys)[0] @ moments) * dens.step
     return LyapunovEstimate(
         value=value, method="fd", stderr=0.0, n=n,
         diagnostics={"periodicity_defect": dens.periodicity_defect,
@@ -335,12 +333,14 @@ def closed_form_lyapunov(A: Mat2, alpha: float, beta: float) -> LyapunovEstimate
         k0 = 2 (m3 - alpha beta) / beta^2,
         P  = (c3 sin 2theta - s3 cos 2theta) / beta^2.
 
-    Then p = e^P u with u' - k0 u proportional to e^{-P}: in Fourier
-    modes u_n ~ c_n k0 / (k0 - i n), c_n those of e^{-P}, and the n = 0
-    weight is 1 (also at k0 = 0, where the flux vanishes).  P has
-    amplitude amp = hypot(c3, s3) / beta^2 and the modes of e^{-P} fall
-    like I_n(amp), so a power-of-two grid of at least 8 amp + 64 nodes
-    resolves it spectrally.  With q1's row (m1, c1, s1),
+    Then p = e^P u with u' - k0 u proportional to e^{-P}.  Everything has
+    period pi, so in the Fourier modes e^{2 i n theta} of one period u_n
+    ~ c_n k0 / (k0 - 2 i n), c_n those of e^{-P}, and the n = 0 weight is
+    1 (also at k0 = 0, where the flux vanishes).  P has amplitude amp =
+    hypot(c3, s3) / beta^2 and the modes of e^{-P} fall like I_n(amp),
+    so n, the next power of two >= 4 amp + 32, nodes over [0, pi) of the
+    cached ``_double_angle_grid`` resolve it spectrally.  With q1's row
+    (m1, c1, s1),
 
         lambda = m1 + c1 <cos 2theta> + s1 <sin 2theta> + (beta^2 - alpha^2) / 2.
 
@@ -359,14 +359,13 @@ def closed_form_lyapunov(A: Mat2, alpha: float, beta: float) -> LyapunovEstimate
         raise DegeneratePhaseDiffusionError(
             f"angle density amplitude {amp:.3g} leaves floating-point range; "
             "use the mc method")
-    m = 1 << math.ceil(math.log2(8.0 * amp + 64.0))
-    theta = TWO_PI / m * np.arange(m)
-    c2t, s2t = np.cos(2.0 * theta), np.sin(2.0 * theta)
+    m = 1 << math.ceil(math.log2(4.0 * amp + 32.0))
+    _, c2t, s2t, _, _ = _double_angle_grid(m)[:, :m]
     per = (c3 * s2t - s3 * c2t) / beta ** 2
     k0 = 2.0 * (m3 - alpha * beta) / beta ** 2
     n = np.fft.fftfreq(m, 1.0 / m)
     weights = np.ones(m, dtype=complex)
-    weights[1:] = k0 / (k0 - 1j * n[1:])
+    weights[1:] = k0 / (k0 - 2j * n[1:])
     # e^{-P} and e^{P}, each scaled by e^{-amp} so that neither overflows
     down, up = np.exp(-per - amp), np.exp(per - amp)
     dens = up * np.fft.ifft(np.fft.fft(down) * weights).real
@@ -420,10 +419,8 @@ def lyapunov_mc(sys: LinearSDE, horizon: float = 200.0, dt: float = 1e-3,
         raise ValueError("horizon and dt must be > 0")
     if paths < 1:
         raise ValueError("paths must be >= 1")
-    m = np.zeros((4, 5))  # rows dt Q, 2 dt D, q2, 2 q4 over V
-    m[0], m[1] = _polar_rows(sys)
-    _, m[2, :3], _, m[3, :3], _ = _angle_table(sys)
-    m *= [[dt], [2.0 * dt], [1.0], [2.0]]
+    # rows dt Q, 2 dt D, q2, 2 q4 over V
+    m = _polar_rows(sys)[:4] * [[dt], [2.0 * dt], [1.0], [2.0]]
     nsteps = mc_step_count(horizon, dt)
     streams = [RngStream(seed, stream_base + p) for p in range(paths)]
     x = np.zeros((2, paths))  # log r, phi; theta starts uniform on [0, 2 pi)
@@ -508,7 +505,7 @@ def stability_sweep(model: ModelSpec, equilibrium: Equilibrium, beta: float,
     for k, alpha in enumerate(alphas):
         try:
             est = evaluate(float(alpha), k << 32)
-        except (DegeneratePhaseDiffusionError, ValueError, ArithmeticError) as exc:
+        except (ValueError, ArithmeticError) as exc:
             failures.append((float(alpha), str(exc)))
             continue
         lambdas[k] = est.value
@@ -527,7 +524,7 @@ def stability_sweep(model: ModelSpec, equilibrium: Equilibrium, beta: float,
             mid = 0.5 * (lo + hi)
             try:
                 lmid = evaluate(mid, _refine_stream_base(mid)).value
-            except (DegeneratePhaseDiffusionError, ValueError, ArithmeticError) as exc:
+            except (ValueError, ArithmeticError) as exc:
                 failures.append((mid, str(exc)))
                 break
             if stable(lmid) == stable(llo):
@@ -560,7 +557,8 @@ def _stable_intervals(alphas, lambdas, sign_changes) -> list:
         if ci < len(crossings) and a_prev <= crossings[ci] <= a_cur:
             cross = crossings[ci]
             ci += 1
-        else:  # crossing skipped by a failed refinement: fall back to midpoint
+        else:  # a sign change across failed grid points, which
+            # sign_changes never lists: fall back to the midpoint
             cross = 0.5 * (a_prev + a_cur)
         if l_prev <= 0:  # leaving the stable set
             out.append((start, cross))

@@ -182,12 +182,10 @@ class ModelSpec:
     rhs: Optional[Callable[[float, float], tuple]] = None  # custom models
 
 
-def _const(name: str, c: float) -> HFun:
-    return HFun(name, lambda x: c, lambda x: 0.0, lambda x: 0.0)
-
-
-def _linear(name: str, c: float) -> HFun:
-    return HFun(name, lambda x: c * x, lambda x: c, lambda x: 0.0)
+def _poly(name: str, c0: float, c1: float = 0.0, c2: float = 0.0) -> HFun:
+    """c0 + c1 x + c2 x^2 and its two derivatives."""
+    return HFun(name, lambda x: c0 + (c1 + c2 * x) * x,
+                lambda x: c1 + 2.0 * c2 * x, lambda x: 2.0 * c2)
 
 
 KT_PARAMS = KTParams(a1=0.1181, a2=0.3747, a3=0.01184, b1=1.636, b2=0.002)
@@ -201,12 +199,11 @@ def kt_model(params: KTParams = KT_PARAMS) -> ModelSpec:
 
 def bell_model(params: BellParams = BELL_PARAMS) -> ModelSpec:
     h = (
-        _const("h1", params.a1),
-        _const("h2", params.a2),
-        _linear("h3", params.b1),
-        _const("h4", params.b3),
-        HFun("h5", lambda x: -params.b2 * x + params.b4,
-             lambda x: -params.b2, lambda x: 0.0),
+        _poly("h1", params.a1),
+        _poly("h2", params.a2),
+        _poly("h3", 0.0, params.b1),
+        _poly("h4", params.b3),
+        _poly("h5", params.b4, -params.b2),
     )
     return ModelSpec(name="bell", params=asdict(params), h=h)
 
@@ -214,22 +211,22 @@ def bell_model(params: BellParams = BELL_PARAMS) -> ModelSpec:
 def volterra_model(a: float, b: float, d: float, f: float, k: float) -> ModelSpec:
     """Volterra model: dx/dt = a*x - b*x*y, dy/dt = d*x*y - f*y - k*x."""
     h = (
-        _const("h1", a),
-        _const("h2", b),
-        _linear("h3", d),
-        _const("h4", f),
-        _linear("h5", -k),
+        _poly("h1", a),
+        _poly("h2", b),
+        _poly("h3", 0.0, d),
+        _poly("h4", f),
+        _poly("h5", 0.0, -k),
     )
     return ModelSpec(name="volterra", params={"a": a, "b": b, "d": d, "f": f, "k": k}, h=h)
 
 
 def stepanova_model(a1: float, b: float, b1: float, b2: float, b4: float) -> ModelSpec:
     h = (
-        _const("h1", a1),
-        _const("h2", 1.0),
-        _linear("h3", b1),
-        _const("h4", b),
-        HFun("h5", lambda x: -b2 * x + b4, lambda x: -b2, lambda x: 0.0),
+        _poly("h1", a1),
+        _poly("h2", 1.0),
+        _poly("h3", 0.0, b1),
+        _poly("h4", b),
+        _poly("h5", b4, -b2),
     )
     return ModelSpec(name="stepanova",
                      params={"a1": a1, "b": b, "b1": b1, "b2": b2, "b4": b4}, h=h)
@@ -244,21 +241,21 @@ def vladar_model(K: float, b1: float, b2: float, b3: float) -> ModelSpec:
 
     h = (
         HFun("h1", h1f, lambda x: -1.0 / x, lambda x: 1.0 / (x * x)),
-        _const("h2", 1.0),
-        _linear("h3", b1),
-        HFun("h4", lambda x: b2 + b3 * x * x, lambda x: 2 * b3 * x, lambda x: 2 * b3),
-        _const("h5", 1.0),
+        _poly("h2", 1.0),
+        _poly("h3", 0.0, b1),
+        _poly("h4", b2, 0.0, b3),
+        _poly("h5", 1.0),
     )
     return ModelSpec(name="vladar", params={"K": K, "b1": b1, "b2": b2, "b3": b3}, h=h)
 
 
 def exponential_model(b1: float, b2: float, b3: float) -> ModelSpec:
     h = (
-        _const("h1", 1.0),
-        _const("h2", 1.0),
-        _linear("h3", b1),
-        HFun("h4", lambda x: b2 + b3 * x * x, lambda x: 2 * b3 * x, lambda x: 2 * b3),
-        _const("h5", 1.0),
+        _poly("h1", 1.0),
+        _poly("h2", 1.0),
+        _poly("h3", 0.0, b1),
+        _poly("h4", b2, 0.0, b3),
+        _poly("h5", 1.0),
     )
     return ModelSpec(name="exponential", params={"b1": b1, "b2": b2, "b3": b3}, h=h)
 
@@ -272,10 +269,10 @@ def logistic_model(a1: float, b1: float, b2: float, b3: float) -> ModelSpec:
 
     h = (
         HFun("h1", h1f, lambda x: a1 / (x * x), lambda x: -2 * a1 / (x ** 3)),
-        _const("h2", 1.0),
-        _linear("h3", b1),
-        HFun("h4", lambda x: b2 + b3 * x * x, lambda x: 2 * b3 * x, lambda x: 2 * b3),
-        _const("h5", 1.0),
+        _poly("h2", 1.0),
+        _poly("h3", 0.0, b1),
+        _poly("h4", b2, 0.0, b3),
+        _poly("h5", 1.0),
     )
     return ModelSpec(name="logistic",
                      params={"a1": a1, "b1": b1, "b2": b2, "b3": b3}, h=h)
@@ -287,12 +284,12 @@ def custom_model(rhs: Callable[[float, float], tuple], name: str = "custom",
     return ModelSpec(name=name, params=dict(params or {}), rhs=rhs)
 
 
-_FACTORY_ARGS = {
-    "volterra": ("a", "b", "d", "f", "k"),
-    "stepanova": ("a1", "b", "b1", "b2", "b4"),
-    "vladar": ("K", "b1", "b2", "b3"),
-    "exponential": ("b1", "b2", "b3"),
-    "logistic": ("a1", "b1", "b2", "b3"),
+_FACTORIES = {
+    "volterra": (volterra_model, ("a", "b", "d", "f", "k")),
+    "stepanova": (stepanova_model, ("a1", "b", "b1", "b2", "b4")),
+    "vladar": (vladar_model, ("K", "b1", "b2", "b3")),
+    "exponential": (exponential_model, ("b1", "b2", "b3")),
+    "logistic": (logistic_model, ("a1", "b1", "b2", "b3")),
 }
 
 
@@ -307,15 +304,12 @@ def make_model(name: str, params: Optional[Mapping[str, float]] = None) -> Model
         factory, defaults = _DEFAULTED[name]
         _reject_unknown(name, params, asdict(defaults))
         return factory(replace(defaults, **params))
-    if name in _FACTORY_ARGS:
-        keys = _FACTORY_ARGS[name]
+    if name in _FACTORIES:
+        factory, keys = _FACTORIES[name]
         missing = [k for k in keys if k not in params]
         if missing:
             raise ValueError(f"model {name} needs params {missing}")
         _reject_unknown(name, params, dict.fromkeys(keys))
-        factory = {"volterra": volterra_model, "stepanova": stepanova_model,
-                   "vladar": vladar_model, "exponential": exponential_model,
-                   "logistic": logistic_model}[name]
         return factory(**{k: params[k] for k in keys})
     raise ValueError(f"unknown model preset: {name}")
 
@@ -418,18 +412,23 @@ def bell_equilibria(p: BellParams) -> list:
     ]
 
 
+def _stencil(model: ModelSpec, x: float, y: float) -> tuple:
+    """Central-difference steps hx, hy (1e-6 * max(1, |coordinate|)) and
+    the right-hand side at (x + hx, y), (x - hx, y), (x, y + hy) and
+    (x, y - hy)."""
+    hx = 1e-6 * max(1.0, abs(x))
+    hy = 1e-6 * max(1.0, abs(y))
+    return (hx, hy, _rhs(model, x + hx, y), _rhs(model, x - hx, y),
+            _rhs(model, x, y + hy), _rhs(model, x, y - hy))
+
+
 def jacobian(model: ModelSpec, at: State) -> Mat2:
     """Jacobian of the vector field: analytic for every preset (its
     diagonal from diag_partials), central finite differences (step
     1e-6 * max(1, |coordinate|)) for custom right-hand sides."""
     x, y = at.x, at.y
     if model.rhs is not None:
-        hx = 1e-6 * max(1.0, abs(x))
-        hy = 1e-6 * max(1.0, abs(y))
-        fxp = _rhs(model, x + hx, y)
-        fxm = _rhs(model, x - hx, y)
-        fyp = _rhs(model, x, y + hy)
-        fym = _rhs(model, x, y - hy)
+        hx, hy, fxp, fxm, fyp, fym = _stencil(model, x, y)
         return Mat2((fxp[0] - fxm[0]) / (2 * hx), (fyp[0] - fym[0]) / (2 * hy),
                     (fxp[1] - fxm[1]) / (2 * hx), (fyp[1] - fym[1]) / (2 * hy))
     (j11, _), (j22, _) = diag_partials(model, at)
@@ -456,13 +455,8 @@ def diag_partials(model: ModelSpec, at: State) -> tuple:
         d2f1 = 2.0 * h1.d1(x) + x * h1.d2(x) - (2.0 * h2.d1(x) + x * h2.d2(x)) * y
         df2 = h3(x) - h4(x)
         return ((df1, d2f1), (df2, 0.0))
-    hx = 1e-6 * max(1.0, abs(x))
-    hy = 1e-6 * max(1.0, abs(y))
     f0 = _rhs(model, x, y)
-    fxp = _rhs(model, x + hx, y)
-    fxm = _rhs(model, x - hx, y)
-    fyp = _rhs(model, x, y + hy)
-    fym = _rhs(model, x, y - hy)
+    hx, hy, fxp, fxm, fyp, fym = _stencil(model, x, y)
     return (((fxp[0] - fxm[0]) / (2 * hx), (fxp[0] - 2 * f0[0] + fxm[0]) / hx ** 2),
             ((fyp[1] - fym[1]) / (2 * hy), (fyp[1] - 2 * f0[1] + fym[1]) / hy ** 2))
 

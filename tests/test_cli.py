@@ -269,6 +269,13 @@ def test_cli_equilibrium_selector_errors(capsys):
     assert "equilibrium" in err
 
 
+@pytest.mark.parametrize("sel", ["²", "٣"])  # superscript 2, Arabic-Indic 3
+def test_cli_equilibrium_index_must_be_ascii_digits(capsys, sel):
+    assert main(["lyapunov", "--equilibrium", sel]) == 2
+    assert capsys.readouterr().err == (
+        f"config error: equilibrium: must be P1, P2 or an index, got {sel!r}\n")
+
+
 def test_cli_lyapunov_closed_line_and_unresolvable_exit_three(capsys):
     argv = ["lyapunov", "--model", "bell", "--equilibrium", "P1",
             "--alpha", "1.5", "--beta", "-2", "--method", "closed"]

@@ -341,13 +341,33 @@ def test_fd_resolves_rough_system_on_finer_grid(monkeypatch):
 
 
 def test_double_angle_grid_is_cached_and_read_only():
-    c2t, s2t = lyapunov._double_angle_grid(64)
-    assert lyapunov._double_angle_grid(64)[0] is c2t
+    basis = lyapunov._double_angle_grid(64)
+    assert lyapunov._double_angle_grid(64) is basis
     theta = math.pi / 64 * np.arange(65)
-    assert np.array_equal(c2t, np.cos(2.0 * theta))
-    assert np.array_equal(s2t, np.sin(2.0 * theta))
+    c, s = np.cos(2.0 * theta), np.sin(2.0 * theta)
+    assert basis.shape == (5, 65)
+    for row, want in zip(basis, (np.ones(65), c, s, c * c, c * s)):
+        assert np.array_equal(row, want)
     with pytest.raises(ValueError):
-        c2t[0] = 0.0
+        basis[1, 0] = 0.0
+
+
+def test_polar_rows_match_phase_coefficients():
+    # rows @ (1, c, s, c^2, c s) against the same drifts evaluated from
+    # q1..q5 at the angles themselves
+    rng = np.random.default_rng(5)
+    for _ in range(200):
+        a, b = rng.normal(size=4), rng.normal(size=4)
+        theta = rng.uniform(-4.0, 4.0, size=16)
+        c, s = np.cos(2.0 * theta), np.sin(2.0 * theta)
+        values = lyapunov._polar_rows(_sys(a, b)) @ np.stack(
+            (np.ones_like(c), c, s, c * c, c * s))
+        q = phase_coefficients(_sys(a, b), theta)
+        want = (q.q1 + 0.5 * (q.q4 * q.q4 - q.q2 * q.q2),
+                q.q3 - q.q2 * q.q4, q.q2, q.q4,
+                -q.q3 + q.q2 * q.q4 + q.q4 * q.q5)
+        scale = 1.0 + np.abs(a).max() + np.abs(b).max() ** 2
+        assert np.abs(values - np.array(want)).max() <= 1e-13 * scale
 
 
 # ------------------------------------------------------------------ closed form
@@ -426,6 +446,7 @@ def test_closed_rejects_unresolvable_density():
     # the same amplitude without drift has zero flux and p = e^P exactly
     ok = closed_form_lyapunov(Mat2(amp, 0.3, -0.3, -amp), 0.3, beta)
     assert ok.diagnostics["roundoff"] < 1e-12
+    assert ok.n == 128  # nodes over [0, pi): the next power of two >= 4 amp + 32
 
 
 def test_closed_large_alpha_is_negative():
