@@ -31,6 +31,7 @@ from .models import (
     logistic_model,
     make_model,
     stepanova_model,
+    vector_field_fns,
     vladar_model,
     volterra_model,
 )

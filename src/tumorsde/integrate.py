@@ -7,6 +7,12 @@ turned into standard normals with the Box-Muller transform.  Identical
 independent streams, which is what lets ensembles run paths in any
 order or thread layout without changing the result.
 
+Stream ids: a trajectory with base id b draws both components from
+stream b (shared noise) or component i from stream b + i, i = 1, 2
+(independent noise).  Ensemble path p has base id b + 1 + p (shared)
+or b + 1 + 2p (independent), so every (path, component) pair of an
+ensemble has its own stream.
+
 Two explicit schemes are provided.  The first-order step is
 
     x_i(n+1) = x_i(n) + f_i h + g_i G_i
@@ -26,7 +32,7 @@ from typing import Optional
 
 import numpy as np
 
-from .models import DomainError, ModelSpec, State, diag_partials, eval_vector_field
+from .models import DomainError, Mat2, ModelSpec, State, vector_field_fns
 from .sde import LinearSDE
 
 __all__ = [
@@ -37,6 +43,7 @@ __all__ = [
     "Ensemble",
     "box_muller",
     "gaussian_pairs",
+    "gaussian_block",
     "wiener_increments",
     "euler1_step",
     "euler2_step",
@@ -95,6 +102,27 @@ def gaussian_pairs(stream: RngStream, count: int) -> np.ndarray:
     return out[:count]
 
 
+def gaussian_block(streams, count: int, out: np.ndarray) -> np.ndarray:
+    """Write the next count standard normals of streams[p] into column p
+    of out[:count] for every p and return that view.
+
+    Column p is exactly gaussian_pairs(streams[p], count): each stream
+    fills one row of uniforms, the rows are deinterleaved once into
+    contiguous (pairs, streams) arrays and one Box-Muller pass covers
+    all streams.
+    """
+    npairs = (count + 1) // 2
+    u = np.empty((len(streams), 2 * npairs))
+    for row, st in zip(u, streams):
+        st._gen.random(out=row)
+    np.subtract(1.0, u, out=u)  # (0, 1], as RngStream.uniforms
+    u1, u2 = u.reshape(len(streams), npairs, 2).transpose(2, 1, 0).copy()
+    z1, z2 = box_muller(u1, u2)
+    out[0:count:2] = z1
+    out[1:count:2] = z2[:count // 2]
+    return out[:count]
+
+
 def wiener_increments(stream: RngStream, steps: int, dt: float) -> np.ndarray:
     """Increments W((n+1)h) - W(nh): sqrt(dt) times standard normals."""
     if dt <= 0:
@@ -148,17 +176,21 @@ class Ensemble:
     variance: np.ndarray  # shape (len(times), 2), ddof=1
 
 
-def _finite(v) -> bool:
-    return math.isfinite(v) if isinstance(v, float) else bool(np.isfinite(v).all())
+_isfinite = math.isfinite
 
 
 def _check_finite(x, y):
     """BlowUpError naming the first non-finite component; x and y are
     floats or arrays."""
-    if not _finite(x):
-        raise BlowUpError(1)
-    if not _finite(y):
-        raise BlowUpError(2)
+    if isinstance(x, float) and isinstance(y, float):
+        if _isfinite(x) and _isfinite(y):
+            return
+        ok1 = _isfinite(x)
+    else:
+        ok1 = bool(np.isfinite(x).all())
+        if ok1 and np.isfinite(y).all():
+            return
+    raise BlowUpError(1 if not ok1 else 2)
 
 
 def euler1_step(drift, diffusion, s, dt, g1_inc, g2_inc):
@@ -195,59 +227,43 @@ def euler2_step(drift, diffusion, drift_partials, diffusion_partials,
     return x, y
 
 
-def _drift_fns(system):
-    """(drift, drift_partials) callables for a model or linear system."""
+def _matrix_fns(m: Mat2) -> tuple:
+    """s -> m s over a state pair, and its constant own-component partials."""
+    m11, m12, m21, m22 = m.a11, m.a12, m.a21, m.a22
+    part = ((m11, 0.0), (m22, 0.0))
+
+    def f(s):
+        x, y = s
+        return m11 * x + m12 * y, m21 * x + m22 * y
+
+    return f, lambda s: part
+
+
+def _zero(s):
+    return 0.0, 0.0
+
+
+def _zero_partials(s):
+    return (0.0, 0.0), (0.0, 0.0)
+
+
+def _step_fns(system, diffusion) -> tuple:
+    """(drift, g, drift_partials, g_partials) of one run, each built once
+    over a state pair of floats; diffusion None means a LinearSDE's own
+    B-matrix noise, or no noise for a model."""
     if isinstance(system, LinearSDE):
-        a = system.A
-
-        def drift(s):
-            return a.a11 * s[0] + a.a12 * s[1], a.a21 * s[0] + a.a22 * s[1]
-
-        def partials(s):
-            return (a.a11, 0.0), (a.a22, 0.0)
-
-        return drift, partials
-    if isinstance(system, ModelSpec):
-        def drift(s):
-            return eval_vector_field(system, State(s[0], s[1]))
-
-        def partials(s):
-            return diag_partials(system, State(s[0], s[1]))
-
-        return drift, partials
-    raise TypeError(f"cannot simulate {type(system).__name__}")
-
-
-def _diffusion_fns(system, diffusion):
-    """(diffusion, diffusion_partials) callables; None means no noise."""
-    if diffusion is None:
-        if isinstance(system, LinearSDE):
-            b = system.B
-
-            def g(s):
-                return b.a11 * s[0] + b.a12 * s[1], b.a21 * s[0] + b.a22 * s[1]
-
-            def partials(s):
-                return (b.a11, 0.0), (b.a22, 0.0)
-
-            return g, partials
-
-        def zero(s):
-            return 0.0, 0.0
-
-        def zpart(s):
-            return (0.0, 0.0), (0.0, 0.0)
-
-        return zero, zpart
-    b = diffusion.b
-
-    def g(s):
-        return diffusion.g(s[0], s[1])
-
-    def partials(s):
-        return (b.a11, 0.0), (b.a22, 0.0)
-
-    return g, partials
+        drift, dpart = _matrix_fns(system.A)
+    elif isinstance(system, ModelSpec):
+        drift, dpart = vector_field_fns(system)
+    else:
+        raise TypeError(f"cannot simulate {type(system).__name__}")
+    if diffusion is not None:
+        g, gpart = diffusion.fns()
+    elif isinstance(system, LinearSDE):
+        g, gpart = _matrix_fns(system.B)
+    else:
+        g, gpart = _zero, _zero_partials
+    return drift, g, dpart, gpart
 
 
 _SIM_CHUNK = 4096
@@ -261,9 +277,11 @@ def simulate(system, diffusion, cfg: SimConfig) -> Trajectory:
     The run is fully determined by (cfg, seed).  A step that is
     non-finite, leaves a model's domain, overflows or divides by zero
     truncates the trajectory and records the offending step index.
+    Drift, diffusion and their partials are built once per run as
+    closures over Python floats (vector_field_fns, AffineDiffusion.fns),
+    so a step does only the scheme's arithmetic.
     """
-    drift, dpart = _drift_fns(system)
-    g, gpart = _diffusion_fns(system, diffusion)
+    drift, g, dpart, gpart = _step_fns(system, diffusion)
     stream = RngStream(cfg.seed, cfg.stream)
     if cfg.noise_streams == "shared":
         inc1 = wiener_increments(stream, cfg.steps, cfg.dt)
@@ -304,19 +322,24 @@ def simulate(system, diffusion, cfg: SimConfig) -> Trajectory:
 
 
 def ensemble_stats(system, diffusion, cfg: SimConfig, paths: int) -> Ensemble:
-    """Independent trajectories (stream id = cfg.stream + 1 + path index)
-    with per-time component means and variances.
+    """Independent trajectories with per-time component means and
+    variances.
 
-    Statistics cover the steps every path completed; paths that blew up
-    early only shorten that common range.
+    Path p runs simulate with base stream id b_p = cfg.stream + 1 + p
+    for shared noise, drawing from stream b_p, and b_p = cfg.stream + 1
+    + 2p for independent noise, drawing from streams b_p + 1 and b_p + 2.
+    No two (path, component) pairs share a stream id.  Statistics cover
+    the steps every path completed; paths that blew up early only
+    shorten that common range.
     """
     if paths < 1:
         raise ValueError("paths must be >= 1")
+    stride = 1 if cfg.noise_streams == "shared" else 2
     trajs = []
     for p in range(paths):
         cfg_p = SimConfig(dt=cfg.dt, steps=cfg.steps, initial=cfg.initial,
                           scheme=cfg.scheme, noise_streams=cfg.noise_streams,
-                          seed=cfg.seed, stream=cfg.stream + 1 + p)
+                          seed=cfg.seed, stream=cfg.stream + 1 + stride * p)
         trajs.append(simulate(system, diffusion, cfg_p))
     nkeep = min(len(t.states) for t in trajs)
     block = np.stack([t.states[:nkeep] for t in trajs])  # (paths, nkeep, 2)

@@ -42,7 +42,7 @@ from typing import Optional
 
 import numpy as np
 
-from .integrate import RngStream, gaussian_pairs
+from .integrate import RngStream, gaussian_block
 from .models import Equilibrium, Mat2, ModelSpec
 from .sde import LinearSDE, alpha_family, linearize
 
@@ -382,7 +382,10 @@ def closed_form_lyapunov(A: Mat2, alpha: float, beta: float) -> LyapunovEstimate
                             diagnostics={"c2": c2, "s2": s2, "roundoff": roundoff})
 
 
+# increments of an mc estimate are drawn in blocks of at most _MC_BLOCK
+# steps and _MC_BLOCK_NORMALS normals over all paths
 _MC_BLOCK = 8192
+_MC_BLOCK_NORMALS = 2 ** 18
 # an mc estimate of more Euler steps than this is refused
 _MAX_MC_STEPS = 10 ** 7
 
@@ -431,12 +434,13 @@ def lyapunov_mc(sys: LinearSDE, horizon: float = 200.0, dt: float = 1e-3,
     drift, noise = inc[:2], inc[2:]
     cos, sin, mul, matmul = np.cos, np.sin, np.multiply, np.matmul
     sdt = math.sqrt(dt)
+    # even block lengths keep every stream's Box-Muller pairing
+    block = min(_MC_BLOCK, max(2, _MC_BLOCK_NORMALS // paths // 2 * 2))
+    buf = np.empty((block, paths))
     done = 0
     while done < nsteps:
-        blen = min(_MC_BLOCK, nsteps - done)
-        dw = np.empty((blen, paths))
-        for p, st in enumerate(streams):
-            dw[:, p] = gaussian_pairs(st, blen)
+        blen = min(block, nsteps - done)
+        dw = gaussian_block(streams, blen, buf)
         dw *= sdt
         for w in dw:
             cos(phi, out=c)

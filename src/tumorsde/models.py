@@ -12,7 +12,9 @@ Kuznetsov-Taylor right-hand side does not fit the family (its y-equation
 is quadratic in y) and is implemented directly.  Jacobians and the
 own-component partial derivatives needed by the second-order
 integration scheme are analytic for every preset and central
-differences for custom right-hand sides.
+differences for custom right-hand sides.  vector_field_fns builds a
+model's field and partials once, as closures over its coefficients;
+eval_vector_field and diag_partials evaluate those closures at a State.
 """
 
 from __future__ import annotations
@@ -44,6 +46,7 @@ __all__ = [
     "logistic_model",
     "custom_model",
     "make_model",
+    "vector_field_fns",
     "eval_vector_field",
     "kt_equilibria",
     "bell_equilibria",
@@ -320,30 +323,95 @@ def _reject_unknown(name, given, allowed):
         raise ValueError(f"model {name}: unknown params {sorted(unknown)}")
 
 
-def eval_vector_field(model: ModelSpec, s: State) -> tuple:
-    """Evaluate (f1, f2) at the state.  Raises DomainError when a shape
-    function is undefined or evaluates non-finite there, or when the
-    right-hand side is not real (a fractional power of a negative float
-    is complex in Python)."""
-    f1, f2 = _rhs(model, s.x, s.y)
-    if (isinstance(f1, complex) or isinstance(f2, complex)
-            or not (math.isfinite(f1) and math.isfinite(f2))):
-        raise DomainError(f"vector field non-finite at ({s.x!r}, {s.y!r})")
-    return f1, f2
+def vector_field_fns(model: ModelSpec) -> tuple:
+    """(field, partials) of the model, built once with its coefficients
+    bound as locals.  Both map a state pair s = (x, y) of floats:
 
+        field(s)    -> (f1, f2)
+        partials(s) -> ((df1/dx, d2f1/dx2), (df2/dy, d2f2/dy2))
 
-def _rhs(model: ModelSpec, x: float, y: float) -> tuple:
+    field raises DomainError when a shape function is undefined there or
+    the right-hand side is non-finite or, for a custom right-hand side,
+    complex (a fractional power of a negative float).  partials are
+    analytic for every preset, central differences for custom models.
+    """
     if model.name == "kt":
         p = model.params
-        return (p["a1"] - p["a2"] * x + p["a3"] * x * y,
-                p["b1"] * y * (1.0 - p["b2"] * y) - x * y)
+        return _kt_fns(p["a1"], p["a2"], p["a3"], p["b1"], p["b2"])
     if model.h is not None:
-        h1, h2, h3, h4, h5 = model.h
-        return (x * (h1(x) - h2(x) * y),
-                (h3(x) - h4(x)) * y + h5(x))
+        return _h_fns(*model.h)
     if model.rhs is not None:
-        return model.rhs(x, y)
+        return _custom_fns(model.rhs)
     raise ValueError(f"model {model.name} has no right-hand side")
+
+
+_isfinite = math.isfinite
+
+
+def _nonfinite(s) -> DomainError:
+    return DomainError(f"vector field non-finite at ({s[0]!r}, {s[1]!r})")
+
+
+def _kt_fns(a1, a2, a3, b1, b2) -> tuple:
+    d2f2 = -2.0 * b1 * b2
+
+    def field(s):
+        x, y = s
+        f1 = a1 - a2 * x + a3 * x * y
+        f2 = b1 * y * (1.0 - b2 * y) - x * y
+        if _isfinite(f1) and _isfinite(f2):
+            return f1, f2
+        raise _nonfinite(s)
+
+    def partials(s):
+        x, y = s
+        return (-a2 + a3 * y, 0.0), (b1 * (1.0 - 2.0 * b2 * y) - x, d2f2)
+
+    return field, partials
+
+
+def _h_fns(h1, h2, h3, h4, h5) -> tuple:
+    h1d1, h1d2, h2d1, h2d2 = h1.d1, h1.d2, h2.d1, h2.d2
+
+    def field(s):
+        x, y = s
+        f1 = x * (h1(x) - h2(x) * y)
+        f2 = (h3(x) - h4(x)) * y + h5(x)
+        if _isfinite(f1) and _isfinite(f2):
+            return f1, f2
+        raise _nonfinite(s)
+
+    def partials(s):
+        x, y = s
+        df1 = h1(x) + x * h1d1(x) - (h2(x) + x * h2d1(x)) * y
+        d2f1 = 2.0 * h1d1(x) + x * h1d2(x) - (2.0 * h2d1(x) + x * h2d2(x)) * y
+        return (df1, d2f1), (h3(x) - h4(x), 0.0)
+
+    return field, partials
+
+
+def _custom_fns(rhs) -> tuple:
+    def field(s):
+        f1, f2 = rhs(s[0], s[1])
+        if (isinstance(f1, complex) or isinstance(f2, complex)
+                or not (_isfinite(f1) and _isfinite(f2))):
+            raise _nonfinite(s)
+        return f1, f2
+
+    def partials(s):
+        x, y = s
+        f0 = rhs(x, y)
+        hx, hy, fxp, fxm, fyp, fym = _stencil(rhs, x, y)
+        return (((fxp[0] - fxm[0]) / (2 * hx), (fxp[0] - 2 * f0[0] + fxm[0]) / hx ** 2),
+                ((fyp[1] - fym[1]) / (2 * hy), (fyp[1] - 2 * f0[1] + fym[1]) / hy ** 2))
+
+    return field, partials
+
+
+def eval_vector_field(model: ModelSpec, s: State) -> tuple:
+    """Evaluate (f1, f2) at the state: the field of vector_field_fns,
+    so DomainError where it is undefined, non-finite or complex."""
+    return vector_field_fns(model)[0]((s.x, s.y))
 
 
 def residual_scale(model: ModelSpec) -> float:
@@ -353,7 +421,7 @@ def residual_scale(model: ModelSpec) -> float:
 
 
 def _residual(model: ModelSpec, x: float, y: float) -> float:
-    f1, f2 = _rhs(model, x, y)
+    f1, f2 = eval_vector_field(model, State(x, y))
     return max(abs(f1), abs(f2))
 
 
@@ -412,14 +480,13 @@ def bell_equilibria(p: BellParams) -> list:
     ]
 
 
-def _stencil(model: ModelSpec, x: float, y: float) -> tuple:
+def _stencil(rhs, x: float, y: float) -> tuple:
     """Central-difference steps hx, hy (1e-6 * max(1, |coordinate|)) and
     the right-hand side at (x + hx, y), (x - hx, y), (x, y + hy) and
     (x, y - hy)."""
     hx = 1e-6 * max(1.0, abs(x))
     hy = 1e-6 * max(1.0, abs(y))
-    return (hx, hy, _rhs(model, x + hx, y), _rhs(model, x - hx, y),
-            _rhs(model, x, y + hy), _rhs(model, x, y - hy))
+    return (hx, hy, rhs(x + hx, y), rhs(x - hx, y), rhs(x, y + hy), rhs(x, y - hy))
 
 
 def jacobian(model: ModelSpec, at: State) -> Mat2:
@@ -428,7 +495,7 @@ def jacobian(model: ModelSpec, at: State) -> Mat2:
     1e-6 * max(1, |coordinate|)) for custom right-hand sides."""
     x, y = at.x, at.y
     if model.rhs is not None:
-        hx, hy, fxp, fxm, fyp, fym = _stencil(model, x, y)
+        hx, hy, fxp, fxm, fyp, fym = _stencil(model.rhs, x, y)
         return Mat2((fxp[0] - fxm[0]) / (2 * hx), (fyp[0] - fym[0]) / (2 * hy),
                     (fxp[1] - fxm[1]) / (2 * hx), (fyp[1] - fym[1]) / (2 * hy))
     (j11, _), (j22, _) = diag_partials(model, at)
@@ -439,26 +506,9 @@ def jacobian(model: ModelSpec, at: State) -> Mat2:
 
 
 def diag_partials(model: ModelSpec, at: State) -> tuple:
-    """Own-component drift partials ((df1/dx, d2f1/dx2), (df2/dy, d2f2/dy2)).
-
-    Analytic for the kt preset and all h-family presets; finite
-    differences for custom right-hand sides.
-    """
-    x, y = at.x, at.y
-    if model.name == "kt":
-        p = model.params
-        return ((-p["a2"] + p["a3"] * y, 0.0),
-                (p["b1"] * (1.0 - 2.0 * p["b2"] * y) - x, -2.0 * p["b1"] * p["b2"]))
-    if model.h is not None:
-        h1, h2, h3, h4, h5 = model.h
-        df1 = h1(x) + x * h1.d1(x) - (h2(x) + x * h2.d1(x)) * y
-        d2f1 = 2.0 * h1.d1(x) + x * h1.d2(x) - (2.0 * h2.d1(x) + x * h2.d2(x)) * y
-        df2 = h3(x) - h4(x)
-        return ((df1, d2f1), (df2, 0.0))
-    f0 = _rhs(model, x, y)
-    hx, hy, fxp, fxm, fyp, fym = _stencil(model, x, y)
-    return (((fxp[0] - fxm[0]) / (2 * hx), (fxp[0] - 2 * f0[0] + fxm[0]) / hx ** 2),
-            ((fyp[1] - fym[1]) / (2 * hy), (fyp[1] - 2 * f0[1] + fym[1]) / hy ** 2))
+    """Own-component drift partials ((df1/dx, d2f1/dx2), (df2/dy, d2f2/dy2))
+    at the state; the partials of vector_field_fns."""
+    return vector_field_fns(model)[1]((at.x, at.y))
 
 
 def find_equilibria_numeric(model: ModelSpec, box, grid: int = 8) -> list:
@@ -491,9 +541,10 @@ def find_equilibria_numeric(model: ModelSpec, box, grid: int = 8) -> list:
 
 def _newton(model: ModelSpec, x: float, y: float, max_iter: int = 100):
     """Damped Newton iteration; returns (x, y) or None."""
+    field = vector_field_fns(model)[0]
     for _ in range(max_iter):
         try:
-            f1, f2 = _rhs(model, x, y)
+            f1, f2 = field((x, y))
             jm = jacobian(model, State(x, y)).as_array()
         except DomainError:
             return None
@@ -514,7 +565,7 @@ def _newton(model: ModelSpec, x: float, y: float, max_iter: int = 100):
         for _ in range(40):
             xn, yn = x + t * dx, y + t * dy
             try:
-                g1, g2 = _rhs(model, xn, yn)
+                g1, g2 = field((xn, yn))
             except DomainError:
                 t *= 0.5
                 continue

