@@ -60,6 +60,7 @@ from .lyapunov import (
 from .integrate import (
     BlowUpError,
     Ensemble,
+    GaussianBlocks,
     RngStream,
     SimConfig,
     Trajectory,

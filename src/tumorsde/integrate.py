@@ -33,6 +33,9 @@ from typing import Optional
 import numpy as np
 
 from .models import DomainError, Mat2, ModelSpec, State, vector_field_fns
+# no longer called here; the names stay importable because
+# perfbench/tracing.py traces them at this call site
+from .models import diag_partials, eval_vector_field  # noqa: F401
 from .sde import LinearSDE
 
 __all__ = [
@@ -43,7 +46,7 @@ __all__ = [
     "Ensemble",
     "box_muller",
     "gaussian_pairs",
-    "gaussian_block",
+    "GaussianBlocks",
     "wiener_increments",
     "euler1_step",
     "euler2_step",
@@ -81,10 +84,21 @@ class RngStream:
         return RngStream(self.seed, (self.stream + 1 + i) & _MASK64)
 
 
-def box_muller(u1, u2):
-    """Map two (0,1] uniforms to two independent standard normals."""
-    r = np.sqrt(-2.0 * np.log(u1))
-    return r * np.cos(2.0 * np.pi * u2), r * np.sin(2.0 * np.pi * u2)
+def box_muller(u1, u2, out=None):
+    """Map two (0,1] uniforms to two independent standard normals.
+
+    With out=(z1, z2) the arrays u1 and u2 are overwritten as scratch and
+    the normals are written to z1 and z2, so nothing is allocated.
+    """
+    if out is None:
+        u1, u2 = np.array(u1, dtype=float), np.array(u2, dtype=float)
+        out = np.empty_like(u1), np.empty_like(u2)
+    z1, z2 = out
+    r = np.sqrt(np.multiply(-2.0, np.log(u1, out=u1), out=u1), out=u1)
+    angle = np.multiply(2.0 * np.pi, u2, out=u2)
+    np.multiply(r, np.cos(angle, out=z1), out=z1)
+    np.multiply(r, np.sin(angle, out=z2), out=z2)
+    return z1[()], z2[()]  # numpy scalars for scalar input
 
 
 def gaussian_pairs(stream: RngStream, count: int) -> np.ndarray:
@@ -95,32 +109,43 @@ def gaussian_pairs(stream: RngStream, count: int) -> np.ndarray:
         return np.empty(0)
     npairs = (count + 1) // 2
     u = stream.uniforms(2 * npairs)
-    z1, z2 = box_muller(u[0::2], u[1::2])
     out = np.empty(2 * npairs)
-    out[0::2] = z1
-    out[1::2] = z2
+    box_muller(u[0::2], u[1::2], out=(out[0::2], out[1::2]))
     return out[:count]
 
 
-def gaussian_block(streams, count: int, out: np.ndarray) -> np.ndarray:
-    """Write the next count standard normals of streams[p] into column p
-    of out[:count] for every p and return that view.
+class GaussianBlocks:
+    """Successive blocks of standard normals from many streams at once.
 
-    Column p is exactly gaussian_pairs(streams[p], count): each stream
+    Column p of a block holds the next normals of streams[p], exactly as
+    gaussian_pairs(streams[p], count) would return them, so even block
+    lengths leave every stream where gaussian_pairs would.  Each stream
     fills one row of uniforms, the rows are deinterleaved once into
     contiguous (pairs, streams) arrays and one Box-Muller pass covers
-    all streams.
+    all streams.  The work arrays, for blocks of up to size rows, are
+    allocated once.
     """
-    npairs = (count + 1) // 2
-    u = np.empty((len(streams), 2 * npairs))
-    for row, st in zip(u, streams):
-        st._gen.random(out=row)
-    np.subtract(1.0, u, out=u)  # (0, 1], as RngStream.uniforms
-    u1, u2 = u.reshape(len(streams), npairs, 2).transpose(2, 1, 0).copy()
-    z1, z2 = box_muller(u1, u2)
-    out[0:count:2] = z1
-    out[1:count:2] = z2[:count // 2]
-    return out[:count]
+
+    def __init__(self, streams, size: int):
+        npairs = (size + 1) // 2
+        self._streams = list(streams)
+        self._u = np.empty((len(self._streams), 2 * npairs))
+        self._pairs = np.empty((2, npairs, len(self._streams)))
+        self._out = np.empty((2 * npairs, len(self._streams)))
+
+    def draw(self, count: int) -> np.ndarray:
+        """The next count normals of every stream, as a (count, streams)
+        view that the next draw overwrites."""
+        npairs = (count + 1) // 2
+        u = self._u[:, :2 * npairs]
+        for row, st in zip(u, self._streams):
+            st._gen.random(out=row)
+        np.subtract(1.0, u, out=u)  # (0, 1], as RngStream.uniforms
+        pairs = self._pairs[:, :npairs]
+        pairs[...] = u.reshape(len(self._streams), npairs, 2).transpose(2, 1, 0)
+        out = self._out
+        box_muller(pairs[0], pairs[1], out=(out[0:2 * npairs:2], out[1:2 * npairs:2]))
+        return out[:count]
 
 
 def wiener_increments(stream: RngStream, steps: int, dt: float) -> np.ndarray:

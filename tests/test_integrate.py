@@ -8,13 +8,13 @@ import pytest
 from tumorsde import integrate
 from tumorsde.integrate import (
     BlowUpError,
+    GaussianBlocks,
     RngStream,
     SimConfig,
     box_muller,
     ensemble_stats,
     euler1_step,
     euler2_step,
-    gaussian_block,
     gaussian_pairs,
     simulate,
     wiener_increments,
@@ -63,16 +63,15 @@ def test_uniforms_in_half_open_unit():
     assert u.min() > 0.0 and u.max() <= 1.0
 
 
-@pytest.mark.parametrize("counts", [(8, 6), (7,), (1,), (2, 5, 4)])
-def test_gaussian_block_matches_gaussian_pairs_per_stream(counts):
+@pytest.mark.parametrize("size, counts", [(8, (8, 6)), (8, (7,)), (1, (1,)), (5, (2, 5, 4))])
+def test_gaussian_blocks_match_gaussian_pairs_per_stream(size, counts):
     # column p of each block is the stream's gaussian_pairs draw, and
     # even blocks leave every stream where gaussian_pairs would
     ids = (0, 3, 4, 2 ** 63 + 1)
-    block_streams = [RngStream(21, i) for i in ids]
+    blocks = GaussianBlocks([RngStream(21, i) for i in ids], size)
     own_streams = [RngStream(21, i) for i in ids]
-    out = np.full((max(counts) + 2, len(ids)), np.nan)
     for count in counts:
-        block = gaussian_block(block_streams, count, out)
+        block = blocks.draw(count)
         assert block.shape == (count, len(ids))
         expect = np.stack([gaussian_pairs(st, count) for st in own_streams], axis=1)
         assert np.array_equal(block, expect)
