@@ -323,6 +323,86 @@ def lyapunov_fd(sys: LinearSDE, n: int = 10000) -> LyapunovEstimate:
 _MAX_AMPLITUDE = 700.0
 # largest accepted round-off bound on a closed-form exponent
 _CLOSED_ROUNDOFF = 1e-9
+# (alpha x node) elements per chunk of a batched closed-form solve
+_CLOSED_CHUNK = 2 ** 12
+
+
+def _roundoff_error(roundoff: float) -> DegeneratePhaseDiffusionError:
+    return DegeneratePhaseDiffusionError(
+        f"closed-form round-off bound {roundoff:.3g} exceeds "
+        f"{_CLOSED_ROUNDOFF:g}; use the fd or mc method")
+
+
+class _ClosedSolver:
+    """The closed form of ``closed_form_lyapunov`` for one (A, beta),
+    solved over arrays of alpha.
+
+    Only k0 depends on alpha.  The rows of q1 and q3, P on the n nodes,
+    the scaled e^{+-P}, fft(e^{-P}), the modes and the round-off
+    numerator are built once.  ``solve`` then forms the weights k0 / (k0
+    - 2 i n) of a chunk of alphas and runs one inverse FFT along the
+    nodes.  A chunk holds at most _CLOSED_CHUNK (alpha x node) elements
+    (one alpha when n exceeds it), so beside the per-alpha results the
+    work arrays stay O(n + _CLOSED_CHUNK) whatever the number of alphas.
+    """
+
+    def __init__(self, A: Mat2, beta: float):
+        if beta == 0:
+            raise ValueError("beta = 0: the angle diffusion vanishes")
+        (m1, c1, s1), _, (m3, c3, s3), _, _ = _angle_table(
+            LinearSDE(A, alpha_family(0.0, beta)))
+        amp = math.hypot(c3, s3) / beta ** 2
+        if amp > _MAX_AMPLITUDE:
+            raise DegeneratePhaseDiffusionError(
+                f"angle density amplitude {amp:.3g} leaves floating-point range; "
+                "use the mc method")
+        m = 1 << math.ceil(math.log2(4.0 * amp + 32.0))
+        basis = _double_angle_grid(m)[:3, :m]  # 1, cos 2theta, sin 2theta
+        per = (c3 * basis[2] - s3 * basis[1]) / beta ** 2
+        # e^{-P} and e^{P}, each scaled by e^{-amp} so that neither overflows
+        down, up = np.exp(-per - amp), np.exp(per - amp)
+        self.n, self.beta = m, beta
+        self.m1, self.c1, self.s1, self.m3 = m1, c1, s1, m3
+        self.fft_down = np.fft.fft(down)
+        self.modes = 2j * np.fft.fftfreq(m, 1.0 / m)[1:]
+        # the density is e^P times the inverse FFT, so these columns give
+        # its mass and its moments of cos 2theta and sin 2theta
+        self.moments = (basis * up).T
+        self.bound = math.hypot(c1, s1) * math.ulp(1.0) * float(down.max() * up.sum())
+
+    def solve(self, alphas: np.ndarray) -> tuple:
+        """(c2, s2, roundoff, lambda) at each alpha as arrays: the density
+        moments <cos 2theta> and <sin 2theta>, the round-off bound and the
+        exponent.  Entries whose roundoff exceeds _CLOSED_ROUNDOFF are not
+        exponents and must be rejected by the caller."""
+        alphas = np.asarray(alphas, dtype=float)
+        beta, m = self.beta, self.n
+        k0 = (2.0 * (self.m3 - alphas * beta) / beta ** 2)[:, None]
+        rows = max(1, _CLOSED_CHUNK // m)
+        sums = np.empty((alphas.size, 3))
+        for lo in range(0, alphas.size, rows):
+            kc = k0[lo:lo + rows]
+            spec = np.empty((kc.shape[0], m), dtype=complex)
+            spec[:, 0] = self.fft_down[0]  # the n = 0 weight is 1
+            np.divide(kc, kc - self.modes, out=spec[:, 1:])
+            spec[:, 1:] *= self.fft_down[1:]
+            sums[lo:lo + rows] = np.fft.ifft(spec, axis=1).real @ self.moments
+        mass, c2, s2 = sums.T
+        with np.errstate(divide="ignore", invalid="ignore"):
+            roundoff = np.where(mass > 0, self.bound / mass, math.inf)
+            c2, s2 = c2 / mass, s2 / mass
+        value = self.m1 + self.c1 * c2 + self.s1 * s2 + 0.5 * (beta ** 2 - alphas ** 2)
+        return c2, s2, roundoff, value
+
+    def estimate(self, alpha: float) -> LyapunovEstimate:
+        """The exponent at one finite alpha; DegeneratePhaseDiffusionError
+        when its round-off bound exceeds _CLOSED_ROUNDOFF."""
+        (c2,), (s2,), (roundoff,), (value,) = self.solve(np.array([alpha]))
+        if not roundoff <= _CLOSED_ROUNDOFF:
+            raise _roundoff_error(roundoff)
+        return LyapunovEstimate(value=float(value), method="closed", stderr=0.0,
+                                n=self.n, diagnostics={"c2": float(c2), "s2": float(s2),
+                                                       "roundoff": float(roundoff)})
 
 
 def closed_form_lyapunov(A: Mat2, alpha: float, beta: float) -> LyapunovEstimate:
@@ -352,37 +432,13 @@ def closed_form_lyapunov(A: Mat2, alpha: float, beta: float) -> LyapunovEstimate
     max(e^{-P}) sum(e^P) / sum(p) (diagnostic ``roundoff``).  That grows
     like e^{2 amp} when |k0| >> amp; above 1e-9, or for amp > 700, the
     system is rejected with DegeneratePhaseDiffusionError.
+
+    Only k0 depends on alpha: this is the one-alpha case of
+    ``_ClosedSolver``, which ``stability_sweep`` builds once per sweep.
     """
-    if beta == 0:
-        raise ValueError("beta = 0: the angle diffusion vanishes")
-    (m1, c1, s1), _, (m3, c3, s3), _, _ = _angle_table(
-        LinearSDE(A, alpha_family(alpha, beta)))
-    amp = math.hypot(c3, s3) / beta ** 2
-    if amp > _MAX_AMPLITUDE:
-        raise DegeneratePhaseDiffusionError(
-            f"angle density amplitude {amp:.3g} leaves floating-point range; "
-            "use the mc method")
-    m = 1 << math.ceil(math.log2(4.0 * amp + 32.0))
-    _, c2t, s2t, _, _ = _double_angle_grid(m)[:, :m]
-    per = (c3 * s2t - s3 * c2t) / beta ** 2
-    k0 = 2.0 * (m3 - alpha * beta) / beta ** 2
-    n = np.fft.fftfreq(m, 1.0 / m)
-    weights = np.ones(m, dtype=complex)
-    weights[1:] = k0 / (k0 - 2j * n[1:])
-    # e^{-P} and e^{P}, each scaled by e^{-amp} so that neither overflows
-    down, up = np.exp(-per - amp), np.exp(per - amp)
-    dens = up * np.fft.ifft(np.fft.fft(down) * weights).real
-    mass = float(dens.sum())
-    roundoff = (math.hypot(c1, s1) * math.ulp(1.0)
-                * float(down.max() * up.sum()) / mass) if mass > 0 else math.inf
-    if not roundoff <= _CLOSED_ROUNDOFF:
-        raise DegeneratePhaseDiffusionError(
-            f"closed-form round-off bound {roundoff:.3g} exceeds "
-            f"{_CLOSED_ROUNDOFF:g}; use the fd or mc method")
-    c2, s2 = float(dens @ c2t) / mass, float(dens @ s2t) / mass
-    value = m1 + c1 * c2 + s1 * s2 + 0.5 * (beta ** 2 - alpha ** 2)
-    return LyapunovEstimate(value=value, method="closed", stderr=0.0, n=m,
-                            diagnostics={"c2": c2, "s2": s2, "roundoff": roundoff})
+    solver = _ClosedSolver(A, beta)
+    alpha_family(alpha, beta)  # a non-finite alpha: ValueError, as for any Mat2
+    return solver.estimate(alpha)
 
 
 # increments of an mc estimate are drawn in blocks of at most _MC_BLOCK
@@ -486,11 +542,17 @@ def stability_sweep(model: ModelSpec, equilibrium: Equilibrium, beta: float,
     Zero crossings found on the grid are refined by bisection to
     brackets of width refine_tol; a per-point failure (degenerate angle
     diffusion, non-normalizable density) is recorded and the sweep
-    continues.  For the mc method, grid point k draws from stream block
-    (seed, k * 2^32) and refinement points derive their stream from the
-    alpha bit pattern, so results are schedule-independent.
+    continues.  The closed method builds one ``_ClosedSolver`` and
+    solves the whole grid in one batch, in chunks of at most
+    _CLOSED_CHUNK (alpha x node) elements; a setup failure (beta = 0,
+    amplitude out of range) is recorded at every grid point.  For the
+    mc method, grid point k draws from stream block (seed, k * 2^32) and
+    refinement points derive their stream from the alpha bit pattern, so
+    results are schedule-independent.
     """
     alphas = np.asarray(list(alpha_grid), dtype=float)
+    if not np.isfinite(alphas).all():
+        raise ValueError("alpha_grid must be finite")
     if alphas.size and np.any(np.diff(alphas) <= 0):
         raise ValueError("alpha_grid must be strictly increasing")
     if method not in ("fd", "closed", "mc"):
@@ -501,7 +563,7 @@ def stability_sweep(model: ModelSpec, equilibrium: Equilibrium, beta: float,
         if method == "fd":
             return lyapunov_fd(LinearSDE(a_mat, alpha_family(alpha, beta)), n=grid_n)
         if method == "closed":
-            return closed_form_lyapunov(a_mat, alpha, beta)
+            return solver.estimate(alpha)
         return lyapunov_mc(LinearSDE(a_mat, alpha_family(alpha, beta)),
                            horizon=horizon, dt=dt, paths=paths, seed=seed,
                            stream_base=stream_base)
@@ -509,24 +571,38 @@ def stability_sweep(model: ModelSpec, equilibrium: Equilibrium, beta: float,
     lambdas = np.full(alphas.size, np.nan)
     stderrs = np.zeros(alphas.size)
     failures = []
-    for k, alpha in enumerate(alphas):
+    if method == "closed":
         try:
-            est = evaluate(float(alpha), k << 32)
+            solver = _ClosedSolver(a_mat, beta)
         except (ValueError, ArithmeticError) as exc:
-            failures.append((float(alpha), str(exc)))
-            continue
-        lambdas[k] = est.value
-        stderrs[k] = est.stderr
+            # no grid point has an exponent, so nothing is bisected
+            failures = [(float(alpha), str(exc)) for alpha in alphas]
+        else:
+            _, _, roundoff, values = solver.solve(alphas)
+            ok = roundoff <= _CLOSED_ROUNDOFF
+            lambdas[ok] = values[ok]
+            failures = [(float(alpha), str(_roundoff_error(r)))
+                        for alpha, r in zip(alphas[~ok], roundoff[~ok])]
+    else:
+        for k, alpha in enumerate(alphas):
+            try:
+                est = evaluate(float(alpha), k << 32)
+            except (ValueError, ArithmeticError) as exc:
+                failures.append((float(alpha), str(exc)))
+                continue
+            lambdas[k] = est.value
+            stderrs[k] = est.stderr
 
     def stable(lam: float) -> bool:
         return lam <= 0.0  # exact zero counts as stable
 
+    # grid neighbours, both with exponents, of opposite stability
+    known, st = ~np.isnan(lambdas), stable(lambdas)
+    flips = np.flatnonzero(known[:-1] & known[1:] & (st[:-1] != st[1:])) + 1
     sign_changes = []
-    for k in range(1, alphas.size):
+    for k in flips.tolist():
         lo, hi = float(alphas[k - 1]), float(alphas[k])
-        llo, lhi = lambdas[k - 1], lambdas[k]
-        if math.isnan(llo) or math.isnan(lhi) or stable(llo) == stable(lhi):
-            continue
+        llo = float(lambdas[k - 1])
         while hi - lo > refine_tol:
             mid = 0.5 * (lo + hi)
             try:
@@ -537,7 +613,7 @@ def stability_sweep(model: ModelSpec, equilibrium: Equilibrium, beta: float,
             if stable(lmid) == stable(llo):
                 lo, llo = mid, lmid
             else:
-                hi, lhi = mid, lmid
+                hi = mid
         sign_changes.append((lo, hi))
 
     stable_set = _stable_intervals(alphas, lambdas, sign_changes)

@@ -398,10 +398,15 @@ def _custom_fns(rhs) -> tuple:
             raise _nonfinite(s)
         return f1, f2
 
+    def checked(x, y):
+        return field((x, y))
+
     def partials(s):
+        # the stencil goes through the checked field, so a point outside the
+        # rhs's real domain raises DomainError instead of giving complex partials
         x, y = s
-        f0 = rhs(x, y)
-        hx, hy, fxp, fxm, fyp, fym = _stencil(rhs, x, y)
+        f0 = field(s)
+        hx, hy, fxp, fxm, fyp, fym = _stencil(checked, x, y)
         return (((fxp[0] - fxm[0]) / (2 * hx), (fxp[0] - 2 * f0[0] + fxm[0]) / hx ** 2),
                 ((fyp[1] - fym[1]) / (2 * hy), (fyp[1] - 2 * f0[1] + fym[1]) / hy ** 2))
 

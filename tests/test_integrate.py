@@ -369,6 +369,20 @@ def test_simulate_undefined_rhs_is_a_blowup(rhs, x0, scheme):
     assert traj.blowup_index == 1 and len(traj.states) == 1
 
 
+@pytest.mark.parametrize("streams", ["shared", "independent"])
+@pytest.mark.parametrize("seed", [3, 11])
+def test_euler2_stencil_outside_rhs_domain_is_a_blowup(seed, streams):
+    # x ** 0.5 near x = 0: the partials' stencil reaches x < 0, where the
+    # rhs is complex, before the state itself does
+    m = custom_model(lambda x, y: (-x ** 0.5, 0.1 * y))
+    cfg = SimConfig(dt=0.01, steps=3_000, initial=State(0.5, 1.0), scheme="euler2",
+                    noise_streams=streams, seed=seed)
+    traj = simulate(m, _noise(0.5, 0.0, 0.0, 0.5), cfg)
+    assert traj.blowup_index is not None
+    assert len(traj.states) == traj.blowup_index
+    assert np.isfinite(traj.states).all()
+
+
 def test_shared_vs_independent_streams():
     sys_lin = LinearSDE(Mat2(0.0, 0.0, 0.0, 0.0), Mat2(1.0, 0.0, 0.0, 1.0))
     base = dict(dt=0.01, steps=100, initial=State(1.0, 1.0), seed=5)

@@ -619,9 +619,10 @@ def test_sweep_empty_grid():
     assert r.alphas.size == 0 and r.sign_changes == [] and r.stable_set == []
 
 
-def test_sweep_records_per_point_failures():
+@pytest.mark.parametrize("method", ["fd", "closed"])
+def test_sweep_records_per_point_failures(method):
     m, e = bell_model(), bell_equilibria(BELL_PARAMS)[0]
-    r = stability_sweep(m, e, 0.0, [0.0, 1.0], method="fd", grid_n=500)
+    r = stability_sweep(m, e, 0.0, [0.0, 1.0], method=method, grid_n=500)
     assert len(r.failures) == 2
     assert np.isnan(r.lambdas).all()
     assert r.sign_changes == [] and r.stable_set == []
@@ -631,6 +632,59 @@ def test_sweep_grid_must_increase():
     m, e = bell_model(), bell_equilibria(BELL_PARAMS)[0]
     with pytest.raises(ValueError):
         stability_sweep(m, e, -2.0, [1.0, 0.5], method="fd")
+
+
+@pytest.mark.parametrize("grid", [[0.0, math.nan, 1.0], [0.0, math.inf],
+                                  [-math.inf, 0.0], [math.nan]])
+@pytest.mark.parametrize("method", ["fd", "closed"])
+def test_sweep_grid_must_be_finite(grid, method):
+    # comparisons with NaN are false, so such grids pass the increase check
+    m, e = bell_model(), bell_equilibria(BELL_PARAMS)[0]
+    with pytest.raises(ValueError, match="finite"):
+        stability_sweep(m, e, -2.0, grid, method=method, grid_n=500)
+
+
+def _closed_points(a_mat, alphas, beta):
+    """Per-point closed_form_lyapunov: values (NaN where rejected) and
+    the rejected alphas."""
+    values, rejected = [], []
+    for alpha in alphas:
+        try:
+            values.append(closed_form_lyapunov(a_mat, float(alpha), beta).value)
+        except DegeneratePhaseDiffusionError:
+            values.append(math.nan)
+            rejected.append(float(alpha))
+    return np.array(values), rejected
+
+
+@pytest.mark.parametrize("label, beta", [("Bell-P1", -2.0), ("KT-P2", -2.0),
+                                         ("Bell-P1", -0.3), ("KT-P1", -0.05)])
+def test_closed_sweep_matches_per_point_solve(label, beta):
+    # the batched sweep against one solve per alpha, on grids of several
+    # chunks; at the small betas part of the grid has round-off bounds
+    # above _CLOSED_ROUNDOFF, and the same alphas must be rejected
+    model, equilibria, params, k = _ALPHA_FAMILY_SYSTEMS[label]
+    a_mat = _drift_matrix(label, beta)
+    alphas = np.linspace(-5.0, 5.0, 301)
+    r = stability_sweep(model(), equilibria(params)[k], beta, alphas, method="closed")
+    want, rejected = _closed_points(a_mat, alphas, beta)
+    assert alphas.size * lyapunov._ClosedSolver(a_mat, beta).n > 2 * lyapunov._CLOSED_CHUNK
+    ok = ~np.isnan(want)
+    assert np.array_equal(~np.isnan(r.lambdas), ok) and ok.any()
+    assert np.all(np.abs(r.lambdas[ok] - want[ok]) <= 1e-13 + 1e-12 * np.abs(want[ok]))
+    grid_failures = r.failures[:len(rejected)]
+    assert [a for a, _ in grid_failures] == rejected
+    assert all("round-off" in msg for _, msg in grid_failures)
+    assert (len(rejected) > 0) == (beta != -2.0)
+
+
+def test_closed_sweep_setup_failure_at_every_point():
+    # amplitude out of range is a property of (A, beta), not of alpha
+    m, e = kt_model(), kt_equilibria(KT_PARAMS)[1]
+    r = stability_sweep(m, e, -0.1, [-1.0, 0.0, 1.0], method="closed")
+    assert [a for a, _ in r.failures] == [-1.0, 0.0, 1.0]
+    assert all("amplitude" in msg for _, msg in r.failures)
+    assert np.isnan(r.lambdas).all() and r.sign_changes == []
 
 
 def test_sweep_mc_reproducible():
