@@ -678,15 +678,6 @@ def test_closed_sweep_matches_per_point_solve(label, beta):
     assert (len(rejected) > 0) == (beta != -2.0)
 
 
-def test_closed_sweep_setup_failure_at_every_point():
-    # amplitude out of range is a property of (A, beta), not of alpha
-    m, e = kt_model(), kt_equilibria(KT_PARAMS)[1]
-    r = stability_sweep(m, e, -0.1, [-1.0, 0.0, 1.0], method="closed")
-    assert [a for a, _ in r.failures] == [-1.0, 0.0, 1.0]
-    assert all("amplitude" in msg for _, msg in r.failures)
-    assert np.isnan(r.lambdas).all() and r.sign_changes == []
-
-
 def test_sweep_mc_reproducible():
     m, e = bell_model(), bell_equilibria(BELL_PARAMS)[0]
     kw = dict(method="mc", horizon=2.0, dt=1e-2, paths=8, seed=11)
