@@ -12,6 +12,7 @@ Exit codes: 0 success, 2 configuration error, 3 numerical failure
 
 from __future__ import annotations
 
+import itertools
 import math
 import sys
 from dataclasses import dataclass
@@ -369,6 +370,7 @@ def emit_config(cfg: RunConfig) -> str:
 
 _CSV_CHUNK = 4096  # trajectory rows formatted per write
 _CSV_ROW = "%d,%.17g,%.17g,%.17g\n"
+_SWEEP_ROW = "%.17g,%.17g,%s,%.17g"
 
 
 def emit_trajectory_csv(t: Trajectory, path: str) -> None:
@@ -386,8 +388,10 @@ def emit_trajectory_csv(t: Trajectory, path: str) -> None:
 
 def emit_sweep_csv(r: SweepResult, path: str) -> None:
     lines = ["alpha,lambda,method,stderr"]
-    for a, lam, se in zip(r.alphas, r.lambdas, r.stderrs):
-        lines.append(f"{_fmt(a)},{_fmt(lam)},{r.method},{_fmt(se)}")
+    # rows (alpha, lambda, method, stderr), each formatted by one % of _SWEEP_ROW
+    lines += map(_SWEEP_ROW.__mod__, zip(r.alphas.tolist(), r.lambdas.tolist(),
+                                         itertools.repeat(r.method),
+                                         r.stderrs.tolist()))
     for lo, hi in r.sign_changes:
         lines.append(f"# sign_change lo={_fmt(lo)} hi={_fmt(hi)}")
     for lo, hi in r.stable_set:

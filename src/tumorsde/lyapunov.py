@@ -167,10 +167,12 @@ class LyapunovEstimate:
 class SweepResult:
     """Exponent along an alpha grid with refined zero crossings.
 
-    sign_changes are bisection-refined brackets (lo, hi) of width at
-    most the refinement tolerance with opposite-sign endpoints;
-    stable_set lists the maximal alpha intervals with a non-positive
-    exponent (an exact zero counts as stable).
+    sign_changes are bisection-refined brackets (lo, hi) with
+    opposite-sign endpoints, of width at most the refinement tolerance
+    unless a bisection midpoint failed: that bracket keeps the width it
+    had, and the midpoint is listed in failures.  stable_set lists the
+    maximal alpha intervals with a non-positive exponent (an exact zero
+    counts as stable).
     """
 
     alphas: np.ndarray
@@ -190,37 +192,57 @@ _SCAN_BLOCK = 128
 _SCAN_RANGE = 600.0
 
 
-def _affine_scan(r: np.ndarray, f: np.ndarray, max_log_r: float) -> tuple:
-    """Solutions x(0..m) of x(i+1) = r(i) x(i) + f(i), i < m: ph with
-    x(0) = 1 and f = 0, pp with x(0) = 0.
+def _scan_step(max_log_r: float) -> int:
+    """Steps per block when no ratio leaves e^(+-max_log_r): at most
+    _SCAN_BLOCK, and few enough that a block's running products stay
+    within e^(+-_SCAN_RANGE)."""
+    if max_log_r * _SCAN_BLOCK <= _SCAN_RANGE:
+        return _SCAN_BLOCK
+    return max(1, int(_SCAN_RANGE / max_log_r))
 
-    The m steps are cut into blocks.  Inside a block the running
-    products P of r and the block's own solution from 0, Q = P cumsum(f
-    / P), come from cumprod and cumsum; a short loop then carries both
-    states across the block ends.  A block holds at most _SCAN_RANGE /
-    max|log r| steps, so P stays within e^(+-_SCAN_RANGE) and f / P does
-    not overflow where the solutions themselves do not.  Signs of r
-    pass through cumprod unchanged.
+
+def _periodic_scan(r: np.ndarray, f: np.ndarray, max_log_r: float):
+    """The solution x(0..m) of x(i+1) = r(i) x(i) + c f(i), i < m, with
+    x(0) = x(m) = 1, for the constant c that closes the period; None
+    when the recurrence leaves floating-point range.
+
+    The m steps are cut into blocks of ``_scan_step(max_log_r)``, so
+    the running products P of r inside a block stay within
+    e^(+-_SCAN_RANGE) and f / P does not overflow where the solution
+    itself does not.  cumprod gives P and cumsum S = cumsum(f / P), so
+    that P S is the block's own solution from 0; a short loop carries
+    the homogeneous (x(0) = 1, c = 0) and unit (x(0) = 0, c = 1)
+    solutions across the block ends.  Their end values h and p give c =
+    (1 - h) / p, and x = P (hs + c ps + c S), hs and ps their
+    block-start values, is built in the buffer of S.  Signs of r pass
+    through cumprod unchanged.
     """
     m = r.size
-    step = (_SCAN_BLOCK if max_log_r * _SCAN_BLOCK <= _SCAN_RANGE
-            else max(1, int(_SCAN_RANGE / max_log_r)))
+    step = _scan_step(max_log_r)
     blocks = -(-m // step)
-    pad = blocks * step - m
-    r = np.concatenate((r, np.ones(pad))).reshape(blocks, step)
-    f = np.concatenate((f, np.zeros(pad))).reshape(blocks, step)
-    P = np.cumprod(r, axis=1)
-    Q = np.cumsum(f / P, axis=1)
-    Q *= P
-    hs, ps = [], []  # ph and pp at the block starts
+    P = np.ones((blocks, step))
+    P.reshape(-1)[:m] = r
+    np.multiply.accumulate(P, axis=1, out=P)
+    x = np.empty(1 + blocks * step)
+    x[0] = 1.0
+    np.divide(f, P.reshape(-1)[:m], out=x[1:m + 1])
+    x[m + 1:] = 0.0
+    S = x[1:].reshape(blocks, step)
+    np.cumsum(S, axis=1, out=S)
+    ends = P[:, -1]
+    hs, ps = [], []
     h, p = 1.0, 0.0
-    for pe, qe in zip(P[:, -1].tolist(), Q[:, -1].tolist()):
+    for pe, qe in zip(ends.tolist(), (ends * S[:, -1]).tolist()):
         hs.append(h)
         ps.append(p)
         h, p = pe * h, pe * p + qe
-    ph = np.concatenate(([1.0], (P * np.array(hs)[:, None]).ravel()[:m]))
-    pp = np.concatenate(([0.0], (P * np.array(ps)[:, None] + Q).ravel()[:m]))
-    return ph, pp
+    if not (math.isfinite(h) and math.isfinite(p)):
+        return None
+    c = (1.0 - h) / p if p != 0.0 else 0.0
+    S *= c
+    S += (np.array(hs) + c * np.array(ps))[:, None]
+    S *= P
+    return x[:m + 1]
 
 
 def stationary_density_fd(sys: LinearSDE, n: int = 10000) -> PhaseDensity:
@@ -230,59 +252,66 @@ def stationary_density_fd(sys: LinearSDE, n: int = 10000) -> PhaseDensity:
     Discretizing  q4^2/2 p' + (-q3 + q2 q4 + q4 q5) p = p0  with the
     backward difference gives
 
-        p(i) = (2 h p0 + q4(i)^2 p(i-1)) / (2 h (-q3 + q2 q4 + q4 q5)(i) + q4(i)^2)
+        p(i) = (2 h p0 + q4(i)^2 p(i-1)) / denom(i),
+        denom = 2 h (-q3 + q2 q4 + q4 q5) + q4^2.
 
-    The constant p0 is the stationary probability flux through the
-    period.  Seeding p(0) = 1 and solving the linear two-parameter
-    family for the p0 that closes the period (p(n) = p(0)) selects the
-    periodic solution; the result is then rescaled to unit mass.  A
-    constant-coefficient system (q2, q4 constant, q3 = q5 = 0) has zero
-    flux and the recurrence reproduces the uniform density 1/pi exactly.
+    q4^2 and denom are one product of their two rows (``_times``) with
+    the cached basis.  The constant p0 is the stationary probability
+    flux through the period: seeded at p(0) = 1, the p0 that closes the
+    period (p(n) = p(0)) selects the periodic solution, which is then
+    rescaled to unit mass.  A constant-coefficient system (q2, q4
+    constant, q3 = q5 = 0) has zero flux and the recurrence reproduces
+    the uniform density 1/pi exactly.
 
-    The homogeneous part changes by the factor exp(G) across the period,
-    G = sum_i log(q4(i)^2 / |denom(i)|).  Run forward with G > 0 it
-    grows, and the periodic combination cancels catastrophically (for
-    the alpha family G ~ pi k0 with k0 = (a21 - a12 - 2 alpha beta) /
-    beta^2).  So when G > 0 the same recurrence is solved backwards,
+    The homogeneous part (p0 = 0) changes by the factor exp(G) across
+    the period, G = sum_i log|r(i)| over the ratios r = q4^2 / denom.
+    Run forward with G > 0 it grows, and the periodic combination
+    cancels catastrophically (for the alpha family G ~ pi k0 with k0 =
+    (a21 - a12 - 2 alpha beta) / beta^2).  So when G > 0 the same
+    recurrence is solved backwards,
 
         p(i-1) = (denom(i) p(i) - 2 h p0) / q4(i)^2,
 
-    seeded at p(n) = 1.  Either way it is the first-order affine scan
-    x(i+1) = r(i) x(i) + f(i) of ``_affine_scan``, and both directions
-    give the same discrete solution up to rounding.
+    seeded at p(n) = 1.  G is summed from the logs of products of |r|
+    over blocks short enough to stay in floating-point range, and the
+    block length follows from min and max of |r|.  Either direction is
+    the periodic first-order scan of ``_periodic_scan``, and both give
+    the same discrete solution up to rounding.
     """
     if n < 2:
         raise ValueError("grid size n must be >= 2")
     h = math.pi / n
-    q4, drift = _polar_rows(sys)[3:] @ _double_angle_grid(n)
-    q4sq = q4 * q4
+    r4 = _angle_table(sys)[3]
+    sq = _times(r4, r4)
+    rows = np.stack((sq, sq + 2.0 * h * _polar_rows(sys)[4]))
+    q4sq, denom = rows @ _double_angle_grid(n)
     min_q4_sq = float(q4sq.min())
     if min_q4_sq < _MIN_Q4_SQ:
         raise DegeneratePhaseDiffusionError(
             f"min q4^2 = {min_q4_sq:.3e} < {_MIN_Q4_SQ:.1e} on the grid; "
             "the angle diffusion degenerates there -- use the mc method")
-    denom = 2.0 * h * drift + q4sq
-    if np.any(denom == 0):
-        raise DegeneratePhaseDiffusionError("singular recurrence denominator")
-    # homogeneous (flux 0) and unit-flux particular solutions, run in
-    # the direction in which the homogeneous part decays
-    log_ratio = np.log(q4sq[1:] / np.abs(denom[1:]))
-    forward = float(np.sum(log_ratio)) <= 0.0
+    with np.errstate(divide="ignore"):
+        ratio = q4sq[1:] / denom[1:]  # forward; infinite where denom = 0
+        size = np.abs(ratio)
+        lo, hi = float(size.min()), float(size.max())
+        if hi == math.inf or denom[0] == 0:
+            raise DegeneratePhaseDiffusionError("singular recurrence denominator")
+        # run the scan in the direction in which the homogeneous part decays
+        max_log_r = max(math.log(hi), -math.log(lo)) if lo > 0 else math.inf
+        products = np.multiply.reduceat(size, np.arange(0, n, _scan_step(max_log_r)))
+        forward = float(np.log(products).sum()) <= 0.0
     if forward:
-        num, den, flux = q4sq[1:], denom[1:], 2.0 * h
+        r, f = ratio, 2.0 * h / denom[1:]
     else:
-        num, den, flux = denom[:0:-1], q4sq[:0:-1], -2.0 * h
+        r, f = denom[:0:-1] / q4sq[:0:-1], -2.0 * h / q4sq[:0:-1]
     with np.errstate(over="ignore", invalid="ignore"):
-        ph, pp = _affine_scan(num / den, flux / den,
-                              float(np.abs(log_ratio).max()))
-    if not (np.isfinite(ph).all() and np.isfinite(pp).all()):
+        p = _periodic_scan(r, f, max_log_r)
+    if p is None:
         raise DegeneratePhaseDiffusionError(
             "recurrence dynamic range overflows for this system; "
             "use the mc method")
-    p0 = (ph[0] - ph[n]) / pp[n] if pp[n] != 0.0 else 0.0
-    p = ph + p0 * pp
     if not forward:
-        p = np.ascontiguousarray(p[::-1])
+        p = p[::-1].copy()
     mass = float(np.sum(p[1:]) * h)
     if not math.isfinite(mass) or mass <= 0:
         raise DegeneratePhaseDiffusionError(
@@ -295,8 +324,7 @@ def stationary_density_fd(sys: LinearSDE, n: int = 10000) -> PhaseDensity:
     return PhaseDensity(n=n, step=h, values=p,
                         periodicity_defect=float(abs(p[n] - p[0])),
                         min_q4_sq=min_q4_sq,
-                        nonpositive_denominators=int(
-                            np.count_nonzero(denom[1:] <= 0)))
+                        nonpositive_denominators=int(np.count_nonzero(ratio < 0)))
 
 
 def lyapunov_fd(sys: LinearSDE, n: int = 10000) -> LyapunovEstimate:
@@ -542,10 +570,12 @@ def stability_sweep(model: ModelSpec, equilibrium: Equilibrium, beta: float,
     Zero crossings found on the grid are refined by bisection to
     brackets of width refine_tol; a per-point failure (degenerate angle
     diffusion, non-normalizable density) is recorded and the sweep
-    continues.  The closed method builds one ``_ClosedSolver`` and
-    solves the whole grid in one batch, in chunks of at most
-    _CLOSED_CHUNK (alpha x node) elements; a setup failure (beta = 0,
-    amplitude out of range) is recorded at every grid point.  For the
+    continues; a failed bisection midpoint ends the refinement of its
+    bracket, which then stays wider than refine_tol.  The closed method
+    builds one ``_ClosedSolver`` and solves the whole grid in one batch,
+    in chunks of at most _CLOSED_CHUNK (alpha x node) elements; a setup
+    failure (beta = 0, amplitude out of range) is recorded at every grid
+    point.  For the
     mc method, grid point k draws from stream block (seed, k * 2^32) and
     refinement points derive their stream from the alpha bit pattern, so
     results are schedule-independent.

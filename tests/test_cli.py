@@ -175,6 +175,34 @@ def test_sweep_csv_empty(tmp_path):
     assert p.read_text() == "alpha,lambda,method,stderr\n"
 
 
+def test_sweep_csv_rows_match_per_value_format(tmp_path):
+    # rows are formatted by one row template; the file is the text of
+    # format(float(v), ".17g") per value, NaN and -0 included
+    alphas = np.array([-2.5, -0.0, 1e-300, 1.0 / 3.0, 2.0])
+    lambdas = np.array([0.125, -0.0, np.nan, -1.0 / 7.0, 1e300])
+    stderrs = np.array([0.0, 1e-17, 0.0, np.inf, 2.5e-3])
+    r = SweepResult(alphas=alphas, lambdas=lambdas, stderrs=stderrs,
+                    method="mc", sign_changes=[(-0.5, 0.0), (1.0 / 3.0, 0.5)],
+                    stable_set=[(-0.25, 0.4)],
+                    failures=[(1e-300, "density mass nan not normalizable")])
+    p = tmp_path / "s.csv"
+    emit_sweep_csv(r, str(p))
+
+    def fmt(v):
+        return format(float(v), ".17g")
+
+    expect = ["alpha,lambda,method,stderr"]
+    expect += [f"{fmt(a)},{fmt(lam)},mc,{fmt(se)}"
+               for a, lam, se in zip(alphas, lambdas, stderrs)]
+    expect += [f"# sign_change lo={fmt(lo)} hi={fmt(hi)}" for lo, hi in r.sign_changes]
+    expect += ["# stable lo=-0.25 hi=0.40000000000000002",
+               "# failure alpha=1e-300: density mass nan not normalizable"]
+    assert p.read_bytes() == ("\n".join(expect) + "\n").encode()
+    rows = p.read_text().splitlines()[1:6]
+    assert rows[1] == "-0,-0,mc,1.0000000000000001e-17"
+    assert rows[2].split(",")[1] == "nan" and rows[3].endswith(",inf")
+
+
 def test_cli_equilibria_exit_zero(tmp_path, capsys):
     out = tmp_path / "eq.csv"
     assert main(["equilibria", "--model", "kt", "--out", str(out)]) == 0

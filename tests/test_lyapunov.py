@@ -1,6 +1,7 @@
 """Phase coefficients, stationary density, three exponent estimators, sweeps."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -188,13 +189,16 @@ def test_fd_error_does_not_grow_with_n(alpha):
 # -------------------------------------------------------- recurrence scan
 
 def _loop_scan(r, f, max_log_r):
-    """The node-by-node loop that _affine_scan replaced, in its r = num /
-    den, f = flux / den form: a reference for the blocked scan."""
+    """The node-by-node loop that the blocked scan replaced, in the
+    contract of _periodic_scan: a reference for the blocked scan."""
     ph, pp = [1.0], [0.0]
     for ri, fi in zip(r.tolist(), f.tolist()):
         ph.append(ri * ph[-1])
         pp.append(fi + ri * pp[-1])
-    return np.array(ph), np.array(pp)
+    if not (math.isfinite(ph[-1]) and math.isfinite(pp[-1])):
+        return None
+    c = (1.0 - ph[-1]) / pp[-1] if pp[-1] != 0.0 else 0.0
+    return np.array(ph) + c * np.array(pp)
 
 
 def _density_or_error(s, n):
@@ -209,7 +213,7 @@ def _scan_and_loop(monkeypatch, s, n):
     and by the reference loop."""
     scan = _density_or_error(s, n)
     with monkeypatch.context() as m:
-        m.setattr(lyapunov, "_affine_scan", _loop_scan)
+        m.setattr(lyapunov, "_periodic_scan", _loop_scan)
         loop = _density_or_error(s, n)
     return scan, loop
 
@@ -280,19 +284,20 @@ def test_fd_reports_nonpositive_denominators():
 
 def _scan_io(monkeypatch, s, n):
     """(r, f, max_log_r, ph): what stationary_density_fd passes to
-    _affine_scan and the homogeneous solution it gets back."""
+    _periodic_scan, and the homogeneous solution (x(0) = 1, no flux) of
+    that r, node by node."""
     seen = []
-    real = lyapunov._affine_scan
+    real = lyapunov._periodic_scan
 
     def spy(r, f, max_log_r):
-        ph, pp = real(r, f, max_log_r)
-        seen.append((r, f, max_log_r, ph))
-        return ph, pp
+        seen.append((r, f, max_log_r))
+        return real(r, f, max_log_r)
 
     with monkeypatch.context() as m:
-        m.setattr(lyapunov, "_affine_scan", spy)
+        m.setattr(lyapunov, "_periodic_scan", spy)
         stationary_density_fd(s, n=n)
-    return seen[0]
+    r, f, max_log_r = seen[0]
+    return r, f, max_log_r, np.concatenate(([1.0], np.cumprod(r)))
 
 
 @pytest.mark.parametrize("alpha, beta", [(-1.0, -0.1), (0.0, -0.1),
@@ -335,9 +340,56 @@ def test_fd_resolves_rough_system_on_finer_grid(monkeypatch):
     _assert_same_density(*_scan_and_loop(monkeypatch, s, 40000))
     value = lyapunov_fd(s, n=40000).value
     with monkeypatch.context() as m:
-        m.setattr(lyapunov, "_affine_scan", _loop_scan)
+        m.setattr(lyapunov, "_periodic_scan", _loop_scan)
         assert abs(value - lyapunov_fd(s, n=40000).value) <= 1e-9
     assert abs(value - (-0.121373)) < 1e-6
+
+
+def test_scan_direction_matches_per_node_log_rule(monkeypatch):
+    # the direction comes from the logs of block products of |r|; it
+    # must be the one the per-node sum G = sum_i log(q4^2 / |denom|) picks
+    # (forward when G <= 0) on every alpha-family point
+    n = 10000
+    h = math.pi / n
+    seen = []
+    real = lyapunov._periodic_scan
+
+    def spy(r, f, max_log_r):
+        seen.append(r)
+        return real(r, f, max_log_r)
+
+    monkeypatch.setattr(lyapunov, "_periodic_scan", spy)
+    points = 0
+    for label in sorted(_ALPHA_FAMILY_SYSTEMS):
+        a_mat = _drift_matrix(label)
+        for alpha in np.arange(-5.0, 5.0 + 1e-9, 0.125):
+            s = LinearSDE(a_mat, alpha_family(float(alpha), -2.0))
+            q = phase_coefficients(s, h * np.arange(1, n + 1))
+            q4sq = q.q4 ** 2
+            denom = 2 * h * (-q.q3 + q.q2 * q.q4 + q.q4 * q.q5) + q4sq
+            seen.clear()
+            stationary_density_fd(s, n=n)
+            (r,) = seen
+            forward = np.allclose(r, q4sq / denom, rtol=1e-9, atol=0.0)
+            assert forward or np.allclose(r, (denom / q4sq)[::-1], rtol=1e-9, atol=0.0)
+            assert forward == (np.sum(np.log(q4sq / np.abs(denom))) <= 0.0), (label, alpha)
+            points += 1
+    assert points == 324
+
+
+def test_fd_allocation_peak():
+    # a later kernel must not quietly raise lyapunov_fd's working memory
+    # (the basis grid is cached before tracing starts)
+    for alpha in (-1.0, 1.0):  # one forward and one backward solve
+        s = _bell_p1_sys(alpha)
+        lyapunov_fd(s, n=10000)
+        tracemalloc.start()
+        try:
+            lyapunov_fd(s, n=10000)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 0.9e6, (alpha, peak)
 
 
 def test_double_angle_grid_is_cached_and_read_only():
@@ -611,6 +663,32 @@ def test_sweep_stable_set_matches_signs():
     # stable-set endpoints sit at the refined crossings
     assert abs(r.stable_set[0][1] - 0.5 * sum(r.sign_changes[0])) < 1e-12
     assert abs(r.stable_set[1][0] - 0.5 * sum(r.sign_changes[1])) < 1e-12
+
+
+def test_sweep_bracket_stays_wide_when_a_midpoint_fails(monkeypatch):
+    # an estimator that rejects every off-grid alpha: each bisection
+    # stops at its first midpoint, so the grid brackets keep their width
+    # 0.5 and both midpoints are listed as failures
+    grid = np.arange(-4, 4.01, 0.5)
+    on_grid = set(grid.tolist())
+    real = lyapunov.lyapunov_fd
+
+    def grid_only(sys, n=10000):
+        if sys.B.a11 not in on_grid:  # the alpha of alpha_family
+            raise DegeneratePhaseDiffusionError("off-grid alpha refused")
+        return real(sys, n=n)
+
+    monkeypatch.setattr(lyapunov, "lyapunov_fd", grid_only)
+    m, e = bell_model(), bell_equilibria(BELL_PARAMS)[0]
+    r = stability_sweep(m, e, -2.0, grid, method="fd", grid_n=2000,
+                        refine_tol=1e-3)
+    assert r.sign_changes == [(-2.0, -1.5), (1.5, 2.0)]
+    assert all(hi - lo == 0.5 for lo, hi in r.sign_changes)
+    assert r.failures == [(-1.75, "off-grid alpha refused"),
+                          (1.75, "off-grid alpha refused")]
+    lam = dict(zip(r.alphas.tolist(), r.lambdas.tolist()))
+    for lo, hi in r.sign_changes:
+        assert (lam[lo] <= 0) != (lam[hi] <= 0)
 
 
 def test_sweep_empty_grid():
