@@ -108,15 +108,19 @@ def _times(a, b) -> np.ndarray:
                      ca * cb - sa * sb, ca * sb + sa * cb))
 
 
+# lyapunov_fd reads a system's rows twice: in the density and in the quadrature
+@functools.lru_cache(maxsize=4)
 def _polar_rows(sys: LinearSDE) -> np.ndarray:
-    """Rows over the basis of ``_times``, stacked: the log r drift Q =
-    q1 + (q4^2 - q2^2) / 2, the theta drift D = q3 - q2 q4, q2, q4, and
-    fd's angle drift -D + q4 q5."""
+    """Read-only rows over the basis of ``_times``, stacked: the log r
+    drift Q = q1 + (q4^2 - q2^2) / 2, the theta drift D = q3 - q2 q4,
+    q2, q4, and fd's angle drift -D + q4 q5."""
     r1, r2, r3, r4, r5 = _angle_table(sys)
     q1, q2, q3, q4 = (np.array(r + (0.0, 0.0)) for r in (r1, r2, r3, r4))
     d = q3 - _times(r2, r4)
-    return np.array((q1 + 0.5 * (_times(r4, r4) - _times(r2, r2)), d, q2, q4,
-                     _times(r4, r5) - d))
+    out = np.array((q1 + 0.5 * (_times(r4, r4) - _times(r2, r2)), d, q2, q4,
+                    _times(r4, r5) - d))
+    out.flags.writeable = False
+    return out
 
 
 def phase_coefficients(sys: LinearSDE, theta) -> PhaseCoefficients:
@@ -209,39 +213,43 @@ def _periodic_scan(r: np.ndarray, f: np.ndarray, max_log_r: float):
     The m steps are cut into blocks of ``_scan_step(max_log_r)``, so
     the running products P of r inside a block stay within
     e^(+-_SCAN_RANGE) and f / P does not overflow where the solution
-    itself does not.  cumprod gives P and cumsum S = cumsum(f / P), so
-    that P S is the block's own solution from 0; a short loop carries
-    the homogeneous (x(0) = 1, c = 0) and unit (x(0) = 0, c = 1)
-    solutions across the block ends.  Their end values h and p give c =
-    (1 - h) / p, and x = P (hs + c ps + c S), hs and ps their
-    block-start values, is built in the buffer of S.  Signs of r pass
-    through cumprod unchanged.
+    itself does not.  With P from cumprod, a block's own solution from 0
+    is P cumsum(f / P), and its end value P sum(f / P).  A short loop
+    carries the homogeneous (x(0) = 1, c = 0) and unit (x(0) = 0, c = 1)
+    solutions across the block ends as two scalars; their end values h
+    and p give c = (1 - h) / p.  Then x = P cumsum(g), where g = c f / P
+    plus, at each block's first step, the block-start value hs + c ps of
+    the periodic solution: one cumsum, built in the buffer of f / P.
+    Signs of r pass through cumprod unchanged.
     """
     m = r.size
     step = _scan_step(max_log_r)
     blocks = -(-m // step)
-    P = np.ones((blocks, step))
-    P.reshape(-1)[:m] = r
+    P = np.empty((blocks, step))
+    flat = P.reshape(-1)
+    flat[:m] = r
+    flat[m:] = 1.0
     np.multiply.accumulate(P, axis=1, out=P)
     x = np.empty(1 + blocks * step)
     x[0] = 1.0
-    np.divide(f, P.reshape(-1)[:m], out=x[1:m + 1])
+    np.divide(f, flat[:m], out=x[1:m + 1])
     x[m + 1:] = 0.0
-    S = x[1:].reshape(blocks, step)
-    np.cumsum(S, axis=1, out=S)
+    g = x[1:].reshape(blocks, step)
     ends = P[:, -1]
+    sums = g @ np.ones(step)  # sum(f / P) over each block
     hs, ps = [], []
     h, p = 1.0, 0.0
-    for pe, qe in zip(ends.tolist(), (ends * S[:, -1]).tolist()):
+    for pe, qe in zip(ends.tolist(), (ends * sums).tolist()):
         hs.append(h)
         ps.append(p)
         h, p = pe * h, pe * p + qe
     if not (math.isfinite(h) and math.isfinite(p)):
         return None
     c = (1.0 - h) / p if p != 0.0 else 0.0
-    S *= c
-    S += (np.array(hs) + c * np.array(ps))[:, None]
-    S *= P
+    g *= c
+    g[:, 0] += np.array(hs) + c * np.array(ps)
+    np.add.accumulate(g, axis=1, out=g)
+    g *= P
     return x[:m + 1]
 
 
@@ -272,9 +280,11 @@ def stationary_density_fd(sys: LinearSDE, n: int = 10000) -> PhaseDensity:
 
         p(i-1) = (denom(i) p(i) - 2 h p0) / q4(i)^2,
 
-    seeded at p(n) = 1.  G is summed from the logs of products of |r|
-    over blocks short enough to stay in floating-point range, and the
-    block length follows from min and max of |r|.  Either direction is
+    seeded at p(n) = 1.  No per-node log is taken: G <= 0 when no |r|
+    exceeds 1, G > 0 when none is below 1 and one is above, and
+    otherwise G is summed from the logs of products of |r| over blocks
+    short enough to stay in floating-point range, their length set by
+    min and max of |r|.  Either direction is
     the periodic first-order scan of ``_periodic_scan``, and both give
     the same discrete solution up to rounding.
     """
@@ -283,7 +293,7 @@ def stationary_density_fd(sys: LinearSDE, n: int = 10000) -> PhaseDensity:
     h = math.pi / n
     r4 = _angle_table(sys)[3]
     sq = _times(r4, r4)
-    rows = np.stack((sq, sq + 2.0 * h * _polar_rows(sys)[4]))
+    rows = np.array((sq, sq + 2.0 * h * _polar_rows(sys)[4]))
     q4sq, denom = rows @ _double_angle_grid(n)
     min_q4_sq = float(q4sq.min())
     if min_q4_sq < _MIN_Q4_SQ:
@@ -296,27 +306,30 @@ def stationary_density_fd(sys: LinearSDE, n: int = 10000) -> PhaseDensity:
         lo, hi = float(size.min()), float(size.max())
         if hi == math.inf or denom[0] == 0:
             raise DegeneratePhaseDiffusionError("singular recurrence denominator")
-        # run the scan in the direction in which the homogeneous part decays
         max_log_r = max(math.log(hi), -math.log(lo)) if lo > 0 else math.inf
-        products = np.multiply.reduceat(size, np.arange(0, n, _scan_step(max_log_r)))
-        forward = float(np.log(products).sum()) <= 0.0
+        # run the scan in the direction in which the homogeneous part
+        # decays: forward when G <= 0
+        if hi <= 1.0 or lo >= 1.0:
+            forward = hi <= 1.0
+        else:
+            products = np.multiply.reduceat(size, np.arange(0, n, _scan_step(max_log_r)))
+            forward = float(np.log(products).sum()) <= 0.0
     if forward:
         r, f = ratio, 2.0 * h / denom[1:]
     else:
-        r, f = denom[:0:-1] / q4sq[:0:-1], -2.0 * h / q4sq[:0:-1]
+        r, f = (denom[1:] / q4sq[1:])[::-1], (-2.0 * h / q4sq[1:])[::-1]
     with np.errstate(over="ignore", invalid="ignore"):
         p = _periodic_scan(r, f, max_log_r)
     if p is None:
         raise DegeneratePhaseDiffusionError(
             "recurrence dynamic range overflows for this system; "
             "use the mc method")
-    if not forward:
-        p = p[::-1].copy()
-    mass = float(np.sum(p[1:]) * h)
+    # p(1..n) in grid order: the solved x(1..n), or x(n-1..0) backwards
+    mass = float(np.sum(p[1:] if forward else p[:n]) * h)
     if not math.isfinite(mass) or mass <= 0:
         raise DegeneratePhaseDiffusionError(
             f"density mass {mass!r} not normalizable")
-    p /= mass
+    p = (p if forward else p[::-1]) / mass
     if p.min() < -1e-12 * p.max():
         raise DegeneratePhaseDiffusionError(
             "recurrence lost positivity; increase the grid size or use "
