@@ -205,7 +205,8 @@ def _scan_step(max_log_r: float) -> int:
     return max(1, int(_SCAN_RANGE / max_log_r))
 
 
-def _periodic_scan(r: np.ndarray, f: np.ndarray, max_log_r: float):
+def _periodic_scan(r: np.ndarray, f: np.ndarray,
+                   max_log_r: float) -> Optional[np.ndarray]:
     """The solution x(0..m) of x(i+1) = r(i) x(i) + c f(i), i < m, with
     x(0) = x(m) = 1, for the constant c that closes the period; None
     when the recurrence leaves floating-point range.
