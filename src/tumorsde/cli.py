@@ -70,7 +70,8 @@ shared flags:
   --alpha X | lo:hi:step  alpha-family noise [[a,-b],[b,a]]; a range for sweep
   --beta X                alpha-family beta (default -2)
   --method M              fd | closed | mc  (default fd)
-  --grid-n N              density steps over [0, pi] (default 10000)
+  --grid-n N              fd node count; bounds the density's mode count
+                          (default 10000)
   --dt X                  time step         (default 0.001)
   --steps N               trajectory steps  (default 1000)
   --paths N               mc paths          (default 64)

@@ -16,14 +16,16 @@ with the trigonometric coefficients
 
 All five are held once, as (mean, cos 2th, sin 2th) coefficients, in
 ``_angle_table``; q5's row is derived from q4's, and their products come
-from one rule, ``_times``, as rows over the basis of ``_double_angle_grid``.
+from one rule, ``_times``, as rows over the basis (1, c, s, c^2, c s),
+c = cos 2th and s = sin 2th.
 Being functions of 2th, they have period pi: the angle matters only
 through the line it spans (Khasminskii 1967).  The exponent is the
 stationary average of the log r drift against the angle density
 p(theta).  Three estimators are provided:
 
-* ``lyapunov_fd``   -- backward-difference solve of the stationary
-  angle equation on a uniform grid over one period [0, pi],
+* ``lyapunov_fd``   -- Fourier-Galerkin solve of the stationary angle
+  equation over one period [0, pi], for systems whose q4 has no real
+  zeros,
 * ``closed_form_lyapunov`` -- the exact periodic density (probability
   flux included) when B = [[alpha, -beta], [beta, alpha]], whose angle
   diffusion beta^2 is constant,
@@ -68,9 +70,11 @@ TWO_PI = 2.0 * math.pi
 
 
 class DegeneratePhaseDiffusionError(ArithmeticError):
-    """The stationary angle equation cannot be solved reliably: q4
-    vanishes somewhere on the grid, or the density's dynamic range
-    exceeds floating point.  Use the mc method for such systems."""
+    """The stationary angle density cannot be solved reliably: q4 has
+    real zeros, the density's modes do not fall below the tail tolerance
+    within the mode cap (fd), or its closed form leaves floating-point
+    range or exceeds its round-off bound (closed).  Use the mc method
+    for such systems."""
 
 
 @dataclass(frozen=True)
@@ -130,32 +134,42 @@ def phase_coefficients(sys: LinearSDE, theta) -> PhaseCoefficients:
                                for m, c, s in _angle_table(sys)))
 
 
-# five rows of 10^6 + 1 doubles each: the two grids at --grid-n 10^6 hold 80 MB
+# closed's node counts are powers of two up to 4096 (amplitude <= 700)
 @functools.lru_cache(maxsize=2)
 def _double_angle_grid(n: int) -> np.ndarray:
-    """Read-only basis rows (1, c, s, c^2, c s), c = cos 2th and s =
-    sin 2th, at th = i pi / n, i = 0..n."""
+    """Read-only rows (1, cos 2th, sin 2th) at th = i pi / n, i = 0..n."""
     theta = math.pi / n * np.arange(n + 1)
-    c, s = np.cos(2.0 * theta), np.sin(2.0 * theta)
-    out = np.stack((np.ones(n + 1), c, s, c * c, c * s))
+    out = np.stack((np.ones(n + 1), np.cos(2.0 * theta), np.sin(2.0 * theta)))
     out.flags.writeable = False
     return out
 
 
 @dataclass
 class PhaseDensity:
-    """Discrete stationary angle density on a uniform grid.
+    """Stationary angle density over one period [0, pi] as its Fourier
+    modes: p(theta) = sum_k modes[N + k] e^{2 i k theta}, |k| <= N, with
+    pi p_0 = 1.  tail is max(|p_{+-N}|, |p_{+-(N-1)}|) / |p_0|.
 
-    values holds p(0..n) at theta = i * step, step = pi / n; the
-    quadrature convention is sum(values[1:]) * step = 1 over [0, pi].
+    values holds p at the n + 1 nodes theta = i * step, step = pi / n,
+    from one inverse real FFT when first read; sum(values[1:]) * step = 1
+    and values[n] = values[0].
     """
 
     n: int
     step: float
-    values: np.ndarray
-    periodicity_defect: float
+    modes: np.ndarray
     min_q4_sq: float
-    nonpositive_denominators: int  # nodes 1..n whose denominator is <= 0
+    tail: float
+
+    @functools.cached_property
+    def values(self) -> np.ndarray:
+        half = self.modes.size // 2
+        spec = np.zeros(self.n // 2 + 1, dtype=complex)
+        spec[:half + 1] = self.n * self.modes[half:]
+        if self.n % 2 == 0:
+            spec[-1] *= 2.0  # mode n / 2 enters irfft once, not as a pair
+        nodes = np.fft.irfft(spec, self.n)
+        return np.append(nodes, nodes[0])
 
 
 @dataclass
@@ -188,177 +202,106 @@ class SweepResult:
     failures: list
 
 
-# q4^2 below this somewhere on the grid counts as a vanishing angle diffusion
-_MIN_Q4_SQ = 1e-12
-# steps per block of the recurrence scan, and the largest |log| of a
-# product of its ratios that a block may hold
-_SCAN_BLOCK = 128
-_SCAN_RANGE = 600.0
+# the mode count N of fd's Galerkin solve doubles from 16 until
+# max(|p_{+-N}|, |p_{+-(N-1)}|) <= _MODE_TAIL |p_0|, up to _MAX_MODES
+_MODE_TAIL = 1e-14
+_MAX_MODES = 1024
+# a row over the basis (1, c, s, c^2, c s) of ``_times``, times this, gives
+# its Fourier modes at e^{2 i j theta}, j = -2..2
+_FOURIER = np.array([[0, 0, 1, 0, 0],
+                     [0, 0.5, 0, 0.5, 0],
+                     [0, 0.5j, 0, -0.5j, 0],
+                     [0.25, 0, 0.5, 0, 0.25],
+                     [0.25j, 0, 0, 0, -0.25j]])
 
 
-def _scan_step(max_log_r: float) -> int:
-    """Steps per block when no ratio leaves e^(+-max_log_r): at most
-    _SCAN_BLOCK, and few enough that a block's running products stay
-    within e^(+-_SCAN_RANGE)."""
-    if max_log_r * _SCAN_BLOCK <= _SCAN_RANGE:
-        return _SCAN_BLOCK
-    return max(1, int(_SCAN_RANGE / max_log_r))
+def _galerkin(diffusion: np.ndarray, drift: np.ndarray, modes: int) -> np.ndarray:
+    """The modes p_k, k = -modes..modes, of the solution of diffusion p'
+    + drift p = p0 with pi p_0 = 1, truncated to |k| <= modes; diffusion
+    and drift are given by their modes j = -2..2.
 
-
-def _periodic_scan(r: np.ndarray, f: np.ndarray,
-                   max_log_r: float) -> Optional[np.ndarray]:
-    """The solution x(0..m) of x(i+1) = r(i) x(i) + c f(i), i < m, with
-    x(0) = x(m) = 1, for the constant c that closes the period; None
-    when the recurrence leaves floating-point range.
-
-    The m steps are cut into blocks of ``_scan_step(max_log_r)``, so
-    the running products P of r inside a block stay within
-    e^(+-_SCAN_RANGE) and f / P does not overflow where the solution
-    itself does not.  With P from cumprod, a block's own solution from 0
-    is P cumsum(f / P), and its end value P sum(f / P).  A short loop
-    carries the homogeneous (x(0) = 1, c = 0) and unit (x(0) = 0, c = 1)
-    solutions across the block ends as two scalars; their end values h
-    and p give c = (1 - h) / p.  Then x = P cumsum(g), where g = c f / P
-    plus, at each block's first step, the block-start value hs + c ps of
-    the periodic solution: one cumsum, built in the buffer of f / P.
-    Signs of r pass through cumprod unchanged.
+    Mode k of the equation reads sum_j (2 i (k - j) diffusion_j + drift_j)
+    p_{k-j} = p0 [k = 0]: five diagonals, one more column for the unknown
+    flux p0 and one more row for the normalisation, solved densely.
     """
-    m = r.size
-    step = _scan_step(max_log_r)
-    blocks = -(-m // step)
-    P = np.empty((blocks, step))
-    flat = P.reshape(-1)
-    flat[:m] = r
-    flat[m:] = 1.0
-    np.multiply.accumulate(P, axis=1, out=P)
-    x = np.empty(1 + blocks * step)
-    x[0] = 1.0
-    np.divide(f, flat[:m], out=x[1:m + 1])
-    x[m + 1:] = 0.0
-    g = x[1:].reshape(blocks, step)
-    ends = P[:, -1]
-    sums = g @ np.ones(step)  # sum(f / P) over each block
-    hs, ps = [], []
-    h, p = 1.0, 0.0
-    for pe, qe in zip(ends.tolist(), (ends * sums).tolist()):
-        hs.append(h)
-        ps.append(p)
-        h, p = pe * h, pe * p + qe
-    if not (math.isfinite(h) and math.isfinite(p)):
-        return None
-    c = (1.0 - h) / p if p != 0.0 else 0.0
-    g *= c
-    g[:, 0] += np.array(hs) + c * np.array(ps)
-    np.add.accumulate(g, axis=1, out=g)
-    g *= P
-    return x[:m + 1]
+    size = 2 * modes + 1
+    k = np.arange(-modes, modes + 1)
+    band = np.multiply.outer(2j * diffusion, k) + drift[:, None]
+    a = np.zeros((size + 1, size + 1), dtype=complex)
+    for j in range(-2, 3):
+        col = np.arange(max(0, -j), size - max(0, j))
+        a[col + j, col] = band[j + 2, col]
+    a[modes, size] = -1.0
+    a[size, modes] = math.pi
+    rhs = np.zeros(size + 1)
+    rhs[size] = 1.0
+    return np.linalg.solve(a, rhs)[:size]
 
 
 def stationary_density_fd(sys: LinearSDE, n: int = 10000) -> PhaseDensity:
-    """Stationary angle density by a backward-difference recurrence on
-    n steps of h = pi / n over one period [0, pi].
+    """Stationary angle density over one period [0, pi] by a
+    Fourier-Galerkin solve; n, the node count of its ``values``, also
+    bounds the mode count.
 
-    Discretizing  q4^2/2 p' + (-q3 + q2 q4 + q4 q5) p = p0  with the
-    backward difference gives
+    The density solves  q4^2/2 p' + g p = p0,  g = -q3 + q2 q4 + q4 q5
+    (``_polar_rows``), where the constant p0 is the stationary probability
+    flux through the period.  q4^2/2 and g are rows over the basis of
+    ``_times``, so each has five Fourier modes in e^{2 i j theta}, |j| <=
+    2, and in the modes p_k the equation is pentadiagonal
+    (``_galerkin``).  The mode count N starts at 16 and doubles while the
+    tail max(|p_{+-N}|, |p_{+-(N-1)}|) exceeds _MODE_TAIL |p_0|; it is
+    capped at min(n // 2, _MAX_MODES).  Where q4 has no real zeros the
+    density is analytic and the modes fall geometrically (Boyd 2001,
+    ch. 2), so the tail also bounds the error of the node values.
 
-        p(i) = (2 h p0 + q4(i)^2 p(i-1)) / denom(i),
-        denom = 2 h (-q3 + q2 q4 + q4 q5) + q4^2.
-
-    q4^2 and denom are one product of their two rows (``_times``) with
-    the cached basis.  The constant p0 is the stationary probability
-    flux through the period: seeded at p(0) = 1, the p0 that closes the
-    period (p(n) = p(0)) selects the periodic solution, which is then
-    rescaled to unit mass.  A constant-coefficient system (q2, q4
-    constant, q3 = q5 = 0) has zero flux and the recurrence reproduces
-    the uniform density 1/pi exactly.
-
-    The homogeneous part (p0 = 0) changes by the factor exp(G) across
-    the period, G = sum_i log|r(i)| over the ratios r = q4^2 / denom.
-    Run forward with G > 0 it grows, and the periodic combination
-    cancels catastrophically (for the alpha family G ~ pi k0 with k0 =
-    (a21 - a12 - 2 alpha beta) / beta^2).  So when G > 0 the same
-    recurrence is solved backwards,
-
-        p(i-1) = (denom(i) p(i) - 2 h p0) / q4(i)^2,
-
-    seeded at p(n) = 1.  No per-node log is taken: G <= 0 when no |r|
-    exceeds 1, G > 0 when none is below 1 and one is above, and
-    otherwise G is summed from the logs of products of |r| over blocks
-    short enough to stay in floating-point range, their length set by
-    min and max of |r|.  Either direction is
-    the periodic first-order scan of ``_periodic_scan``, and both give
-    the same discrete solution up to rounding.
+    q4's row (m, c, s) gives min q4^2 = max(0, |m| - hypot(c, s))^2.  q4
+    has real zeros, where the angle diffusion vanishes, exactly when
+    (b22 - b11)^2 + 4 b12 b21 >= 0; such a system, and one whose tail
+    is still above _MODE_TAIL |p_0| at the cap, is rejected with
+    DegeneratePhaseDiffusionError.
     """
     if n < 2:
         raise ValueError("grid size n must be >= 2")
-    h = math.pi / n
     r4 = _angle_table(sys)[3]
-    sq = _times(r4, r4)
-    rows = np.array((sq, sq + 2.0 * h * _polar_rows(sys)[4]))
-    q4sq, denom = rows @ _double_angle_grid(n)
-    min_q4_sq = float(q4sq.min())
-    if min_q4_sq < _MIN_Q4_SQ:
+    gap = abs(r4[0]) - math.hypot(r4[1], r4[2])
+    if gap <= 0.0:
         raise DegeneratePhaseDiffusionError(
-            f"min q4^2 = {min_q4_sq:.3e} < {_MIN_Q4_SQ:.1e} on the grid; "
-            "the angle diffusion degenerates there -- use the mc method")
-    with np.errstate(divide="ignore"):
-        ratio = q4sq[1:] / denom[1:]  # forward; infinite where denom = 0
-        size = np.abs(ratio)
-        lo, hi = float(size.min()), float(size.max())
-        if hi == math.inf or denom[0] == 0:
-            raise DegeneratePhaseDiffusionError("singular recurrence denominator")
-        max_log_r = max(math.log(hi), -math.log(lo)) if lo > 0 else math.inf
-        # run the scan in the direction in which the homogeneous part
-        # decays: forward when G <= 0
-        if hi <= 1.0 or lo >= 1.0:
-            forward = hi <= 1.0
-        else:
-            products = np.multiply.reduceat(size, np.arange(0, n, _scan_step(max_log_r)))
-            forward = float(np.log(products).sum()) <= 0.0
-    if forward:
-        r, f = ratio, 2.0 * h / denom[1:]
-    else:
-        r, f = (denom[1:] / q4sq[1:])[::-1], (-2.0 * h / q4sq[1:])[::-1]
-    with np.errstate(over="ignore", invalid="ignore"):
-        p = _periodic_scan(r, f, max_log_r)
-    if p is None:
-        raise DegeneratePhaseDiffusionError(
-            "recurrence dynamic range overflows for this system; "
+            "q4 has real zeros, where the angle diffusion vanishes; "
             "use the mc method")
-    # p(1..n) in grid order: the solved x(1..n), or x(n-1..0) backwards
-    mass = float(np.sum(p[1:] if forward else p[:n]) * h)
-    if not math.isfinite(mass) or mass <= 0:
-        raise DegeneratePhaseDiffusionError(
-            f"density mass {mass!r} not normalizable")
-    p = (p if forward else p[::-1]) / mass
-    if p.min() < -1e-12 * p.max():
-        raise DegeneratePhaseDiffusionError(
-            "recurrence lost positivity; increase the grid size or use "
-            "the mc method")
-    return PhaseDensity(n=n, step=h, values=p,
-                        periodicity_defect=float(abs(p[n] - p[0])),
-                        min_q4_sq=min_q4_sq,
-                        nonpositive_denominators=int(np.count_nonzero(ratio < 0)))
+    diffusion, drift = np.array((0.5 * _times(r4, r4), _polar_rows(sys)[4])) @ _FOURIER
+    cap = min(n // 2, _MAX_MODES)
+    modes = min(16, cap)
+    while True:
+        p = _galerkin(diffusion, drift, modes)
+        # with modes = 1 the tail holds p_0 itself, so it is never accepted
+        tail = float(np.abs(p[[0, 1, -2, -1]]).max() / abs(p[modes]))
+        if tail <= _MODE_TAIL:
+            break
+        if modes == cap:
+            raise DegeneratePhaseDiffusionError(
+                f"angle density not resolved by {modes} modes (tail {tail:.1e} "
+                f"of p_0 > {_MODE_TAIL:g}); use the mc method")
+        modes = min(2 * modes, cap)
+    return PhaseDensity(n=n, step=math.pi / n, modes=p, min_q4_sq=gap * gap, tail=tail)
 
 
 def lyapunov_fd(sys: LinearSDE, n: int = 10000) -> LyapunovEstimate:
-    """Grid quadrature of the log r drift Q (``_polar_rows``) against
-    the angle density on n steps over [0, pi]:
+    """The average of the log r drift Q (``_polar_rows``) against the
+    density of ``stationary_density_fd``, from Q's five modes Q_j:
 
-        lambda = sum_i Q(i) p(i) h
+        lambda = int_0^pi Q p dtheta = pi sum_{|j| <= 2} Q_j p_{-j}
 
-    Diagnostic ``nonpositive_denominators`` counts the grid nodes at
-    which the recurrence divides by a non-positive number; a density
-    solved through such nodes carries amplified rounding.
+    Diagnostics: ``min_q4_sq``, the mode count ``modes`` and its ``tail``
+    relative to p_0.
     """
     dens = stationary_density_fd(sys, n=n)
-    moments = _double_angle_grid(n)[:, 1:] @ dens.values[1:]
-    value = float(_polar_rows(sys)[0] @ moments) * dens.step
+    modes = dens.modes.size // 2
+    q = _polar_rows(sys)[0] @ _FOURIER
+    # p_{-j} = conj(p_j), as p is real
+    value = math.pi * float(np.vdot(dens.modes[modes - 2:modes + 3], q).real)
     return LyapunovEstimate(
         value=value, method="fd", stderr=0.0, n=n,
-        diagnostics={"periodicity_defect": dens.periodicity_defect,
-                     "min_q4_sq": dens.min_q4_sq,
-                     "nonpositive_denominators": dens.nonpositive_denominators})
+        diagnostics={"min_q4_sq": dens.min_q4_sq, "modes": modes, "tail": dens.tail})
 
 
 # beyond this amplitude e^{+-P} leaves floating-point range
@@ -399,7 +342,7 @@ class _ClosedSolver:
                 f"angle density amplitude {amp:.3g} leaves floating-point range; "
                 "use the mc method")
         m = 1 << math.ceil(math.log2(4.0 * amp + 32.0))
-        basis = _double_angle_grid(m)[:3, :m]  # 1, cos 2theta, sin 2theta
+        basis = _double_angle_grid(m)[:, :m]
         per = (c3 * basis[2] - s3 * basis[1]) / beta ** 2
         # e^{-P} and e^{P}, each scaled by e^{-amp} so that neither overflows
         down, up = np.exp(-per - amp), np.exp(per - amp)
@@ -582,8 +525,9 @@ def stability_sweep(model: ModelSpec, equilibrium: Equilibrium, beta: float,
     """Exponent along an alpha grid for B = [[alpha, -beta], [beta, alpha]].
 
     Zero crossings found on the grid are refined by bisection to
-    brackets of width refine_tol; a per-point failure (degenerate angle
-    diffusion, non-normalizable density) is recorded and the sweep
+    brackets of width refine_tol; a per-point failure (q4 with real
+    zeros, a density unresolved within the mode cap, a closed-form
+    round-off bound too large) is recorded and the sweep
     continues; a failed bisection midpoint ends the refinement of its
     bracket, which then stays wider than refine_tol.  The closed method
     builds one ``_ClosedSolver`` and solves the whole grid in one batch,
