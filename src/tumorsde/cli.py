@@ -450,6 +450,8 @@ def _select_equilibrium(cfg: RunConfig, eqs) -> Equilibrium:
 
 
 def _noise_matrix(cfg: RunConfig) -> Mat2:
+    if cfg.alpha_range is not None:
+        raise ConfigError("alpha", f"{cfg.command} needs a single alpha, not a range")
     if cfg.noise is not None:
         return cfg.noise
     if cfg.alpha is not None:

@@ -26,9 +26,10 @@ p(theta).  Three estimators are provided:
 * ``lyapunov_fd``   -- Fourier-Galerkin solve of the stationary angle
   equation over one period [0, pi], for systems whose q4 has no real
   zeros,
-* ``closed_form_lyapunov`` -- the exact periodic density (probability
-  flux included) when B = [[alpha, -beta], [beta, alpha]], whose angle
-  diffusion beta^2 is constant,
+* ``closed_form_lyapunov`` -- the same density when B = [[alpha, -beta],
+  [beta, alpha]], whose angle diffusion beta^2 is constant: its modes
+  follow from one continued fraction, evaluated over a whole alpha
+  array at once,
 * ``lyapunov_mc``   -- first-order Euler simulation of the polar pair.
 
 ``stability_sweep`` maps alpha to the exponent for the alpha-family
@@ -71,9 +72,8 @@ TWO_PI = 2.0 * math.pi
 
 class DegeneratePhaseDiffusionError(ArithmeticError):
     """The stationary angle density cannot be solved reliably: q4 has
-    real zeros, the density's modes do not fall below the tail tolerance
-    within the mode cap (fd), or its closed form leaves floating-point
-    range or exceeds its round-off bound (closed).  Use the mc method
+    real zeros (fd), or the density's modes do not fall below the tail
+    tolerance within the mode cap (fd and closed).  Use the mc method
     for such systems."""
 
 
@@ -112,7 +112,8 @@ def _times(a, b) -> np.ndarray:
                      ca * cb - sa * sb, ca * sb + sa * cb))
 
 
-# lyapunov_fd reads a system's rows twice: in the density and in the quadrature
+# lyapunov_fd reads a system's rows twice, in the density and in the
+# quadrature; closed_form_lyapunov reads the same (A, beta) rows at every alpha
 @functools.lru_cache(maxsize=4)
 def _polar_rows(sys: LinearSDE) -> np.ndarray:
     """Read-only rows over the basis of ``_times``, stacked: the log r
@@ -132,16 +133,6 @@ def phase_coefficients(sys: LinearSDE, theta) -> PhaseCoefficients:
     c2t, s2t = np.cos(2.0 * theta), np.sin(2.0 * theta)
     return PhaseCoefficients(*(m + c * c2t + s * s2t
                                for m, c, s in _angle_table(sys)))
-
-
-# closed's node counts are powers of two up to 4096 (amplitude <= 700)
-@functools.lru_cache(maxsize=2)
-def _double_angle_grid(n: int) -> np.ndarray:
-    """Read-only rows (1, cos 2th, sin 2th) at th = i pi / n, i = 0..n."""
-    theta = math.pi / n * np.arange(n + 1)
-    out = np.stack((np.ones(n + 1), np.cos(2.0 * theta), np.sin(2.0 * theta)))
-    out.flags.writeable = False
-    return out
 
 
 @dataclass
@@ -202,8 +193,9 @@ class SweepResult:
     failures: list
 
 
-# the mode count N of fd's Galerkin solve doubles from 16 until
-# max(|p_{+-N}|, |p_{+-(N-1)}|) <= _MODE_TAIL |p_0|, up to _MAX_MODES
+# the mode count N of fd's Galerkin solve and of closed's continued fraction
+# doubles from 16 until max(|p_{+-N}|, |p_{+-(N-1)}|) <= _MODE_TAIL |p_0|, up
+# to _MAX_MODES
 _MODE_TAIL = 1e-14
 _MAX_MODES = 1024
 # a row over the basis (1, c, s, c^2, c s) of ``_times``, times this, gives
@@ -213,6 +205,12 @@ _FOURIER = np.array([[0, 0, 1, 0, 0],
                      [0, 0.5j, 0, -0.5j, 0],
                      [0.25, 0, 0.5, 0, 0.25],
                      [0.25j, 0, 0, 0, -0.25j]])
+
+
+def _unresolved(modes: int, tail: float) -> DegeneratePhaseDiffusionError:
+    return DegeneratePhaseDiffusionError(
+        f"angle density not resolved by {modes} modes (tail {tail:.1e} "
+        f"of p_0 > {_MODE_TAIL:g}); use the mc method")
 
 
 def _galerkin(diffusion: np.ndarray, drift: np.ndarray, modes: int) -> np.ndarray:
@@ -278,9 +276,7 @@ def stationary_density_fd(sys: LinearSDE, n: int = 10000) -> PhaseDensity:
         if tail <= _MODE_TAIL:
             break
         if modes == cap:
-            raise DegeneratePhaseDiffusionError(
-                f"angle density not resolved by {modes} modes (tail {tail:.1e} "
-                f"of p_0 > {_MODE_TAIL:g}); use the mc method")
+            raise _unresolved(modes, tail)
         modes = min(2 * modes, cap)
     return PhaseDensity(n=n, step=math.pi / n, modes=p, min_q4_sq=gap * gap, tail=tail)
 
@@ -304,126 +300,76 @@ def lyapunov_fd(sys: LinearSDE, n: int = 10000) -> LyapunovEstimate:
         diagnostics={"min_q4_sq": dens.min_q4_sq, "modes": modes, "tail": dens.tail})
 
 
-# beyond this amplitude e^{+-P} leaves floating-point range
-_MAX_AMPLITUDE = 700.0
-# largest accepted round-off bound on a closed-form exponent
-_CLOSED_ROUNDOFF = 1e-9
-# (alpha x node) elements per chunk of a batched closed-form solve
-_CLOSED_CHUNK = 2 ** 12
+def _closed_exponents(A: Mat2, beta: float, alphas: np.ndarray) -> tuple:
+    """(lambda, tail, modes) of ``closed_form_lyapunov`` at every alpha:
+    the exponents and tails as arrays, and the one mode count N that
+    serves them all.
 
+    For B = alpha I + beta J, q4 = beta and q5 = 0, so fd's density
+    equation has the constant diffusion beta^2 / 2 and an angle drift g
+    with modes j = -1..1; alpha only shifts g_0 by alpha beta and Q_0 by
+    -alpha^2 / 2.  Mode k >= 1 of the equation reads
 
-def _roundoff_error(roundoff: float) -> DegeneratePhaseDiffusionError:
-    return DegeneratePhaseDiffusionError(
-        f"closed-form round-off bound {roundoff:.3g} exceeds "
-        f"{_CLOSED_ROUNDOFF:g}; use the fd or mc method")
+        g_{+1} p_{k-1} + (i k beta^2 + g_0) p_k + g_{-1} p_{k+1} = 0,
 
-
-class _ClosedSolver:
-    """The closed form of ``closed_form_lyapunov`` for one (A, beta),
-    solved over arrays of alpha.
-
-    Only k0 depends on alpha.  The rows of q1 and q3, P on the n nodes,
-    the scaled e^{+-P}, fft(e^{-P}), the modes and the round-off
-    numerator are built once.  ``solve`` then forms the weights k0 / (k0
-    - 2 i n) of a chunk of alphas and runs one inverse FFT along the
-    nodes.  A chunk holds at most _CLOSED_CHUNK (alpha x node) elements
-    (one alpha when n exceeds it), so beside the per-alpha results the
-    work arrays stay O(n + _CLOSED_CHUNK) whatever the number of alphas.
+    so the ratios r_k = p_k / p_{k-1} of the solution truncated to |k| <=
+    N are the continued fraction r_k = -g_{+1} / (i k beta^2 + g_0 +
+    g_{-1} r_{k+1}), r_{N+1} = 0, evaluated backward (Gautschi 1967;
+    Risken 1989, ch. 9), one step over the whole alpha array at a time.
+    With pi p_0 = 1 and Q real, lambda = Q_0 + 2 Re(conj(Q_1) r_1).  The
+    tail max(|p_N|, |p_{N-1}|) / |p_0| is a product of |r_k|; N follows
+    fd's rule, from 16 doubling up to _MAX_MODES while any tail exceeds
+    _MODE_TAIL.  The caller rejects an alpha whose tail is above
+    _MODE_TAIL or not finite.
     """
-
-    def __init__(self, A: Mat2, beta: float):
-        if beta == 0:
-            raise ValueError("beta = 0: the angle diffusion vanishes")
-        (m1, c1, s1), _, (m3, c3, s3), _, _ = _angle_table(
-            LinearSDE(A, alpha_family(0.0, beta)))
-        amp = math.hypot(c3, s3) / beta ** 2
-        if amp > _MAX_AMPLITUDE:
-            raise DegeneratePhaseDiffusionError(
-                f"angle density amplitude {amp:.3g} leaves floating-point range; "
-                "use the mc method")
-        m = 1 << math.ceil(math.log2(4.0 * amp + 32.0))
-        basis = _double_angle_grid(m)[:, :m]
-        per = (c3 * basis[2] - s3 * basis[1]) / beta ** 2
-        # e^{-P} and e^{P}, each scaled by e^{-amp} so that neither overflows
-        down, up = np.exp(-per - amp), np.exp(per - amp)
-        self.n, self.beta = m, beta
-        self.m1, self.c1, self.s1, self.m3 = m1, c1, s1, m3
-        self.fft_down = np.fft.fft(down)
-        self.modes = 2j * np.fft.fftfreq(m, 1.0 / m)[1:]
-        # the density is e^P times the inverse FFT, so these columns give
-        # its mass and its moments of cos 2theta and sin 2theta
-        self.moments = (basis * up).T
-        self.bound = math.hypot(c1, s1) * math.ulp(1.0) * float(down.max() * up.sum())
-
-    def solve(self, alphas: np.ndarray) -> tuple:
-        """(c2, s2, roundoff, lambda) at each alpha as arrays: the density
-        moments <cos 2theta> and <sin 2theta>, the round-off bound and the
-        exponent.  Entries whose roundoff exceeds _CLOSED_ROUNDOFF are not
-        exponents and must be rejected by the caller."""
-        alphas = np.asarray(alphas, dtype=float)
-        beta, m = self.beta, self.n
-        k0 = (2.0 * (self.m3 - alphas * beta) / beta ** 2)[:, None]
-        rows = max(1, _CLOSED_CHUNK // m)
-        sums = np.empty((alphas.size, 3))
-        for lo in range(0, alphas.size, rows):
-            kc = k0[lo:lo + rows]
-            spec = np.empty((kc.shape[0], m), dtype=complex)
-            spec[:, 0] = self.fft_down[0]  # the n = 0 weight is 1
-            np.divide(kc, kc - self.modes, out=spec[:, 1:])
-            spec[:, 1:] *= self.fft_down[1:]
-            sums[lo:lo + rows] = np.fft.ifft(spec, axis=1).real @ self.moments
-        mass, c2, s2 = sums.T
-        with np.errstate(divide="ignore", invalid="ignore"):
-            roundoff = np.where(mass > 0, self.bound / mass, math.inf)
-            c2, s2 = c2 / mass, s2 / mass
-        value = self.m1 + self.c1 * c2 + self.s1 * s2 + 0.5 * (beta ** 2 - alphas ** 2)
-        return c2, s2, roundoff, value
-
-    def estimate(self, alpha: float) -> LyapunovEstimate:
-        """The exponent at one finite alpha; DegeneratePhaseDiffusionError
-        when its round-off bound exceeds _CLOSED_ROUNDOFF."""
-        (c2,), (s2,), (roundoff,), (value,) = self.solve(np.array([alpha]))
-        if not roundoff <= _CLOSED_ROUNDOFF:
-            raise _roundoff_error(roundoff)
-        return LyapunovEstimate(value=float(value), method="closed", stderr=0.0,
-                                n=self.n, diagnostics={"c2": float(c2), "s2": float(s2),
-                                                       "roundoff": float(roundoff)})
+    if beta == 0:
+        raise ValueError("beta = 0: the angle diffusion vanishes")
+    g, q = _polar_rows(LinearSDE(A, alpha_family(0.0, beta)))[[4, 0]] @ _FOURIER
+    # the fraction runs on its denominators over s = -g_{+1}, so r_k = 1 /
+    # tau_k and tau_k = c / tau_{k+1} + (g_0 + i k beta^2) / s, c = -g_{-1}
+    # g_{+1} / s^2: four array operations a step.  Where g_{+1} = 0 every
+    # r_k is 0: s = 1 and one = 0.  The constants are 1-element arrays,
+    # which numpy broadcasts faster than scalars.
+    s, one = (-g[3], np.ones(1)) if g[3] != 0 else (1.0, np.zeros(1))
+    c = -g[1] * g[3] / s ** 2 * one
+    h0 = (g[2] + beta * alphas) / s
+    modes = 16
+    with np.errstate(all="ignore"):
+        while True:
+            shifts = (1j * beta ** 2 / s) * np.arange(modes + 1)[:, None]
+            tau = h0 + shifts[modes]
+            last = np.abs(one / tau)  # |p_N / p_{N-1}|
+            den = 1.0  # becomes p_0 / p_{N-1}, where one = 1
+            for k in range(modes - 1, 0, -1):
+                tau = c / tau + h0 + shifts[k]
+                den = den * tau
+            tail = one * np.maximum(last, 1.0) / np.abs(den)
+            if modes == _MAX_MODES or (tail <= _MODE_TAIL).all():
+                break
+            modes *= 2
+    r = one / tau
+    value = q[2].real - 0.5 * alphas ** 2 + 2.0 * (q[3].real * r.real + q[3].imag * r.imag)
+    return value, tail, modes
 
 
 def closed_form_lyapunov(A: Mat2, alpha: float, beta: float) -> LyapunovEstimate:
     """Exact exponent for the noise B = alpha I + beta J (Khasminskii 1967).
 
-    The angle obeys d theta = (q3 - alpha beta) dt + beta dW, so the
-    periodic stationary density solves beta^2/2 p' - (q3 - alpha beta) p
-    = -flux.  Write E' = 2 (q3 - alpha beta) / beta^2 = k0 + P' with P
-    periodic; from q3's row (m3, c3, s3)
-
-        k0 = 2 (m3 - alpha beta) / beta^2,
-        P  = (c3 sin 2theta - s3 cos 2theta) / beta^2.
-
-    Then p = e^P u with u' - k0 u proportional to e^{-P}.  Everything has
-    period pi, so in the Fourier modes e^{2 i n theta} of one period u_n
-    ~ c_n k0 / (k0 - 2 i n), c_n those of e^{-P}, and the n = 0 weight is
-    1 (also at k0 = 0, where the flux vanishes).  P has amplitude amp =
-    hypot(c3, s3) / beta^2 and the modes of e^{-P} fall like I_n(amp),
-    so n, the next power of two >= 4 amp + 32, nodes over [0, pi) of the
-    cached ``_double_angle_grid`` resolve it spectrally.  With q1's row
-    (m1, c1, s1),
-
-        lambda = m1 + c1 <cos 2theta> + s1 <sin 2theta> + (beta^2 - alpha^2) / 2.
-
-    The inverse FFT is accurate to about eps max(e^{-P}) per node, so
-    the exponent's round-off is bounded by hypot(c1, s1) eps
-    max(e^{-P}) sum(e^P) / sum(p) (diagnostic ``roundoff``).  That grows
-    like e^{2 amp} when |k0| >> amp; above 1e-9, or for amp > 700, the
-    system is rejected with DegeneratePhaseDiffusionError.
-
-    Only k0 depends on alpha: this is the one-alpha case of
-    ``_ClosedSolver``, which ``stability_sweep`` builds once per sweep.
+    The angle obeys d theta = (q3 - alpha beta) dt + beta dW, whose
+    diffusion beta^2 is constant, so in the modes e^{2 i k theta} the
+    stationary density equation is tridiagonal and its mode ratios form
+    a continued fraction (``_closed_exponents``, the one-alpha case).
+    The mode count follows fd's tail rule and cap; an alpha whose tail
+    stays above _MODE_TAIL, or is not finite, is rejected with
+    DegeneratePhaseDiffusionError.  Diagnostics: the mode count
+    ``modes`` (also ``n``) and its ``tail`` relative to p_0.
     """
-    solver = _ClosedSolver(A, beta)
     alpha_family(alpha, beta)  # a non-finite alpha: ValueError, as for any Mat2
-    return solver.estimate(alpha)
+    (value,), (tail,), modes = _closed_exponents(A, beta, np.array([alpha]))
+    if not tail <= _MODE_TAIL:
+        raise _unresolved(modes, tail)
+    return LyapunovEstimate(value=float(value), method="closed", stderr=0.0, n=modes,
+                            diagnostics={"modes": modes, "tail": float(tail)})
 
 
 # increments of an mc estimate are drawn in blocks of at most _MC_BLOCK
@@ -526,17 +472,14 @@ def stability_sweep(model: ModelSpec, equilibrium: Equilibrium, beta: float,
 
     Zero crossings found on the grid are refined by bisection to
     brackets of width refine_tol; a per-point failure (q4 with real
-    zeros, a density unresolved within the mode cap, a closed-form
-    round-off bound too large) is recorded and the sweep
-    continues; a failed bisection midpoint ends the refinement of its
-    bracket, which then stays wider than refine_tol.  The closed method
-    builds one ``_ClosedSolver`` and solves the whole grid in one batch,
-    in chunks of at most _CLOSED_CHUNK (alpha x node) elements; a setup
-    failure (beta = 0, amplitude out of range) is recorded at every grid
-    point.  For the
-    mc method, grid point k draws from stream block (seed, k * 2^32) and
-    refinement points derive their stream from the alpha bit pattern, so
-    results are schedule-independent.
+    zeros, a density unresolved within the mode cap) is recorded and the
+    sweep continues; a failed bisection midpoint ends the refinement of
+    its bracket, which then stays wider than refine_tol.  The closed
+    method solves the whole grid by one ``_closed_exponents`` call, and
+    each bisection midpoint by one more; a setup failure (beta = 0) is
+    recorded at every grid point.  For the mc method, grid point k draws
+    from stream block (seed, k * 2^32) and refinement points derive their
+    stream from the alpha bit pattern, so results are schedule-independent.
     """
     alphas = np.asarray(list(alpha_grid), dtype=float)
     if not np.isfinite(alphas).all():
@@ -551,7 +494,7 @@ def stability_sweep(model: ModelSpec, equilibrium: Equilibrium, beta: float,
         if method == "fd":
             return lyapunov_fd(LinearSDE(a_mat, alpha_family(alpha, beta)), n=grid_n)
         if method == "closed":
-            return solver.estimate(alpha)
+            return closed_form_lyapunov(a_mat, alpha, beta)
         return lyapunov_mc(LinearSDE(a_mat, alpha_family(alpha, beta)),
                            horizon=horizon, dt=dt, paths=paths, seed=seed,
                            stream_base=stream_base)
@@ -561,16 +504,15 @@ def stability_sweep(model: ModelSpec, equilibrium: Equilibrium, beta: float,
     failures = []
     if method == "closed":
         try:
-            solver = _ClosedSolver(a_mat, beta)
+            values, tails, modes = _closed_exponents(a_mat, beta, alphas)
         except (ValueError, ArithmeticError) as exc:
             # no grid point has an exponent, so nothing is bisected
             failures = [(float(alpha), str(exc)) for alpha in alphas]
         else:
-            _, _, roundoff, values = solver.solve(alphas)
-            ok = roundoff <= _CLOSED_ROUNDOFF
+            ok = tails <= _MODE_TAIL
             lambdas[ok] = values[ok]
-            failures = [(float(alpha), str(_roundoff_error(r)))
-                        for alpha, r in zip(alphas[~ok], roundoff[~ok])]
+            failures = [(float(alpha), str(_unresolved(modes, tail)))
+                        for alpha, tail in zip(alphas[~ok], tails[~ok])]
     else:
         for k, alpha in enumerate(alphas):
             try:

@@ -310,9 +310,25 @@ def test_cli_lyapunov_closed_line_and_unresolvable_exit_three(capsys):
     assert main(argv) == 0
     out = capsys.readouterr().out
     assert out.startswith("lambda=0.67407295079") and "method=closed" in out
-    # beta = 0.01 puts the density exponent's amplitude far beyond exp's range
-    assert main(argv[:-4] + ["--beta", "0.01", "--method", "closed"]) == 3
-    assert "numerical failure" in capsys.readouterr().err
+    assert main(argv[:-4] + ["--beta", "0.01", "--method", "closed"]) == 0
+    assert "method=closed" in capsys.readouterr().out
+    # at beta = 0.001 the angle density is too sharp for the mode cap
+    assert main(argv[:-4] + ["--beta", "0.001", "--method", "closed"]) == 3
+    assert "not resolved by 1024 modes" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command, extra", [("lyapunov", ["--method", "fd"]),
+                                            ("lyapunov", ["--method", "closed"]),
+                                            ("simulate", [])],
+                         ids=["lyapunov-fd", "lyapunov-closed", "simulate"])
+def test_cli_single_alpha_commands_reject_a_range(capsys, tmp_path, command, extra):
+    # a range was ignored: lyapunov fell back to the default KT noise
+    argv = [command, "--model", "bell", "--alpha=-1:1:0.5", *extra,
+            "--out", str(tmp_path / "out.csv")]
+    assert main(argv) == 2
+    assert capsys.readouterr().err == (
+        f"config error: alpha: {command} needs a single alpha, not a range\n")
+    assert not (tmp_path / "out.csv").exists()
 
 
 def test_runtime_imports_without_scipy():

@@ -285,17 +285,6 @@ def test_fd_allocation_peak():
         assert peak <= 0.9e6, (alpha, peak)
 
 
-def test_double_angle_grid_is_cached_and_read_only():
-    basis = lyapunov._double_angle_grid(64)
-    assert lyapunov._double_angle_grid(64) is basis
-    theta = math.pi / 64 * np.arange(65)
-    assert basis.shape == (3, 65)
-    for row, want in zip(basis, (np.ones(65), np.cos(2.0 * theta), np.sin(2.0 * theta))):
-        assert np.array_equal(row, want)
-    with pytest.raises(ValueError):
-        basis[1, 0] = 0.0
-
-
 def test_polar_rows_match_phase_coefficients():
     # rows @ (1, c, s, c^2, c s) against the same drifts evaluated from
     # q1..q5 at the angles themselves
@@ -362,7 +351,7 @@ def test_closed_reference_values():
     kt = closed_form_lyapunov(_drift_matrix("KT-P2"), 0.0, -2.0)
     assert abs(bell.value - 0.674072950792) < 1e-12
     assert abs(kt.value - 5.066377875413) < 1e-12
-    assert bell.diagnostics["roundoff"] < 1e-14
+    assert bell.diagnostics["tail"] <= 1e-14
 
 
 def test_closed_within_fd_error_on_bell_p1_grid():
@@ -374,20 +363,28 @@ def test_closed_within_fd_error_on_bell_p1_grid():
         assert abs(fd - cl) <= 1e-12 * (1 + abs(cl)), alpha
 
 
-def test_closed_rejects_unresolvable_density():
-    # |P| reaches amp = 20 with a large drift k0 = 40: the FFT round-off of
-    # e^{-P} is amplified by about e^{2 amp}, so no exponent is returned
+def test_closed_resolves_large_amplitude_density():
+    # large angle-drift amplitudes, with and without a mean drift, that
+    # need 64 and 256 modes: closed agrees with fd's independent solve
     beta, alpha, amp, k0 = -1.0, 0.3, 20.0, 40.0
     d = k0 * beta ** 2 + 2 * alpha * beta
-    a_mat = Mat2(amp * beta ** 2, -d / 2, d / 2, -amp * beta ** 2)
-    with pytest.raises(DegeneratePhaseDiffusionError, match="round-off"):
-        closed_form_lyapunov(a_mat, alpha, beta)
-    with pytest.raises(DegeneratePhaseDiffusionError, match="range"):
-        closed_form_lyapunov(Mat2(800.0, 0.0, 0.0, -800.0), alpha, beta)
-    # the same amplitude without drift has zero flux and p = e^P exactly
-    ok = closed_form_lyapunov(Mat2(amp, 0.3, -0.3, -amp), 0.3, beta)
-    assert ok.diagnostics["roundoff"] < 1e-12
-    assert ok.n == 128  # nodes over [0, pi): the next power of two >= 4 amp + 32
+    for a_mat in (Mat2(amp * beta ** 2, -d / 2, d / 2, -amp * beta ** 2),
+                  Mat2(800.0, 0.0, 0.0, -800.0), Mat2(amp, 0.3, -0.3, -amp)):
+        cl = closed_form_lyapunov(a_mat, alpha, beta)
+        fd = lyapunov_fd(LinearSDE(a_mat, alpha_family(alpha, beta)), n=10000)
+        assert abs(cl.value - fd.value) <= 1e-12 * (1 + abs(fd.value))
+        assert cl.n == cl.diagnostics["modes"] == fd.diagnostics["modes"]
+        assert cl.diagnostics["tail"] <= 1e-14
+
+
+def test_closed_rejects_density_unresolved_at_the_cap():
+    # beta = 0.001: the density is too sharp for 1024 modes, as in fd
+    a_mat = _drift_matrix("Bell-P1", 0.001)
+    with pytest.raises(DegeneratePhaseDiffusionError,
+                       match="not resolved by 1024 modes .* use the mc method"):
+        closed_form_lyapunov(a_mat, 1.5, 0.001)
+    with pytest.raises(DegeneratePhaseDiffusionError, match="not resolved by 1024"):
+        lyapunov_fd(LinearSDE(a_mat, alpha_family(1.5, 0.001)), n=10000)
 
 
 def test_closed_large_alpha_is_negative():
@@ -612,38 +609,38 @@ def test_sweep_grid_must_be_finite(grid, method):
         stability_sweep(m, e, -2.0, grid, method=method, grid_n=500)
 
 
-def _closed_points(a_mat, alphas, beta):
-    """Per-point closed_form_lyapunov: values (NaN where rejected) and
-    the rejected alphas."""
-    values, rejected = [], []
-    for alpha in alphas:
-        try:
-            values.append(closed_form_lyapunov(a_mat, float(alpha), beta).value)
-        except DegeneratePhaseDiffusionError:
-            values.append(math.nan)
-            rejected.append(float(alpha))
-    return np.array(values), rejected
-
-
 @pytest.mark.parametrize("label, beta", [("Bell-P1", -2.0), ("KT-P2", -2.0),
-                                         ("Bell-P1", -0.3), ("KT-P1", -0.05)])
+                                         ("Bell-P1", -0.3), ("Bell-P1", -0.1),
+                                         ("KT-P1", -0.05), ("KT-P2", -1.0),
+                                         ("KT-P2", -0.5), ("KT-P2", -0.2),
+                                         ("KT-P2", -0.1)])
 def test_closed_sweep_matches_per_point_solve(label, beta):
-    # the batched sweep against one solve per alpha, on grids of several
-    # chunks; at the small betas part of the grid has round-off bounds
-    # above _CLOSED_ROUNDOFF, and the same alphas must be rejected
+    # the batched sweep against one closed and one fd solve per alpha; at
+    # the small betas the density needs 64 to 256 modes, and no point fails
     model, equilibria, params, k = _ALPHA_FAMILY_SYSTEMS[label]
     a_mat = _drift_matrix(label, beta)
-    alphas = np.linspace(-5.0, 5.0, 301)
+    alphas = np.linspace(-5.0, 5.0, 61)
     r = stability_sweep(model(), equilibria(params)[k], beta, alphas, method="closed")
-    want, rejected = _closed_points(a_mat, alphas, beta)
-    assert alphas.size * lyapunov._ClosedSolver(a_mat, beta).n > 2 * lyapunov._CLOSED_CHUNK
-    ok = ~np.isnan(want)
-    assert np.array_equal(~np.isnan(r.lambdas), ok) and ok.any()
-    assert np.all(np.abs(r.lambdas[ok] - want[ok]) <= 1e-13 + 1e-12 * np.abs(want[ok]))
-    grid_failures = r.failures[:len(rejected)]
-    assert [a for a, _ in grid_failures] == rejected
-    assert all("round-off" in msg for _, msg in grid_failures)
-    assert (len(rejected) > 0) == (beta != -2.0)
+    want = np.array([closed_form_lyapunov(a_mat, float(al), beta).value for al in alphas])
+    fd = np.array([lyapunov_fd(LinearSDE(a_mat, alpha_family(al, beta))).value
+                   for al in alphas])
+    assert r.failures == []
+    assert np.all(np.abs(r.lambdas - want) <= 1e-13 + 1e-12 * np.abs(want))
+    assert np.all(np.abs(r.lambdas - fd) <= 1e-12 * (1 + np.abs(fd)))
+
+
+def test_closed_sweep_records_a_cap_rejection_per_point():
+    # KT P2 at beta = 0.004: the density at alpha = -5 is not resolved
+    # by 1024 modes, while alpha = 0 is: one failure, and the other point
+    # keeps its per-point value
+    model, equilibria, params, k = _ALPHA_FAMILY_SYSTEMS["KT-P2"]
+    r = stability_sweep(model(), equilibria(params)[k], 0.004, [-5.0, 0.0],
+                        method="closed")
+    assert [a for a, _ in r.failures] == [-5.0]
+    assert "not resolved by 1024 modes" in r.failures[0][1]
+    assert np.isnan(r.lambdas[0])
+    want = closed_form_lyapunov(_drift_matrix("KT-P2", 0.004), 0.0, 0.004).value
+    assert abs(r.lambdas[1] - want) <= 1e-12 * (1 + abs(want))
 
 
 def test_sweep_mc_reproducible():
