@@ -513,6 +513,8 @@ def _cmd_lyapunov(cfg: RunConfig) -> int:
 
 
 def _cmd_sweep(cfg: RunConfig) -> int:
+    if cfg.noise is not None:
+        raise ConfigError("noise", "sweep uses the alpha/beta family, not --noise")
     if cfg.alpha_range is None:
         raise ConfigError("alpha", "sweep needs an alpha range lo:hi:step")
     model, eqs, _ = _model_equilibria(cfg)

@@ -41,7 +41,7 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass, field
-from typing import Optional
+from typing import NamedTuple
 
 import numpy as np
 
@@ -91,7 +91,9 @@ class PhaseCoefficients:
 
 def _angle_table(sys: LinearSDE) -> tuple:
     """(mean, cos 2th, sin 2th) coefficients of q1..q5: q = m + c cos 2th
-    + s sin 2th.  q5 = dq4/dth, so its row is (0, 2 s4, -2 c4)."""
+    + s sin 2th.  q5 = dq4/dth, so its row is (0, 2 s4, -2 c4).  The
+    entries of sys.A and sys.B are floats, or arrays of one shape for a
+    stack of systems (``_Entries``)."""
     a, b = sys.A, sys.B
     q4 = (0.5 * (b.a21 - b.a12), 0.5 * (b.a12 + b.a21), -0.5 * (b.a11 - b.a22))
     return (
@@ -103,27 +105,38 @@ def _angle_table(sys: LinearSDE) -> tuple:
     )
 
 
+# a stack of 2x2 matrices as arrays of entries, read where a Mat2 is read
+_Entries = NamedTuple("_Entries", [(k, np.ndarray) for k in ("a11", "a12", "a21", "a22")])
+
+
 def _times(a, b) -> np.ndarray:
     """The product of two (mean, cos 2th, sin 2th) rows as a row over
     the basis (1, c, s, c^2, c s), c = cos 2th and s = sin 2th, with s^2
-    folded into 1 - c^2."""
+    folded into 1 - c^2.  A row of arrays gives a row of arrays."""
     (ma, ca, sa), (mb, cb, sb) = a, b
     return np.array((ma * mb + sa * sb, ma * cb + ca * mb, ma * sb + sa * mb,
                      ca * cb - sa * sb, ca * sb + sa * cb))
 
 
+def _rows(table: tuple) -> np.ndarray:
+    """The rows of ``_polar_rows`` from an ``_angle_table``; a stack's
+    rows carry its shape as their last axes."""
+    r1, r2, r3, r4, r5 = table
+    z = r1[0] - r1[0]  # 0.0, or zeros of the entries' shape
+    q1, q2, q3, q4 = (np.array((*r, z, z)) for r in (r1, r2, r3, r4))
+    d, q44 = q3 - _times(r2, r4), _times(r4, r4)
+    return np.array((q1 + 0.5 * (q44 - _times(r2, r2)), d, q2, q4,
+                     _times(r4, r5) - d, 0.5 * q44))
+
+
 # lyapunov_fd reads a system's rows twice, in the density and in the
-# quadrature; closed_form_lyapunov reads the same (A, beta) rows at every alpha
+# quadrature; a closed sweep reads the same (A, beta) rows at every bisection level
 @functools.lru_cache(maxsize=4)
 def _polar_rows(sys: LinearSDE) -> np.ndarray:
     """Read-only rows over the basis of ``_times``, stacked: the log r
     drift Q = q1 + (q4^2 - q2^2) / 2, the theta drift D = q3 - q2 q4,
-    q2, q4, and fd's angle drift -D + q4 q5."""
-    r1, r2, r3, r4, r5 = _angle_table(sys)
-    q1, q2, q3, q4 = (np.array(r + (0.0, 0.0)) for r in (r1, r2, r3, r4))
-    d = q3 - _times(r2, r4)
-    out = np.array((q1 + 0.5 * (_times(r4, r4) - _times(r2, r2)), d, q2, q4,
-                    _times(r4, r5) - d))
+    q2, q4, and fd's angle drift -D + q4 q5 and diffusion q4^2 / 2."""
+    out = _rows(_angle_table(sys))
     out.flags.writeable = False
     return out
 
@@ -194,10 +207,15 @@ class SweepResult:
 
 
 # the mode count N of fd's Galerkin solve and of closed's continued fraction
-# doubles from 16 until max(|p_{+-N}|, |p_{+-(N-1)}|) <= _MODE_TAIL |p_0|, up
-# to _MAX_MODES
+# doubles from _START_MODES until max(|p_{+-N}|, |p_{+-(N-1)}|) <= _MODE_TAIL
+# |p_0|, up to _MAX_MODES
 _MODE_TAIL = 1e-14
+_START_MODES = 16
 _MAX_MODES = 1024
+# a stacked Galerkin solve holds at most _SOLVE_ELEMENTS matrix elements (4
+# MB) or one system; fd takes the alphas of a sweep in blocks of _STACK
+_SOLVE_ELEMENTS = 2 ** 18
+_STACK = _SOLVE_ELEMENTS // (2 * _START_MODES + 2) ** 2
 # a row over the basis (1, c, s, c^2, c s) of ``_times``, times this, gives
 # its Fourier modes at e^{2 i j theta}, j = -2..2
 _FOURIER = np.array([[0, 0, 1, 0, 0],
@@ -205,6 +223,9 @@ _FOURIER = np.array([[0, 0, 1, 0, 0],
                      [0, 0.5j, 0, -0.5j, 0],
                      [0.25, 0, 0.5, 0, 0.25],
                      [0.25j, 0, 0, 0, -0.25j]])
+# p_{+-N} and p_{+-(N-1)}, whose largest modulus over p_0 is a solve's tail
+_TAIL_MODES = np.array([0, 1, -2, -1])
+_REAL_ZEROS = "q4 has real zeros, where the angle diffusion vanishes; use the mc method"
 
 
 def _unresolved(modes: int, tail: float) -> DegeneratePhaseDiffusionError:
@@ -213,27 +234,73 @@ def _unresolved(modes: int, tail: float) -> DegeneratePhaseDiffusionError:
         f"of p_0 > {_MODE_TAIL:g}); use the mc method")
 
 
+def _fd_modes(rows: np.ndarray) -> tuple:
+    """From ``_rows`` (6, 5), or (6, 5, M) for a stack: the modes j =
+    -2..2 of the diffusion q4^2 / 2, the angle drift g and the log r
+    drift Q, (3, 5) or (M, 3, 5), and q4's gap |m| - hypot(c, s)."""
+    m, c, s = rows[3, :3]
+    coef = rows[[5, 4, 0]]
+    return (coef.transpose(*range(2, coef.ndim), 0, 1) @ _FOURIER,
+            np.abs(m) - np.hypot(c, s))
+
+
 def _galerkin(diffusion: np.ndarray, drift: np.ndarray, modes: int) -> np.ndarray:
-    """The modes p_k, k = -modes..modes, of the solution of diffusion p'
-    + drift p = p0 with pi p_0 = 1, truncated to |k| <= modes; diffusion
-    and drift are given by their modes j = -2..2.
+    """For each system of a stack, the modes p_k, k = -modes..modes, of
+    the solution of diffusion p' + drift p = p0 with pi p_0 = 1,
+    truncated to |k| <= modes; diffusion and drift (M, 5) are given by
+    their modes j = -2..2.  Returns (M, 2 modes + 1).
 
     Mode k of the equation reads sum_j (2 i (k - j) diffusion_j + drift_j)
     p_{k-j} = p0 [k = 0]: five diagonals, one more column for the unknown
-    flux p0 and one more row for the normalisation, solved densely.
+    flux p0 and one more row for the normalisation; the stack is solved
+    densely, by one batched call.
     """
     size = 2 * modes + 1
-    k = np.arange(-modes, modes + 1)
-    band = np.multiply.outer(2j * diffusion, k) + drift[:, None]
-    a = np.zeros((size + 1, size + 1), dtype=complex)
+    band = (2j * diffusion)[:, :, None] * np.arange(-modes, modes + 1) + drift[:, :, None]
+    a = np.zeros((len(drift), size + 1, size + 1), dtype=complex)
+    flat = a.reshape(len(a), -1)
     for j in range(-2, 3):
-        col = np.arange(max(0, -j), size - max(0, j))
-        a[col + j, col] = band[j + 2, col]
-    a[modes, size] = -1.0
-    a[size, modes] = math.pi
+        # entries (col + j, col), col = lo..hi - 1, lie size + 2 apart in flat
+        lo, hi = max(0, -j), size - max(0, j)
+        start = (lo + j) * (size + 1) + lo
+        flat[:, start:start + (hi - lo) * (size + 2):size + 2] = band[:, j + 2, lo:hi]
+    a[:, modes, size] = -1.0
+    a[:, size, modes] = math.pi
     rhs = np.zeros(size + 1)
     rhs[size] = 1.0
-    return np.linalg.solve(a, rhs)[:size]
+    return np.linalg.solve(a, rhs)[:, :size]
+
+
+def _galerkin_levels(coef: np.ndarray, n: int):
+    """fd's mode rule over a stack of systems with ``_fd_modes`` coef
+    (M, 3, 5): yields (index, N, p, tail) for the systems that leave
+    level N, with their tail max(|p_{+-N}|, |p_{+-(N-1)}|) / |p_0| at most
+    _MODE_TAIL or at the cap N = min(n // 2, _MAX_MODES).  N doubles from
+    _START_MODES, and only the unresolved systems go on, so each system
+    gets the N, p and tail of its own solve.
+    """
+    cap = min(n // 2, _MAX_MODES)
+    modes = min(_START_MODES, cap)
+    todo = np.arange(len(coef))
+    while len(todo):
+        step = max(1, _SOLVE_ELEMENTS // (2 * modes + 2) ** 2)
+        rest = []
+        for lo in range(0, todo.size, step):
+            part = todo[lo:lo + step]
+            c = coef[part]
+            p = _galerkin(c[:, 0], c[:, 1], modes)
+            # with modes = 1 the tail holds p_0 itself, so it is never accepted
+            tail = np.abs(p[:, _TAIL_MODES]).max(axis=1) / np.abs(p[:, modes])
+            done = (tail <= _MODE_TAIL) | (modes == cap)
+            if done.all():
+                yield part, modes, p, tail
+            elif done.any():
+                yield part[done], modes, p[done], tail[done]
+                rest.append(part[~done])
+            else:
+                rest.append(part)
+        todo = np.concatenate(rest) if rest else rest
+        modes = min(2 * modes, cap)
 
 
 def stationary_density_fd(sys: LinearSDE, n: int = 10000) -> PhaseDensity:
@@ -242,13 +309,14 @@ def stationary_density_fd(sys: LinearSDE, n: int = 10000) -> PhaseDensity:
     bounds the mode count.
 
     The density solves  q4^2/2 p' + g p = p0,  g = -q3 + q2 q4 + q4 q5
-    (``_polar_rows``), where the constant p0 is the stationary probability
+    (both in ``_polar_rows``), where the constant p0 is the stationary probability
     flux through the period.  q4^2/2 and g are rows over the basis of
     ``_times``, so each has five Fourier modes in e^{2 i j theta}, |j| <=
     2, and in the modes p_k the equation is pentadiagonal
-    (``_galerkin``).  The mode count N starts at 16 and doubles while the
-    tail max(|p_{+-N}|, |p_{+-(N-1)}|) exceeds _MODE_TAIL |p_0|; it is
-    capped at min(n // 2, _MAX_MODES).  Where q4 has no real zeros the
+    (``_galerkin``, here on a stack of one).  The mode count N starts at
+    16 and doubles while the tail max(|p_{+-N}|, |p_{+-(N-1)}|) exceeds
+    _MODE_TAIL |p_0|; it is capped at min(n // 2, _MAX_MODES)
+    (``_galerkin_levels``).  Where q4 has no real zeros the
     density is analytic and the modes fall geometrically (Boyd 2001,
     ch. 2), so the tail also bounds the error of the node values.
 
@@ -260,25 +328,14 @@ def stationary_density_fd(sys: LinearSDE, n: int = 10000) -> PhaseDensity:
     """
     if n < 2:
         raise ValueError("grid size n must be >= 2")
-    r4 = _angle_table(sys)[3]
-    gap = abs(r4[0]) - math.hypot(r4[1], r4[2])
-    if gap <= 0.0:
-        raise DegeneratePhaseDiffusionError(
-            "q4 has real zeros, where the angle diffusion vanishes; "
-            "use the mc method")
-    diffusion, drift = np.array((0.5 * _times(r4, r4), _polar_rows(sys)[4])) @ _FOURIER
-    cap = min(n // 2, _MAX_MODES)
-    modes = min(16, cap)
-    while True:
-        p = _galerkin(diffusion, drift, modes)
-        # with modes = 1 the tail holds p_0 itself, so it is never accepted
-        tail = float(np.abs(p[[0, 1, -2, -1]]).max() / abs(p[modes]))
-        if tail <= _MODE_TAIL:
-            break
-        if modes == cap:
-            raise _unresolved(modes, tail)
-        modes = min(2 * modes, cap)
-    return PhaseDensity(n=n, step=math.pi / n, modes=p, min_q4_sq=gap * gap, tail=tail)
+    coef, gap = _fd_modes(_polar_rows(sys))
+    if not gap > 0.0:
+        raise DegeneratePhaseDiffusionError(_REAL_ZEROS)
+    ((_, modes, (p,), (tail,)),) = _galerkin_levels(coef[None], n)
+    if not tail <= _MODE_TAIL:
+        raise _unresolved(modes, tail)
+    return PhaseDensity(n=n, step=math.pi / n, modes=p, min_q4_sq=float(gap * gap),
+                        tail=float(tail))
 
 
 def lyapunov_fd(sys: LinearSDE, n: int = 10000) -> LyapunovEstimate:
@@ -298,6 +355,37 @@ def lyapunov_fd(sys: LinearSDE, n: int = 10000) -> LyapunovEstimate:
     return LyapunovEstimate(
         value=value, method="fd", stderr=0.0, n=n,
         diagnostics={"min_q4_sq": dens.min_q4_sq, "modes": modes, "tail": dens.tail})
+
+
+def _fd_exponents(A: Mat2, beta: float, alphas: np.ndarray, n: int) -> tuple:
+    """``lyapunov_fd`` at B = alpha I + beta J for every alpha: the
+    exponents (NaN where rejected), the mode counts and {index: message}
+    of the rejections, each as the one-alpha call gives it.  A block of
+    _STACK alphas gets its rows from one ``_rows`` call on stacked
+    entries and its densities from one ``_galerkin_levels`` pass;
+    np.vecdot sums the terms of np.vdot in its order.
+    """
+    if n < 2:
+        raise ValueError("grid size n must be >= 2")
+    values, counts, errors = np.full(alphas.size, np.nan), np.zeros(alphas.size, int), {}
+    for lo in range(0, alphas.size, _STACK):
+        al = alphas[lo:lo + _STACK]
+        one = np.ones_like(al)
+        sys = LinearSDE(_Entries(*(one * v for v in (A.a11, A.a12, A.a21, A.a22))),
+                        _Entries(al, -beta * one, beta * one, al))
+        coef, gap = _fd_modes(_rows(_angle_table(sys)))
+        good = np.flatnonzero(gap > 0.0)
+        errors.update(dict.fromkeys((lo + np.flatnonzero(~(gap > 0.0))).tolist(),
+                                    _REAL_ZEROS))
+        for idx, modes, p, tail in _galerkin_levels(coef[good], n):
+            k, ok = good[idx], tail <= _MODE_TAIL
+            counts[lo + k] = modes
+            if ok.any():  # never at modes < 2
+                values[lo + k[ok]] = math.pi * np.vecdot(
+                    p[ok, modes - 2:modes + 3], coef[k[ok], 2]).real
+            errors.update((lo + i, str(_unresolved(modes, t)))
+                          for i, t in zip(k[~ok].tolist(), tail[~ok].tolist()))
+    return values, counts, dict(sorted(errors.items()))
 
 
 def _closed_exponents(A: Mat2, beta: float, alphas: np.ndarray) -> tuple:
@@ -333,7 +421,7 @@ def _closed_exponents(A: Mat2, beta: float, alphas: np.ndarray) -> tuple:
     s, one = (-g[3], np.ones(1)) if g[3] != 0 else (1.0, np.zeros(1))
     c = -g[1] * g[3] / s ** 2 * one
     h0 = (g[2] + beta * alphas) / s
-    modes = 16
+    modes = _START_MODES
     with np.errstate(all="ignore"):
         while True:
             shifts = (1j * beta ** 2 / s) * np.arange(modes + 1)[:, None]
@@ -474,12 +562,15 @@ def stability_sweep(model: ModelSpec, equilibrium: Equilibrium, beta: float,
     brackets of width refine_tol; a per-point failure (q4 with real
     zeros, a density unresolved within the mode cap) is recorded and the
     sweep continues; a failed bisection midpoint ends the refinement of
-    its bracket, which then stays wider than refine_tol.  The closed
-    method solves the whole grid by one ``_closed_exponents`` call, and
-    each bisection midpoint by one more; a setup failure (beta = 0) is
-    recorded at every grid point.  For the mc method, grid point k draws
-    from stream block (seed, k * 2^32) and refinement points derive their
-    stream from the alpha bit pattern, so results are schedule-independent.
+    its bracket, which then stays wider than refine_tol.  The grid is
+    evaluated by one call of a batched evaluator, and each bisection
+    level, the midpoints of all open brackets, by one more: fd as stacks
+    (``_fd_exponents``), closed as one continued fraction
+    (``_closed_exponents``), mc point by point.  A setup failure of a
+    call (beta = 0 for closed) is recorded at each of its points.  For
+    the mc method, grid point k draws from stream block
+    (seed, k * 2^32) and refinement points derive their stream from the
+    alpha bit pattern, so results are schedule-independent.
     """
     alphas = np.asarray(list(alpha_grid), dtype=float)
     if not np.isfinite(alphas).all():
@@ -490,61 +581,59 @@ def stability_sweep(model: ModelSpec, equilibrium: Equilibrium, beta: float,
         raise ValueError(f"unknown method {method!r}")
     a_mat = linearize(model, alpha_family(0.0, beta), equilibrium).A
 
-    def evaluate(alpha: float, stream_base: int) -> LyapunovEstimate:
-        if method == "fd":
-            return lyapunov_fd(LinearSDE(a_mat, alpha_family(alpha, beta)), n=grid_n)
-        if method == "closed":
-            return closed_form_lyapunov(a_mat, alpha, beta)
-        return lyapunov_mc(LinearSDE(a_mat, alpha_family(alpha, beta)),
-                           horizon=horizon, dt=dt, paths=paths, seed=seed,
-                           stream_base=stream_base)
-
-    lambdas = np.full(alphas.size, np.nan)
-    stderrs = np.zeros(alphas.size)
-    failures = []
-    if method == "closed":
+    def evaluate(points: np.ndarray, on_grid: bool) -> tuple:
+        """(lambda, stderr, {index: message}) at the points; lambda is NaN
+        where a point failed.  An exception fails every point: it comes
+        from the setup (beta = 0 for closed, n < 2 for fd, an mc setting)."""
+        stderrs = np.zeros(points.size)
         try:
-            values, tails, modes = _closed_exponents(a_mat, beta, alphas)
-        except (ValueError, ArithmeticError) as exc:
-            # no grid point has an exponent, so nothing is bisected
-            failures = [(float(alpha), str(exc)) for alpha in alphas]
-        else:
-            ok = tails <= _MODE_TAIL
-            lambdas[ok] = values[ok]
-            failures = [(float(alpha), str(_unresolved(modes, tail)))
-                        for alpha, tail in zip(alphas[~ok], tails[~ok])]
-    else:
-        for k, alpha in enumerate(alphas):
-            try:
-                est = evaluate(float(alpha), k << 32)
-            except (ValueError, ArithmeticError) as exc:
-                failures.append((float(alpha), str(exc)))
-                continue
-            lambdas[k] = est.value
-            stderrs[k] = est.stderr
-
-    def stable(lam: float) -> bool:
-        return lam <= 0.0  # exact zero counts as stable
-
-    # grid neighbours, both with exponents, of opposite stability
-    known, st = ~np.isnan(lambdas), stable(lambdas)
-    flips = np.flatnonzero(known[:-1] & known[1:] & (st[:-1] != st[1:])) + 1
-    sign_changes = []
-    for k in flips.tolist():
-        lo, hi = float(alphas[k - 1]), float(alphas[k])
-        llo = float(lambdas[k - 1])
-        while hi - lo > refine_tol:
-            mid = 0.5 * (lo + hi)
-            try:
-                lmid = evaluate(mid, _refine_stream_base(mid)).value
-            except (ValueError, ArithmeticError) as exc:
-                failures.append((mid, str(exc)))
-                break
-            if stable(lmid) == stable(llo):
-                lo, llo = mid, lmid
+            if method == "fd":
+                values, _, errors = _fd_exponents(a_mat, beta, points, grid_n)
+            elif method == "closed":
+                values, tails, modes = _closed_exponents(a_mat, beta, points)
+                bad = np.flatnonzero(~(tails <= _MODE_TAIL))
+                values[bad] = np.nan
+                errors = {k: str(_unresolved(modes, tails[k])) for k in bad.tolist()}
             else:
-                hi = mid
-        sign_changes.append((lo, hi))
+                values, errors = np.empty(points.size), {}
+                for k, alpha in enumerate(points.tolist()):
+                    est = lyapunov_mc(
+                        LinearSDE(a_mat, alpha_family(alpha, beta)), horizon=horizon,
+                        dt=dt, paths=paths, seed=seed,
+                        stream_base=k << 32 if on_grid else _refine_stream_base(alpha))
+                    values[k], stderrs[k] = est.value, est.stderr
+        except (ValueError, ArithmeticError) as exc:
+            return np.full(points.size, np.nan), stderrs, dict.fromkeys(
+                range(points.size), str(exc))
+        return values, stderrs, errors
+
+    lambdas, stderrs, errors = evaluate(alphas, True)
+    failures = [(float(alphas[k]), msg) for k, msg in errors.items()]
+
+    # grid neighbours, both with exponents, of opposite stability (an exact
+    # zero counts as stable)
+    known, st = ~np.isnan(lambdas), lambdas <= 0.0
+    flips = np.flatnonzero(known[:-1] & known[1:] & (st[:-1] != st[1:]))
+    lo, hi, stable_lo = alphas[flips], alphas[flips + 1], st[flips]
+    ended = {}  # bracket -> its failed midpoint and message
+    # bisect every open bracket one level per evaluate call; a bracket whose
+    # midpoint rounds onto an end cannot shrink and is closed as it is
+    live = np.flatnonzero(hi - lo > refine_tol)
+    while live.size:
+        mid = 0.5 * (lo[live] + hi[live])
+        inside = (lo[live] < mid) & (mid < hi[live])
+        live, mid = live[inside], mid[inside]
+        values, _, errors = evaluate(mid, False)
+        for k, msg in errors.items():
+            ended[live[k]] = (float(mid[k]), msg)
+        ok = np.ones(live.size, dtype=bool)
+        ok[list(errors)] = False
+        live, mid, same = live[ok], mid[ok], (values[ok] <= 0.0) == stable_lo[live[ok]]
+        lo[live[same]] = mid[same]
+        hi[live[~same]] = mid[~same]
+        live = live[hi[live] - lo[live] > refine_tol]
+    failures += [ended[b] for b in sorted(ended)]
+    sign_changes = list(zip(lo.tolist(), hi.tolist()))
 
     stable_set = _stable_intervals(alphas, lambdas, sign_changes)
     return SweepResult(alphas=alphas, lambdas=lambdas, stderrs=stderrs,
@@ -554,30 +643,20 @@ def stability_sweep(model: ModelSpec, equilibrium: Equilibrium, beta: float,
 
 def _stable_intervals(alphas, lambdas, sign_changes) -> list:
     """Maximal alpha intervals with lambda <= 0, endpoints at refined
-    crossings (bracket midpoints) or the grid edges."""
-    finite = [(float(a), float(l)) for a, l in zip(alphas, lambdas)
-              if not math.isnan(l)]
-    if not finite:
-        return []
-    crossings = [0.5 * (lo + hi) for lo, hi in sign_changes]
-    out = []
-    start: Optional[float] = finite[0][0] if finite[0][1] <= 0 else None
-    ci = 0
-    for (a_prev, l_prev), (a_cur, l_cur) in zip(finite, finite[1:]):
-        if (l_prev <= 0) == (l_cur <= 0):
-            continue
-        cross = None
-        if ci < len(crossings) and a_prev <= crossings[ci] <= a_cur:
-            cross = crossings[ci]
-            ci += 1
-        else:  # a sign change across failed grid points, which
-            # sign_changes never lists: fall back to the midpoint
-            cross = 0.5 * (a_prev + a_cur)
-        if l_prev <= 0:  # leaving the stable set
-            out.append((start, cross))
-            start = None
-        else:            # entering the stable set
-            start = cross
-    if start is not None:
-        out.append((start, finite[-1][0]))
-    return out
+    crossings (bracket midpoints) or the grid edges.
+
+    Between neighbouring points with exponents (failed points skipped)
+    whose stability differs, the set ends or begins at the refined
+    crossing in that pair, or, where the pair spans failed grid points
+    and sign_changes has none, at the pair's midpoint.
+    """
+    known = ~np.isnan(lambdas)
+    a, st = np.asarray(alphas, dtype=float)[known], lambdas[known] <= 0.0
+    flips = np.flatnonzero(st[:-1] != st[1:])
+    cross = 0.5 * (a[flips] + a[flips + 1])
+    # a refined crossing replaces the midpoint of the pair it was bisected in
+    refined = 0.5 * np.reshape(sign_changes, (-1, 2)).sum(axis=1)
+    cross[np.searchsorted(a[flips], refined, side="right") - 1] = refined
+    starts = np.concatenate((a[:1][st[:1]], cross[~st[flips]]))
+    ends = np.concatenate((cross[st[flips]], a[-1:][st[-1:]]))
+    return list(zip(starts.tolist(), ends.tolist()))

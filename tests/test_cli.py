@@ -331,6 +331,17 @@ def test_cli_single_alpha_commands_reject_a_range(capsys, tmp_path, command, ext
     assert not (tmp_path / "out.csv").exists()
 
 
+@pytest.mark.parametrize("method", ["fd", "closed", "mc"])
+def test_cli_sweep_rejects_noise(capsys, tmp_path, method):
+    # --noise was ignored: sweep ran the alpha family and exited 0
+    argv = ["sweep", "--model", "bell", "--noise", "1,2,3,4", "--alpha=-1:1:0.5",
+            "--method", method, "--out", str(tmp_path / "sweep.csv")]
+    assert main(argv) == 2
+    assert capsys.readouterr().err == (
+        "config error: noise: sweep uses the alpha/beta family, not --noise\n")
+    assert not (tmp_path / "sweep.csv").exists()
+
+
 def test_runtime_imports_without_scipy():
     src = str(Path(__file__).resolve().parents[1] / "src")
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(

@@ -298,7 +298,7 @@ def test_polar_rows_match_phase_coefficients():
         q = phase_coefficients(_sys(a, b), theta)
         want = (q.q1 + 0.5 * (q.q4 * q.q4 - q.q2 * q.q2),
                 q.q3 - q.q2 * q.q4, q.q2, q.q4,
-                -q.q3 + q.q2 * q.q4 + q.q4 * q.q5)
+                -q.q3 + q.q2 * q.q4 + q.q4 * q.q5, 0.5 * q.q4 * q.q4)
         scale = 1.0 + np.abs(a).max() + np.abs(b).max() ** 2
         assert np.abs(values - np.array(want)).max() <= 1e-13 * scale
 
@@ -558,14 +558,16 @@ def test_sweep_bracket_stays_wide_when_a_midpoint_fails(monkeypatch):
     # 0.5 and both midpoints are listed as failures
     grid = np.arange(-4, 4.01, 0.5)
     on_grid = set(grid.tolist())
-    real = lyapunov.lyapunov_fd
+    real = lyapunov._fd_exponents
 
-    def grid_only(sys, n=10000):
-        if sys.B.a11 not in on_grid:  # the alpha of alpha_family
-            raise DegeneratePhaseDiffusionError("off-grid alpha refused")
-        return real(sys, n=n)
+    def grid_only(a_mat, beta, alphas, n):
+        values, modes, errors = real(a_mat, beta, alphas, n)
+        off = [k for k, alpha in enumerate(alphas.tolist()) if alpha not in on_grid]
+        values[off] = math.nan
+        errors.update(dict.fromkeys(off, "off-grid alpha refused"))
+        return values, modes, errors
 
-    monkeypatch.setattr(lyapunov, "lyapunov_fd", grid_only)
+    monkeypatch.setattr(lyapunov, "_fd_exponents", grid_only)
     m, e = bell_model(), bell_equilibria(BELL_PARAMS)[0]
     r = stability_sweep(m, e, -2.0, grid, method="fd", grid_n=2000,
                         refine_tol=1e-3)
@@ -641,6 +643,206 @@ def test_closed_sweep_records_a_cap_rejection_per_point():
     assert np.isnan(r.lambdas[0])
     want = closed_form_lyapunov(_drift_matrix("KT-P2", 0.004), 0.0, 0.004).value
     assert abs(r.lambdas[1] - want) <= 1e-12 * (1 + abs(want))
+
+
+@pytest.mark.parametrize("label, beta, alphas", [
+    ("Bell-P1", -2.0, np.linspace(-5.0, 5.0, 41)),
+    ("Bell-P1", -0.1, np.linspace(-5.0, 5.0, 11)),
+    ("KT-P2", -2.0, np.linspace(-5.0, 5.0, 41)),
+    ("KT-P2", 0.004, np.array([-5.0, 0.0]))],
+    ids=["Bell-P1--2", "Bell-P1--0.1", "KT-P2--2", "KT-P2-0.004"])
+def test_fd_sweep_matches_per_point_solve(label, beta, alphas):
+    # the stacked solve against one lyapunov_fd call per alpha: the same
+    # value, mode count and failure message; at beta = -0.1 the points
+    # need 64 or 128 modes, and KT P2 at beta = 0.004 rejects alpha = -5
+    # at the cap while alpha = 0 resolves there
+    model, equilibria, params, k = _ALPHA_FAMILY_SYSTEMS[label]
+    a_mat = _drift_matrix(label, beta)
+    values, modes, errors = lyapunov._fd_exponents(a_mat, beta, alphas, 10000)
+    r = stability_sweep(model(), equilibria(params)[k], beta, alphas, method="fd")
+    np.testing.assert_array_equal(r.lambdas, values)
+    want_failures = []
+    for i, alpha in enumerate(alphas.tolist()):
+        try:
+            est = lyapunov_fd(LinearSDE(a_mat, alpha_family(alpha, beta)))
+        except DegeneratePhaseDiffusionError as exc:
+            assert errors[i] == str(exc) and math.isnan(values[i])
+            want_failures.append((alpha, str(exc)))
+            continue
+        assert i not in errors and modes[i] == est.diagnostics["modes"]
+        assert abs(values[i] - est.value) <= 1e-12 * (1.0 + abs(est.value))
+    assert r.failures[:len(want_failures)] == want_failures
+    if label == "KT-P2" and beta > 0:
+        assert list(errors) == [0] and "not resolved by 1024 modes" in errors[0]
+        assert modes.tolist() == [1024, 1024]
+    if beta == -0.1:
+        assert set(modes.tolist()) == {64, 128}
+
+
+def test_fd_stack_split_leaves_values_unchanged(monkeypatch):
+    # blocks of 5 alphas and solves of at most 3 systems give the values of
+    # one unsplit stack, bit for bit
+    a_mat = _drift_matrix("Bell-P1", -0.3)
+    alphas = np.linspace(-5.0, 5.0, 23)
+    whole = lyapunov._fd_exponents(a_mat, -0.3, alphas, 10000)
+    monkeypatch.setattr(lyapunov, "_STACK", 5)
+    monkeypatch.setattr(lyapunov, "_SOLVE_ELEMENTS", 3 * 34 ** 2)
+    split = lyapunov._fd_exponents(a_mat, -0.3, alphas, 10000)
+    np.testing.assert_array_equal(split[0], whole[0])
+    np.testing.assert_array_equal(split[1], whole[1])
+    assert split[2] == whole[2] == {}
+    assert len(set(whole[1].tolist())) > 1  # the levels split the stack too
+
+
+def test_fd_sweep_allocation_is_bounded():
+    # 4001 points at 16 modes would need 74 MB of matrices in one stack;
+    # split, a solve holds _SOLVE_ELEMENTS of them
+    m, e = bell_model(), bell_equilibria(BELL_PARAMS)[0]
+    grid = np.linspace(-5.0, 5.0, 4001)
+    stability_sweep(m, e, -2.0, grid[:5], method="fd")
+    tracemalloc.start()
+    try:
+        r = stability_sweep(m, e, -2.0, grid, method="fd")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert r.failures == [] and len(r.sign_changes) == 2
+    assert peak <= 2 * 16 * lyapunov._SOLVE_ELEMENTS, peak
+
+
+def _bisect_one_bracket_at_a_time(alphas, lambdas, evaluate, refine_tol=1e-3):
+    """Brackets and midpoint failures of the sweep's bisection, one
+    bracket refined to the end before the next, one alpha per call."""
+    brackets, failures = [], []
+    for k in range(1, alphas.size):
+        llo, lhi = lambdas[k - 1], lambdas[k]
+        if math.isnan(llo) or math.isnan(lhi) or (llo <= 0) == (lhi <= 0):
+            continue
+        lo, hi = float(alphas[k - 1]), float(alphas[k])
+        while hi - lo > refine_tol:
+            mid = 0.5 * (lo + hi)
+            try:
+                lmid = evaluate(mid)
+            except (ValueError, ArithmeticError) as exc:
+                failures.append((mid, str(exc)))
+                break
+            if (lmid <= 0) == (llo <= 0):
+                lo = mid
+            else:
+                hi = mid
+        brackets.append((lo, hi))
+    return brackets, failures
+
+
+@pytest.mark.parametrize("method", ["fd", "closed", "mc"])
+def test_sweep_bisects_all_brackets_level_by_level(method):
+    # the batched levels give the brackets of one-at-a-time bisection, bit
+    # for bit; mc midpoints keep their alpha-derived streams
+    m, e = bell_model(), bell_equilibria(BELL_PARAMS)[0]
+    a_mat = _drift_matrix("Bell-P1")
+    kw = dict(horizon=2.0, dt=1e-2, paths=8, seed=11)
+    grid = np.arange(-4.0, 4.01, 0.5)
+    r = stability_sweep(m, e, -2.0, grid, method=method, **kw)
+
+    def evaluate(alpha):
+        sys = LinearSDE(a_mat, alpha_family(alpha, -2.0))
+        if method == "fd":
+            return lyapunov_fd(sys).value
+        if method == "closed":
+            return closed_form_lyapunov(a_mat, alpha, -2.0).value
+        return lyapunov_mc(sys, stream_base=lyapunov._refine_stream_base(alpha),
+                           **kw).value
+
+    brackets, failures = _bisect_one_bracket_at_a_time(r.alphas, r.lambdas, evaluate)
+    assert r.sign_changes == brackets and len(brackets) >= 2
+    assert r.failures == failures == []
+
+
+def test_sweep_failed_midpoint_ends_only_its_bracket(monkeypatch):
+    # midpoints below zero are refused: the left bracket keeps its grid
+    # width, the right one is refined as usual
+    real = lyapunov._fd_exponents
+
+    def refuse_negative_midpoints(a_mat, beta, alphas, n):
+        values, modes, errors = real(a_mat, beta, alphas, n)
+        if alphas.size == 1 or alphas.size < 3:  # bisection levels
+            off = [k for k, alpha in enumerate(alphas.tolist()) if alpha < 0]
+            values[off] = math.nan
+            errors.update(dict.fromkeys(off, "refused"))
+        return values, modes, errors
+
+    monkeypatch.setattr(lyapunov, "_fd_exponents", refuse_negative_midpoints)
+    m, e = bell_model(), bell_equilibria(BELL_PARAMS)[0]
+    r = stability_sweep(m, e, -2.0, np.arange(-4, 4.01, 0.5), method="fd")
+    (llo, lhi), (rlo, rhi) = r.sign_changes
+    assert (llo, lhi) == (-2.0, -1.5)
+    assert rhi - rlo <= 1e-3 and 1.5 <= rlo < rhi <= 2.0
+    assert r.failures == [(-1.75, "refused")]
+
+
+def test_sweep_bisection_stops_at_adjacent_floats():
+    # with refine_tol = 0 a midpoint eventually rounds onto a bracket end;
+    # the bracket is closed there instead of being bisected forever
+    m, e = bell_model(), bell_equilibria(BELL_PARAMS)[0]
+    r = stability_sweep(m, e, -2.0, np.arange(-4, 4.01, 0.5), method="closed",
+                        refine_tol=0.0)
+    assert len(r.sign_changes) == 2 and r.failures == []
+    for lo, hi in r.sign_changes:
+        assert hi == np.nextafter(lo, np.inf)
+
+
+def _stable_intervals_loop(alphas, lambdas, sign_changes):
+    """The per-point loop that ``_stable_intervals`` replaced."""
+    finite = [(float(a), float(l)) for a, l in zip(alphas, lambdas)
+              if not math.isnan(l)]
+    if not finite:
+        return []
+    crossings = [0.5 * (lo + hi) for lo, hi in sign_changes]
+    out = []
+    start = finite[0][0] if finite[0][1] <= 0 else None
+    ci = 0
+    for (a_prev, l_prev), (a_cur, l_cur) in zip(finite, finite[1:]):
+        if (l_prev <= 0) == (l_cur <= 0):
+            continue
+        if ci < len(crossings) and a_prev <= crossings[ci] <= a_cur:
+            cross = crossings[ci]
+            ci += 1
+        else:
+            cross = 0.5 * (a_prev + a_cur)
+        if l_prev <= 0:
+            out.append((start, cross))
+            start = None
+        else:
+            start = cross
+    if start is not None:
+        out.append((start, finite[-1][0]))
+    return out
+
+
+def test_stable_intervals_match_the_loop():
+    # random grids of failed points (NaN), exact zeros and signs, with a
+    # bracket inside each pair of neighbouring grid points of opposite
+    # stability, as the sweep refines them; pairs across failed points
+    # have none
+    rng = np.random.default_rng(13)
+    cases = [([0.0, 1.0, 2.0, 3.0], [-1.0, math.nan, 1.0, 0.0]),
+             ([0.0, 1.0, 2.0], [0.0, 0.0, 0.0]),
+             ([0.0, 1.0], [math.nan, math.nan]), ([], [])]
+    for _ in range(400):
+        size = int(rng.integers(1, 30))
+        cases.append((np.cumsum(rng.uniform(0.1, 1.0, size)) - 5.0,
+                      rng.choice([-1.5, -0.2, 0.0, 0.3, 2.0, math.nan], size)))
+    for alphas, lambdas in cases:
+        alphas, lambdas = np.array(alphas, dtype=float), np.array(lambdas)
+        brackets = []
+        for k in range(1, alphas.size):
+            l0, l1 = lambdas[k - 1], lambdas[k]
+            if not (math.isnan(l0) or math.isnan(l1)) and (l0 <= 0) != (l1 <= 0):
+                lo, hi = np.sort(rng.uniform(alphas[k - 1], alphas[k], 2))
+                brackets.append((float(lo), float(hi)))
+        want = _stable_intervals_loop(alphas, lambdas, brackets)
+        got = lyapunov._stable_intervals(alphas, lambdas, brackets)
+        assert got == want and all(type(v) is float for iv in got for v in iv)
 
 
 def test_sweep_mc_reproducible():
