@@ -759,21 +759,23 @@ def test_sweep_bisects_all_brackets_level_by_level(method):
 
 
 def test_sweep_failed_midpoint_ends_only_its_bracket(monkeypatch):
-    # midpoints below zero are refused: the left bracket keeps its grid
-    # width, the right one is refined as usual
+    # off-grid alphas below zero are refused: the left bracket keeps its
+    # grid width, the right one is refined as usual
+    grid = np.arange(-4, 4.01, 0.5)
+    on_grid = set(grid.tolist())
     real = lyapunov._fd_exponents
 
     def refuse_negative_midpoints(a_mat, beta, alphas, n):
         values, modes, errors = real(a_mat, beta, alphas, n)
-        if alphas.size == 1 or alphas.size < 3:  # bisection levels
-            off = [k for k, alpha in enumerate(alphas.tolist()) if alpha < 0]
-            values[off] = math.nan
-            errors.update(dict.fromkeys(off, "refused"))
+        off = [k for k, alpha in enumerate(alphas.tolist())
+               if alpha < 0 and alpha not in on_grid]
+        values[off] = math.nan
+        errors.update(dict.fromkeys(off, "refused"))
         return values, modes, errors
 
     monkeypatch.setattr(lyapunov, "_fd_exponents", refuse_negative_midpoints)
     m, e = bell_model(), bell_equilibria(BELL_PARAMS)[0]
-    r = stability_sweep(m, e, -2.0, np.arange(-4, 4.01, 0.5), method="fd")
+    r = stability_sweep(m, e, -2.0, grid, method="fd")
     (llo, lhi), (rlo, rhi) = r.sign_changes
     assert (llo, lhi) == (-2.0, -1.5)
     assert rhi - rlo <= 1e-3 and 1.5 <= rlo < rhi <= 2.0
