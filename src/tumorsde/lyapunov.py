@@ -234,14 +234,14 @@ def _unresolved(modes: int, tail: float) -> DegeneratePhaseDiffusionError:
         f"of p_0 > {_MODE_TAIL:g}); use the mc method")
 
 
-def _fd_modes(rows: np.ndarray) -> tuple:
-    """From ``_rows`` (6, 5), or (6, 5, M) for a stack: the modes j =
-    -2..2 of the diffusion q4^2 / 2, the angle drift g and the log r
-    drift Q, (3, 5) or (M, 3, 5), and q4's gap |m| - hypot(c, s)."""
-    m, c, s = rows[3, :3]
-    coef = rows[[5, 4, 0]]
-    return (coef.transpose(*range(2, coef.ndim), 0, 1) @ _FOURIER,
-            np.abs(m) - np.hypot(c, s))
+@functools.lru_cache(maxsize=16)
+def _band(modes: int) -> tuple:
+    """``_galerkin``'s entries (col + j, col), j = -2..2: flat indices,
+    j + 2 and k - j = col - modes."""
+    size = 2 * modes + 1
+    col = np.concatenate([np.arange(max(0, -j), size - max(0, j)) for j in range(-2, 3)])
+    j = np.repeat(np.arange(-2, 3), size - np.abs(np.arange(-2, 3)))
+    return (col + j) * (size + 1) + col, j + 2, col - modes
 
 
 def _galerkin(diffusion: np.ndarray, drift: np.ndarray, modes: int) -> np.ndarray:
@@ -256,51 +256,63 @@ def _galerkin(diffusion: np.ndarray, drift: np.ndarray, modes: int) -> np.ndarra
     densely, by one batched call.
     """
     size = 2 * modes + 1
-    band = (2j * diffusion)[:, :, None] * np.arange(-modes, modes + 1) + drift[:, :, None]
+    flat, j, shift = _band(modes)
     a = np.zeros((len(drift), size + 1, size + 1), dtype=complex)
-    flat = a.reshape(len(a), -1)
-    for j in range(-2, 3):
-        # entries (col + j, col), col = lo..hi - 1, lie size + 2 apart in flat
-        lo, hi = max(0, -j), size - max(0, j)
-        start = (lo + j) * (size + 1) + lo
-        flat[:, start:start + (hi - lo) * (size + 2):size + 2] = band[:, j + 2, lo:hi]
+    a.reshape(len(a), -1)[:, flat] = (2j * diffusion)[:, j] * shift + drift[:, j]
     a[:, modes, size] = -1.0
     a[:, size, modes] = math.pi
-    rhs = np.zeros(size + 1)
-    rhs[size] = 1.0
-    return np.linalg.solve(a, rhs)[:, :size]
+    # one right-hand side as a 1-column matrix, which every numpy
+    # broadcasts over the stack
+    rhs = np.zeros((1, size + 1, 1))
+    rhs[0, size] = 1.0
+    return np.linalg.solve(a, rhs)[:, :size, 0]
 
 
-def _galerkin_levels(coef: np.ndarray, n: int):
-    """fd's mode rule over a stack of systems with ``_fd_modes`` coef
-    (M, 3, 5): yields (index, N, p, tail) for the systems that leave
-    level N, with their tail max(|p_{+-N}|, |p_{+-(N-1)}|) / |p_0| at most
-    _MODE_TAIL or at the cap N = min(n // 2, _MAX_MODES).  N doubles from
-    _START_MODES, and only the unresolved systems go on, so each system
-    gets the N, p and tail of its own solve.
-    """
+def _fd_solve(rows: np.ndarray, n: int, keep: bool = False) -> tuple:
+    """fd for a stack of systems given by their ``_rows`` (6, 5, M):
+    arrays of lambda = pi sum_{|j| <= 2} Q_j p_{-j} (NaN where rejected),
+    mode count N, tail and q4's gap |m| - hypot(c, s); {index: message}
+    of the rejections; with keep, {index: p}.  Only the systems still
+    unresolved go on to the next N, so each gets its own solve's N, p and
+    tail.  A stacked solve holds at most _SOLVE_ELEMENTS matrix elements
+    or one system."""
+    if n < 2:
+        raise ValueError("grid size n must be >= 2")
+    m, c, s = rows[3, :3]
+    gap = np.abs(m) - np.hypot(c, s)
+    # the modes j = -2..2 of the diffusion q4^2 / 2, the angle drift g and Q
+    coef = np.dot(rows[[5, 4, 0]].transpose(2, 0, 1), _FOURIER)
+    values, tails = np.full((2, gap.size), np.inf)
+    counts = np.zeros(gap.size, int)
+    densities = {}
     cap = min(n // 2, _MAX_MODES)
-    modes = min(_START_MODES, cap)
-    todo = np.arange(len(coef))
-    while len(todo):
+    modes, todo = min(_START_MODES, cap), np.flatnonzero(gap > 0.0)
+    while todo.size:
         step = max(1, _SOLVE_ELEMENTS // (2 * modes + 2) ** 2)
-        rest = []
         for lo in range(0, todo.size, step):
-            part = todo[lo:lo + step]
-            c = coef[part]
-            p = _galerkin(c[:, 0], c[:, 1], modes)
-            # with modes = 1 the tail holds p_0 itself, so it is never accepted
-            tail = np.abs(p[:, _TAIL_MODES]).max(axis=1) / np.abs(p[:, modes])
-            done = (tail <= _MODE_TAIL) | (modes == cap)
-            if done.all():
-                yield part, modes, p, tail
-            elif done.any():
-                yield part[done], modes, p[done], tail[done]
-                rest.append(part[~done])
-            else:
-                rest.append(part)
-        todo = np.concatenate(rest) if rest else rest
+            k = todo[lo:lo + step]
+            diffusion, drift, q = coef[k].transpose(1, 0, 2)
+            p = _galerkin(diffusion, drift, modes)
+            tails[k] = np.abs(p[:, _TAIL_MODES]).max(axis=1) / np.abs(p[:, modes])
+            counts[k] = modes
+            # with modes = 1 the tail holds p_0 itself, so it is never
+            # accepted, and Q's five modes do not fit
+            if modes > 1:
+                # p_{-j} = conj(p_j), as p is real; a (1, 5) @ (5, 1) product
+                # per system is one BLAS dot, in np.vdot's order of terms
+                values[k] = math.pi * (p[:, None, modes - 2:modes + 3].conj()
+                                       @ q[:, :, None])[:, 0, 0].real
+            if keep:
+                densities.update(zip(k.tolist(), p))
+        if modes == cap:
+            break
+        todo = todo[~(tails[todo] <= _MODE_TAIL)]
         modes = min(2 * modes, cap)
+    bad = np.flatnonzero(~(tails <= _MODE_TAIL))
+    values[bad] = np.nan
+    errors = {i: str(_unresolved(counts[i], tails[i])) if counts[i] else _REAL_ZEROS
+              for i in bad.tolist()}
+    return values, counts, tails, gap, errors, densities
 
 
 def stationary_density_fd(sys: LinearSDE, n: int = 10000) -> PhaseDensity:
@@ -316,7 +328,7 @@ def stationary_density_fd(sys: LinearSDE, n: int = 10000) -> PhaseDensity:
     (``_galerkin``, here on a stack of one).  The mode count N starts at
     16 and doubles while the tail max(|p_{+-N}|, |p_{+-(N-1)}|) exceeds
     _MODE_TAIL |p_0|; it is capped at min(n // 2, _MAX_MODES)
-    (``_galerkin_levels``).  Where q4 has no real zeros the
+    (``_fd_solve``).  Where q4 has no real zeros the
     density is analytic and the modes fall geometrically (Boyd 2001,
     ch. 2), so the tail also bounds the error of the node values.
 
@@ -326,16 +338,11 @@ def stationary_density_fd(sys: LinearSDE, n: int = 10000) -> PhaseDensity:
     is still above _MODE_TAIL |p_0| at the cap, is rejected with
     DegeneratePhaseDiffusionError.
     """
-    if n < 2:
-        raise ValueError("grid size n must be >= 2")
-    coef, gap = _fd_modes(_polar_rows(sys))
-    if not gap > 0.0:
-        raise DegeneratePhaseDiffusionError(_REAL_ZEROS)
-    ((_, modes, (p,), (tail,)),) = _galerkin_levels(coef[None], n)
-    if not tail <= _MODE_TAIL:
-        raise _unresolved(modes, tail)
-    return PhaseDensity(n=n, step=math.pi / n, modes=p, min_q4_sq=float(gap * gap),
-                        tail=float(tail))
+    _, _, tails, gap, errors, densities = _fd_solve(_polar_rows(sys)[..., None], n, True)
+    if errors:
+        raise DegeneratePhaseDiffusionError(errors[0])
+    return PhaseDensity(n=n, step=math.pi / n, modes=densities[0],
+                        min_q4_sq=float(gap[0]) ** 2, tail=float(tails[0]))
 
 
 def lyapunov_fd(sys: LinearSDE, n: int = 10000) -> LyapunovEstimate:
@@ -347,45 +354,29 @@ def lyapunov_fd(sys: LinearSDE, n: int = 10000) -> LyapunovEstimate:
     Diagnostics: ``min_q4_sq``, the mode count ``modes`` and its ``tail``
     relative to p_0.
     """
-    dens = stationary_density_fd(sys, n=n)
-    modes = dens.modes.size // 2
-    q = _polar_rows(sys)[0] @ _FOURIER
-    # p_{-j} = conj(p_j), as p is real
-    value = math.pi * float(np.vdot(dens.modes[modes - 2:modes + 3], q).real)
+    values, modes, tails, gap, errors, _ = _fd_solve(_polar_rows(sys)[..., None], n)
+    if errors:
+        raise DegeneratePhaseDiffusionError(errors[0])
     return LyapunovEstimate(
-        value=value, method="fd", stderr=0.0, n=n,
-        diagnostics={"min_q4_sq": dens.min_q4_sq, "modes": modes, "tail": dens.tail})
+        value=float(values[0]), method="fd", stderr=0.0, n=n, diagnostics={
+            "min_q4_sq": float(gap[0]) ** 2, "modes": int(modes[0]), "tail": float(tails[0])})
 
 
 def _fd_exponents(A: Mat2, beta: float, alphas: np.ndarray, n: int) -> tuple:
     """``lyapunov_fd`` at B = alpha I + beta J for every alpha: the
-    exponents (NaN where rejected), the mode counts and {index: message}
-    of the rejections, each as the one-alpha call gives it.  A block of
-    _STACK alphas gets its rows from one ``_rows`` call on stacked
-    entries and its densities from one ``_galerkin_levels`` pass;
-    np.vecdot sums the terms of np.vdot in its order.
-    """
-    if n < 2:
-        raise ValueError("grid size n must be >= 2")
-    values, counts, errors = np.full(alphas.size, np.nan), np.zeros(alphas.size, int), {}
+    exponents (NaN where rejected), mode counts and {index: message}.
+    Each block of _STACK alphas is one ``_rows`` call on stacked entries
+    and one ``_fd_solve``."""
+    values, counts, errors = np.empty(alphas.size), np.empty(alphas.size, int), {}
     for lo in range(0, alphas.size, _STACK):
         al = alphas[lo:lo + _STACK]
         one = np.ones_like(al)
         sys = LinearSDE(_Entries(*(one * v for v in (A.a11, A.a12, A.a21, A.a22))),
                         _Entries(al, -beta * one, beta * one, al))
-        coef, gap = _fd_modes(_rows(_angle_table(sys)))
-        good = np.flatnonzero(gap > 0.0)
-        errors.update(dict.fromkeys((lo + np.flatnonzero(~(gap > 0.0))).tolist(),
-                                    _REAL_ZEROS))
-        for idx, modes, p, tail in _galerkin_levels(coef[good], n):
-            k, ok = good[idx], tail <= _MODE_TAIL
-            counts[lo + k] = modes
-            if ok.any():  # never at modes < 2
-                values[lo + k[ok]] = math.pi * np.vecdot(
-                    p[ok, modes - 2:modes + 3], coef[k[ok], 2]).real
-            errors.update((lo + i, str(_unresolved(modes, t)))
-                          for i, t in zip(k[~ok].tolist(), tail[~ok].tolist()))
-    return values, counts, dict(sorted(errors.items()))
+        values[lo:lo + al.size], counts[lo:lo + al.size], _, _, errs, _ = _fd_solve(
+            _rows(_angle_table(sys)), n)
+        errors.update((lo + k, msg) for k, msg in errs.items())
+    return values, counts, errors
 
 
 def _closed_exponents(A: Mat2, beta: float, alphas: np.ndarray) -> tuple:

@@ -142,6 +142,20 @@ def test_density_grid_validation():
         stationary_density_fd(s, n=1)
 
 
+@pytest.mark.parametrize("n, modes", [(2, 1), (3, 1), (4, 2), (8, 4)])
+def test_fd_small_grid_rejects_at_its_cap(n, modes):
+    # the cap min(n // 2, _MAX_MODES) is below 16; with one mode the tail
+    # holds p_0 itself, so such a density is always rejected, one system
+    # or a stack
+    with pytest.raises(DegeneratePhaseDiffusionError,
+                       match=f"not resolved by {modes} modes") as exc:
+        lyapunov_fd(_bell_p1_sys(0.5), n=n)
+    m, e = bell_model(), bell_equilibria(BELL_PARAMS)[0]
+    r = stability_sweep(m, e, -2.0, [-1.0, 0.5], method="fd", grid_n=n)
+    assert np.isnan(r.lambdas).all()
+    assert r.failures[1] == (0.5, str(exc.value))
+
+
 def test_fd_rejects_q4_with_real_zeros():
     # q4 has real zeros exactly when (b22 - b11)^2 + 4 b12 b21 >= 0: 135
     # of the seed-11 systems; the decision and its message do not depend
