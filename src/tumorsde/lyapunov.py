@@ -41,7 +41,6 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass, field
-from typing import NamedTuple
 
 import numpy as np
 
@@ -91,9 +90,7 @@ class PhaseCoefficients:
 
 def _angle_table(sys: LinearSDE) -> tuple:
     """(mean, cos 2th, sin 2th) coefficients of q1..q5: q = m + c cos 2th
-    + s sin 2th.  q5 = dq4/dth, so its row is (0, 2 s4, -2 c4).  The
-    entries of sys.A and sys.B are floats, or arrays of one shape for a
-    stack of systems (``_Entries``)."""
+    + s sin 2th.  q5 = dq4/dth, so its row is (0, 2 s4, -2 c4)."""
     a, b = sys.A, sys.B
     q4 = (0.5 * (b.a21 - b.a12), 0.5 * (b.a12 + b.a21), -0.5 * (b.a11 - b.a22))
     return (
@@ -105,38 +102,27 @@ def _angle_table(sys: LinearSDE) -> tuple:
     )
 
 
-# a stack of 2x2 matrices as arrays of entries, read where a Mat2 is read
-_Entries = NamedTuple("_Entries", [(k, np.ndarray) for k in ("a11", "a12", "a21", "a22")])
-
-
 def _times(a, b) -> np.ndarray:
     """The product of two (mean, cos 2th, sin 2th) rows as a row over
     the basis (1, c, s, c^2, c s), c = cos 2th and s = sin 2th, with s^2
-    folded into 1 - c^2.  A row of arrays gives a row of arrays."""
+    folded into 1 - c^2."""
     (ma, ca, sa), (mb, cb, sb) = a, b
     return np.array((ma * mb + sa * sb, ma * cb + ca * mb, ma * sb + sa * mb,
                      ca * cb - sa * sb, ca * sb + sa * cb))
 
 
-def _rows(table: tuple) -> np.ndarray:
-    """The rows of ``_polar_rows`` from an ``_angle_table``; a stack's
-    rows carry its shape as their last axes."""
-    r1, r2, r3, r4, r5 = table
-    z = r1[0] - r1[0]  # 0.0, or zeros of the entries' shape
-    q1, q2, q3, q4 = (np.array((*r, z, z)) for r in (r1, r2, r3, r4))
-    d, q44 = q3 - _times(r2, r4), _times(r4, r4)
-    return np.array((q1 + 0.5 * (q44 - _times(r2, r2)), d, q2, q4,
-                     _times(r4, r5) - d, 0.5 * q44))
-
-
-# lyapunov_fd reads a system's rows twice, in the density and in the
-# quadrature; a closed sweep reads the same (A, beta) rows at every bisection level
-@functools.lru_cache(maxsize=4)
+# a sweep reads the same four row sets (``_fd_exponents``), or one (closed),
+# at every bisection level
+@functools.lru_cache(maxsize=8)
 def _polar_rows(sys: LinearSDE) -> np.ndarray:
     """Read-only rows over the basis of ``_times``, stacked: the log r
     drift Q = q1 + (q4^2 - q2^2) / 2, the theta drift D = q3 - q2 q4,
     q2, q4, and fd's angle drift -D + q4 q5 and diffusion q4^2 / 2."""
-    out = _rows(_angle_table(sys))
+    r1, r2, r3, r4, r5 = _angle_table(sys)
+    q1, q2, q3, q4 = (np.array((*r, 0.0, 0.0)) for r in (r1, r2, r3, r4))
+    d, q44 = q3 - _times(r2, r4), _times(r4, r4)
+    out = np.array((q1 + 0.5 * (q44 - _times(r2, r2)), d, q2, q4,
+                    _times(r4, r5) - d, 0.5 * q44))
     out.flags.writeable = False
     return out
 
@@ -207,15 +193,15 @@ class SweepResult:
 
 
 # the mode count N of fd's Galerkin solve and of closed's continued fraction
-# doubles from _START_MODES until max(|p_{+-N}|, |p_{+-(N-1)}|) <= _MODE_TAIL
-# |p_0|, up to _MAX_MODES
+# doubles from _START_MODES until max(|p_N|, |p_{N-1}|) <= _MODE_TAIL |p_0|,
+# up to _MAX_MODES
 _MODE_TAIL = 1e-14
 _START_MODES = 16
 _MAX_MODES = 1024
-# a stacked Galerkin solve holds at most _SOLVE_ELEMENTS matrix elements (4
-# MB) or one system; fd takes the alphas of a sweep in blocks of _STACK
+# a stacked Galerkin solve holds at most _SOLVE_ELEMENTS real matrix elements
+# (2 MB) or one system; fd takes the alphas of a sweep in blocks of _STACK
 _SOLVE_ELEMENTS = 2 ** 18
-_STACK = _SOLVE_ELEMENTS // (2 * _START_MODES + 2) ** 2
+_STACK = _SOLVE_ELEMENTS // (2 * _START_MODES) ** 2
 # a row over the basis (1, c, s, c^2, c s) of ``_times``, times this, gives
 # its Fourier modes at e^{2 i j theta}, j = -2..2
 _FOURIER = np.array([[0, 0, 1, 0, 0],
@@ -223,8 +209,16 @@ _FOURIER = np.array([[0, 0, 1, 0, 0],
                      [0, 0.5j, 0, -0.5j, 0],
                      [0.25, 0, 0.5, 0, 0.25],
                      [0.25j, 0, 0, 0, -0.25j]])
-# p_{+-N} and p_{+-(N-1)}, whose largest modulus over p_0 is a solve's tail
-_TAIL_MODES = np.array([0, 1, -2, -1])
+# lambda = pi sum_{|j| <= 2} Q_j p_{-j}, with p real, is Q's row over the
+# basis (1, c, s, c^2, c s) times this times (p_0, Re p_1, Im p_1, Re p_2,
+# Im p_2): pi times the averages of the basis against the density
+_QUAD = math.pi * np.array([[1.0, 0, 0, 0, 0],
+                            [0, 1.0, 0, 0, 0],
+                            [0, 0, -1.0, 0, 0],
+                            [0.5, 0, 0, 0.5, 0],
+                            [0, 0, 0, 0, -0.5]])
+_ZERO = Mat2(0.0, 0.0, 0.0, 0.0)
+_SPARE = np.zeros((1, 10))
 _REAL_ZEROS = "q4 has real zeros, where the angle diffusion vanishes; use the mc method"
 
 
@@ -236,79 +230,109 @@ def _unresolved(modes: int, tail: float) -> DegeneratePhaseDiffusionError:
 
 @functools.lru_cache(maxsize=16)
 def _band(modes: int) -> tuple:
-    """``_galerkin``'s entries (col + j, col), j = -2..2: flat indices,
-    j + 2 and k - j = col - modes."""
-    size = 2 * modes + 1
-    col = np.concatenate([np.arange(max(0, -j), size - max(0, j)) for j in range(-2, 3)])
-    j = np.repeat(np.arange(-2, 3), size - np.abs(np.arange(-2, 3)))
-    return (col + j) * (size + 1) + col, j + 2, col - modes
+    """``_galerkin``'s (2N, 2N + 2) array at N = modes: the flat indices
+    of its nonzero entries, and the (10, E) map from a system's angle
+    drift and diffusion rows, 10 entries, to those entries.
 
-
-def _galerkin(diffusion: np.ndarray, drift: np.ndarray, modes: int) -> np.ndarray:
-    """For each system of a stack, the modes p_k, k = -modes..modes, of
-    the solution of diffusion p' + drift p = p0 with pi p_0 = 1,
-    truncated to |k| <= modes; diffusion and drift (M, 5) are given by
-    their modes j = -2..2.  Returns (M, 2 modes + 1).
-
-    Mode k of the equation reads sum_j (2 i (k - j) diffusion_j + drift_j)
-    p_{k-j} = p0 [k = 0]: five diagonals, one more column for the unknown
-    flux p0 and one more row for the normalisation; the stack is solved
-    densely, by one batched call.
+    Mode k of the density equation reads sum_j c_kj p_{k-j} = 0 for k >= 1,
+    with c_kj = g_j + 2 i (k - j) d_j from the modes j = -2..2 of the drift
+    g and the diffusion d (``_FOURIER``).  Columns 2l, 2l + 1 hold the
+    terms in (Re p_l, Im p_l), l = 1..N, and rows 2k - 2, 2k - 1 the real
+    and imaginary parts of mode k: a term c p_l adds [[Re c, -Im c], [Im c,
+    Re c]] there, and c p_{-1} = c conj(p_1), in row k = 1, adds [[Re c,
+    Im c], [Im c, -Re c]] at l = 1.  Column 0 holds -c p_0 = -c / pi, the
+    right-hand side of rows k = 1, 2.  Read-only, as it is cached.
     """
-    size = 2 * modes + 1
-    flat, j, shift = _band(modes)
-    a = np.zeros((len(drift), size + 1, size + 1), dtype=complex)
-    a.reshape(len(a), -1)[:, flat] = (2j * diffusion)[:, j] * shift + drift[:, j]
-    a[:, modes, size] = -1.0
-    a[:, size, modes] = math.pi
-    # one right-hand side as a 1-column matrix, which every numpy
-    # broadcasts over the stack
-    rhs = np.zeros((1, size + 1, 1))
-    rhs[0, size] = 1.0
-    return np.linalg.solve(a, rhs)[:, :size, 0]
+    k = np.repeat(np.arange(1, modes + 1), 5)
+    j = np.tile(np.arange(-2, 3), modes)
+    k, j = k[k - j <= modes], j[k - j <= modes]
+    mode = k - j
+    c = np.concatenate((_FOURIER[:, j + 2], 2j * mode * _FOURIER[:, j + 2]))
+    c *= np.where(mode == 0, -1.0 / math.pi, 1.0)
+    sign, col = np.sign(mode), 2 * np.abs(mode)
+    row = np.concatenate((2 * k - 2, 2 * k - 2, 2 * k - 1, 2 * k - 1))
+    flat = row * (2 * modes + 2) + np.concatenate((col, col + 1, col, col + 1))
+    # column 1 gets only zeros, from sign 0
+    terms = np.concatenate((c.real, -sign * c.imag, c.imag, sign * c.real), axis=1)
+    # row 1 meets p_1 twice, as p_1 and as conj(p_1)
+    flat, where = np.unique(flat, return_inverse=True)
+    spread = np.zeros((10, flat.size))
+    np.add.at(spread, (slice(None), where), terms)
+    used = spread.any(axis=0)
+    flat, spread = flat[used], spread[:, used]
+    flat.flags.writeable = spread.flags.writeable = False
+    return flat, spread
+
+
+def _galerkin(coef: np.ndarray, modes: int) -> np.ndarray:
+    """For each system of a stack, the modes p_1..p_N, N = modes, of the
+    solution of diffusion p' + drift p = p0 with pi p_0 = 1, truncated to
+    |k| <= N; coef (M, 10) holds each system's angle drift and diffusion
+    rows (``_polar_rows`` 4 and 5).  Returns (M, 2N): Re p_1, Im p_1, ...,
+    Re p_N, Im p_N.
+
+    The density is real, so p_{-k} = conj(p_k): modes k = 1..N of the
+    equation, split into real and imaginary parts, are a real system of
+    2N equations in p_1..p_N, where the flux p0 does not enter (``_band``).
+    The stack is solved densely, by one batched call.
+    """
+    flat, spread = _band(modes)
+    size = 2 * modes
+    a = np.zeros((len(coef), size, size + 2))
+    # a spare zero row keeps a stack of one a matrix-matrix product, whose
+    # sums round as in any larger stack (a vector product rounds otherwise)
+    a.reshape(len(coef), -1)[:, flat] = (np.concatenate((coef, _SPARE)) @ spread)[:-1]
+    # the right-hand side as a 1-column matrix, which every numpy solves
+    # as a matrix, system by system
+    return np.linalg.solve(a[..., 2:], a[..., :1])[..., 0]
 
 
 def _fd_solve(rows: np.ndarray, n: int, keep: bool = False) -> tuple:
-    """fd for a stack of systems given by their ``_rows`` (6, 5, M):
-    arrays of lambda = pi sum_{|j| <= 2} Q_j p_{-j} (NaN where rejected),
-    mode count N, tail and q4's gap |m| - hypot(c, s); {index: message}
-    of the rejections; with keep, {index: p}.  Only the systems still
-    unresolved go on to the next N, so each gets its own solve's N, p and
-    tail.  A stacked solve holds at most _SOLVE_ELEMENTS matrix elements
-    or one system."""
+    """fd for a stack of systems given by their ``_polar_rows`` (M, 6, 5):
+    arrays of lambda (NaN where rejected), mode count N, tail and q4's gap
+    |m| - hypot(c, s); {index: message} of the rejections; with keep,
+    {index: p_{-N}..p_N}.  Only the systems still unresolved go on to the
+    next N, so each gets its own solve's N, p and tail.  A stacked solve
+    holds at most _SOLVE_ELEMENTS matrix elements or one system.
+
+    The tail is pi max(|p_N|, |p_{N-1}|), and lambda = int_0^pi Q p dtheta
+    is Q's row times _QUAD times (p_0, Re p_1, Im p_1, Re p_2, Im p_2).
+    """
     if n < 2:
         raise ValueError("grid size n must be >= 2")
-    m, c, s = rows[3, :3]
-    gap = np.abs(m) - np.hypot(c, s)
-    # the modes j = -2..2 of the diffusion q4^2 / 2, the angle drift g and Q
-    coef = np.dot(rows[[5, 4, 0]].transpose(2, 0, 1), _FOURIER)
-    values, tails = np.full((2, gap.size), np.inf)
-    counts = np.zeros(gap.size, int)
+    q4 = rows[:, 3]
+    gap = np.abs(q4[:, 0]) - np.hypot(q4[:, 1], q4[:, 2])
+    coef = rows[:, 4:].reshape(len(rows), 10)
+    tails, counts = np.empty(len(rows)), np.zeros(len(rows), int)
+    tails.fill(np.inf)
+    low_modes = np.zeros((len(rows), 5))
+    low_modes[:, 0] = 1.0 / math.pi
     densities = {}
     cap = min(n // 2, _MAX_MODES)
-    modes, todo = min(_START_MODES, cap), np.flatnonzero(gap > 0.0)
+    modes, todo = min(_START_MODES, cap), (gap > 0.0).nonzero()[0]
     while todo.size:
-        step = max(1, _SOLVE_ELEMENTS // (2 * modes + 2) ** 2)
+        step = max(1, _SOLVE_ELEMENTS // (2 * modes) ** 2)
         for lo in range(0, todo.size, step):
             k = todo[lo:lo + step]
-            diffusion, drift, q = coef[k].transpose(1, 0, 2)
-            p = _galerkin(diffusion, drift, modes)
-            tails[k] = np.abs(p[:, _TAIL_MODES]).max(axis=1) / np.abs(p[:, modes])
+            u = _galerkin(coef[k], modes)
+            p = u.view(complex)
+            tails[k] = math.pi * np.maximum.reduce(np.abs(p[:, -2:]), axis=1)
             counts[k] = modes
-            # with modes = 1 the tail holds p_0 itself, so it is never
-            # accepted, and Q's five modes do not fit
-            if modes > 1:
-                # p_{-j} = conj(p_j), as p is real; a (1, 5) @ (5, 1) product
-                # per system is one BLAS dot, in np.vdot's order of terms
-                values[k] = math.pi * (p[:, None, modes - 2:modes + 3].conj()
-                                       @ q[:, :, None])[:, 0, 0].real
+            # with modes = 1 the tail holds p_0 = 1 / pi itself, so it is
+            # at least 1 and never accepted, and p_2 is not solved for
+            if modes == 1:
+                tails[k] = np.maximum(tails[k], 1.0)
+            else:
+                low_modes[k, 1:] = u[:, :4]
             if keep:
-                densities.update(zip(k.tolist(), p))
+                densities.update((i, np.concatenate((pk[::-1].conj(), [1.0 / math.pi], pk)))
+                                 for i, pk in zip(k.tolist(), p))
         if modes == cap:
             break
         todo = todo[~(tails[todo] <= _MODE_TAIL)]
         modes = min(2 * modes, cap)
-    bad = np.flatnonzero(~(tails <= _MODE_TAIL))
+    values = (rows[:, :1] @ _QUAD @ low_modes[:, :, None])[:, 0, 0]
+    bad = (~(tails <= _MODE_TAIL)).nonzero()[0]
     values[bad] = np.nan
     errors = {i: str(_unresolved(counts[i], tails[i])) if counts[i] else _REAL_ZEROS
               for i in bad.tolist()}
@@ -324,9 +348,11 @@ def stationary_density_fd(sys: LinearSDE, n: int = 10000) -> PhaseDensity:
     (both in ``_polar_rows``), where the constant p0 is the stationary probability
     flux through the period.  q4^2/2 and g are rows over the basis of
     ``_times``, so each has five Fourier modes in e^{2 i j theta}, |j| <=
-    2, and in the modes p_k the equation is pentadiagonal
+    2, and in the modes p_k the equation is pentadiagonal.  The density
+    is real, so p_{-k} = conj(p_k), and pi p_0 = 1 fixes p_0: modes k =
+    1..N of the equation are a real system in p_1..p_N, without the flux
     (``_galerkin``, here on a stack of one).  The mode count N starts at
-    16 and doubles while the tail max(|p_{+-N}|, |p_{+-(N-1)}|) exceeds
+    16 and doubles while the tail max(|p_N|, |p_{N-1}|) exceeds
     _MODE_TAIL |p_0|; it is capped at min(n // 2, _MAX_MODES)
     (``_fd_solve``).  Where q4 has no real zeros the
     density is analytic and the modes fall geometrically (Boyd 2001,
@@ -338,7 +364,7 @@ def stationary_density_fd(sys: LinearSDE, n: int = 10000) -> PhaseDensity:
     is still above _MODE_TAIL |p_0| at the cap, is rejected with
     DegeneratePhaseDiffusionError.
     """
-    _, _, tails, gap, errors, densities = _fd_solve(_polar_rows(sys)[..., None], n, True)
+    _, _, tails, gap, errors, densities = _fd_solve(_polar_rows(sys)[None], n, True)
     if errors:
         raise DegeneratePhaseDiffusionError(errors[0])
     return PhaseDensity(n=n, step=math.pi / n, modes=densities[0],
@@ -350,11 +376,12 @@ def lyapunov_fd(sys: LinearSDE, n: int = 10000) -> LyapunovEstimate:
     density of ``stationary_density_fd``, from Q's five modes Q_j:
 
         lambda = int_0^pi Q p dtheta = pi sum_{|j| <= 2} Q_j p_{-j}
+               = Q_0 + 2 pi Re(Q_1 conj(p_1) + Q_2 conj(p_2))
 
     Diagnostics: ``min_q4_sq``, the mode count ``modes`` and its ``tail``
     relative to p_0.
     """
-    values, modes, tails, gap, errors, _ = _fd_solve(_polar_rows(sys)[..., None], n)
+    values, modes, tails, gap, errors, _ = _fd_solve(_polar_rows(sys)[None], n)
     if errors:
         raise DegeneratePhaseDiffusionError(errors[0])
     return LyapunovEstimate(
@@ -365,16 +392,22 @@ def lyapunov_fd(sys: LinearSDE, n: int = 10000) -> LyapunovEstimate:
 def _fd_exponents(A: Mat2, beta: float, alphas: np.ndarray, n: int) -> tuple:
     """``lyapunov_fd`` at B = alpha I + beta J for every alpha: the
     exponents (NaN where rejected), mode counts and {index: message}.
-    Each block of _STACK alphas is one ``_rows`` call on stacked entries
-    and one ``_fd_solve``."""
+
+    ``_polar_rows`` is the sum of a part linear in A and a part quadratic
+    in B, and B = alpha I + beta J is affine in alpha, so the rows at alpha
+    are R0 + alpha R1 + alpha^2 R2: R0 the rows at alpha = 0, and R1, R2
+    from the rows of the noise alone (A = 0) at alpha = -1, 0 and 1, where
+    A's entries do not round them.  Each block of _STACK alphas is one
+    ``_fd_solve``."""
+    r0 = _polar_rows(LinearSDE(A, alpha_family(0.0, beta)))
+    below, middle, above = (_polar_rows(LinearSDE(_ZERO, alpha_family(a, beta)))
+                            for a in (-1.0, 0.0, 1.0))
+    r1, r2 = 0.5 * (above - below), 0.5 * (above + below) - middle
     values, counts, errors = np.empty(alphas.size), np.empty(alphas.size, int), {}
     for lo in range(0, alphas.size, _STACK):
-        al = alphas[lo:lo + _STACK]
-        one = np.ones_like(al)
-        sys = LinearSDE(_Entries(*(one * v for v in (A.a11, A.a12, A.a21, A.a22))),
-                        _Entries(al, -beta * one, beta * one, al))
+        al = alphas[lo:lo + _STACK, None, None]
         values[lo:lo + al.size], counts[lo:lo + al.size], _, _, errs, _ = _fd_solve(
-            _rows(_angle_table(sys)), n)
+            r0 + al * (r1 + al * r2), n)
         errors.update((lo + k, msg) for k, msg in errs.items())
     return values, counts, errors
 

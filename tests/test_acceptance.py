@@ -321,6 +321,12 @@ def test_c5_weak_order():
 
 # ------------------------------------------------------------------ criterion 6
 
+def _trapezoid(y, x):
+    """The trapezoid rule in the order of operations of np.trapezoid,
+    which numpy added in 2.0; np.trapz, its 1.x name, is gone from 2.4."""
+    return (np.diff(x) * (y[1:] + y[:-1]) / 2.0).sum()
+
+
 def _random_nondegenerate_systems(seed):
     """N(0,1) matrix pairs restricted to systems the grid method can
     resolve: q4 bounded away from zero, bounded homogeneous dynamic
@@ -339,7 +345,7 @@ def _random_nondegenerate_systems(seed):
         if q4sq.min() < 1e-3:
             continue
         ratio = np.abs(-q3 + q2 * q4 + q4 * q5) / q4sq
-        if 2.0 * np.trapezoid(ratio, th) > 100.0:
+        if 2.0 * _trapezoid(ratio, th) > 100.0:
             continue
         need = 40.0 * TWO_PI * ratio.max()
         if need > 3e5:

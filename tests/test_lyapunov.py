@@ -299,6 +299,102 @@ def test_fd_allocation_peak():
         assert peak <= 0.9e6, (alpha, peak)
 
 
+def test_fd_allocation_peak_at_512_modes():
+    # KT P2 at beta = -0.01 needs 512 modes: the real system of 1024
+    # unknowns takes 8.4 MB, where the complex bordered one took 17 MB
+    s = _kt_p2_sys(0.0, beta=-0.01)
+    assert lyapunov_fd(s).diagnostics["modes"] == 512
+    tracemalloc.start()
+    try:
+        lyapunov_fd(s)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 12e6, peak
+
+
+@pytest.mark.parametrize("seed", [2, 3, 4])
+def test_fd_matches_zero_flux_density(seed):
+    # A symmetric and alpha = 0: the angle drift q3 = a12 cos 2th + (a22 -
+    # a11) sin 2th / 2 has a periodic antiderivative, so the flux p0 is 0
+    # and p = exp(2 int q3 / beta^2) = exp((a12 sin 2th - (a22 - a11) cos
+    # 2th / 2) / beta^2) up to a factor; lambda is Q's average under it,
+    # by the periodic trapezoid rule
+    rng = np.random.default_rng(seed)
+    a11, a12, a22 = rng.normal(size=3)
+    beta = rng.uniform(0.7, 2.0) * rng.choice([-1.0, 1.0])
+    s = _sys((a11, a12, a12, a22), (0.0, -beta, beta, 0.0))
+    theta = np.arange(4096) * (math.pi / 4096)
+    log_p = (a12 * np.sin(2 * theta) - 0.5 * (a22 - a11) * np.cos(2 * theta)) / beta ** 2
+    p = np.exp(log_p - log_p.max())
+    q = phase_coefficients(s, theta)
+    exact = float(np.sum((q.q1 + 0.5 * (q.q4 ** 2 - q.q2 ** 2)) * p) / np.sum(p))
+    est = lyapunov_fd(s)
+    assert abs(est.value - exact) <= 1e-13 * (1 + abs(exact)), (est.value, exact)
+
+
+def _bordered_fd(sys, n=10000):
+    """fd's former solve, as (lambda, N): all modes p_k, |k| <= N, of
+    q4^2/2 p' + g p = p0 as one dense complex system, with the flux p0
+    as one more unknown and pi p_0 = 1 as one more row."""
+    rows = lyapunov._polar_rows(sys)
+    diffusion, drift, q = rows[[5, 4, 0]] @ lyapunov._FOURIER
+    if not abs(rows[3, 0]) - math.hypot(rows[3, 1], rows[3, 2]) > 0:
+        raise DegeneratePhaseDiffusionError(lyapunov._REAL_ZEROS)
+    cap = min(n // 2, lyapunov._MAX_MODES)
+    modes = min(lyapunov._START_MODES, cap)
+    while True:
+        size = 2 * modes + 1
+        a = np.zeros((size + 1, size + 1), dtype=complex)
+        for k in range(-modes, modes + 1):
+            for j in range(max(-2, k - modes), min(2, k + modes) + 1):
+                a[k + modes, k - j + modes] = 2j * (k - j) * diffusion[j + 2] + drift[j + 2]
+        a[modes, size], a[size, modes] = -1.0, math.pi
+        p = np.linalg.solve(a, np.eye(size + 1)[size])[:size]
+        tail = np.abs(p[[0, 1, -2, -1]]).max() / abs(p[modes])
+        if tail <= lyapunov._MODE_TAIL or modes == cap:
+            break
+        modes = min(2 * modes, cap)
+    if not tail <= lyapunov._MODE_TAIL:
+        raise lyapunov._unresolved(modes, tail)
+    return math.pi * (p[modes - 2:modes + 3].conj() @ q).real, modes
+
+
+def _seed_11_systems():
+    rng = np.random.default_rng(11)
+    return [_sys(rng.normal(size=4), rng.normal(size=4)) for _ in range(200)]
+
+
+@pytest.mark.parametrize("case", ["Bell-P1", "KT-P1", "KT-P2", "seed-11", "capped"])
+def test_fd_matches_bordered_complex_solve(case):
+    # the real solve of p_1..p_N against the bordered complex solve of
+    # every mode: the same mode counts and messages, values to rounding;
+    # at beta = -0.1 the alpha family needs 64 to 256 modes
+    if case == "seed-11":
+        systems = [(s, 10000) for s in _seed_11_systems()]
+    elif case == "capped":
+        systems = [(_sys(*_ROUGH), 64), (_sys(*_ROUGH), 256)] + [
+            (_bell_p1_sys(0.5), n) for n in (2, 4, 8)]
+    else:
+        systems = [(LinearSDE(_drift_matrix(case, beta), alpha_family(alpha, beta)), 10000)
+                   for beta in (-2.0, -0.1) for alpha in np.linspace(-5.0, 5.0, 11)]
+    modes = set()
+    for s, n in systems:
+        try:
+            want, want_modes = _bordered_fd(s, n)
+        except DegeneratePhaseDiffusionError as exc:
+            with pytest.raises(DegeneratePhaseDiffusionError) as got:
+                lyapunov_fd(s, n)
+            assert str(got.value) == str(exc)
+            continue
+        est = lyapunov_fd(s, n)
+        assert est.diagnostics["modes"] == want_modes
+        assert abs(est.value - want) <= 1e-13 * (1 + abs(want)), (est.value, want)
+        modes.add(want_modes)
+    if case in _ALPHA_FAMILY_SYSTEMS:
+        assert max(modes) >= 128, modes
+
+
 def test_polar_rows_match_phase_coefficients():
     # rows @ (1, c, s, c^2, c s) against the same drifts evaluated from
     # q1..q5 at the angles themselves
@@ -709,8 +805,8 @@ def test_fd_stack_split_leaves_values_unchanged(monkeypatch):
 
 
 def test_fd_sweep_allocation_is_bounded():
-    # 4001 points at 16 modes would need 74 MB of matrices in one stack;
-    # split, a solve holds _SOLVE_ELEMENTS of them
+    # 4001 points at 16 modes would need 33 MB of real matrices in one
+    # stack; split, a solve holds _SOLVE_ELEMENTS of them
     m, e = bell_model(), bell_equilibria(BELL_PARAMS)[0]
     grid = np.linspace(-5.0, 5.0, 4001)
     stability_sweep(m, e, -2.0, grid[:5], method="fd")
@@ -721,7 +817,7 @@ def test_fd_sweep_allocation_is_bounded():
     finally:
         tracemalloc.stop()
     assert r.failures == [] and len(r.sign_changes) == 2
-    assert peak <= 2 * 16 * lyapunov._SOLVE_ELEMENTS, peak
+    assert peak <= 2 * 8 * lyapunov._SOLVE_ELEMENTS, peak
 
 
 def _bisect_one_bracket_at_a_time(alphas, lambdas, evaluate, refine_tol=1e-3):
