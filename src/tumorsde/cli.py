@@ -70,8 +70,6 @@ shared flags:
   --alpha X | lo:hi:step  alpha-family noise [[a,-b],[b,a]]; a range for sweep
   --beta X                alpha-family beta (default -2)
   --method M              fd | closed | mc  (default fd)
-  --grid-n N              fd node count; bounds the density's mode count
-                          (default 10000)
   --dt X                  time step         (default 0.001)
   --steps N               trajectory steps  (default 1000)
   --paths N               mc paths          (default 64)
@@ -104,7 +102,6 @@ class RunConfig:
     alpha_range: Optional[tuple] = None  # (lo, hi, step)
     beta: float = -2.0
     method: str = "fd"
-    grid_n: int = 10000
     dt: float = 1e-3
     steps: int = 1000
     paths: int = 64
@@ -143,14 +140,14 @@ def _choice(*choices):
     return parse
 
 
-def _bounded_int(lo, hi, what="must be"):
+def _bounded_int(lo, hi):
     """Parser of an integer in [lo, hi]."""
     def parse(key, v):
         n = _parse_int(key, v)
         if n < lo:
-            raise ConfigError(key, f"{what} >= {lo}, got {n}")
+            raise ConfigError(key, f"must be >= {lo}, got {n}")
         if n > hi:
-            raise ConfigError(key, f"{what} <= {hi}, got {n}")
+            raise ConfigError(key, f"must be <= {hi}, got {n}")
         return n
     return parse
 
@@ -192,7 +189,6 @@ def _parse_noise(key, v):
 # Sizes above these allocate without useful bound; they are rejected
 # while parsing, before anything is allocated.
 _MAX_STEPS = 10 ** 7
-_MAX_GRID_N = 10 ** 6
 _MAX_PATHS = 10 ** 4
 _MAX_ALPHA_POINTS = 10 ** 6
 
@@ -234,7 +230,6 @@ _PARSERS = {
     "alpha": _parse_alpha,
     "beta": _parse_float,
     "method": _choice("fd", "closed", "mc"),
-    "grid_n": _bounded_int(2, _MAX_GRID_N, "grid size must be"),
     "dt": _positive_float,
     "steps": _bounded_int(1, _MAX_STEPS),
     "paths": _bounded_int(1, _MAX_PATHS),
@@ -351,7 +346,6 @@ def emit_config(cfg: RunConfig) -> str:
     lines += [
         f"beta = {_fmt(cfg.beta)}",
         f"method = {cfg.method}",
-        f"grid_n = {cfg.grid_n}",
         f"dt = {_fmt(cfg.dt)}",
         f"steps = {cfg.steps}",
         f"paths = {cfg.paths}",
@@ -497,7 +491,7 @@ def _cmd_lyapunov(cfg: RunConfig) -> int:
     eq = _select_equilibrium(cfg, eqs)
     sys_lin = linearize(model, _noise_matrix(cfg), eq)
     if cfg.method == "fd":
-        est = lyapunov_fd(sys_lin, n=cfg.grid_n)
+        est = lyapunov_fd(sys_lin)
     elif cfg.method == "closed":
         if cfg.alpha is None or cfg.noise is not None:
             raise ConfigError("method", "closed needs the alpha/beta noise family")
@@ -522,7 +516,6 @@ def _cmd_sweep(cfg: RunConfig) -> int:
     lo, hi, step = cfg.alpha_range
     grid = alpha_range_values(lo, hi, step)
     result = stability_sweep(model, eq, cfg.beta, grid, method=cfg.method,
-                             grid_n=cfg.grid_n,
                              horizon=cfg.horizon, dt=cfg.dt,
                              paths=cfg.paths, seed=cfg.seed)
     out = cfg.out or "sweep.csv"

@@ -141,8 +141,11 @@ class PhaseDensity:
     pi p_0 = 1.  tail is max(|p_{+-N}|, |p_{+-(N-1)}|) / |p_0|.
 
     values holds p at the n + 1 nodes theta = i * step, step = pi / n,
-    from one inverse real FFT when first read; sum(values[1:]) * step = 1
-    and values[n] = values[0].
+    when first read: mode k is folded onto frequency k mod n and one
+    inverse FFT sums the series, so the nodes are exact samples of the
+    truncated series for every n >= 2.  values[n] = values[0], and
+    sum(values[1:]) * step = pi p_0 = 1, to rounding, when n > N, where
+    only p_0 folds onto frequency 0.
     """
 
     n: int
@@ -154,11 +157,9 @@ class PhaseDensity:
     @functools.cached_property
     def values(self) -> np.ndarray:
         half = self.modes.size // 2
-        spec = np.zeros(self.n // 2 + 1, dtype=complex)
-        spec[:half + 1] = self.n * self.modes[half:]
-        if self.n % 2 == 0:
-            spec[-1] *= 2.0  # mode n / 2 enters irfft once, not as a pair
-        nodes = np.fft.irfft(spec, self.n)
+        spec = np.zeros(self.n, dtype=complex)
+        np.add.at(spec, np.arange(-half, half + 1) % self.n, self.modes)
+        nodes = np.fft.ifft(spec, norm="forward").real
         return np.append(nodes, nodes[0])
 
 
@@ -167,7 +168,7 @@ class LyapunovEstimate:
     value: float
     method: str  # fd | closed | mc
     stderr: float = 0.0
-    n: int = 0  # grid size or path count
+    n: int = 0  # mode count (fd, closed) or path count (mc)
     diagnostics: dict = field(default_factory=dict)
 
 
@@ -222,10 +223,9 @@ _SPARE = np.zeros((1, 10))
 _REAL_ZEROS = "q4 has real zeros, where the angle diffusion vanishes; use the mc method"
 
 
-def _unresolved(modes: int, tail: float) -> DegeneratePhaseDiffusionError:
-    return DegeneratePhaseDiffusionError(
-        f"angle density not resolved by {modes} modes (tail {tail:.1e} "
-        f"of p_0 > {_MODE_TAIL:g}); use the mc method")
+def _unresolved(modes: int, tail: float) -> str:
+    return (f"angle density not resolved by {modes} modes (tail {tail:.1e} "
+            f"of p_0 > {_MODE_TAIL:g}); use the mc method")
 
 
 @functools.lru_cache(maxsize=16)
@@ -287,7 +287,7 @@ def _galerkin(coef: np.ndarray, modes: int) -> np.ndarray:
     return np.linalg.solve(a[..., 2:], a[..., :1])[..., 0]
 
 
-def _fd_solve(rows: np.ndarray, n: int, keep: bool = False) -> tuple:
+def _fd_solve(rows: np.ndarray, keep: bool = False) -> tuple:
     """fd for a stack of systems given by their ``_polar_rows`` (M, 6, 5):
     arrays of lambda (NaN where rejected), mode count N, tail and q4's gap
     |m| - hypot(c, s); {index: message} of the rejections; with keep,
@@ -298,8 +298,6 @@ def _fd_solve(rows: np.ndarray, n: int, keep: bool = False) -> tuple:
     The tail is pi max(|p_N|, |p_{N-1}|), and lambda = int_0^pi Q p dtheta
     is Q's row times _QUAD times (p_0, Re p_1, Im p_1, Re p_2, Im p_2).
     """
-    if n < 2:
-        raise ValueError("grid size n must be >= 2")
     q4 = rows[:, 3]
     gap = np.abs(q4[:, 0]) - np.hypot(q4[:, 1], q4[:, 2])
     coef = rows[:, 4:].reshape(len(rows), 10)
@@ -308,8 +306,7 @@ def _fd_solve(rows: np.ndarray, n: int, keep: bool = False) -> tuple:
     low_modes = np.zeros((len(rows), 5))
     low_modes[:, 0] = 1.0 / math.pi
     densities = {}
-    cap = min(n // 2, _MAX_MODES)
-    modes, todo = min(_START_MODES, cap), (gap > 0.0).nonzero()[0]
+    modes, todo = _START_MODES, (gap > 0.0).nonzero()[0]
     while todo.size:
         step = max(1, _SOLVE_ELEMENTS // (2 * modes) ** 2)
         for lo in range(0, todo.size, step):
@@ -318,31 +315,25 @@ def _fd_solve(rows: np.ndarray, n: int, keep: bool = False) -> tuple:
             p = u.view(complex)
             tails[k] = math.pi * np.maximum.reduce(np.abs(p[:, -2:]), axis=1)
             counts[k] = modes
-            # with modes = 1 the tail holds p_0 = 1 / pi itself, so it is
-            # at least 1 and never accepted, and p_2 is not solved for
-            if modes == 1:
-                tails[k] = np.maximum(tails[k], 1.0)
-            else:
-                low_modes[k, 1:] = u[:, :4]
+            low_modes[k, 1:] = u[:, :4]
             if keep:
                 densities.update((i, np.concatenate((pk[::-1].conj(), [1.0 / math.pi], pk)))
                                  for i, pk in zip(k.tolist(), p))
-        if modes == cap:
+        if modes == _MAX_MODES:
             break
         todo = todo[~(tails[todo] <= _MODE_TAIL)]
-        modes = min(2 * modes, cap)
+        modes *= 2
     values = (rows[:, :1] @ _QUAD @ low_modes[:, :, None])[:, 0, 0]
     bad = (~(tails <= _MODE_TAIL)).nonzero()[0]
     values[bad] = np.nan
-    errors = {i: str(_unresolved(counts[i], tails[i])) if counts[i] else _REAL_ZEROS
+    errors = {i: _unresolved(counts[i], tails[i]) if counts[i] else _REAL_ZEROS
               for i in bad.tolist()}
     return values, counts, tails, gap, errors, densities
 
 
 def stationary_density_fd(sys: LinearSDE, n: int = 10000) -> PhaseDensity:
     """Stationary angle density over one period [0, pi] by a
-    Fourier-Galerkin solve; n, the node count of its ``values``, also
-    bounds the mode count.
+    Fourier-Galerkin solve; n is the node count of its ``values``.
 
     The density solves  q4^2/2 p' + g p = p0,  g = -q3 + q2 q4 + q4 q5
     (both in ``_polar_rows``), where the constant p0 is the stationary probability
@@ -353,10 +344,10 @@ def stationary_density_fd(sys: LinearSDE, n: int = 10000) -> PhaseDensity:
     1..N of the equation are a real system in p_1..p_N, without the flux
     (``_galerkin``, here on a stack of one).  The mode count N starts at
     16 and doubles while the tail max(|p_N|, |p_{N-1}|) exceeds
-    _MODE_TAIL |p_0|; it is capped at min(n // 2, _MAX_MODES)
-    (``_fd_solve``).  Where q4 has no real zeros the
-    density is analytic and the modes fall geometrically (Boyd 2001,
-    ch. 2), so the tail also bounds the error of the node values.
+    _MODE_TAIL |p_0|, up to _MAX_MODES (``_fd_solve``).  Where q4 has no
+    real zeros the density is analytic and the modes fall geometrically
+    (Boyd 2001, ch. 2), so the tail also bounds the error of the node
+    values.
 
     q4's row (m, c, s) gives min q4^2 = max(0, |m| - hypot(c, s))^2.  q4
     has real zeros, where the angle diffusion vanishes, exactly when
@@ -364,32 +355,34 @@ def stationary_density_fd(sys: LinearSDE, n: int = 10000) -> PhaseDensity:
     is still above _MODE_TAIL |p_0| at the cap, is rejected with
     DegeneratePhaseDiffusionError.
     """
-    _, _, tails, gap, errors, densities = _fd_solve(_polar_rows(sys)[None], n, True)
+    if n < 2:
+        raise ValueError("node count n must be >= 2")
+    _, _, tails, gap, errors, densities = _fd_solve(_polar_rows(sys)[None], True)
     if errors:
         raise DegeneratePhaseDiffusionError(errors[0])
     return PhaseDensity(n=n, step=math.pi / n, modes=densities[0],
                         min_q4_sq=float(gap[0]) ** 2, tail=float(tails[0]))
 
 
-def lyapunov_fd(sys: LinearSDE, n: int = 10000) -> LyapunovEstimate:
+def lyapunov_fd(sys: LinearSDE) -> LyapunovEstimate:
     """The average of the log r drift Q (``_polar_rows``) against the
     density of ``stationary_density_fd``, from Q's five modes Q_j:
 
         lambda = int_0^pi Q p dtheta = pi sum_{|j| <= 2} Q_j p_{-j}
                = Q_0 + 2 pi Re(Q_1 conj(p_1) + Q_2 conj(p_2))
 
-    Diagnostics: ``min_q4_sq``, the mode count ``modes`` and its ``tail``
-    relative to p_0.
+    Diagnostics: ``min_q4_sq``, the mode count ``modes`` (also ``n``)
+    and its ``tail`` relative to p_0.
     """
-    values, modes, tails, gap, errors, _ = _fd_solve(_polar_rows(sys)[None], n)
+    values, modes, tails, gap, errors, _ = _fd_solve(_polar_rows(sys)[None])
     if errors:
         raise DegeneratePhaseDiffusionError(errors[0])
     return LyapunovEstimate(
-        value=float(values[0]), method="fd", stderr=0.0, n=n, diagnostics={
+        value=float(values[0]), method="fd", stderr=0.0, n=int(modes[0]), diagnostics={
             "min_q4_sq": float(gap[0]) ** 2, "modes": int(modes[0]), "tail": float(tails[0])})
 
 
-def _fd_exponents(A: Mat2, beta: float, alphas: np.ndarray, n: int) -> tuple:
+def _fd_exponents(A: Mat2, beta: float, alphas: np.ndarray) -> tuple:
     """``lyapunov_fd`` at B = alpha I + beta J for every alpha: the
     exponents (NaN where rejected), mode counts and {index: message}.
 
@@ -407,15 +400,15 @@ def _fd_exponents(A: Mat2, beta: float, alphas: np.ndarray, n: int) -> tuple:
     for lo in range(0, alphas.size, _STACK):
         al = alphas[lo:lo + _STACK, None, None]
         values[lo:lo + al.size], counts[lo:lo + al.size], _, _, errs, _ = _fd_solve(
-            r0 + al * (r1 + al * r2), n)
+            r0 + al * (r1 + al * r2))
         errors.update((lo + k, msg) for k, msg in errs.items())
     return values, counts, errors
 
 
 def _closed_exponents(A: Mat2, beta: float, alphas: np.ndarray) -> tuple:
-    """(lambda, tail, modes) of ``closed_form_lyapunov`` at every alpha:
-    the exponents and tails as arrays, and the one mode count N that
-    serves them all.
+    """``closed_form_lyapunov`` at every alpha: the exponents (NaN where
+    rejected) and tails, the one mode count N that serves them all, and
+    {index: message}.
 
     For B = alpha I + beta J, q4 = beta and q5 = 0, so fd's density
     equation has the constant diffusion beta^2 / 2 and an angle drift g
@@ -431,8 +424,8 @@ def _closed_exponents(A: Mat2, beta: float, alphas: np.ndarray) -> tuple:
     With pi p_0 = 1 and Q real, lambda = Q_0 + 2 Re(conj(Q_1) r_1).  The
     tail max(|p_N|, |p_{N-1}|) / |p_0| is a product of |r_k|; N follows
     fd's rule, from 16 doubling up to _MAX_MODES while any tail exceeds
-    _MODE_TAIL.  The caller rejects an alpha whose tail is above
-    _MODE_TAIL or not finite.
+    _MODE_TAIL; an alpha whose tail is above _MODE_TAIL, or not finite,
+    is rejected.
     """
     if beta == 0:
         raise ValueError("beta = 0: the angle diffusion vanishes")
@@ -461,7 +454,9 @@ def _closed_exponents(A: Mat2, beta: float, alphas: np.ndarray) -> tuple:
             modes *= 2
     r = one / tau
     value = q[2].real - 0.5 * alphas ** 2 + 2.0 * (q[3].real * r.real + q[3].imag * r.imag)
-    return value, tail, modes
+    bad = (~(tail <= _MODE_TAIL)).nonzero()[0]
+    value[bad] = np.nan
+    return value, tail, modes, {k: _unresolved(modes, tail[k]) for k in bad.tolist()}
 
 
 def closed_form_lyapunov(A: Mat2, alpha: float, beta: float) -> LyapunovEstimate:
@@ -477,9 +472,9 @@ def closed_form_lyapunov(A: Mat2, alpha: float, beta: float) -> LyapunovEstimate
     ``modes`` (also ``n``) and its ``tail`` relative to p_0.
     """
     alpha_family(alpha, beta)  # a non-finite alpha: ValueError, as for any Mat2
-    (value,), (tail,), modes = _closed_exponents(A, beta, np.array([alpha]))
-    if not tail <= _MODE_TAIL:
-        raise _unresolved(modes, tail)
+    (value,), (tail,), modes, errors = _closed_exponents(A, beta, np.array([alpha]))
+    if errors:
+        raise DegeneratePhaseDiffusionError(errors[0])
     return LyapunovEstimate(value=float(value), method="closed", stderr=0.0, n=modes,
                             diagnostics={"modes": modes, "tail": float(tail)})
 
@@ -511,7 +506,9 @@ def lyapunov_mc(sys: LinearSDE, horizon: float = 200.0, dt: float = 1e-3,
     Euler scheme and one shared Wiener increment per step, starting from
     a uniform angle; the estimate is the path mean of log(r(T)/r(0)) / T
     with its standard error.  Path p draws from stream (seed,
-    stream_base + p), so results do not depend on scheduling.  The
+    stream_base + p), so results do not depend on scheduling; a single
+    path runs with a spare one, on stream stream_base + 1, that is
+    dropped.  The
     stderr is statistical only: it does not cover the O(dt) bias of the
     Euler scheme.
 
@@ -527,17 +524,21 @@ def lyapunov_mc(sys: LinearSDE, horizon: float = 200.0, dt: float = 1e-3,
     # rows dt Q, 2 dt D, q2, 2 q4 over V
     m = _polar_rows(sys)[:4] * [[dt], [2.0 * dt], [1.0], [2.0]]
     nsteps = mc_step_count(horizon, dt)
-    streams = [RngStream(seed, stream_base + p) for p in range(paths)]
-    x = np.zeros((2, paths))  # log r, phi; theta starts uniform on [0, 2 pi)
+    # at least two columns keep a step's product a matrix-matrix product,
+    # whose sums round as for any number of paths (numpy computes a
+    # 1-column product as a vector product, which rounds otherwise)
+    width = max(paths, 2)
+    streams = [RngStream(seed, stream_base + p) for p in range(width)]
+    x = np.zeros((2, width))  # log r, phi; theta starts uniform on [0, 2 pi)
     x[1] = [2.0 * TWO_PI * st.uniforms(1)[0] for st in streams]
-    v = np.ones((5, paths))
-    inc = np.empty((4, paths))
+    v = np.ones((5, width))
+    inc = np.empty((4, width))
     phi, c, s, cc, cs = x[1], v[1], v[2], v[3], v[4]
     drift, noise = inc[:2], inc[2:]
     cos, sin, mul, matmul = np.cos, np.sin, np.multiply, np.matmul
     sdt = math.sqrt(dt)
     # even block lengths keep every stream's Box-Muller pairing
-    block = min(_MC_BLOCK, max(2, _MC_BLOCK_NORMALS // paths // 2 * 2))
+    block = min(_MC_BLOCK, max(2, _MC_BLOCK_NORMALS // width // 2 * 2))
     normals = GaussianBlocks(streams, block)
     done = 0
     while done < nsteps:
@@ -554,7 +555,7 @@ def lyapunov_mc(sys: LinearSDE, horizon: float = 200.0, dt: float = 1e-3,
             noise *= w
             x += noise
         done += blen
-    per_path = x[0] / (nsteps * dt)
+    per_path = x[0, :paths] / (nsteps * dt)
     value = float(per_path.mean())
     stderr = float(per_path.std(ddof=1) / math.sqrt(paths)) if paths > 1 else 0.0
     return LyapunovEstimate(value=value, method="mc", stderr=stderr, n=paths,
@@ -576,7 +577,6 @@ def _refine_stream_base(alpha: float) -> int:
 
 def stability_sweep(model: ModelSpec, equilibrium: Equilibrium, beta: float,
                     alpha_grid, method: str = "fd", *,
-                    grid_n: int = 10000,
                     horizon: float = 200.0, dt: float = 1e-3,
                     paths: int = 64, seed: int = 1,
                     refine_tol: float = 1e-3) -> SweepResult:
@@ -608,16 +608,13 @@ def stability_sweep(model: ModelSpec, equilibrium: Equilibrium, beta: float,
     def evaluate(points: np.ndarray, on_grid: bool) -> tuple:
         """(lambda, stderr, {index: message}) at the points; lambda is NaN
         where a point failed.  An exception fails every point: it comes
-        from the setup (beta = 0 for closed, n < 2 for fd, an mc setting)."""
+        from the setup (beta = 0 for closed, an mc setting)."""
         stderrs = np.zeros(points.size)
         try:
             if method == "fd":
-                values, _, errors = _fd_exponents(a_mat, beta, points, grid_n)
+                values, _, errors = _fd_exponents(a_mat, beta, points)
             elif method == "closed":
-                values, tails, modes = _closed_exponents(a_mat, beta, points)
-                bad = np.flatnonzero(~(tails <= _MODE_TAIL))
-                values[bad] = np.nan
-                errors = {k: str(_unresolved(modes, tails[k])) for k in bad.tolist()}
+                values, _, _, errors = _closed_exponents(a_mat, beta, points)
             else:
                 values, errors = np.empty(points.size), {}
                 for k, alpha in enumerate(points.tolist()):

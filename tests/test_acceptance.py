@@ -102,7 +102,7 @@ def test_c2_analytic_lyapunov_oracles():
     a, sigma = 1.0, 0.5
     s_iso = LinearSDE(Mat2(a, 0, 0, a), Mat2(sigma, 0, 0, sigma))
     with pytest.raises(DegeneratePhaseDiffusionError):
-        lyapunov_fd(s_iso, n=1000)
+        lyapunov_fd(s_iso)
     mc_iso = lyapunov_mc(s_iso, horizon=200.0, dt=1e-3, paths=64, seed=2)
     exact_iso = a - sigma ** 2 / 2
     ok_i = abs(mc_iso.value - exact_iso) <= 3 * mc_iso.stderr
@@ -110,7 +110,7 @@ def test_c2_analytic_lyapunov_oracles():
     a2, beta = 0.1, 1.0
     exact_rot = a2 + beta ** 2 / 2
     s_rot = LinearSDE(Mat2(a2, 0, 0, a2), alpha_family(0.0, beta))
-    fd = lyapunov_fd(s_rot, n=10000)
+    fd = lyapunov_fd(s_rot)
     cl = closed_form_lyapunov(Mat2(a2, 0, 0, a2), 0.0, beta)
     mc = lyapunov_mc(s_rot, horizon=200.0, dt=1e-3, paths=64, seed=2)
     ok_fd = abs(fd.value - exact_rot) <= 1e-6
@@ -145,7 +145,7 @@ def test_c3_cross_method_consistency():
     for name, a_mat, dt in cases:
         for k, alpha in enumerate(alphas):
             s = LinearSDE(a_mat, alpha_family(alpha, -2.0))
-            fd = lyapunov_fd(s, n=10000).value
+            fd = lyapunov_fd(s).value
             mc = lyapunov_mc(s, horizon=150.0, dt=dt, paths=320,
                              seed=1000, stream_base=k << 32)
             tol = max(3 * mc.stderr, 5e-3)
@@ -160,9 +160,9 @@ def test_c3_cross_method_consistency():
 # ------------------------------------------------------------------ criterion 4
 
 BETA = -2.0
-GRID_N = 10000
+GRID_N = 10000  # node count of the first-order grid that fd replaced
 REFINE_TOL = 1e-3  # stability_sweep's default bracket width
-SWEEP_KW = dict(method="fd", grid_n=GRID_N, refine_tol=REFINE_TOL)
+SWEEP_KW = dict(method="fd", refine_tol=REFINE_TOL)
 
 # Published stability readings for the alpha-family noise with beta = -2
 # (crossing alphas; KT-P1 was read as stable for every alpha).  Only

@@ -1,6 +1,7 @@
 """Flag/config parsing, CSV emission, exit codes."""
 
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -45,8 +46,8 @@ def test_parse_simulate_example():
 def test_parse_rejects_bad_values():
     with pytest.raises(ConfigError, match="dt"):
         parse_config(["simulate", "--dt", "0"])
-    with pytest.raises(ConfigError, match="grid_n"):
-        parse_config(["lyapunov", "--grid-n", "1"])
+    with pytest.raises(ConfigError, match="paths"):
+        parse_config(["lyapunov", "--paths", "0"])
     with pytest.raises(ConfigError, match="wibble"):
         parse_config(["sweep", "--wibble", "3"])
     with pytest.raises(ConfigError, match="malformed"):
@@ -57,7 +58,7 @@ def test_parse_rejects_bad_values():
 
 def test_defaults():
     cfg = parse_config(["lyapunov"])
-    assert cfg.model == "kt" and cfg.beta == -2.0 and cfg.grid_n == 10000
+    assert cfg.model == "kt" and cfg.beta == -2.0 and cfg.paths == 64
     assert cfg.dt == 1e-3 and cfg.seed == 1
     assert cfg.method == "fd" and cfg.equilibrium == "P1"
 
@@ -67,13 +68,30 @@ def test_removed_span_flag_is_unknown(capsys):
     assert "span: unknown key" in capsys.readouterr().err
 
 
+def test_removed_grid_n_key_is_unknown(capsys, tmp_path):
+    # fd's mode count comes from its tail rule alone; the node count that
+    # once capped it is no longer an option, on the line or in a file
+    assert main(["lyapunov", "--grid-n", "2000"]) == 2
+    assert "grid_n: unknown key" in capsys.readouterr().err
+    f = tmp_path / "run.cfg"
+    f.write_text("grid_n = 500\n", encoding="utf-8")
+    assert main(["lyapunov", "--config", str(f)]) == 2
+    assert "grid_n: unknown key" in capsys.readouterr().err
+
+
+def test_usage_lists_exactly_the_config_keys():
+    flags = {f[2:].replace("-", "_") for f in re.findall(r"--[a-z][a-z0-9-]*", cli.USAGE)}
+    assert flags <= set(cli._KEYS)  # the _PARSERS keys and config
+    assert set(cli._PARSERS) - {"command"} <= flags
+
+
 def test_sizes_capped_before_allocation(capsys):
-    caps = ["--steps", str(10 ** 7), "--grid-n", str(10 ** 6),
-            "--paths", str(10 ** 4), "--alpha=0:999999:1"]  # 10**6 points
+    caps = ["--steps", str(10 ** 7), "--paths", str(10 ** 4),
+            "--alpha=0:999999:1"]  # 10**6 points
     cfg = parse_config(["sweep"] + caps)
-    assert (cfg.steps, cfg.grid_n, cfg.paths) == (10 ** 7, 10 ** 6, 10 ** 4)
-    over = [("steps", str(10 ** 7 + 1)), ("grid_n", str(10 ** 6 + 1)),
-            ("paths", str(10 ** 4 + 1)), ("alpha", "0:1000000:1"),
+    assert (cfg.steps, cfg.paths) == (10 ** 7, 10 ** 4)
+    over = [("steps", str(10 ** 7 + 1)), ("paths", str(10 ** 4 + 1)),
+            ("alpha", "0:1000000:1"),
             ("alpha", "0:1e9:1e-3"), ("alpha", "-1e300:1e300:1e-300")]
     for key, value in over:
         with pytest.raises(ConfigError, match=f"^{key}: "):
@@ -102,11 +120,11 @@ def test_mc_step_count_capped(capsys):
 def test_config_file_and_override(tmp_path):
     f = tmp_path / "run.cfg"
     f.write_text("# sweep settings\nmodel = bell\nbeta = -2\n"
-                 "alpha = -1:1:0.5\nmethod = fd\ngrid_n = 500\n",
+                 "alpha = -1:1:0.5\nmethod = fd\npaths = 500\n",
                  encoding="utf-8")
-    cfg = parse_config(["sweep", "--config", str(f), "--grid-n", "800"])
+    cfg = parse_config(["sweep", "--config", str(f), "--paths", "800"])
     assert cfg.model == "bell"
-    assert cfg.grid_n == 800  # flag overrides file
+    assert cfg.paths == 800  # flag overrides file
     assert cfg.alpha_range == (-1.0, 1.0, 0.5)
 
 
@@ -122,7 +140,7 @@ def test_config_file_errors(tmp_path):
 
 def test_config_roundtrip(tmp_path):
     cfg = parse_config(["sweep", "--model", "bell", "--equilibrium", "P2",
-                        "--alpha=-2:2:0.25", "--beta", "-2", "--grid-n", "1234",
+                        "--alpha=-2:2:0.25", "--beta", "-2", "--paths", "1234",
                         "--params", "a1=2.5,b3=0.9", "--seed", "7",
                         "--out", "x.csv"])
     f = tmp_path / "echo.cfg"
@@ -250,7 +268,7 @@ def test_cli_simulate_bytes_identical(tmp_path, capsys):
 
 def test_cli_lyapunov_fd_line(capsys):
     code = main(["lyapunov", "--model", "bell", "--equilibrium", "P1",
-                 "--alpha", "0.0", "--beta", "-2", "--grid-n", "2000"])
+                 "--alpha", "0.0", "--beta", "-2"])
     assert code == 0
     out = capsys.readouterr().out
     assert out.startswith("lambda=") and "method=fd" in out
@@ -262,7 +280,7 @@ def test_cli_sweep_csv_and_footer(tmp_path, capsys):
     out = tmp_path / "sweep.csv"
     code = main(["sweep", "--model", "bell", "--equilibrium", "P1",
                  "--beta", "-2", "--alpha=-4:4:0.5", "--method", "fd",
-                 "--grid-n", "2000", "--out", str(out)])
+                 "--out", str(out)])
     assert code == 0
     lines = out.read_text().splitlines()
     assert lines[0] == "alpha,lambda,method,stderr"

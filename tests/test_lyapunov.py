@@ -124,16 +124,19 @@ def test_density_normalization_kt_p2():
     assert dens.values[10000] == dens.values[0]
 
 
-@pytest.mark.parametrize("n", [256, 1000, 1001])
+@pytest.mark.parametrize("n", [256, 1000, 1001, 2, 7, 64, 255, 10000])
 def test_density_values_are_the_modes_at_the_nodes(n):
-    # one inverse real FFT against the mode sum at each node; the density
-    # has 128 modes, so at n = 256 the mode n / 2 is used
+    # the folded inverse FFT against the mode sum at each node; the density
+    # has 128 modes, so below n = 257 modes share a frequency, and from
+    # there on only p_0 lands on frequency 0 and the mass is 1
     dens = stationary_density_fd(_sys(*_ROUGH), n=n)
     half = dens.modes.size // 2
     assert dens.step == math.pi / n and half == 128
     theta = dens.step * np.arange(n + 1)
     direct = np.exp(2j * np.outer(theta, np.arange(-half, half + 1))) @ dens.modes
     assert np.abs(direct - dens.values).max() <= 1e-14 * np.abs(direct).max()
+    if n > half:
+        assert abs(np.sum(dens.values[1:]) * dens.step - 1.0) <= 1e-14
 
 
 def test_density_grid_validation():
@@ -142,50 +145,33 @@ def test_density_grid_validation():
         stationary_density_fd(s, n=1)
 
 
-@pytest.mark.parametrize("n, modes", [(2, 1), (3, 1), (4, 2), (8, 4)])
-def test_fd_small_grid_rejects_at_its_cap(n, modes):
-    # the cap min(n // 2, _MAX_MODES) is below 16; with one mode the tail
-    # holds p_0 itself, so such a density is always rejected, one system
-    # or a stack
-    with pytest.raises(DegeneratePhaseDiffusionError,
-                       match=f"not resolved by {modes} modes") as exc:
-        lyapunov_fd(_bell_p1_sys(0.5), n=n)
-    m, e = bell_model(), bell_equilibria(BELL_PARAMS)[0]
-    r = stability_sweep(m, e, -2.0, [-1.0, 0.5], method="fd", grid_n=n)
-    assert np.isnan(r.lambdas).all()
-    assert r.failures[1] == (0.5, str(exc.value))
-
-
 def test_fd_rejects_q4_with_real_zeros():
     # q4 has real zeros exactly when (b22 - b11)^2 + 4 b12 b21 >= 0: 135
-    # of the seed-11 systems; the decision and its message do not depend
-    # on n, and the value of every other system does not either
+    # of the seed-11 systems; every other one has a value
     rng = np.random.default_rng(11)
     rejected = 0
     for _ in range(200):
         s = _sys(rng.normal(size=4), rng.normal(size=4))
         b = s.B
         real_zeros = (b.a22 - b.a11) ** 2 + 4 * b.a12 * b.a21 >= 0
-        values = set()
-        for n in (2000, 10000, 40000):
-            if real_zeros:
-                with pytest.raises(DegeneratePhaseDiffusionError,
-                                   match="q4 has real zeros.*use the mc method"):
-                    lyapunov_fd(s, n=n)
-            else:
-                values.add(lyapunov_fd(s, n=n).value)
+        if real_zeros:
+            with pytest.raises(DegeneratePhaseDiffusionError,
+                               match="q4 has real zeros.*use the mc method"):
+                lyapunov_fd(s)
+        else:
+            assert math.isfinite(lyapunov_fd(s).value)
         rejected += real_zeros
-        assert len(values) == (0 if real_zeros else 1)
     assert rejected == 135
 
 
-def test_fd_rejects_density_beyond_the_mode_cap():
-    # at n = 64 the mode count is capped at 32
+def test_fd_rejects_density_beyond_the_mode_cap(monkeypatch):
+    # the density needs 128 modes: a cap of 32 rejects it
     s = _sys(*_ROUGH)
+    assert lyapunov_fd(s).diagnostics["modes"] == 128
+    monkeypatch.setattr(lyapunov, "_MAX_MODES", 32)
     with pytest.raises(DegeneratePhaseDiffusionError,
                        match="not resolved by 32 modes.*use the mc method"):
-        lyapunov_fd(s, n=64)
-    assert lyapunov_fd(s, n=256).diagnostics["modes"] == 128
+        lyapunov_fd(s)
 
 
 # ------------------------------------------------------------------ fd exponent
@@ -200,14 +186,14 @@ def test_fd_constant_integrand_reductions():
     ]
     for (a, alpha, beta), expect in cases:
         s = LinearSDE(Mat2(a, 0, 0, a), alpha_family(alpha, beta))
-        est = lyapunov_fd(s, n=2000)
+        est = lyapunov_fd(s)
         assert est.method == "fd" and est.stderr == 0.0
         assert abs(est.value - expect) < 1e-6
 
 
 def test_fd_diagnostics_fields():
-    est = lyapunov_fd(_kt_p2_sys(1.0), n=4000)
-    assert est.n == 4000
+    est = lyapunov_fd(_kt_p2_sys(1.0))
+    assert est.n == est.diagnostics["modes"]
     assert set(est.diagnostics) == {"min_q4_sq", "modes", "tail"}
     assert abs(est.diagnostics["min_q4_sq"] - 4.0) < 1e-12
     assert est.diagnostics["modes"] in (16, 32, 64)
@@ -223,38 +209,26 @@ def test_fd_solves_one_period():
         dens = stationary_density_fd(s, n=n)
         assert dens.step == math.pi / n and len(dens.values) == n + 1
         exact = float(alpha_exact.top_lyapunov(a_mat, alpha, -2.0, m=512))
-        assert abs(lyapunov_fd(s, n=n).value - exact) <= 1e-12 * (1 + abs(exact)), alpha
-
-
-@pytest.mark.parametrize("make_sys", [_kt_p2_sys, _bell_p1_sys])
-def test_fd_grid_convergence_first_order(make_sys):
-    # the node count n only caps the mode count: above the modes the
-    # density needs, it does not change the value
-    s = make_sys(1.5)
-    lam = {lyapunov_fd(s, n=n).value for n in (500, 2000, 10000, 40000)}
-    assert len(lam) == 1
+        assert abs(lyapunov_fd(s).value - exact) <= 1e-12 * (1 + abs(exact)), alpha
 
 
 @pytest.mark.parametrize("alpha", [5.0, -5.0])
 def test_fd_error_does_not_grow_with_n(alpha):
     # KT P1, beta = -2: the drift constant k0 = (a21 - a12 - 2 alpha beta) /
-    # beta^2 is about alpha, so the density carries a large flux
+    # beta^2 is about alpha, so the density carries a large flux; the
+    # spectral solve is exact to rounding there too
     a_mat = linearize(kt_model(), alpha_family(0.0, -2.0),
                       kt_equilibria(KT_PARAMS)[0]).A
     exact = float(alpha_exact.top_lyapunov(a_mat, alpha, -2.0))
     s = LinearSDE(a_mat, alpha_family(alpha, -2.0))
-    err = {n: abs(lyapunov_fd(s, n=n).value - exact) for n in (10000, 40000)}
-    for n, e in err.items():
-        assert e <= math.pi / n * alpha_exact.osc_q1(a_mat)
-    assert err[40000] <= err[10000]
+    assert abs(lyapunov_fd(s).value - exact) <= 1e-12 * (1 + abs(exact))
 
 
 def test_fd_resolves_rough_system_on_finer_grid():
     # the value agrees with mc's -0.120 +- 0.004 and fd's former
     # Richardson value -0.121361373380 (n = 4e4 and 1.6e5)
     s = _sys(*_ROUGH)
-    for n in (10000, 40000):
-        assert abs(lyapunov_fd(s, n=n).value - (-0.1213613733799)) <= 1e-12
+    assert abs(lyapunov_fd(s).value - (-0.1213613733799)) <= 1e-12
 
 
 # (alpha, beta) -> fd's former Richardson value from n = 10^4 and 4e4
@@ -268,31 +242,38 @@ def test_fd_accepts_bell_p1_at_small_beta(alpha, beta):
     # the homogeneous solution of the angle equation decays by e^-500 to
     # below the smallest double across the period: a smooth density all
     # the same
-    est = lyapunov_fd(_bell_p1_sys(alpha, beta=beta), n=10000)
+    est = lyapunov_fd(_bell_p1_sys(alpha, beta=beta))
     assert abs(est.value - _BELL_P1_SMALL_BETA[alpha, beta]) <= 1e-6
 
 
-# (beta, n) -> fd's former Richardson value from n = 10^4 and 4e4
-_KT_P2_TINY_BETA = {(-0.01, 1000): -0.062265106179, (-0.005, 10000): -0.074991890891}
+# (beta, node count n) -> mode count and fd's former Richardson value from
+# n = 10^4 and 4e4
+_KT_P2_TINY_BETA = {(-0.01, 1000): (512, -0.062265106179),
+                    (-0.005, 10000): (1024, -0.074991890891)}
 
 
 @pytest.mark.parametrize("beta, n", list(_KT_P2_TINY_BETA))
 def test_fd_accepts_steep_kt_p2(beta, n):
     # KT P2 at tiny |beta|: q4^2 / 2 = beta^2 / 2 against an angle drift of
-    # order 25, so the density needs the whole mode cap, n // 2 or 1024
-    est = lyapunov_fd(_kt_p2_sys(0.0, beta=beta), n=n)
-    assert est.diagnostics["modes"] == min(n // 2, lyapunov._MAX_MODES)
-    assert abs(est.value - _KT_P2_TINY_BETA[beta, n]) <= 1e-6
+    # order 25, so the density needs 512 modes, or the whole cap of 1024;
+    # sampled at n > N nodes it keeps mass 1
+    s = _kt_p2_sys(0.0, beta=beta)
+    modes, value = _KT_P2_TINY_BETA[beta, n]
+    est = lyapunov_fd(s)
+    assert est.diagnostics["modes"] == est.n == modes
+    assert abs(est.value - value) <= 1e-6
+    dens = stationary_density_fd(s, n=n)
+    assert abs(np.sum(dens.values[1:]) * dens.step - 1.0) <= 1e-12
 
 
 def test_fd_allocation_peak():
     # a later kernel must not quietly raise lyapunov_fd's working memory
     for alpha in (-1.0, 1.0):
         s = _bell_p1_sys(alpha)
-        lyapunov_fd(s, n=10000)
+        lyapunov_fd(s)
         tracemalloc.start()
         try:
-            lyapunov_fd(s, n=10000)
+            lyapunov_fd(s)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -333,7 +314,7 @@ def test_fd_matches_zero_flux_density(seed):
     assert abs(est.value - exact) <= 1e-13 * (1 + abs(exact)), (est.value, exact)
 
 
-def _bordered_fd(sys, n=10000):
+def _bordered_fd(sys):
     """fd's former solve, as (lambda, N): all modes p_k, |k| <= N, of
     q4^2/2 p' + g p = p0 as one dense complex system, with the flux p0
     as one more unknown and pi p_0 = 1 as one more row."""
@@ -341,8 +322,7 @@ def _bordered_fd(sys, n=10000):
     diffusion, drift, q = rows[[5, 4, 0]] @ lyapunov._FOURIER
     if not abs(rows[3, 0]) - math.hypot(rows[3, 1], rows[3, 2]) > 0:
         raise DegeneratePhaseDiffusionError(lyapunov._REAL_ZEROS)
-    cap = min(n // 2, lyapunov._MAX_MODES)
-    modes = min(lyapunov._START_MODES, cap)
+    modes = lyapunov._START_MODES
     while True:
         size = 2 * modes + 1
         a = np.zeros((size + 1, size + 1), dtype=complex)
@@ -352,11 +332,11 @@ def _bordered_fd(sys, n=10000):
         a[modes, size], a[size, modes] = -1.0, math.pi
         p = np.linalg.solve(a, np.eye(size + 1)[size])[:size]
         tail = np.abs(p[[0, 1, -2, -1]]).max() / abs(p[modes])
-        if tail <= lyapunov._MODE_TAIL or modes == cap:
+        if tail <= lyapunov._MODE_TAIL or modes == lyapunov._MAX_MODES:
             break
-        modes = min(2 * modes, cap)
+        modes *= 2
     if not tail <= lyapunov._MODE_TAIL:
-        raise lyapunov._unresolved(modes, tail)
+        raise DegeneratePhaseDiffusionError(lyapunov._unresolved(modes, tail))
     return math.pi * (p[modes - 2:modes + 3].conj() @ q).real, modes
 
 
@@ -366,28 +346,30 @@ def _seed_11_systems():
 
 
 @pytest.mark.parametrize("case", ["Bell-P1", "KT-P1", "KT-P2", "seed-11", "capped"])
-def test_fd_matches_bordered_complex_solve(case):
+def test_fd_matches_bordered_complex_solve(case, monkeypatch):
     # the real solve of p_1..p_N against the bordered complex solve of
     # every mode: the same mode counts and messages, values to rounding;
-    # at beta = -0.1 the alpha family needs 64 to 256 modes
+    # at beta = -0.1 the alpha family needs 64 to 256 modes, and the
+    # 128-mode _ROUGH density is rejected under lower caps
+    cap = lyapunov._MAX_MODES
     if case == "seed-11":
-        systems = [(s, 10000) for s in _seed_11_systems()]
+        systems = [(s, cap) for s in _seed_11_systems()]
     elif case == "capped":
-        systems = [(_sys(*_ROUGH), 64), (_sys(*_ROUGH), 256)] + [
-            (_bell_p1_sys(0.5), n) for n in (2, 4, 8)]
+        systems = [(_sys(*_ROUGH), c) for c in (16, 32, 64, cap)]
     else:
-        systems = [(LinearSDE(_drift_matrix(case, beta), alpha_family(alpha, beta)), 10000)
+        systems = [(LinearSDE(_drift_matrix(case, beta), alpha_family(alpha, beta)), cap)
                    for beta in (-2.0, -0.1) for alpha in np.linspace(-5.0, 5.0, 11)]
     modes = set()
-    for s, n in systems:
+    for s, c in systems:
+        monkeypatch.setattr(lyapunov, "_MAX_MODES", c)
         try:
-            want, want_modes = _bordered_fd(s, n)
+            want, want_modes = _bordered_fd(s)
         except DegeneratePhaseDiffusionError as exc:
             with pytest.raises(DegeneratePhaseDiffusionError) as got:
-                lyapunov_fd(s, n)
+                lyapunov_fd(s)
             assert str(got.value) == str(exc)
             continue
-        est = lyapunov_fd(s, n)
+        est = lyapunov_fd(s)
         assert est.diagnostics["modes"] == want_modes
         assert abs(est.value - want) <= 1e-13 * (1 + abs(want)), (est.value, want)
         modes.add(want_modes)
@@ -429,7 +411,7 @@ def test_closed_lyapunov_symmetric_family():
 def test_closed_matches_fd_on_constant_integrand():
     for a, alpha, beta in [(0.1, 0.0, 1.0), (1.0, 1.0, 2.0), (0.3, 0.8, 1.3)]:
         s = LinearSDE(Mat2(a, 0, 0, a), alpha_family(alpha, beta))
-        fd = lyapunov_fd(s, n=4000).value
+        fd = lyapunov_fd(s).value
         cl = closed_form_lyapunov(Mat2(a, 0, 0, a), alpha, beta).value
         assert abs(fd - cl) < 1e-6
 
@@ -468,7 +450,7 @@ def test_closed_within_fd_error_on_bell_p1_grid():
     # fd is an independent, spectral algorithm on the same density
     a_mat = _drift_matrix("Bell-P1")
     for alpha in np.arange(-4.0, 4.01, 0.25):
-        fd = lyapunov_fd(LinearSDE(a_mat, alpha_family(alpha, -2.0)), n=10000).value
+        fd = lyapunov_fd(LinearSDE(a_mat, alpha_family(alpha, -2.0))).value
         cl = closed_form_lyapunov(a_mat, alpha, -2.0).value
         assert abs(fd - cl) <= 1e-12 * (1 + abs(cl)), alpha
 
@@ -481,7 +463,7 @@ def test_closed_resolves_large_amplitude_density():
     for a_mat in (Mat2(amp * beta ** 2, -d / 2, d / 2, -amp * beta ** 2),
                   Mat2(800.0, 0.0, 0.0, -800.0), Mat2(amp, 0.3, -0.3, -amp)):
         cl = closed_form_lyapunov(a_mat, alpha, beta)
-        fd = lyapunov_fd(LinearSDE(a_mat, alpha_family(alpha, beta)), n=10000)
+        fd = lyapunov_fd(LinearSDE(a_mat, alpha_family(alpha, beta)))
         assert abs(cl.value - fd.value) <= 1e-12 * (1 + abs(fd.value))
         assert cl.n == cl.diagnostics["modes"] == fd.diagnostics["modes"]
         assert cl.diagnostics["tail"] <= 1e-14
@@ -494,7 +476,7 @@ def test_closed_rejects_density_unresolved_at_the_cap():
                        match="not resolved by 1024 modes .* use the mc method"):
         closed_form_lyapunov(a_mat, 1.5, 0.001)
     with pytest.raises(DegeneratePhaseDiffusionError, match="not resolved by 1024"):
-        lyapunov_fd(LinearSDE(a_mat, alpha_family(1.5, 0.001)), n=10000)
+        lyapunov_fd(LinearSDE(a_mat, alpha_family(1.5, 0.001)))
 
 
 def test_closed_large_alpha_is_negative():
@@ -574,7 +556,7 @@ def test_mc_scalar_noise_oracle():
     a, sigma = 1.0, 0.5
     s = _sys((a, 0, 0, a), (sigma, 0, 0, sigma))
     with pytest.raises(DegeneratePhaseDiffusionError):
-        lyapunov_fd(s, n=500)
+        lyapunov_fd(s)
     est = lyapunov_mc(s, horizon=50.0, dt=1e-3, paths=48, seed=2)
     assert est.method == "mc" and est.n == 48 and est.stderr > 0
     assert abs(est.value - (a - sigma ** 2 / 2)) < 3 * est.stderr
@@ -609,12 +591,22 @@ def test_mc_determinism_and_config_checks():
             lyapunov_mc(s, horizon=horizon, dt=dt, paths=1)
 
 
+@pytest.mark.parametrize("paths", [2, 3, 5])
+def test_mc_paths_do_not_change_each_other(paths):
+    # path p draws from stream (seed, p) and rounds as it would alone: the
+    # estimate is the mean of the one-path runs, bit for bit
+    s = _sys(*_ROUGH)
+    kw = dict(horizon=20.0, dt=1e-3, seed=5)
+    one = [lyapunov_mc(s, paths=1, stream_base=b, **kw).value for b in range(paths)]
+    assert lyapunov_mc(s, paths=paths, **kw).value == np.mean(one)
+
+
 def test_density_independent_methods_agree():
     # q2, q4 constant: fd and closed exact, mc within noise
     a, alpha, beta = 0.3, 0.8, 1.3
     expect = a + (beta ** 2 - alpha ** 2) / 2
     s = LinearSDE(Mat2(a, 0, 0, a), alpha_family(alpha, beta))
-    fd = lyapunov_fd(s, n=2000).value
+    fd = lyapunov_fd(s).value
     cl = closed_form_lyapunov(Mat2(a, 0, 0, a), alpha, beta).value
     mc = lyapunov_mc(s, horizon=50.0, dt=1e-3, paths=64, seed=8)
     assert abs(fd - cl) < 1e-6
@@ -626,7 +618,7 @@ def test_fd_matches_mc_for_general_noise():
     # b11 != b22, so q5 = dq4/dtheta enters the fd angle drift; the alpha
     # family (b11 = b22, q5 = 0) cannot see an error in it
     s = _sys((-0.2, 0.5, -0.8, 0.1), (0.5, -1.2, 1.0, 1.4))
-    fd = lyapunov_fd(s, n=10000).value
+    fd = lyapunov_fd(s).value
     mc = lyapunov_mc(s, horizon=100.0, dt=1e-3, paths=64, seed=31)
     assert abs(fd - mc.value) <= 4 * mc.stderr + 0.01
     assert abs(fd - 0.030289348533440) <= 1e-12
@@ -637,9 +629,9 @@ def test_fd_matches_mc_for_general_noise():
 def test_sweep_brackets_nest_under_grid_refinement():
     m, e = bell_model(), bell_equilibria(BELL_PARAMS)[0]
     coarse = stability_sweep(m, e, -2.0, np.arange(-4, 4.01, 0.5),
-                             method="fd", grid_n=2000)
+                             method="fd")
     fine = stability_sweep(m, e, -2.0, np.arange(-4, 4.01, 0.25),
-                           method="fd", grid_n=2000)
+                           method="fd")
     assert len(coarse.sign_changes) == len(fine.sign_changes) == 2
     for (clo, chi), (flo, fhi) in zip(coarse.sign_changes, fine.sign_changes):
         assert chi - clo <= 1e-3 and fhi - flo <= 1e-3
@@ -649,7 +641,7 @@ def test_sweep_brackets_nest_under_grid_refinement():
 def test_sweep_stable_set_matches_signs():
     m, e = bell_model(), bell_equilibria(BELL_PARAMS)[0]
     r = stability_sweep(m, e, -2.0, np.arange(-4, 4.01, 0.5),
-                        method="fd", grid_n=2000)
+                        method="fd")
     # outer stability: negative at the edges, positive in the middle
     assert r.lambdas[0] < 0 and r.lambdas[-1] < 0
     assert max(r.lambdas) > 0
@@ -670,8 +662,8 @@ def test_sweep_bracket_stays_wide_when_a_midpoint_fails(monkeypatch):
     on_grid = set(grid.tolist())
     real = lyapunov._fd_exponents
 
-    def grid_only(a_mat, beta, alphas, n):
-        values, modes, errors = real(a_mat, beta, alphas, n)
+    def grid_only(a_mat, beta, alphas):
+        values, modes, errors = real(a_mat, beta, alphas)
         off = [k for k, alpha in enumerate(alphas.tolist()) if alpha not in on_grid]
         values[off] = math.nan
         errors.update(dict.fromkeys(off, "off-grid alpha refused"))
@@ -679,7 +671,7 @@ def test_sweep_bracket_stays_wide_when_a_midpoint_fails(monkeypatch):
 
     monkeypatch.setattr(lyapunov, "_fd_exponents", grid_only)
     m, e = bell_model(), bell_equilibria(BELL_PARAMS)[0]
-    r = stability_sweep(m, e, -2.0, grid, method="fd", grid_n=2000,
+    r = stability_sweep(m, e, -2.0, grid, method="fd",
                         refine_tol=1e-3)
     assert r.sign_changes == [(-2.0, -1.5), (1.5, 2.0)]
     assert all(hi - lo == 0.5 for lo, hi in r.sign_changes)
@@ -699,7 +691,7 @@ def test_sweep_empty_grid():
 @pytest.mark.parametrize("method", ["fd", "closed"])
 def test_sweep_records_per_point_failures(method):
     m, e = bell_model(), bell_equilibria(BELL_PARAMS)[0]
-    r = stability_sweep(m, e, 0.0, [0.0, 1.0], method=method, grid_n=500)
+    r = stability_sweep(m, e, 0.0, [0.0, 1.0], method=method)
     assert len(r.failures) == 2
     assert np.isnan(r.lambdas).all()
     assert r.sign_changes == [] and r.stable_set == []
@@ -718,7 +710,7 @@ def test_sweep_grid_must_be_finite(grid, method):
     # comparisons with NaN are false, so such grids pass the increase check
     m, e = bell_model(), bell_equilibria(BELL_PARAMS)[0]
     with pytest.raises(ValueError, match="finite"):
-        stability_sweep(m, e, -2.0, grid, method=method, grid_n=500)
+        stability_sweep(m, e, -2.0, grid, method=method)
 
 
 @pytest.mark.parametrize("label, beta", [("Bell-P1", -2.0), ("KT-P2", -2.0),
@@ -768,7 +760,7 @@ def test_fd_sweep_matches_per_point_solve(label, beta, alphas):
     # at the cap while alpha = 0 resolves there
     model, equilibria, params, k = _ALPHA_FAMILY_SYSTEMS[label]
     a_mat = _drift_matrix(label, beta)
-    values, modes, errors = lyapunov._fd_exponents(a_mat, beta, alphas, 10000)
+    values, modes, errors = lyapunov._fd_exponents(a_mat, beta, alphas)
     r = stability_sweep(model(), equilibria(params)[k], beta, alphas, method="fd")
     np.testing.assert_array_equal(r.lambdas, values)
     want_failures = []
@@ -794,10 +786,10 @@ def test_fd_stack_split_leaves_values_unchanged(monkeypatch):
     # one unsplit stack, bit for bit
     a_mat = _drift_matrix("Bell-P1", -0.3)
     alphas = np.linspace(-5.0, 5.0, 23)
-    whole = lyapunov._fd_exponents(a_mat, -0.3, alphas, 10000)
+    whole = lyapunov._fd_exponents(a_mat, -0.3, alphas)
     monkeypatch.setattr(lyapunov, "_STACK", 5)
     monkeypatch.setattr(lyapunov, "_SOLVE_ELEMENTS", 3 * 34 ** 2)
-    split = lyapunov._fd_exponents(a_mat, -0.3, alphas, 10000)
+    split = lyapunov._fd_exponents(a_mat, -0.3, alphas)
     np.testing.assert_array_equal(split[0], whole[0])
     np.testing.assert_array_equal(split[1], whole[1])
     assert split[2] == whole[2] == {}
@@ -875,8 +867,8 @@ def test_sweep_failed_midpoint_ends_only_its_bracket(monkeypatch):
     on_grid = set(grid.tolist())
     real = lyapunov._fd_exponents
 
-    def refuse_negative_midpoints(a_mat, beta, alphas, n):
-        values, modes, errors = real(a_mat, beta, alphas, n)
+    def refuse_negative_midpoints(a_mat, beta, alphas):
+        values, modes, errors = real(a_mat, beta, alphas)
         off = [k for k, alpha in enumerate(alphas.tolist())
                if alpha < 0 and alpha not in on_grid]
         values[off] = math.nan
