@@ -25,7 +25,7 @@ p(theta).  Three estimators are provided:
 
 * ``lyapunov_fd``   -- Fourier-Galerkin solve of the stationary angle
   equation over one period [0, pi], for systems whose q4 has no real
-  zeros,
+  zeros: a block continued fraction over blocks of 16 modes,
 * ``closed_form_lyapunov`` -- the same density when B = [[alpha, -beta],
   [beta, alpha]], whose angle diffusion beta^2 is constant: its modes
   follow from one continued fraction, evaluated over a whole alpha
@@ -199,10 +199,9 @@ class SweepResult:
 _MODE_TAIL = 1e-14
 _START_MODES = 16
 _MAX_MODES = 1024
-# a stacked Galerkin solve holds at most _SOLVE_ELEMENTS real matrix elements
-# (2 MB) or one system; fd takes the alphas of a sweep in blocks of _STACK
-_SOLVE_ELEMENTS = 2 ** 18
-_STACK = _SOLVE_ELEMENTS // (2 * _START_MODES) ** 2
+# fd takes the alphas of a sweep in blocks of _STACK; a block row of
+# ``_galerkin`` takes 5 KB per system
+_STACK = 256
 # a row over the basis (1, c, s, c^2, c s) of ``_times``, times this, gives
 # its Fourier modes at e^{2 i j theta}, j = -2..2
 _FOURIER = np.array([[0, 0, 1, 0, 0],
@@ -211,15 +210,14 @@ _FOURIER = np.array([[0, 0, 1, 0, 0],
                      [0.25, 0, 0.5, 0, 0.25],
                      [0.25j, 0, 0, 0, -0.25j]])
 # lambda = pi sum_{|j| <= 2} Q_j p_{-j}, with p real, is Q's row over the
-# basis (1, c, s, c^2, c s) times this times (p_0, Re p_1, Im p_1, Re p_2,
-# Im p_2): pi times the averages of the basis against the density
-_QUAD = math.pi * np.array([[1.0, 0, 0, 0, 0],
-                            [0, 1.0, 0, 0, 0],
-                            [0, 0, -1.0, 0, 0],
-                            [0.5, 0, 0, 0.5, 0],
-                            [0, 0, 0, 0, -0.5]])
+# basis (1, c, s, c^2, c s) times this times pi (p_0, Re p_1, Im p_1, Re p_2,
+# Im p_2): the averages of the basis against the density
+_QUAD = np.array([[1.0, 0, 0, 0, 0],
+                  [0, 1.0, 0, 0, 0],
+                  [0, 0, -1.0, 0, 0],
+                  [0.5, 0, 0, 0.5, 0],
+                  [0, 0, 0, 0, -0.5]])
 _ZERO = Mat2(0.0, 0.0, 0.0, 0.0)
-_SPARE = np.zeros((1, 10))
 _REAL_ZEROS = "q4 has real zeros, where the angle diffusion vanishes; use the mc method"
 
 
@@ -228,63 +226,61 @@ def _unresolved(modes: int, tail: float) -> str:
             f"of p_0 > {_MODE_TAIL:g}); use the mc method")
 
 
-@functools.lru_cache(maxsize=16)
-def _band(modes: int) -> tuple:
-    """``_galerkin``'s (2N, 2N + 2) array at N = modes: the flat indices
-    of its nonzero entries, and the (10, E) map from a system's angle
-    drift and diffusion rows, 10 entries, to those entries.
+@functools.cache
+def _blocks() -> np.ndarray:
+    """The real (15, 2 B (B + 4)) map, B = _START_MODES, from a system's
+    angle drift and diffusion rows (10 entries) and m times the diffusion
+    row to block row m of its mode equation, a complex (B, B + 4) array.
 
-    Mode k of the density equation reads sum_j c_kj p_{k-j} = 0 for k >= 1,
-    with c_kj = g_j + 2 i (k - j) d_j from the modes j = -2..2 of the drift
-    g and the diffusion d (``_FOURIER``).  Columns 2l, 2l + 1 hold the
-    terms in (Re p_l, Im p_l), l = 1..N, and rows 2k - 2, 2k - 1 the real
-    and imaginary parts of mode k: a term c p_l adds [[Re c, -Im c], [Im c,
-    Re c]] there, and c p_{-1} = c conj(p_1), in row k = 1, adds [[Re c,
-    Im c], [Im c, -Re c]] at l = 1.  Column 0 holds -c p_0 = -c / pi, the
-    right-hand side of rows k = 1, 2.  Read-only, as it is cached.
+    Mode k >= 1 reads sum_j c_kj p_{k-j} = 0, with c_kj = g_j + 2 i (k -
+    j) d_j from the modes j = -2..2 of the drift g and the diffusion d
+    (``_FOURIER``).  Row r of block row m = 1, 2, .. is mode k = B (m - 1)
+    + 1 + r, and column c the term in p_l, l = k - j = B m + c - 1 - B, so
+    columns 0, 1 (negated) hold L_m, 2..B + 1 D_m and B + 2, B + 3 U_m.
     """
-    k = np.repeat(np.arange(1, modes + 1), 5)
-    j = np.tile(np.arange(-2, 3), modes)
-    k, j = k[k - j <= modes], j[k - j <= modes]
-    mode = k - j
-    c = np.concatenate((_FOURIER[:, j + 2], 2j * mode * _FOURIER[:, j + 2]))
-    c *= np.where(mode == 0, -1.0 / math.pi, 1.0)
-    sign, col = np.sign(mode), 2 * np.abs(mode)
-    row = np.concatenate((2 * k - 2, 2 * k - 2, 2 * k - 1, 2 * k - 1))
-    flat = row * (2 * modes + 2) + np.concatenate((col, col + 1, col, col + 1))
-    # column 1 gets only zeros, from sign 0
-    terms = np.concatenate((c.real, -sign * c.imag, c.imag, sign * c.real), axis=1)
-    # row 1 meets p_1 twice, as p_1 and as conj(p_1)
-    flat, where = np.unique(flat, return_inverse=True)
-    spread = np.zeros((10, flat.size))
-    np.add.at(spread, (slice(None), where), terms)
-    used = spread.any(axis=0)
-    flat, spread = flat[used], spread[:, used]
-    flat.flags.writeable = spread.flags.writeable = False
-    return flat, spread
+    size = _START_MODES
+    col = np.arange(size + 4)
+    j = np.arange(size)[:, None] + 2 - col
+    band = np.where(np.abs(j) <= 2, _FOURIER[:, np.clip(j + 2, 0, 4)], 0.0)
+    band[:, :, :2] *= -1.0
+    out = np.concatenate((band, 2j * (col - 1 - size) * band, 2j * size * band))
+    out = np.ascontiguousarray(out.reshape(15, -1)).view(float)
+    out.flags.writeable = False
+    return out
 
 
 def _galerkin(coef: np.ndarray, modes: int) -> np.ndarray:
-    """For each system of a stack, the modes p_1..p_N, N = modes, of the
+    """For each system of a stack, pi p_1..pi p_N, N = modes, of the
     solution of diffusion p' + drift p = p0 with pi p_0 = 1, truncated to
     |k| <= N; coef (M, 10) holds each system's angle drift and diffusion
-    rows (``_polar_rows`` 4 and 5).  Returns (M, 2N): Re p_1, Im p_1, ...,
-    Re p_N, Im p_N.
+    rows (``_polar_rows`` 4 and 5).  Returns (M, N) complex.
 
-    The density is real, so p_{-k} = conj(p_k): modes k = 1..N of the
-    equation, split into real and imaginary parts, are a real system of
-    2N equations in p_1..p_N, where the flux p0 does not enter (``_band``).
-    The stack is solved densely, by one batched call.
+    Modes k = 1..N of the equation do not involve the flux p0.  In blocks
+    P_m of B modes they read L_m P_{m-1}[-2:] + D_m P_m + U_m P_{m+1}[:2] =
+    0 (``_blocks``), so the backward sweep S_m = -(D_m + U_m S_{m+1}[:2])^-1
+    L_m, S_{N/B+1} = 0, a block continued fraction (Risken 1989, ch. 9),
+    gives P_m = S_m P_{m-1}[-2:], and a forward sweep every mode from
+    P_0[-2:] = (p_{-1}, p_0).  p_{-1} drops out: its coefficient in mode
+    1, g_2 - 2 i d_2 = q4_1 (q2_1 + i q4_1) with q4_1, q2_1 the modes j =
+    1 of q4 and q2, is 0, as q4_1 = i q2_1.
     """
-    flat, spread = _band(modes)
-    size = 2 * modes
-    a = np.zeros((len(coef), size, size + 2))
+    size = _START_MODES
     # a spare zero row keeps a stack of one a matrix-matrix product, whose
     # sums round as in any larger stack (a vector product rounds otherwise)
-    a.reshape(len(coef), -1)[:, flat] = (np.concatenate((coef, _SPARE)) @ spread)[:-1]
-    # the right-hand side as a 1-column matrix, which every numpy solves
-    # as a matrix, system by system
-    return np.linalg.solve(a[..., 2:], a[..., :1])[..., 0]
+    terms = np.zeros((len(coef) + 1, 15))
+    terms[:-1, :10] = coef
+    fractions = []
+    for m in range(modes // size, 0, -1):
+        np.multiply(coef[:, 5:], m, out=terms[:-1, 10:])
+        a = (terms @ _blocks())[:-1].view(complex).reshape(len(coef), size, size + 4)
+        if fractions:
+            a[:, -2:, -4:-2] += a[:, -2:, -2:] @ fractions[-1][:, :2]
+        fractions.append(np.linalg.solve(a[:, :, 2:-2], a[:, :, :2]))
+    x, p = np.array([[0j], [1.0]]), []  # (p_{-1}, pi p_0)
+    for s in reversed(fractions):
+        x = s @ x[..., -2:, :]
+        p.append(x[:, :, 0])
+    return np.concatenate(p, axis=1)
 
 
 def _fd_solve(rows: np.ndarray, keep: bool = False) -> tuple:
@@ -292,33 +288,27 @@ def _fd_solve(rows: np.ndarray, keep: bool = False) -> tuple:
     arrays of lambda (NaN where rejected), mode count N, tail and q4's gap
     |m| - hypot(c, s); {index: message} of the rejections; with keep,
     {index: p_{-N}..p_N}.  Only the systems still unresolved go on to the
-    next N, so each gets its own solve's N, p and tail.  A stacked solve
-    holds at most _SOLVE_ELEMENTS matrix elements or one system.
+    next N, so each gets its own solve's N, p and tail.
 
     The tail is pi max(|p_N|, |p_{N-1}|), and lambda = int_0^pi Q p dtheta
-    is Q's row times _QUAD times (p_0, Re p_1, Im p_1, Re p_2, Im p_2).
+    is Q's row times _QUAD times pi (p_0, Re p_1, Im p_1, Re p_2, Im p_2).
     """
     q4 = rows[:, 3]
     gap = np.abs(q4[:, 0]) - np.hypot(q4[:, 1], q4[:, 2])
     coef = rows[:, 4:].reshape(len(rows), 10)
     tails, counts = np.empty(len(rows)), np.zeros(len(rows), int)
     tails.fill(np.inf)
-    low_modes = np.zeros((len(rows), 5))
-    low_modes[:, 0] = 1.0 / math.pi
+    low_modes = np.ones((len(rows), 5))
     densities = {}
     modes, todo = _START_MODES, (gap > 0.0).nonzero()[0]
     while todo.size:
-        step = max(1, _SOLVE_ELEMENTS // (2 * modes) ** 2)
-        for lo in range(0, todo.size, step):
-            k = todo[lo:lo + step]
-            u = _galerkin(coef[k], modes)
-            p = u.view(complex)
-            tails[k] = math.pi * np.maximum.reduce(np.abs(p[:, -2:]), axis=1)
-            counts[k] = modes
-            low_modes[k, 1:] = u[:, :4]
-            if keep:
-                densities.update((i, np.concatenate((pk[::-1].conj(), [1.0 / math.pi], pk)))
-                                 for i, pk in zip(k.tolist(), p))
+        p = _galerkin(coef[todo], modes)
+        tails[todo] = np.maximum.reduce(np.abs(p[:, -2:]), axis=1)
+        counts[todo] = modes
+        low_modes[todo, 1:] = p[:, :2].view(float)
+        if keep:
+            densities.update((i, np.concatenate((pk[::-1].conj(), [1.0], pk)) / math.pi)
+                             for i, pk in zip(todo.tolist(), p))
         if modes == _MAX_MODES:
             break
         todo = todo[~(tails[todo] <= _MODE_TAIL)]
@@ -341,13 +331,13 @@ def stationary_density_fd(sys: LinearSDE, n: int = 10000) -> PhaseDensity:
     ``_times``, so each has five Fourier modes in e^{2 i j theta}, |j| <=
     2, and in the modes p_k the equation is pentadiagonal.  The density
     is real, so p_{-k} = conj(p_k), and pi p_0 = 1 fixes p_0: modes k =
-    1..N of the equation are a real system in p_1..p_N, without the flux
-    (``_galerkin``, here on a stack of one).  The mode count N starts at
-    16 and doubles while the tail max(|p_N|, |p_{N-1}|) exceeds
-    _MODE_TAIL |p_0|, up to _MAX_MODES (``_fd_solve``).  Where q4 has no
-    real zeros the density is analytic and the modes fall geometrically
-    (Boyd 2001, ch. 2), so the tail also bounds the error of the node
-    values.
+    1..N of the equation determine p_1..p_N without the flux, by a block
+    continued fraction linear in N (``_galerkin``, here on a stack of
+    one).  The mode count N starts at 16 and doubles while the tail
+    max(|p_N|, |p_{N-1}|) exceeds _MODE_TAIL |p_0|, up to _MAX_MODES
+    (``_fd_solve``).  Where q4 has no real zeros the density is analytic
+    and the modes fall geometrically (Boyd 2001, ch. 2), so the tail also
+    bounds the error of the node values.
 
     q4's row (m, c, s) gives min q4^2 = max(0, |m| - hypot(c, s))^2.  q4
     has real zeros, where the angle diffusion vanishes, exactly when

@@ -9,10 +9,10 @@ alpha-family noise B = alpha I + beta J (beta = -2) against the exact
 exponent of that family (``alpha_exact``: Khasminskii's stationary
 angle density, solved spectrally).  The sweep must find as many zero
 crossings as the exact exponent has in the swept range, each within
-the bisection half-width plus the first-order fd error carried through
-the exact slope.  For KT P1 every grid value must also lie in the
-analytic bracket eig(sym A) + (beta^2 - alpha^2) / 2, which holds for
-any angle density, and within the fd error scale of the exact value,
+the bisection half-width plus fd's error bound 1e-12 (1 + |lambda|)
+carried through the exact slope.  For KT P1 every grid value must also
+lie in the analytic bracket eig(sym A) + (beta^2 - alpha^2) / 2, which
+holds for any angle density, and within that bound of the exact value,
 and the stable set must end at the exact crossings.  The published readings do not follow from the Ito
 model dX = A X dt + B X dW for Bell P2, KT P2 and KT P1 (see the README);
 they are kept as data and printed with the exact exponent at each
@@ -160,7 +160,6 @@ def test_c3_cross_method_consistency():
 # ------------------------------------------------------------------ criterion 4
 
 BETA = -2.0
-GRID_N = 10000  # node count of the first-order grid that fd replaced
 REFINE_TOL = 1e-3  # stability_sweep's default bracket width
 SWEEP_KW = dict(method="fd", refine_tol=REFINE_TOL)
 
@@ -176,16 +175,15 @@ def _drift_matrix(model, eq):
     return linearize(model, alpha_family(0.0, BETA), eq).A
 
 
-def _fd_tol(a_mat):
-    """First-order scale of the fd grid error: the step pi / GRID_N over
-    the density's period times osc(q1)."""
-    return math.pi / GRID_N * alpha_exact.osc_q1(a_mat)
+def _fd_tol(lam):
+    """fd's error bound at the exponent lam, spectral in the mode count."""
+    return 1e-12 * (1.0 + np.abs(lam))
 
 
 def _crossing_tol(a_mat, root):
-    """Half the refined bracket plus the fd error carried through the
-    exact slope at the root."""
-    return REFINE_TOL / 2 + _fd_tol(a_mat) / abs(alpha_exact.slope(a_mat, root, BETA))
+    """Half the refined bracket plus fd's error bound at lambda = 0
+    carried through the exact slope at the root."""
+    return REFINE_TOL / 2 + _fd_tol(0.0) / abs(alpha_exact.slope(a_mat, root, BETA))
 
 
 def _published_detail(name, a_mat):
@@ -238,7 +236,7 @@ def test_c4_kt_p1_stable_for_all_alpha():
     low, high = alpha_exact.radial_bracket(a_mat, grid, BETA)
     ok = bool(np.all((low <= r.lambdas) & (r.lambdas <= high)))
     err = np.abs(r.lambdas - exact)
-    ok &= bool(np.all(err <= _fd_tol(a_mat)))
+    ok &= bool(np.all(err <= _fd_tol(exact)))
     # the exact stable set runs from the grid edges to the exact crossings
     roots = alpha_exact.crossings(a_mat, BETA, grid[0], grid[-1])
     edges = ([grid[0]] if exact[0] <= 0 else []) + roots + \
@@ -251,7 +249,7 @@ def test_c4_kt_p1_stable_for_all_alpha():
     detail = (f"stable set {[(f'{a:+.4f}', f'{b:+.4f}') for a, b in r.stable_set]} "
               f"exact crossings {[f'{x:+.4f}' for x in roots]}; "
               f"max |fd - exact| = {err[worst]:.2e} at alpha = {grid[worst]:+.2f} "
-              f"(tol {_fd_tol(a_mat):.2e}); " + _published_detail("KT-P1", a_mat)
+              f"(tol {_fd_tol(exact[worst]):.2e}); " + _published_detail("KT-P1", a_mat)
               + ", bracket at alpha 0 [{:.4f}, {:.4f}]".format(
                   *alpha_exact.radial_bracket(a_mat, 0.0, BETA)))
     _report("4/KT-P1", ok, detail)

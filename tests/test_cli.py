@@ -9,6 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import alpha_exact
 from tumorsde import cli
 from tumorsde.cli import (
     ConfigError,
@@ -21,7 +22,8 @@ from tumorsde.cli import (
 )
 from tumorsde.integrate import Trajectory
 from tumorsde.lyapunov import SweepResult
-from tumorsde.models import Mat2
+from tumorsde.models import BELL_PARAMS, Mat2, bell_equilibria, bell_model
+from tumorsde.sde import alpha_family, linearize
 
 
 def test_parse_sweep_example():
@@ -273,7 +275,9 @@ def test_cli_lyapunov_fd_line(capsys):
     out = capsys.readouterr().out
     assert out.startswith("lambda=") and "method=fd" in out
     lam = float(out.split()[0].split("=")[1])
-    assert abs(lam - 1.8622) < 5e-3  # computed independently at n=2000
+    a_mat = linearize(bell_model(), alpha_family(0.0, -2.0), bell_equilibria(BELL_PARAMS)[0]).A
+    exact = float(alpha_exact.top_lyapunov(a_mat, 0.0, -2.0))
+    assert abs(lam - exact) <= 1e-12 * (1 + abs(exact)), (lam, exact)
 
 
 def test_cli_sweep_csv_and_footer(tmp_path, capsys):

@@ -280,18 +280,32 @@ def test_fd_allocation_peak():
         assert peak <= 0.9e6, (alpha, peak)
 
 
-def test_fd_allocation_peak_at_512_modes():
-    # KT P2 at beta = -0.01 needs 512 modes: the real system of 1024
-    # unknowns takes 8.4 MB, where the complex bordered one took 17 MB
-    s = _kt_p2_sys(0.0, beta=-0.01)
-    assert lyapunov_fd(s).diagnostics["modes"] == 512
+def _fd_allocation_peak(s) -> int:
     tracemalloc.start()
     try:
         lyapunov_fd(s)
-        peak = tracemalloc.get_traced_memory()[1]
+        return tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 12e6, peak
+
+
+def test_fd_allocation_peak_at_512_modes():
+    # KT P2 at beta = -0.01 needs 512 modes: the block continued fraction
+    # keeps O(N) memory per system, where a dense solve of the 1024 real
+    # unknowns takes 8.4 MB
+    s = _kt_p2_sys(0.0, beta=-0.01)
+    assert lyapunov_fd(s).diagnostics["modes"] == 512
+    peak = _fd_allocation_peak(s)
+    assert peak <= 1e6, peak
+
+
+def test_fd_allocation_peak_at_1024_modes():
+    # KT P2 at beta = -0.005 needs the whole cap of 1024 modes, where a
+    # dense solve takes 34 MB
+    s = _kt_p2_sys(0.0, beta=-0.005)
+    assert lyapunov_fd(s).diagnostics["modes"] == 1024
+    peak = _fd_allocation_peak(s)
+    assert peak <= 1e6, peak
 
 
 @pytest.mark.parametrize("seed", [2, 3, 4])
@@ -379,7 +393,8 @@ def test_fd_matches_bordered_complex_solve(case, monkeypatch):
 
 def test_polar_rows_match_phase_coefficients():
     # rows @ (1, c, s, c^2, c s) against the same drifts evaluated from
-    # q1..q5 at the angles themselves
+    # q1..q5 at the angles themselves; and fd's mode 1 has no p_{-1} term:
+    # g_2 - 2 i d_2 = 0 for the modes of its drift g and diffusion d
     rng = np.random.default_rng(5)
     for _ in range(200):
         a, b = rng.normal(size=4), rng.normal(size=4)
@@ -393,6 +408,8 @@ def test_polar_rows_match_phase_coefficients():
                 -q.q3 + q.q2 * q.q4 + q.q4 * q.q5, 0.5 * q.q4 * q.q4)
         scale = 1.0 + np.abs(a).max() + np.abs(b).max() ** 2
         assert np.abs(values - np.array(want)).max() <= 1e-13 * scale
+        g, d = lyapunov._polar_rows(_sys(a, b))[4:] @ lyapunov._FOURIER
+        assert abs(g[4] - 2j * d[4]) <= 1e-15 * scale
 
 
 # ------------------------------------------------------------------ closed form
@@ -782,13 +799,11 @@ def test_fd_sweep_matches_per_point_solve(label, beta, alphas):
 
 
 def test_fd_stack_split_leaves_values_unchanged(monkeypatch):
-    # blocks of 5 alphas and solves of at most 3 systems give the values of
-    # one unsplit stack, bit for bit
+    # blocks of 5 alphas give the values of one unsplit stack, bit for bit
     a_mat = _drift_matrix("Bell-P1", -0.3)
     alphas = np.linspace(-5.0, 5.0, 23)
     whole = lyapunov._fd_exponents(a_mat, -0.3, alphas)
     monkeypatch.setattr(lyapunov, "_STACK", 5)
-    monkeypatch.setattr(lyapunov, "_SOLVE_ELEMENTS", 3 * 34 ** 2)
     split = lyapunov._fd_exponents(a_mat, -0.3, alphas)
     np.testing.assert_array_equal(split[0], whole[0])
     np.testing.assert_array_equal(split[1], whole[1])
@@ -796,9 +811,27 @@ def test_fd_stack_split_leaves_values_unchanged(monkeypatch):
     assert len(set(whole[1].tolist())) > 1  # the levels split the stack too
 
 
+def test_fd_one_system_equals_its_stack(monkeypatch):
+    # the seed-11 systems whose q4 has no real zeros, capped at 32 modes
+    # (two blocks): each solved alone gives its row of the stacked solve,
+    # values, mode counts, tails and every mode bit for bit
+    monkeypatch.setattr(lyapunov, "_MAX_MODES", 32)
+    rows = np.array([lyapunov._polar_rows(s) for s in _seed_11_systems()])
+    values, counts, tails, gap, errors, densities = lyapunov._fd_solve(rows, True)
+    assert len(densities) == 65 and 32 in counts.tolist()
+    for i in range(len(rows)):
+        one = lyapunov._fd_solve(rows[i:i + 1], True)
+        np.testing.assert_array_equal(one[0], values[i:i + 1])
+        np.testing.assert_array_equal(one[1], counts[i:i + 1])
+        np.testing.assert_array_equal(one[2], tails[i:i + 1])
+        assert one[4] == ({0: errors[i]} if i in errors else {})
+        if i in densities:
+            np.testing.assert_array_equal(one[5][0], densities[i])
+
+
 def test_fd_sweep_allocation_is_bounded():
-    # 4001 points at 16 modes would need 33 MB of real matrices in one
-    # stack; split, a solve holds _SOLVE_ELEMENTS of them
+    # 4001 points at 16 modes, taken in stacks of _STACK alphas whose
+    # block rows take 5 KB each, stay within 4 MiB
     m, e = bell_model(), bell_equilibria(BELL_PARAMS)[0]
     grid = np.linspace(-5.0, 5.0, 4001)
     stability_sweep(m, e, -2.0, grid[:5], method="fd")
@@ -809,7 +842,7 @@ def test_fd_sweep_allocation_is_bounded():
     finally:
         tracemalloc.stop()
     assert r.failures == [] and len(r.sign_changes) == 2
-    assert peak <= 2 * 8 * lyapunov._SOLVE_ELEMENTS, peak
+    assert peak <= 2 * 8 * 2 ** 18, peak
 
 
 def _bisect_one_bracket_at_a_time(alphas, lambdas, evaluate, refine_tol=1e-3):
