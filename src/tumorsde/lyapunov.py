@@ -40,6 +40,9 @@ from __future__ import annotations
 
 import functools
 import math
+import os
+import sys
+import threading
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -487,38 +490,43 @@ def mc_step_count(horizon: float, dt: float) -> int:
     return round(ratio)
 
 
-def lyapunov_mc(sys: LinearSDE, horizon: float = 200.0, dt: float = 1e-3,
-                paths: int = 64, seed: int = 1,
-                stream_base: int = 0) -> LyapunovEstimate:
-    """Monte Carlo estimate from the polar pair.
+# every slice of lyapunov_mc's paths has at least this many path-steps,
+# about 0.1 s of work: on a 2-vCPU x86-64 VM the process pool's start-up
+# and shutdown took 6.7 ms, and two slices first beat one between 2^18
+# and 2^19 path-steps in all
+_MC_SLICE_PATH_STEPS = 2 ** 20
 
-    Each path integrates (log r, phi = 2 theta) with the first-order
-    Euler scheme and one shared Wiener increment per step, starting from
-    a uniform angle; the estimate is the path mean of log(r(T)/r(0)) / T
-    with its standard error.  Path p draws from stream (seed,
-    stream_base + p), so results do not depend on scheduling; a single
-    path runs with a spare one, on stream stream_base + 1, that is
-    dropped.  The
-    stderr is statistical only: it does not cover the O(dt) bias of the
-    Euler scheme.
 
-    All paths advance together: a step evaluates V = (1, c, s, c^2, c s)
-    at c = cos phi, s = sin phi, and one product of V with the rows
-    (dt Q, 2 dt D, q2, 2 q4) of ``_polar_rows`` gives the drift and
-    noise increments of (log r, phi).
-    """
-    if horizon <= 0 or dt <= 0:
-        raise ValueError("horizon and dt must be > 0")
-    if paths < 1:
-        raise ValueError("paths must be >= 1")
-    # rows dt Q, 2 dt D, q2, 2 q4 over V
-    m = _polar_rows(sys)[:4] * [[dt], [2.0 * dt], [1.0], [2.0]]
-    nsteps = mc_step_count(horizon, dt)
-    # at least two columns keep a step's product a matrix-matrix product,
-    # whose sums round as for any number of paths (numpy computes a
-    # 1-column product as a vector product, which rounds otherwise)
-    width = max(paths, 2)
-    streams = [RngStream(seed, stream_base + p) for p in range(width)]
+def _usable_cpus() -> int:
+    """CPUs this process may run on: its affinity mask, so that taskset
+    and cpusets are respected."""
+    return len(os.sched_getaffinity(0))
+
+
+def _mc_slices(width: int, nsteps: int) -> int:
+    """How many slices lyapunov_mc splits its width paths into: one per
+    usable CPU, with at least 2 paths and _MC_SLICE_PATH_STEPS
+    path-steps each.  One slice (run in-process) off Linux, while other
+    threads are alive (forking them can deadlock the child) and in a
+    daemonic process, which may have no children."""
+    if sys.platform != "linux" or threading.active_count() != 1:
+        return 1
+    k = max(1, min(_usable_cpus(), width // 2, width * nsteps // _MC_SLICE_PATH_STEPS))
+    if k > 1:
+        import multiprocessing
+        if multiprocessing.current_process().daemon:
+            return 1
+    return k
+
+
+def _mc_paths(m: np.ndarray, nsteps: int, dt: float, seed: int,
+              first: int, stop: int) -> np.ndarray:
+    """log(r(T)/r(0)) of the paths on streams (seed, first) .. (seed,
+    stop - 1), stop - first >= 2, after nsteps Euler steps of size dt
+    with the rows m = (dt Q, 2 dt D, q2, 2 q4): lyapunov_mc's kernel for
+    one slice of its paths."""
+    width = stop - first
+    streams = [RngStream(seed, p) for p in range(first, stop)]
     x = np.zeros((2, width))  # log r, phi; theta starts uniform on [0, 2 pi)
     x[1] = [2.0 * TWO_PI * st.uniforms(1)[0] for st in streams]
     v = np.ones((5, width))
@@ -545,7 +553,61 @@ def lyapunov_mc(sys: LinearSDE, horizon: float = 200.0, dt: float = 1e-3,
             noise *= w
             x += noise
         done += blen
-    per_path = x[0, :paths] / (nsteps * dt)
+    return x[0]
+
+
+def lyapunov_mc(sys: LinearSDE, horizon: float = 200.0, dt: float = 1e-3,
+                paths: int = 64, seed: int = 1,
+                stream_base: int = 0) -> LyapunovEstimate:
+    """Monte Carlo estimate from the polar pair.
+
+    Each path integrates (log r, phi = 2 theta) with the first-order
+    Euler scheme and one shared Wiener increment per step, starting from
+    a uniform angle; the estimate is the path mean of log(r(T)/r(0)) / T
+    with its standard error.  Path p draws from stream (seed,
+    stream_base + p) and rounds as it would alone, so results do not
+    depend on scheduling; a single path runs with a spare one, on stream
+    stream_base + 1, that is dropped.  The stderr is statistical only:
+    it does not cover the O(dt) bias of the Euler scheme.
+
+    All paths of a slice advance together: a step evaluates V = (1, c,
+    s, c^2, c s) at c = cos phi, s = sin phi, and one product of V with
+    the rows (dt Q, 2 dt D, q2, 2 q4) of ``_polar_rows`` gives the drift
+    and noise increments of (log r, phi).  On Linux the paths are split
+    into contiguous slices of stream ids, one per usable CPU (the
+    affinity mask), each of at least 2 paths and 2^20 path-steps, with
+    sizes that differ by at most 1.  The calling process runs the first
+    slice and one forked worker each other one; the workers are joined
+    before the call returns, and a worker's exception is raised here.
+    The slices' log r(T) are joined in stream order, so the value and
+    stderr are the same, bit for bit, for any number of slices.  Off
+    Linux, while other threads are alive, and in a daemonic process,
+    all paths run in the calling process.
+    """
+    if horizon <= 0 or dt <= 0:
+        raise ValueError("horizon and dt must be > 0")
+    if paths < 1:
+        raise ValueError("paths must be >= 1")
+    # rows dt Q, 2 dt D, q2, 2 q4 over V
+    m = _polar_rows(sys)[:4] * [[dt], [2.0 * dt], [1.0], [2.0]]
+    nsteps = mc_step_count(horizon, dt)
+    # at least two columns keep a step's product a matrix-matrix product,
+    # whose sums round as for any number of paths (numpy computes a
+    # 1-column product as a vector product, which rounds otherwise)
+    width = max(paths, 2)
+    k = _mc_slices(width, nsteps)
+    bounds = [stream_base + width * i // k for i in range(k + 1)]
+    if k == 1:
+        logr = _mc_paths(m, nsteps, dt, seed, *bounds)
+    else:
+        from concurrent.futures import ProcessPoolExecutor
+        from multiprocessing import get_context
+        with ProcessPoolExecutor(k - 1, mp_context=get_context("fork")) as pool:
+            rest = [pool.submit(_mc_paths, m, nsteps, dt, seed, lo, hi)
+                    for lo, hi in zip(bounds[1:-1], bounds[2:])]
+            logr = np.concatenate([_mc_paths(m, nsteps, dt, seed, *bounds[:2])]
+                                  + [f.result() for f in rest])
+    per_path = logr[:paths] / (nsteps * dt)
     value = float(per_path.mean())
     stderr = float(per_path.std(ddof=1) / math.sqrt(paths)) if paths > 1 else 0.0
     return LyapunovEstimate(value=value, method="mc", stderr=stderr, n=paths,

@@ -364,10 +364,31 @@ def test_cli_sweep_rejects_noise(capsys, tmp_path, method):
     assert not (tmp_path / "sweep.csv").exists()
 
 
-def test_runtime_imports_without_scipy():
+def _src_env() -> dict:
+    """The environment with this checkout's src/ first on PYTHONPATH."""
     src = str(Path(__file__).resolve().parents[1] / "src")
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(
         p for p in (src, os.environ.get("PYTHONPATH")) if p))
+
+
+def test_runtime_imports_without_scipy():
     code = ("import tumorsde, tumorsde.cli, sys; assert not any("
             "m == 'scipy' or m.startswith('scipy.') for m in sys.modules)")
-    subprocess.run([sys.executable, "-c", code], env=env, check=True)
+    subprocess.run([sys.executable, "-c", code], env=_src_env(), check=True)
+
+
+def test_cli_runs_as_a_module(tmp_path):
+    # python -m tumorsde.cli exited 0 without running anything
+    argv = ["sweep", "--model", "bell", "--equilibrium", "P1", "--beta", "-2",
+            "--alpha=-4:4:0.5", "--method", "closed"]
+    assert main([*argv, "--out", str(tmp_path / "in_process.csv")]) == 0
+    module = [sys.executable, "-m", "tumorsde.cli"]
+    run = subprocess.run([*module, *argv, "--out", str(tmp_path / "module.csv")],
+                         env=_src_env(), capture_output=True, text=True, timeout=60)
+    assert run.returncode == 0, run.stderr
+    assert (tmp_path / "module.csv").read_bytes() == \
+        (tmp_path / "in_process.csv").read_bytes()
+    run = subprocess.run([*module, *argv, "--no-such-key", "1"], env=_src_env(),
+                         capture_output=True, text=True, timeout=60)
+    assert run.returncode == 2
+    assert run.stderr == "config error: no_such_key: unknown key\n"

@@ -1,6 +1,9 @@
 """Phase coefficients, stationary density, three exponent estimators, sweeps."""
 
 import math
+import multiprocessing
+import sys
+import threading
 import tracemalloc
 
 import numpy as np
@@ -616,6 +619,109 @@ def test_mc_paths_do_not_change_each_other(paths):
     kw = dict(horizon=20.0, dt=1e-3, seed=5)
     one = [lyapunov_mc(s, paths=1, stream_base=b, **kw).value for b in range(paths)]
     assert lyapunov_mc(s, paths=paths, **kw).value == np.mean(one)
+
+
+_KERNEL = lyapunov._mc_paths
+_PARENT_SLICES = []  # the slices a patched kernel ran in this process
+
+
+def _recording_kernel(m, nsteps, dt, seed, first, stop):
+    _PARENT_SLICES.append((first, stop))
+    return _KERNEL(m, nsteps, dt, seed, first, stop)
+
+
+def _kernel_failing_after_slice_0(m, nsteps, dt, seed, first, stop):
+    if first > 0:
+        raise RuntimeError(f"no slice from stream {first}")
+    return _KERNEL(m, nsteps, dt, seed, first, stop)
+
+
+def _force_slices(monkeypatch, cpus):
+    """Every mc call splits into min(cpus, width // 2) slices, however
+    few its path-steps; the kernel records the slices run in-process."""
+    monkeypatch.setattr(lyapunov, "_usable_cpus", lambda: cpus)
+    monkeypatch.setattr(lyapunov, "_MC_SLICE_PATH_STEPS", 1)
+    monkeypatch.setattr(lyapunov, "_mc_paths", _recording_kernel)
+    _PARENT_SLICES.clear()
+
+
+# lyapunov_mc forks its slices only on Linux
+_forks = pytest.mark.skipif(sys.platform != "linux", reason="Linux only")
+
+
+def _assert_nothing_left():
+    assert multiprocessing.active_children() == []
+    assert threading.active_count() == 1
+
+
+_SLICE_CASES = {
+    **_MC_KERNEL_CASES,
+    "odd-split": (lambda: _sys(*_ROUGH), dict(horizon=2.0, paths=5, seed=5)),
+    "stream-base": (lambda: _kt_p2_sys(-3.0),
+                    dict(horizon=2.0, paths=7, seed=7, stream_base=3 << 32)),
+}
+
+
+@_forks
+@pytest.mark.parametrize("label", list(_SLICE_CASES))
+def test_mc_slice_count_does_not_change_the_estimate(monkeypatch, label):
+    # 5 paths split as 2 + 3; one path runs with its spare as one slice
+    make, kw = _SLICE_CASES[label]
+    kw = {"dt": 1e-3, **kw}
+    s = make()
+    base, width = kw.get("stream_base", 0), max(kw["paths"], 2)
+    estimates = set()
+    for cpus in (1, 2, 3):
+        _force_slices(monkeypatch, cpus)
+        est = lyapunov_mc(s, **kw)
+        _assert_nothing_left()
+        slices = max(1, min(cpus, width // 2))
+        assert _PARENT_SLICES == [(base, base + width // slices)]
+        estimates.add((est.value, est.stderr))
+    assert len(estimates) == 1
+
+
+def test_mc_runs_in_process_while_another_thread_lives(monkeypatch):
+    s = _kt_p2_sys(-3.0)
+    kw = dict(horizon=2.0, dt=1e-3, paths=32, seed=7)
+    alone = lyapunov_mc(s, **kw)
+    _force_slices(monkeypatch, 2)
+    release = threading.Event()
+    other = threading.Thread(target=release.wait)
+    other.start()
+    try:
+        est = lyapunov_mc(s, **kw)
+    finally:
+        release.set()
+        other.join(timeout=10)
+    assert not other.is_alive()
+    assert _PARENT_SLICES == [(0, 32)]
+    assert (est.value, est.stderr) == (alone.value, alone.stderr)
+    _assert_nothing_left()
+
+
+@_forks
+def test_mc_runs_in_process_in_a_daemonic_worker(monkeypatch):
+    # a daemonic process (a multiprocessing.Pool worker) may not fork
+    s = _kt_p2_sys(-3.0)
+    kw = dict(horizon=2.0, dt=1e-3, paths=32, seed=7)
+    alone = lyapunov_mc(s, **kw)
+    _force_slices(monkeypatch, 2)
+    with multiprocessing.get_context("fork").Pool(1) as pool:
+        est = pool.apply(lyapunov_mc, (s,), kw)
+        pool.close()
+        pool.join()
+    assert (est.value, est.stderr) == (alone.value, alone.stderr)
+    _assert_nothing_left()
+
+
+@_forks
+def test_mc_worker_exception_reaches_the_caller(monkeypatch):
+    _force_slices(monkeypatch, 2)
+    monkeypatch.setattr(lyapunov, "_mc_paths", _kernel_failing_after_slice_0)
+    with pytest.raises(RuntimeError, match="no slice from stream 16"):
+        lyapunov_mc(_kt_p2_sys(-3.0), horizon=2.0, dt=1e-3, paths=32, seed=7)
+    _assert_nothing_left()
 
 
 def test_density_independent_methods_agree():
