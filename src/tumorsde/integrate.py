@@ -22,6 +22,11 @@ Taylor term and the h G_i / 2 cross term, each built from own-component
 partial derivatives only.  With uncoupled (diagonal) systems that makes
 the second scheme a complete weak order-2 scheme; for coupled systems
 the cross-component corrections are deliberately absent.
+
+simulate builds no coefficient closure of its own.  A model's drift and
+partials come from models.vector_field_fns; every affine map comes from
+sde.AffineDiffusion.fns: the given diffusion, a LinearSDE's drift A s
+and own noise B s, and the zero noise of a model run without one.
 """
 
 from __future__ import annotations
@@ -33,10 +38,7 @@ from typing import Optional
 import numpy as np
 
 from .models import DomainError, Mat2, ModelSpec, State, vector_field_fns
-# no longer called here; the names stay importable because
-# perfbench/tracing.py traces them at this call site
-from .models import diag_partials, eval_vector_field  # noqa: F401
-from .sde import LinearSDE
+from .sde import AffineDiffusion, LinearSDE
 
 __all__ = [
     "RngStream",
@@ -252,24 +254,8 @@ def euler2_step(drift, diffusion, drift_partials, diffusion_partials,
     return x, y
 
 
-def _matrix_fns(m: Mat2) -> tuple:
-    """s -> m s over a state pair, and its constant own-component partials."""
-    m11, m12, m21, m22 = m.a11, m.a12, m.a21, m.a22
-    part = ((m11, 0.0), (m22, 0.0))
-
-    def f(s):
-        x, y = s
-        return m11 * x + m12 * y, m21 * x + m22 * y
-
-    return f, lambda s: part
-
-
-def _zero(s):
-    return 0.0, 0.0
-
-
-def _zero_partials(s):
-    return (0.0, 0.0), (0.0, 0.0)
+# the noise of a model run without a diffusion
+_NO_NOISE = AffineDiffusion(Mat2(0.0, 0.0, 0.0, 0.0), 0.0, 0.0)
 
 
 def _step_fns(system, diffusion) -> tuple:
@@ -277,17 +263,14 @@ def _step_fns(system, diffusion) -> tuple:
     over a state pair of floats; diffusion None means a LinearSDE's own
     B-matrix noise, or no noise for a model."""
     if isinstance(system, LinearSDE):
-        drift, dpart = _matrix_fns(system.A)
+        drift, dpart = AffineDiffusion(system.A, 0.0, 0.0).fns()
+        own = AffineDiffusion(system.B, 0.0, 0.0)
     elif isinstance(system, ModelSpec):
         drift, dpart = vector_field_fns(system)
+        own = _NO_NOISE
     else:
         raise TypeError(f"cannot simulate {type(system).__name__}")
-    if diffusion is not None:
-        g, gpart = diffusion.fns()
-    elif isinstance(system, LinearSDE):
-        g, gpart = _matrix_fns(system.B)
-    else:
-        g, gpart = _zero, _zero_partials
+    g, gpart = (own if diffusion is None else diffusion).fns()
     return drift, g, dpart, gpart
 
 

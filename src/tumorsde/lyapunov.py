@@ -48,9 +48,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .integrate import GaussianBlocks, RngStream
-# no longer called here; the name stays importable because
-# perfbench/tracing.py traces it at this call site
-from .integrate import gaussian_pairs  # noqa: F401
 from .models import Equilibrium, Mat2, ModelSpec
 from .sde import LinearSDE, alpha_family, linearize
 

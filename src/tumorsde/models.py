@@ -15,6 +15,10 @@ integration scheme are analytic for every preset and central
 differences for custom right-hand sides.  vector_field_fns builds a
 model's field and partials once, as closures over its coefficients;
 eval_vector_field and diag_partials evaluate those closures at a State.
+A custom right-hand side is called only through its checked field: a
+value that raises, is complex or is non-finite there is a DomainError,
+and the Jacobian's and the partials' difference stencils read that
+field too.
 """
 
 from __future__ import annotations
@@ -71,9 +75,6 @@ class State:
 
     x: float
     y: float
-
-    def as_array(self) -> np.ndarray:
-        return np.array([self.x, self.y], dtype=float)
 
 
 @dataclass(frozen=True)
@@ -136,14 +137,6 @@ class Mat2:
 
     def as_array(self) -> np.ndarray:
         return np.array([[self.a11, self.a12], [self.a21, self.a22]], dtype=float)
-
-    @classmethod
-    def from_array(cls, m) -> "Mat2":
-        m = np.asarray(m, dtype=float)
-        return cls(m[0, 0], m[0, 1], m[1, 0], m[1, 1])
-
-    def trace(self) -> float:
-        return self.a11 + self.a22
 
 
 @dataclass(frozen=True)
@@ -332,8 +325,10 @@ def vector_field_fns(model: ModelSpec) -> tuple:
 
     field raises DomainError when a shape function is undefined there or
     the right-hand side is non-finite or, for a custom right-hand side,
-    complex (a fractional power of a negative float).  partials are
-    analytic for every preset, central differences for custom models.
+    complex (a fractional power of a negative float) or raises
+    ValueError, ZeroDivisionError or OverflowError itself.  partials are
+    analytic for every preset, central differences of that checked
+    field for custom models.
     """
     if model.name == "kt":
         p = model.params
@@ -392,21 +387,20 @@ def _h_fns(h1, h2, h3, h4, h5) -> tuple:
 
 def _custom_fns(rhs) -> tuple:
     def field(s):
-        f1, f2 = rhs(s[0], s[1])
+        # the one place a custom rhs is called
+        try:
+            f1, f2 = rhs(s[0], s[1])
+        except (ValueError, ZeroDivisionError, OverflowError) as exc:
+            raise DomainError(f"rhs undefined at ({s[0]!r}, {s[1]!r}): {exc}") from None
         if (isinstance(f1, complex) or isinstance(f2, complex)
                 or not (_isfinite(f1) and _isfinite(f2))):
             raise _nonfinite(s)
         return f1, f2
 
-    def checked(x, y):
-        return field((x, y))
-
     def partials(s):
-        # the stencil goes through the checked field, so a point outside the
-        # rhs's real domain raises DomainError instead of giving complex partials
         x, y = s
         f0 = field(s)
-        hx, hy, fxp, fxm, fyp, fym = _stencil(checked, x, y)
+        hx, hy, fxp, fxm, fyp, fym = _stencil(field, x, y)
         return (((fxp[0] - fxm[0]) / (2 * hx), (fxp[0] - 2 * f0[0] + fxm[0]) / hx ** 2),
                 ((fyp[1] - fym[1]) / (2 * hy), (fyp[1] - 2 * f0[1] + fym[1]) / hy ** 2))
 
@@ -485,22 +479,26 @@ def bell_equilibria(p: BellParams) -> list:
     ]
 
 
-def _stencil(rhs, x: float, y: float) -> tuple:
+def _stencil(field, x: float, y: float) -> tuple:
     """Central-difference steps hx, hy (1e-6 * max(1, |coordinate|)) and
-    the right-hand side at (x + hx, y), (x - hx, y), (x, y + hy) and
-    (x, y - hy)."""
+    the field, over a state pair, at (x + hx, y), (x - hx, y),
+    (x, y + hy) and (x, y - hy)."""
     hx = 1e-6 * max(1.0, abs(x))
     hy = 1e-6 * max(1.0, abs(y))
-    return (hx, hy, rhs(x + hx, y), rhs(x - hx, y), rhs(x, y + hy), rhs(x, y - hy))
+    return (hx, hy, field((x + hx, y)), field((x - hx, y)),
+            field((x, y + hy)), field((x, y - hy)))
 
 
 def jacobian(model: ModelSpec, at: State) -> Mat2:
     """Jacobian of the vector field: analytic for every preset (its
     diagonal from diag_partials), central finite differences (step
-    1e-6 * max(1, |coordinate|)) for custom right-hand sides."""
+    1e-6 * max(1, |coordinate|)) of the checked field for custom
+    right-hand sides, so DomainError where a stencil point is outside
+    the rhs's real domain."""
     x, y = at.x, at.y
     if model.rhs is not None:
-        hx, hy, fxp, fxm, fyp, fym = _stencil(model.rhs, x, y)
+        field = _custom_fns(model.rhs)[0]
+        hx, hy, fxp, fxm, fyp, fym = _stencil(field, x, y)
         return Mat2((fxp[0] - fxm[0]) / (2 * hx), (fyp[0] - fym[0]) / (2 * hy),
                     (fxp[1] - fxm[1]) / (2 * hx), (fyp[1] - fym[1]) / (2 * hy))
     (j11, _), (j22, _) = diag_partials(model, at)

@@ -42,7 +42,8 @@ class NotAnEquilibriumError(ValueError):
 
 @dataclass(frozen=True)
 class AffineDiffusion:
-    """Pair of affine noise coefficients vanishing at the anchor point."""
+    """Pair of affine noise coefficients vanishing at the anchor point;
+    with c1 = c2 = 0 also the linear map s -> b s of a LinearSDE."""
 
     b: Mat2
     c1: float

@@ -358,12 +358,13 @@ def test_simulate_matches_float64_loop_vladar_leaves_domain():
 
 @pytest.mark.parametrize("scheme", ["euler1", "euler2"])
 @pytest.mark.parametrize("rhs, x0", [(lambda x, y: (1.0 / x, 0.0), 0.0),
-                                     (lambda x, y: (x ** 0.5, 0.0), -1.0)],
-                         ids=["reciprocal", "sqrt"])
+                                     (lambda x, y: (x ** 0.5, 0.0), -1.0),
+                                     (lambda x, y: (math.sqrt(x), 0.0), -1.0)],
+                         ids=["reciprocal", "sqrt", "math_sqrt"])
 def test_simulate_undefined_rhs_is_a_blowup(rhs, x0, scheme):
-    # on a Python float 1/x at x = 0 raises ZeroDivisionError and x ** 0.5
-    # at x < 0 is complex, where an np.float64 gave inf and nan; each ends
-    # the trajectory at step 1
+    # on a Python float 1/x at x = 0 raises ZeroDivisionError, x ** 0.5 at
+    # x < 0 is complex (an np.float64 gave inf and nan) and math.sqrt at
+    # x < 0 raises ValueError; each ends the trajectory at step 1
     cfg = SimConfig(dt=0.1, steps=5, initial=State(x0, 1.0), scheme=scheme)
     traj = _assert_simulate_matches_float64_loop(custom_model(rhs), None, cfg)
     assert traj.blowup_index == 1 and len(traj.states) == 1

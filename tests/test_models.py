@@ -253,6 +253,19 @@ def test_custom_model_roundtrip():
     assert abs(j.a12 - 1.0) < 1e-8 and abs(j.a21 + 1.0) < 1e-8
 
 
+def test_custom_rhs_outside_its_domain_is_a_domain_error():
+    # x ** 0.5 at x < 0 is complex and 1 / x at x = 0 raises
+    # ZeroDivisionError: the Jacobian's stencil at x = 0 reaches the
+    # first, the lattice starts at x = 0 the second
+    sqrt_rhs = lambda x, y: (x ** 0.5 - 1.0, y - x)
+    with pytest.raises(DomainError):
+        jacobian(custom_model(sqrt_rhs), State(0.0, 0.0))
+    for rhs in (lambda x, y: (1.0 / x - 1.0, y - 1.0), sqrt_rhs):
+        roots = find_equilibria_numeric(custom_model(rhs), ((0.0, 4.0), (0.0, 4.0)))
+        assert len(roots) == 1
+        assert math.hypot(roots[0].point.x - 1.0, roots[0].point.y - 1.0) < 1e-9
+
+
 def test_make_model_rejects_unknown():
     with pytest.raises(ValueError):
         make_model("nope")
