@@ -112,7 +112,7 @@ def _times(a, b) -> np.ndarray:
 
 
 # a sweep reads the same four row sets (``_fd_exponents``), or one (closed),
-# at every bisection level
+# at every refinement level
 @functools.lru_cache(maxsize=8)
 def _polar_rows(sys: LinearSDE) -> np.ndarray:
     """Read-only rows over the basis of ``_times``, stacked: the log r
@@ -176,12 +176,12 @@ class LyapunovEstimate:
 class SweepResult:
     """Exponent along an alpha grid with refined zero crossings.
 
-    sign_changes are bisection-refined brackets (lo, hi) with
-    opposite-sign endpoints, of width at most the refinement tolerance
-    unless a bisection midpoint failed: that bracket keeps the width it
-    had, and the midpoint is listed in failures.  stable_set lists the
-    maximal alpha intervals with a non-positive exponent (an exact zero
-    counts as stable).
+    sign_changes are refined brackets (lo, hi) with endpoints of
+    opposite stability, of width at most the refinement tolerance unless
+    a refinement point failed: that bracket keeps the width it had
+    before that level, and the failed points are listed in failures.
+    stable_set lists the maximal alpha intervals with a non-positive
+    exponent (an exact zero counts as stable).
     """
 
     alphas: np.ndarray
@@ -631,13 +631,19 @@ def stability_sweep(model: ModelSpec, equilibrium: Equilibrium, beta: float,
                     refine_tol: float = 1e-3) -> SweepResult:
     """Exponent along an alpha grid for B = [[alpha, -beta], [beta, alpha]].
 
-    Zero crossings found on the grid are refined by bisection to
-    brackets of width refine_tol; a per-point failure (q4 with real
-    zeros, a density unresolved within the mode cap) is recorded and the
-    sweep continues; a failed bisection midpoint ends the refinement of
-    its bracket, which then stays wider than refine_tol.  The grid is
-    evaluated by one call of a batched evaluator, and each bisection
-    level, the midpoints of all open brackets, by one more: fd as stacks
+    Zero crossings found on the grid are refined to brackets of width
+    refine_tol.  Each level of fd and closed tries, per bracket, the
+    regula falsi point x of the end values (Dowell & Jarratt 1971), x -+
+    refine_tol / 4 and the midpoint, a bisection safeguard (Brent 1973,
+    ch. 4), and keeps the first pair of neighbouring points, from lo, of
+    opposite stability: every level at least halves the bracket, and
+    one whose x lands within refine_tol / 4 of the root closes at width
+    refine_tol / 2.  mc's lambda is noisy, so mc bisects.  A per-point
+    failure (q4 with real zeros, a density unresolved within the mode
+    cap) is recorded and the sweep continues; a failed refinement point
+    ends its bracket, which then stays wider than refine_tol.  The grid
+    is evaluated by one call of a batched evaluator, and each level, the
+    points of all open brackets, by one more: fd as stacks
     (``_fd_exponents``), closed as one continued fraction
     (``_closed_exponents``), mc point by point.  A setup failure of a
     call (beta = 0 for closed) is recorded at each of its points.  For
@@ -683,27 +689,49 @@ def stability_sweep(model: ModelSpec, equilibrium: Equilibrium, beta: float,
     # grid neighbours, both with exponents, of opposite stability (an exact
     # zero counts as stable)
     known, st = ~np.isnan(lambdas), lambdas <= 0.0
-    flips = np.flatnonzero(known[:-1] & known[1:] & (st[:-1] != st[1:]))
-    lo, hi, stable_lo = alphas[flips], alphas[flips + 1], st[flips]
-    ended = {}  # bracket -> its failed midpoint and message
-    # bisect every open bracket one level per evaluate call; a bracket whose
-    # midpoint rounds onto an end cannot shrink and is closed as it is
-    live = np.flatnonzero(hi - lo > refine_tol)
-    while live.size:
-        mid = 0.5 * (lo[live] + hi[live])
-        inside = (lo[live] < mid) & (mid < hi[live])
-        live, mid = live[inside], mid[inside]
-        values, _, errors = evaluate(mid, False)
-        for k, msg in errors.items():
-            ended[live[k]] = (float(mid[k]), msg)
-        ok = np.ones(live.size, dtype=bool)
-        ok[list(errors)] = False
-        live, mid, same = live[ok], mid[ok], (values[ok] <= 0.0) == stable_lo[live[ok]]
-        lo[live[same]] = mid[same]
-        hi[live[~same]] = mid[~same]
-        live = live[hi[live] - lo[live] > refine_tol]
-    failures += [ended[b] for b in sorted(ended)]
-    sign_changes = list(zip(lo.tolist(), hi.tolist()))
+    flips = np.flatnonzero(known[:-1] & known[1:] & (st[:-1] != st[1:])).tolist()
+    grid, lams = alphas.tolist(), lambdas.tolist()
+    lo, hi = [grid[k] for k in flips], [grid[k + 1] for k in flips]
+    flo, fhi = [lams[k] for k in flips], [lams[k + 1] for k in flips]
+    ended = {}  # bracket -> its failed points and messages
+    # refine every open bracket one level per evaluate call, keeping the
+    # lambdas at its ends; a bracket whose points all round onto its ends
+    # cannot shrink and is closed as it is.  Brackets are few, so their
+    # bookkeeping is plain Python.
+    guard = 0.25 * refine_tol
+    live = [b for b in range(len(lo)) if hi[b] - lo[b] > refine_tol]
+    while live:
+        level = []  # (bracket, its points strictly inside, ascending)
+        for b in live:
+            mid = 0.5 * (lo[b] + hi[b])
+            if method == "mc":
+                points = [mid]
+            else:
+                x = lo[b] + (hi[b] - lo[b]) * (flo[b] / (flo[b] - fhi[b]))
+                if not lo[b] < x < hi[b]:
+                    x = mid
+                points = sorted({x - guard, x + guard, mid})
+            points = [p for p in points if lo[b] < p < hi[b]]
+            if points:
+                level.append((b, points))
+        if not level:
+            break
+        values, _, errors = evaluate(np.array([p for _, ps in level for p in ps]), False)
+        values, live, first = values.tolist(), [], 0
+        for b, points in level:
+            last = first + len(points)
+            failed = [(p, errors[k]) for k, p in enumerate(points, first) if k in errors]
+            seq = [(lo[b], flo[b]), *zip(points, values[first:last]), (hi[b], fhi[b])]
+            first = last
+            if failed:
+                ended[b] = failed
+                continue
+            (lo[b], flo[b]), (hi[b], fhi[b]) = next(
+                (u, v) for u, v in zip(seq, seq[1:]) if (u[1] <= 0.0) != (v[1] <= 0.0))
+            if hi[b] - lo[b] > refine_tol:
+                live.append(b)
+    failures += [f for b in sorted(ended) for f in ended[b]]
+    sign_changes = list(zip(lo, hi))
 
     stable_set = _stable_intervals(alphas, lambdas, sign_changes)
     return SweepResult(alphas=alphas, lambdas=lambdas, stderrs=stderrs,
@@ -724,7 +752,7 @@ def _stable_intervals(alphas, lambdas, sign_changes) -> list:
     a, st = np.asarray(alphas, dtype=float)[known], lambdas[known] <= 0.0
     flips = np.flatnonzero(st[:-1] != st[1:])
     cross = 0.5 * (a[flips] + a[flips + 1])
-    # a refined crossing replaces the midpoint of the pair it was bisected in
+    # a refined crossing replaces the midpoint of the pair it was refined in
     refined = 0.5 * np.reshape(sign_changes, (-1, 2)).sum(axis=1)
     cross[np.searchsorted(a[flips], refined, side="right") - 1] = refined
     starts = np.concatenate((a[:1][st[:1]], cross[~st[flips]]))

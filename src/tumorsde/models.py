@@ -548,17 +548,17 @@ def _newton(model: ModelSpec, x: float, y: float, max_iter: int = 100):
     for _ in range(max_iter):
         try:
             f1, f2 = field((x, y))
-            jm = jacobian(model, State(x, y)).as_array()
+            jm = jacobian(model, State(x, y))
         except DomainError:
             return None
         norm0 = f1 * f1 + f2 * f2
         if not math.isfinite(norm0):
             return None
-        det = jm[0, 0] * jm[1, 1] - jm[0, 1] * jm[1, 0]
+        det = jm.a11 * jm.a22 - jm.a12 * jm.a21
         if det == 0 or not math.isfinite(det):
             return None
-        dx = -(f1 * jm[1, 1] - f2 * jm[0, 1]) / det
-        dy = -(jm[0, 0] * f2 - jm[1, 0] * f1) / det
+        dx = -(f1 * jm.a22 - f2 * jm.a12) / det
+        dy = -(jm.a11 * f2 - jm.a21 * f1) / det
         step = math.hypot(dx, dy)
         if step < 1e-12 * (1.0 + math.hypot(x, y)):
             return x, y

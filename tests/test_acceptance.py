@@ -8,15 +8,17 @@ Criterion 4 checks the fd stability sweep of each equilibrium under the
 alpha-family noise B = alpha I + beta J (beta = -2) against the exact
 exponent of that family (``alpha_exact``: Khasminskii's stationary
 angle density, solved spectrally).  The sweep must find as many zero
-crossings as the exact exponent has in the swept range, each within
-the bisection half-width plus fd's error bound 1e-12 (1 + |lambda|)
-carried through the exact slope.  For KT P1 every grid value must also
-lie in the analytic bracket eig(sym A) + (beta^2 - alpha^2) / 2, which
-holds for any angle density, and within that bound of the exact value,
-and the stable set must end at the exact crossings.  The published readings do not follow from the Ito
-model dX = A X dt + B X dW for Bell P2, KT P2 and KT P1 (see the README);
-they are kept as data and printed with the exact exponent at each
-reading.  The criterion is no longer red by design.
+crossings as the exact exponent has in the swept range.  Each bracket's
+midpoint must lie within refine_tol / 2 of the exact root, plus fd's
+error bound 1e-12 (1 + |lambda|) carried through the exact slope, and
+the bracket, widened by that carried bound, must hold the root.  For
+KT P1 every grid value must also lie in the analytic bracket
+eig(sym A) + (beta^2 - alpha^2) / 2, which holds for any angle density,
+and within that bound of the exact value, and the stable set must end
+at the exact crossings.  The published readings do not follow from the
+Ito model dX = A X dt + B X dW for Bell P2, KT P2 and KT P1 (see the
+README); they are kept as data and printed with the exact exponent at
+each reading.  The criterion is no longer red by design.
 """
 
 import math
@@ -180,10 +182,15 @@ def _fd_tol(lam):
     return 1e-12 * (1.0 + np.abs(lam))
 
 
+def _root_slack(a_mat, root):
+    """fd's error bound at lambda = 0 carried through the exact slope at
+    the root: how far fd may place the crossing from the exact one."""
+    return _fd_tol(0.0) / abs(alpha_exact.slope(a_mat, root, BETA))
+
+
 def _crossing_tol(a_mat, root):
-    """Half the refined bracket plus fd's error bound at lambda = 0
-    carried through the exact slope at the root."""
-    return REFINE_TOL / 2 + _fd_tol(0.0) / abs(alpha_exact.slope(a_mat, root, BETA))
+    """Half the refined bracket plus ``_root_slack``."""
+    return REFINE_TOL / 2 + _root_slack(a_mat, root)
 
 
 def _published_detail(name, a_mat):
@@ -205,6 +212,9 @@ def _check_crossings(name, model, eq, lo=-4.0, hi=4.0, step=0.02):
     tols = [_crossing_tol(a_mat, x) for x in roots]
     ok = len(mids) == len(roots) and all(
         abs(m - x) <= t for m, x, t in zip(mids, roots, tols))
+    # each bracket, widened by the slack, holds the exact root
+    ok = ok and all(a - _root_slack(a_mat, x) <= x <= b + _root_slack(a_mat, x)
+                    for (a, b), x in zip(r.sign_changes, roots))
     detail = (f"crossings={[f'{m:+.4f}' for m in mids]} "
               f"exact={[f'{x:+.4f}' for x in roots]} "
               f"tol={[f'{t:.1e}' for t in tols]}; "

@@ -777,10 +777,18 @@ def test_sweep_stable_set_matches_signs():
     assert abs(r.stable_set[1][0] - 0.5 * sum(r.sign_changes[1])) < 1e-12
 
 
+def _level_points(lo, hi, lam, refine_tol=1e-3):
+    """The points of a bracket's first fd or closed level, from the grid
+    values lam[lo], lam[hi]: the regula falsi point x -+ refine_tol / 4
+    and the midpoint, ascending."""
+    x = lo + (hi - lo) * (lam[lo] / (lam[lo] - lam[hi]))
+    return sorted((x - 0.25 * refine_tol, x + 0.25 * refine_tol, 0.5 * (lo + hi)))
+
+
 def test_sweep_bracket_stays_wide_when_a_midpoint_fails(monkeypatch):
-    # an estimator that rejects every off-grid alpha: each bisection
-    # stops at its first midpoint, so the grid brackets keep their width
-    # 0.5 and both midpoints are listed as failures
+    # an estimator that rejects every off-grid alpha: each refinement
+    # stops at its first level, so the grid brackets keep their width 0.5
+    # and the three points of each level are listed as failures
     grid = np.arange(-4, 4.01, 0.5)
     on_grid = set(grid.tolist())
     real = lyapunov._fd_exponents
@@ -798,9 +806,10 @@ def test_sweep_bracket_stays_wide_when_a_midpoint_fails(monkeypatch):
                         refine_tol=1e-3)
     assert r.sign_changes == [(-2.0, -1.5), (1.5, 2.0)]
     assert all(hi - lo == 0.5 for lo, hi in r.sign_changes)
-    assert r.failures == [(-1.75, "off-grid alpha refused"),
-                          (1.75, "off-grid alpha refused")]
     lam = dict(zip(r.alphas.tolist(), r.lambdas.tolist()))
+    assert r.failures == [(a, "off-grid alpha refused")
+                          for lo, hi in r.sign_changes for a in _level_points(lo, hi, lam)]
+    assert -1.75 in [a for a, _ in r.failures] and 1.75 in [a for a, _ in r.failures]
     for lo, hi in r.sign_changes:
         assert (lam[lo] <= 0) != (lam[hi] <= 0)
 
@@ -952,8 +961,8 @@ def test_fd_sweep_allocation_is_bounded():
 
 
 def _bisect_one_bracket_at_a_time(alphas, lambdas, evaluate, refine_tol=1e-3):
-    """Brackets and midpoint failures of the sweep's bisection, one
-    bracket refined to the end before the next, one alpha per call."""
+    """Brackets and midpoint failures of mc's bisection, one bracket
+    refined to the end before the next, one alpha per call."""
     brackets, failures = [], []
     for k in range(1, alphas.size):
         llo, lhi = lambdas[k - 1], lambdas[k]
@@ -975,33 +984,158 @@ def _bisect_one_bracket_at_a_time(alphas, lambdas, evaluate, refine_tol=1e-3):
     return brackets, failures
 
 
+def _secant_one_bracket_at_a_time(alphas, lambdas, evaluate, refine_tol=1e-3):
+    """Brackets and failures of fd's and closed's refinement, one bracket
+    refined to the end before the next, one alpha per call.  A level tries
+    the regula falsi point x of the end values (the midpoint where x is
+    not strictly inside), x -+ refine_tol / 4 and the midpoint, those
+    strictly inside once each, and keeps the first pair of neighbours,
+    from lo, of opposite stability; a failed point ends the bracket."""
+    brackets, failures = [], []
+    for k in range(1, alphas.size):
+        flo, fhi = float(lambdas[k - 1]), float(lambdas[k])
+        if math.isnan(flo) or math.isnan(fhi) or (flo <= 0) == (fhi <= 0):
+            continue
+        lo, hi = float(alphas[k - 1]), float(alphas[k])
+        while hi - lo > refine_tol:
+            mid = 0.5 * (lo + hi)
+            x = lo + (hi - lo) * (flo / (flo - fhi))
+            if not lo < x < hi:
+                x = mid
+            guard = 0.25 * refine_tol
+            points = sorted({p for p in (x - guard, x + guard, mid) if lo < p < hi})
+            if not points:
+                break
+            seq, failed = [(lo, flo)], []
+            for p in points:
+                try:
+                    seq.append((p, evaluate(p)))
+                except (ValueError, ArithmeticError) as exc:
+                    failed.append((p, str(exc)))
+            if failed:
+                failures += failed
+                break
+            seq.append((hi, fhi))
+            (lo, flo), (hi, fhi) = next((u, v) for u, v in zip(seq, seq[1:])
+                                        if (u[1] <= 0) != (v[1] <= 0))
+        brackets.append((lo, hi))
+    return brackets, failures
+
+
+def _one_alpha(method, a_mat, beta=-2.0):
+    """The sweep's batched evaluator called with one alpha; raises the
+    rejection of a failed point."""
+    def evaluate(alpha):
+        if method == "fd":
+            values, _, errors = lyapunov._fd_exponents(a_mat, beta, np.array([alpha]))
+        else:
+            values, _, _, errors = lyapunov._closed_exponents(a_mat, beta, np.array([alpha]))
+        if errors:
+            raise DegeneratePhaseDiffusionError(errors[0])
+        return float(values[0])
+    return evaluate
+
+
 @pytest.mark.parametrize("method", ["fd", "closed", "mc"])
 def test_sweep_bisects_all_brackets_level_by_level(method):
-    # the batched levels give the brackets of one-at-a-time bisection, bit
-    # for bit; mc midpoints keep their alpha-derived streams
+    # the batched levels give the brackets of one bracket refined at a
+    # time, bit for bit: secant guard points for fd and closed, bisection
+    # for mc, whose midpoints keep their alpha-derived streams
     m, e = bell_model(), bell_equilibria(BELL_PARAMS)[0]
     a_mat = _drift_matrix("Bell-P1")
     kw = dict(horizon=2.0, dt=1e-2, paths=8, seed=11)
-    grid = np.arange(-4.0, 4.01, 0.5)
-    r = stability_sweep(m, e, -2.0, grid, method=method, **kw)
+    for grid in (np.arange(-4.0, 4.01, 0.5), np.arange(-4.0, 4.01, 0.1)):
+        r = stability_sweep(m, e, -2.0, grid, method=method, **kw)
+        if method == "mc":
+            def evaluate(alpha):
+                sys = LinearSDE(a_mat, alpha_family(alpha, -2.0))
+                return lyapunov_mc(sys, stream_base=lyapunov._refine_stream_base(alpha),
+                                   **kw).value
+            brackets, failures = _bisect_one_bracket_at_a_time(r.alphas, r.lambdas,
+                                                               evaluate)
+        else:
+            brackets, failures = _secant_one_bracket_at_a_time(
+                r.alphas, r.lambdas, _one_alpha(method, a_mat))
+        assert r.sign_changes == brackets and len(brackets) >= 2
+        assert r.failures == failures == []
 
-    def evaluate(alpha):
-        sys = LinearSDE(a_mat, alpha_family(alpha, -2.0))
-        if method == "fd":
-            return lyapunov_fd(sys).value
-        if method == "closed":
-            return closed_form_lyapunov(a_mat, alpha, -2.0).value
-        return lyapunov_mc(sys, stream_base=lyapunov._refine_stream_base(alpha),
-                           **kw).value
 
-    brackets, failures = _bisect_one_bracket_at_a_time(r.alphas, r.lambdas, evaluate)
-    assert r.sign_changes == brackets and len(brackets) >= 2
-    assert r.failures == failures == []
+def _counting(monkeypatch, method, wrap=None):
+    """Patch the sweep's evaluator for method (optionally replaced by
+    wrap(real)) to record the alphas of each call."""
+    name = "_fd_exponents" if method == "fd" else "_closed_exponents"
+    real = getattr(lyapunov, name)
+    inner = wrap(real) if wrap else real
+    calls = []
+
+    def counted(a_mat, beta, alphas):
+        calls.append(alphas.copy())
+        return inner(a_mat, beta, alphas)
+
+    monkeypatch.setattr(lyapunov, name, counted)
+    return calls
+
+
+_C4_SYSTEMS = {"Bell-P1": (bell_model, bell_equilibria, BELL_PARAMS, 0),
+               "Bell-P2": (bell_model, bell_equilibria, BELL_PARAMS, 1),
+               "KT-P2": (kt_model, kt_equilibria, KT_PARAMS, 1),
+               "KT-P1": (kt_model, kt_equilibria, KT_PARAMS, 0)}
+
+
+@pytest.mark.parametrize("label", list(_C4_SYSTEMS))
+@pytest.mark.parametrize("method", ["fd", "closed"])
+def test_sweep_closes_c4_crossings_in_one_level(monkeypatch, method, label):
+    # on the 0.02 grid the regula falsi point lands within refine_tol / 4
+    # of every crossing: the grid call and one level, and each bracket of
+    # width <= refine_tol / 2 holds the exact root (widened by fd's error
+    # bound at lambda = 0 over the exact slope)
+    model, equilibria, params, k = _C4_SYSTEMS[label]
+    eq = equilibria(params)[k]
+    a_mat = linearize(model(), alpha_family(0.0, -2.0), eq).A
+    calls = _counting(monkeypatch, method)
+    r = stability_sweep(model(), eq, -2.0, np.arange(-4.0, 4.01, 0.02), method=method)
+    assert len(calls) == 2 and r.failures == []
+    roots = alpha_exact.crossings(a_mat, -2.0, -4.0, 4.0)
+    assert len(r.sign_changes) == len(roots) >= 1
+    for (lo, hi), root in zip(r.sign_changes, roots):
+        slack = 1e-12 / abs(alpha_exact.slope(a_mat, root, -2.0))
+        assert hi - lo <= 0.5e-3 + 1e-12  # two guards apart, to rounding
+        assert lo - slack <= root <= hi + slack
+
+
+@pytest.mark.parametrize("shape", ["flat", "steep"])
+@pytest.mark.parametrize("root", [-1.2345678, 0.0371, 2.9])
+@pytest.mark.parametrize("method", ["fd", "closed"])
+def test_sweep_secant_never_takes_more_levels_than_bisection(monkeypatch, method,
+                                                             root, shape):
+    # a fifth-order zero (regula falsi crawls from one end) and a step of
+    # width 1e-4 (its secant point falls far off): the midpoint still halves
+    # each bracket, so the levels are at most bisection's 9 from width 0.5
+    def lam(alphas):
+        return (alphas - root) ** 5 if shape == "flat" else np.tanh(1e4 * (alphas - root))
+
+    def fake(real):
+        def exponents(a_mat, beta, alphas):
+            size = alphas.size
+            return ((lam(alphas), np.full(size, 16), {}) if method == "fd"
+                    else (lam(alphas), np.zeros(size), 16, {}))
+        return exponents
+
+    calls = _counting(monkeypatch, method, fake)
+    m, e = bell_model(), bell_equilibria(BELL_PARAMS)[0]
+    r = stability_sweep(m, e, -2.0, np.arange(-4.0, 4.01, 0.5), method=method)
+    (lo, hi), = r.sign_changes
+    assert 1 < len(calls) <= 1 + math.ceil(math.log2(0.5 / 1e-3))
+    assert hi - lo <= 1e-3 and lo <= root <= hi
+    want, _ = _secant_one_bracket_at_a_time(r.alphas, r.lambdas,
+                                            lambda a: float(lam(np.float64(a))))
+    assert r.sign_changes == want
 
 
 def test_sweep_failed_midpoint_ends_only_its_bracket(monkeypatch):
     # off-grid alphas below zero are refused: the left bracket keeps its
-    # grid width, the right one is refined as usual
+    # grid width and lists its three refused points, the right one is
+    # refined as usual
     grid = np.arange(-4, 4.01, 0.5)
     on_grid = set(grid.tolist())
     real = lyapunov._fd_exponents
@@ -1020,7 +1154,8 @@ def test_sweep_failed_midpoint_ends_only_its_bracket(monkeypatch):
     (llo, lhi), (rlo, rhi) = r.sign_changes
     assert (llo, lhi) == (-2.0, -1.5)
     assert rhi - rlo <= 1e-3 and 1.5 <= rlo < rhi <= 2.0
-    assert r.failures == [(-1.75, "refused")]
+    lam = dict(zip(r.alphas.tolist(), r.lambdas.tolist()))
+    assert r.failures == [(a, "refused") for a in _level_points(-2.0, -1.5, lam)]
 
 
 def test_sweep_bisection_stops_at_adjacent_floats():

@@ -253,10 +253,13 @@ def test_custom_model_roundtrip():
     assert abs(j.a12 - 1.0) < 1e-8 and abs(j.a21 + 1.0) < 1e-8
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_custom_rhs_outside_its_domain_is_a_domain_error():
     # x ** 0.5 at x < 0 is complex and 1 / x at x = 0 raises
     # ZeroDivisionError: the Jacobian's stencil at x = 0 reaches the
-    # first, the lattice starts at x = 0 the second
+    # first, the lattice starts at x = 0 the second.  Newton's iterate
+    # stays a Python float, so a Newton step to x < 0 gives a complex
+    # value, not numpy's nan and RuntimeWarning
     sqrt_rhs = lambda x, y: (x ** 0.5 - 1.0, y - x)
     with pytest.raises(DomainError):
         jacobian(custom_model(sqrt_rhs), State(0.0, 0.0))
@@ -264,6 +267,7 @@ def test_custom_rhs_outside_its_domain_is_a_domain_error():
         roots = find_equilibria_numeric(custom_model(rhs), ((0.0, 4.0), (0.0, 4.0)))
         assert len(roots) == 1
         assert math.hypot(roots[0].point.x - 1.0, roots[0].point.y - 1.0) < 1e-9
+        assert type(roots[0].point.x) is float and type(roots[0].point.y) is float
 
 
 def test_make_model_rejects_unknown():
