@@ -30,6 +30,7 @@ from .models import (
     kt_model,
     logistic_model,
     make_model,
+    model_equilibria,
     stepanova_model,
     vector_field_fns,
     vladar_model,
@@ -59,13 +60,11 @@ from .lyapunov import (
 )
 from .integrate import (
     BlowUpError,
-    Ensemble,
     GaussianBlocks,
     RngStream,
     SimConfig,
     Trajectory,
     box_muller,
-    ensemble_stats,
     euler1_step,
     euler2_step,
     gaussian_pairs,

@@ -1,8 +1,10 @@
 """Command-line interface and CSV emission.
 
-Commands: equilibria, simulate, lyapunov, sweep.  Flags may also be
-given through a line-oriented config file (``key = value``, ``#``
-comments, UTF-8) named by --config; explicit flags override file
+Commands: equilibria, simulate, lyapunov, sweep.  Each reads its own
+set of keys (_COMMAND_KEYS), and a flag outside it is a configuration
+error.  Keys may also be given through a line-oriented config file
+(``key = value``, ``#`` comments, UTF-8) named by --config; a file may
+hold keys for other commands too, and explicit flags override its
 values.  Reals in CSV output are rendered with 17 significant digits so
 repeated seeded runs are byte-identical and values round-trip losslessly.
 
@@ -33,15 +35,10 @@ from .lyapunov import (
 from .models import (
     DegenerateEquilibriumError,
     DomainError,
-    Equilibrium,
-    KTParams,
     Mat2,
     State,
-    bell_equilibria,
-    find_equilibria_numeric,
-    kt_equilibria,
-    kt_p2_status,
     make_model,
+    model_equilibria,
 )
 from .sde import KT_NOISE, NotAnEquilibriumError, alpha_family, \
     diffusion_at_equilibrium, linearize
@@ -50,38 +47,54 @@ __all__ = ["RunConfig", "ConfigError", "parse_config", "emit_config",
            "emit_trajectory_csv", "emit_sweep_csv", "emit_equilibria_csv",
            "main", "entry"]
 
-COMMANDS = ("equilibria", "simulate", "lyapunov", "sweep")
+# the keys each command reads; lyapunov and sweep add _MC_KEYS with --method mc
+_COMMAND_KEYS = {
+    "equilibria": ("model", "params", "out"),
+    "simulate": ("model", "params", "equilibrium", "noise", "alpha", "beta", "dt",
+                 "steps", "seed", "out", "scheme", "x0", "y0", "noise_streams"),
+    "lyapunov": ("model", "params", "equilibrium", "noise", "alpha", "beta", "method"),
+    "sweep": ("model", "params", "equilibrium", "alpha", "beta", "method", "out"),
+}
+_MC_KEYS = ("dt", "paths", "horizon", "seed")
+COMMANDS = tuple(_COMMAND_KEYS)
 
 USAGE = """\
 usage: tumorsde COMMAND [flags] [--config FILE]
 
-commands:
-  equilibria   report the model's equilibria
-  simulate     integrate one (stochastic) trajectory to CSV
-  lyapunov     top Lyapunov exponent of the linearized system
-  sweep        lambda(alpha) over an alpha grid, with zero crossings
+A flag not listed under its command exits 2.  A config file (key = value
+lines, keys named as the flags with _ for -) may also hold keys that the
+command does not read; explicit flags override it.
 
-shared flags:
+equilibria   report the model's equilibria
   --model NAME            kt | volterra | bell | stepanova | vladar |
                           exponential | logistic   (default kt)
   --params k=v[,k=v...]   coefficient overrides for the preset
-  --equilibrium SEL       P1 | P2 | integer index  (default P1)
-  --noise m11,m12,m21,m22 full noise matrix (default 10,-2,2,10)
-  --alpha X | lo:hi:step  alpha-family noise [[a,-b],[b,a]]; a range for sweep
-  --beta X                alpha-family beta (default -2)
-  --method M              fd | closed | mc  (default fd)
-  --dt X                  time step         (default 0.001)
-  --steps N               trajectory steps  (default 1000)
-  --paths N               mc paths          (default 64)
-  --horizon T             mc horizon        (default 200)
-  --seed N                master seed       (default 1)
-  --out PATH              output CSV path
-  --config FILE           read key = value defaults from FILE
+  --out PATH              also write them to a CSV
 
-simulate flags:
+simulate     integrate one (stochastic) trajectory to CSV
+  --model, --params       as for equilibria
+  --equilibrium SEL       P1 | P2 | integer index  (default P1)
+  --noise m11,m12,m21,m22 full noise matrix (default 10,-2,2,10), or
+  --alpha X, --beta X     alpha-family noise [[a,-b],[b,a]] (beta default -2)
   --scheme S              euler1 | euler2   (default euler1)
+  --dt X, --steps N       time step and step count (default 0.001, 1000)
+  --seed N                master seed       (default 1)
   --x0 X, --y0 Y          initial state (default: the chosen equilibrium)
   --noise-streams S       shared | independent (default shared)
+  --out PATH              output CSV path   (default trajectory.csv)
+
+lyapunov     top Lyapunov exponent of the linearized system
+  --model, --params, --equilibrium, --noise, --alpha, --beta   as for simulate
+  --method M              fd | closed | mc  (default fd)
+  with --method mc only: --dt, --seed as for simulate, and
+  --paths N, --horizon T  mc paths and horizon (default 64, 200)
+
+sweep        lambda(alpha) over an alpha grid, with zero crossings
+  --model, --params, --equilibrium, --beta   as for simulate
+  --alpha lo:hi:step      the alpha grid
+  --method M              fd | closed | mc  (default fd)
+  --out PATH              output CSV path   (default sweep.csv)
+  with --method mc only: --dt, --paths, --horizon, --seed as for lyapunov
 """
 
 
@@ -277,9 +290,11 @@ def _read_config_file(path: str) -> dict:
 def parse_config(argv) -> RunConfig:
     """Merge defaults, config-file values and command-line flags.
 
-    Raises ConfigError on unknown keys, malformed numbers, values out
-    of their documented ranges, or an mc lyapunov/sweep run whose Euler
-    step count round(horizon / dt) is not 1 to 10^7.
+    Raises ConfigError on unknown keys, a flag its command does not read
+    (_check_flags), malformed numbers, values out of their documented
+    ranges, a lyapunov or sweep run with independent noise streams, or
+    an mc lyapunov/sweep run whose Euler step count round(horizon / dt)
+    is not 1 to 10^7.
     """
     tokens = list(argv)
     command = None
@@ -316,12 +331,36 @@ def parse_config(argv) -> RunConfig:
     if "command" not in cfg:
         raise ConfigError("command", "no command given (on the line or in the file)")
     run = RunConfig(**cfg)
-    if run.command in ("lyapunov", "sweep") and run.method == "mc":
-        try:
-            mc_step_count(run.horizon, run.dt)
-        except ValueError as exc:
-            raise ConfigError("horizon", str(exc)) from None
+    if run.command in ("lyapunov", "sweep"):
+        if run.noise_streams == "independent":
+            raise ConfigError("noise_streams", f"{run.command} solves the SDE with "
+                              "one shared Wiener process only")
+        if run.method == "mc":
+            try:
+                mc_step_count(run.horizon, run.dt)
+            except ValueError as exc:
+                raise ConfigError("horizon", str(exc)) from None
+    _check_flags(run, flags)
     return run
+
+
+def _check_flags(run: RunConfig, flags) -> None:
+    """ConfigError for a command-line flag that run's command would
+    drop: a key outside its set, an mc key without --method mc, and
+    --alpha or --beta beside --noise, which replaces them."""
+    keys = _COMMAND_KEYS[run.command]
+    mc = "method" in keys and run.method == "mc"
+    for key in flags:
+        if key in keys or key == "command" or (mc and key in _MC_KEYS):
+            continue
+        if "method" in keys and key in _MC_KEYS:
+            raise ConfigError(key, f"{run.command} reads it only with --method mc")
+        raise ConfigError(key, f"{run.command} does not read it")
+    if "noise" in flags:
+        for key in ("alpha", "beta"):
+            if key in flags:
+                raise ConfigError(key, "the noise matrix replaces the alpha/beta "
+                                  "family; give one or the other")
 
 
 def _fmt(v: float) -> str:
@@ -410,36 +449,20 @@ def _write(path: str, lines) -> None:
         fh.write("\n".join(lines) + "\n")
 
 
-def _model_equilibria(cfg: RunConfig):
+def _model_at_equilibrium(cfg: RunConfig) -> tuple:
+    """The built model and the equilibrium that cfg selects."""
     model = make_model(cfg.model, dict(cfg.params))
-    notes = []
-    if cfg.model == "kt":
-        p = KTParams(**dict(model.params))
-        eqs = kt_equilibria(p)
-        status = kt_p2_status(p)
-        if "omitted" in status:
-            notes.append(status)
-    elif cfg.model == "bell":
-        from .models import BellParams
-        eqs = bell_equilibria(BellParams(**dict(model.params)))
-    else:
-        eqs = find_equilibria_numeric(model, ((0.0, 50.0), (0.0, 50.0)), grid=8)
-        if not eqs:
-            notes.append("no equilibria found in box (0,50)^2")
-    return model, eqs, notes
-
-
-def _select_equilibrium(cfg: RunConfig, eqs) -> Equilibrium:
+    eqs, _ = model_equilibria(model)
     sel = cfg.equilibrium
     if sel.isdigit():
         idx = int(sel)
         if idx >= len(eqs):
             raise ConfigError("equilibrium",
                               f"index {idx} out of range ({len(eqs)} found)")
-        return eqs[idx]
+        return model, eqs[idx]
     for e in eqs:
         if e.label == sel:
-            return e
+            return model, e
     raise ConfigError("equilibrium", f"{sel} not present for this model")
 
 
@@ -454,7 +477,7 @@ def _noise_matrix(cfg: RunConfig) -> Mat2:
 
 
 def _cmd_equilibria(cfg: RunConfig) -> int:
-    _, eqs, notes = _model_equilibria(cfg)
+    eqs, notes = model_equilibria(make_model(cfg.model, dict(cfg.params)))
     for e in eqs:
         print(f"{e.label}  x={_fmt(e.point.x)}  y={_fmt(e.point.y)}  "
               f"residual={e.residual:.3e}")
@@ -466,8 +489,7 @@ def _cmd_equilibria(cfg: RunConfig) -> int:
 
 
 def _cmd_simulate(cfg: RunConfig) -> int:
-    model, eqs, _ = _model_equilibria(cfg)
-    eq = _select_equilibrium(cfg, eqs)
+    model, eq = _model_at_equilibrium(cfg)
     diffusion = diffusion_at_equilibrium(_noise_matrix(cfg), eq)
     x0 = cfg.x0 if cfg.x0 is not None else eq.point.x
     y0 = cfg.y0 if cfg.y0 is not None else eq.point.y
@@ -487,8 +509,7 @@ def _cmd_simulate(cfg: RunConfig) -> int:
 
 
 def _cmd_lyapunov(cfg: RunConfig) -> int:
-    model, eqs, _ = _model_equilibria(cfg)
-    eq = _select_equilibrium(cfg, eqs)
+    model, eq = _model_at_equilibrium(cfg)
     sys_lin = linearize(model, _noise_matrix(cfg), eq)
     if cfg.method == "fd":
         est = lyapunov_fd(sys_lin)
@@ -508,11 +529,10 @@ def _cmd_lyapunov(cfg: RunConfig) -> int:
 
 def _cmd_sweep(cfg: RunConfig) -> int:
     if cfg.noise is not None:
-        raise ConfigError("noise", "sweep uses the alpha/beta family, not --noise")
+        raise ConfigError("noise", "sweep uses the alpha/beta family, not a noise matrix")
     if cfg.alpha_range is None:
         raise ConfigError("alpha", "sweep needs an alpha range lo:hi:step")
-    model, eqs, _ = _model_equilibria(cfg)
-    eq = _select_equilibrium(cfg, eqs)
+    model, eq = _model_at_equilibrium(cfg)
     lo, hi, step = cfg.alpha_range
     grid = alpha_range_values(lo, hi, step)
     result = stability_sweep(model, eq, cfg.beta, grid, method=cfg.method,

@@ -4,14 +4,12 @@ Uniform variates come from counter-based Philox streams keyed by
 (master seed, stream id), mapped into (0,1] so log u stays finite, and
 turned into standard normals with the Box-Muller transform.  Identical
 (seed, id) pairs reproduce identical sequences; distinct ids behave as
-independent streams, which is what lets ensembles run paths in any
-order or thread layout without changing the result.
+independent streams, which is what lets many paths run in any order
+or process layout without changing the result.
 
-Stream ids: a trajectory with base id b draws both components from
-stream b (shared noise) or component i from stream b + i, i = 1, 2
-(independent noise).  Ensemble path p has base id b + 1 + p (shared)
-or b + 1 + 2p (independent), so every (path, component) pair of an
-ensemble has its own stream.
+Stream ids: a trajectory draws both components from stream 0 of its
+seed (shared noise) or component i from stream i, i = 1, 2
+(independent noise).
 
 Two explicit schemes are provided.  The first-order step is
 
@@ -45,7 +43,6 @@ __all__ = [
     "BlowUpError",
     "SimConfig",
     "Trajectory",
-    "Ensemble",
     "box_muller",
     "gaussian_pairs",
     "GaussianBlocks",
@@ -53,7 +50,6 @@ __all__ = [
     "euler1_step",
     "euler2_step",
     "simulate",
-    "ensemble_stats",
 ]
 
 _MASK64 = (1 << 64) - 1
@@ -81,9 +77,6 @@ class RngStream:
     def uniforms(self, count: int) -> np.ndarray:
         """count uniforms in (0,1]."""
         return 1.0 - self._gen.random(count)
-
-    def substream(self, i: int) -> "RngStream":
-        return RngStream(self.seed, (self.stream + 1 + i) & _MASK64)
 
 
 def box_muller(u1, u2, out=None):
@@ -167,7 +160,6 @@ class SimConfig:
     scheme: str = "euler1"  # euler1 | euler2
     noise_streams: str = "shared"  # shared | independent
     seed: int = 1
-    stream: int = 0  # base stream id, offset per path in ensembles
 
     def __post_init__(self):
         if self.dt <= 0:
@@ -191,16 +183,6 @@ class Trajectory:
     def __post_init__(self):
         if len(self.times) != len(self.states):
             raise ValueError("times/states length mismatch")
-
-
-@dataclass
-class Ensemble:
-    """Trajectories from independent streams plus per-time moments."""
-
-    trajectories: list
-    times: np.ndarray
-    mean: np.ndarray      # shape (len(times), 2)
-    variance: np.ndarray  # shape (len(times), 2), ddof=1
 
 
 _isfinite = math.isfinite
@@ -290,13 +272,11 @@ def simulate(system, diffusion, cfg: SimConfig) -> Trajectory:
     so a step does only the scheme's arithmetic.
     """
     drift, g, dpart, gpart = _step_fns(system, diffusion)
-    stream = RngStream(cfg.seed, cfg.stream)
     if cfg.noise_streams == "shared":
-        inc1 = wiener_increments(stream, cfg.steps, cfg.dt)
-        inc2 = inc1
+        inc1 = inc2 = wiener_increments(RngStream(cfg.seed), cfg.steps, cfg.dt)
     else:
-        inc1 = wiener_increments(stream.substream(0), cfg.steps, cfg.dt)
-        inc2 = wiener_increments(stream.substream(1), cfg.steps, cfg.dt)
+        inc1, inc2 = (wiener_increments(RngStream(cfg.seed, i), cfg.steps, cfg.dt)
+                      for i in (1, 2))
     states = np.empty((cfg.steps + 1, 2))
     states[0] = (cfg.initial.x, cfg.initial.y)
     # the state is carried as a tuple of Python floats; increments are
@@ -327,31 +307,3 @@ def simulate(system, diffusion, cfg: SimConfig) -> Trajectory:
             break
     times = cfg.dt * np.arange(n_done + 1)
     return Trajectory(times=times, states=states[:n_done + 1], blowup_index=blowup)
-
-
-def ensemble_stats(system, diffusion, cfg: SimConfig, paths: int) -> Ensemble:
-    """Independent trajectories with per-time component means and
-    variances.
-
-    Path p runs simulate with base stream id b_p = cfg.stream + 1 + p
-    for shared noise, drawing from stream b_p, and b_p = cfg.stream + 1
-    + 2p for independent noise, drawing from streams b_p + 1 and b_p + 2.
-    No two (path, component) pairs share a stream id.  Statistics cover
-    the steps every path completed; paths that blew up early only
-    shorten that common range.
-    """
-    if paths < 1:
-        raise ValueError("paths must be >= 1")
-    stride = 1 if cfg.noise_streams == "shared" else 2
-    trajs = []
-    for p in range(paths):
-        cfg_p = SimConfig(dt=cfg.dt, steps=cfg.steps, initial=cfg.initial,
-                          scheme=cfg.scheme, noise_streams=cfg.noise_streams,
-                          seed=cfg.seed, stream=cfg.stream + 1 + stride * p)
-        trajs.append(simulate(system, diffusion, cfg_p))
-    nkeep = min(len(t.states) for t in trajs)
-    block = np.stack([t.states[:nkeep] for t in trajs])  # (paths, nkeep, 2)
-    mean = block.mean(axis=0)
-    var = block.var(axis=0, ddof=1) if paths > 1 else np.zeros_like(mean)
-    return Ensemble(trajectories=trajs, times=trajs[0].times[:nkeep],
-                    mean=mean, variance=var)

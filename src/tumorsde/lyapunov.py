@@ -138,29 +138,11 @@ def phase_coefficients(sys: LinearSDE, theta) -> PhaseCoefficients:
 class PhaseDensity:
     """Stationary angle density over one period [0, pi] as its Fourier
     modes: p(theta) = sum_k modes[N + k] e^{2 i k theta}, |k| <= N, with
-    pi p_0 = 1.  tail is max(|p_{+-N}|, |p_{+-(N-1)}|) / |p_0|.
+    pi p_0 = 1.  tail is max(|p_{+-N}|, |p_{+-(N-1)}|) / |p_0|."""
 
-    values holds p at the n + 1 nodes theta = i * step, step = pi / n,
-    when first read: mode k is folded onto frequency k mod n and one
-    inverse FFT sums the series, so the nodes are exact samples of the
-    truncated series for every n >= 2.  values[n] = values[0], and
-    sum(values[1:]) * step = pi p_0 = 1, to rounding, when n > N, where
-    only p_0 folds onto frequency 0.
-    """
-
-    n: int
-    step: float
     modes: np.ndarray
     min_q4_sq: float
     tail: float
-
-    @functools.cached_property
-    def values(self) -> np.ndarray:
-        half = self.modes.size // 2
-        spec = np.zeros(self.n, dtype=complex)
-        np.add.at(spec, np.arange(-half, half + 1) % self.n, self.modes)
-        nodes = np.fft.ifft(spec, norm="forward").real
-        return np.append(nodes, nodes[0])
 
 
 @dataclass
@@ -321,9 +303,9 @@ def _fd_solve(rows: np.ndarray, keep: bool = False) -> tuple:
     return values, counts, tails, gap, errors, densities
 
 
-def stationary_density_fd(sys: LinearSDE, n: int = 10000) -> PhaseDensity:
+def stationary_density_fd(sys: LinearSDE) -> PhaseDensity:
     """Stationary angle density over one period [0, pi] by a
-    Fourier-Galerkin solve; n is the node count of its ``values``.
+    Fourier-Galerkin solve.
 
     The density solves  q4^2/2 p' + g p = p0,  g = -q3 + q2 q4 + q4 q5
     (both in ``_polar_rows``), where the constant p0 is the stationary probability
@@ -337,7 +319,7 @@ def stationary_density_fd(sys: LinearSDE, n: int = 10000) -> PhaseDensity:
     max(|p_N|, |p_{N-1}|) exceeds _MODE_TAIL |p_0|, up to _MAX_MODES
     (``_fd_solve``).  Where q4 has no real zeros the density is analytic
     and the modes fall geometrically (Boyd 2001, ch. 2), so the tail also
-    bounds the error of the node values.
+    bounds the error of the density's values.
 
     q4's row (m, c, s) gives min q4^2 = max(0, |m| - hypot(c, s))^2.  q4
     has real zeros, where the angle diffusion vanishes, exactly when
@@ -345,13 +327,11 @@ def stationary_density_fd(sys: LinearSDE, n: int = 10000) -> PhaseDensity:
     is still above _MODE_TAIL |p_0| at the cap, is rejected with
     DegeneratePhaseDiffusionError.
     """
-    if n < 2:
-        raise ValueError("node count n must be >= 2")
     _, _, tails, gap, errors, densities = _fd_solve(_polar_rows(sys)[None], True)
     if errors:
         raise DegeneratePhaseDiffusionError(errors[0])
-    return PhaseDensity(n=n, step=math.pi / n, modes=densities[0],
-                        min_q4_sq=float(gap[0]) ** 2, tail=float(tails[0]))
+    return PhaseDensity(modes=densities[0], min_q4_sq=float(gap[0]) ** 2,
+                        tail=float(tails[0]))
 
 
 def lyapunov_fd(sys: LinearSDE) -> LyapunovEstimate:

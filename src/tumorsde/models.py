@@ -15,6 +15,8 @@ integration scheme are analytic for every preset and central
 differences for custom right-hand sides.  vector_field_fns builds a
 model's field and partials once, as closures over its coefficients;
 eval_vector_field and diag_partials evaluate those closures at a State.
+model_equilibria is the one place that knows which presets have
+closed-form equilibria (kt and bell) and which need the Newton search.
 A custom right-hand side is called only through its checked field: a
 value that raises, is complex or is non-finite there is a DomainError,
 and the Jacobian's and the partials' difference stencils read that
@@ -24,7 +26,7 @@ field too.
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass, replace
+from dataclasses import dataclass, replace
 from typing import Callable, Mapping, Optional, Sequence
 
 import numpy as np
@@ -55,6 +57,7 @@ __all__ = [
     "kt_equilibria",
     "bell_equilibria",
     "find_equilibria_numeric",
+    "model_equilibria",
     "jacobian",
     "diag_partials",
     "residual_scale",
@@ -190,7 +193,7 @@ BELL_PARAMS = BellParams(a1=2.5, a2=1.0, b1=1.0, b2=0.4, b3=0.95, b4=2.0)
 
 def kt_model(params: KTParams = KT_PARAMS) -> ModelSpec:
     """Kuznetsov-Taylor model (positive immune response)."""
-    return ModelSpec(name="kt", params=asdict(params))
+    return ModelSpec(name="kt", params=dict(vars(params)))
 
 
 def bell_model(params: BellParams = BELL_PARAMS) -> ModelSpec:
@@ -201,7 +204,7 @@ def bell_model(params: BellParams = BELL_PARAMS) -> ModelSpec:
         _poly("h4", params.b3),
         _poly("h5", params.b4, -params.b2),
     )
-    return ModelSpec(name="bell", params=asdict(params), h=h)
+    return ModelSpec(name="bell", params=dict(vars(params)), h=h)
 
 
 def volterra_model(a: float, b: float, d: float, f: float, k: float) -> ModelSpec:
@@ -298,7 +301,7 @@ def make_model(name: str, params: Optional[Mapping[str, float]] = None) -> Model
     params = dict(params or {})
     if name in _DEFAULTED:
         factory, defaults = _DEFAULTED[name]
-        _reject_unknown(name, params, asdict(defaults))
+        _reject_unknown(name, params, vars(defaults))
         return factory(replace(defaults, **params))
     if name in _FACTORIES:
         factory, keys = _FACTORIES[name]
@@ -424,59 +427,63 @@ def _residual(model: ModelSpec, x: float, y: float) -> float:
     return max(abs(f1), abs(f2))
 
 
-def _kt_p2_root(p: KTParams) -> Optional[tuple]:
-    """(x2, y2) from the positive root of the coexistence quadratic, or
-    None when its discriminant is negative."""
-    delta = p.b1 ** 2 * (p.b2 * p.a2 - p.a3) ** 2 + 4.0 * p.b1 * p.b2 * p.a1 * p.a3
+def _kt_closed(model: ModelSpec) -> tuple:
+    """(equilibria, notes) of a built kt model: P1 = (a1/a2, 0), and P2
+    from the positive root of the coexistence quadratic when its y is
+    positive (y < 0 is not a population), else a note why it is omitted."""
+    a1, a2, a3, b1, b2 = (model.params[k] for k in ("a1", "a2", "a3", "b1", "b2"))
+    x1 = a1 / a2
+    out = [Equilibrium(State(x1, 0.0), "P1", _residual(model, x1, 0.0))]
+    delta = b1 ** 2 * (b2 * a2 - a3) ** 2 + 4.0 * b1 * b2 * a1 * a3
     if delta < 0:
-        return None
+        return out, ["P2 omitted: discriminant < 0"]
     sd = math.sqrt(delta)
-    return ((p.b1 * (p.a3 - p.b2 * p.a2) + sd) / (2.0 * p.a3),
-            (p.b1 * (p.a3 + p.b2 * p.a2) - sd) / (2.0 * p.b1 * p.b2 * p.a3))
+    x2 = (b1 * (a3 - b2 * a2) + sd) / (2.0 * a3)
+    y2 = (b1 * (a3 + b2 * a2) - sd) / (2.0 * b1 * b2 * a3)
+    if not y2 > 0:
+        return out, [f"P2 omitted: y2 = {y2:.6g} <= 0"]
+    return out + [Equilibrium(State(x2, y2), "P2", _residual(model, x2, y2))], []
+
+
+def _bell_closed(model: ModelSpec) -> tuple:
+    """(equilibria, no notes) of a built bell model: P1 on the x = 0
+    axis, interior P2."""
+    a1, a2, b1, b2, b3, b4 = (model.params[k] for k in ("a1", "a2", "b1", "b2", "b3", "b4"))
+    if b3 == 0:
+        raise DegenerateEquilibriumError("P1 undefined: b3 = 0")
+    den = a1 * b1 - a2 * b2
+    if den == 0:
+        raise DegenerateEquilibriumError("P2 undefined: a1*b1 = a2*b2")
+    y1 = b4 / b3
+    x2 = (a1 * b3 - a2 * b4) / den
+    y2 = a1 / a2
+    return [Equilibrium(State(0.0, y1), "P1", _residual(model, 0.0, y1)),
+            Equilibrium(State(x2, y2), "P2", _residual(model, x2, y2))], []
 
 
 def kt_equilibria(p: KTParams) -> list:
-    """Tumor-present equilibria of the Kuznetsov-Taylor model.
-
-    P1 = (a1/a2, 0) always exists.  P2 comes from the positive root of
-    the coexistence quadratic and is returned only when its y-coordinate
-    is positive (omitted otherwise, since y < 0 is not a population).
-    """
-    model = kt_model(p)
-    x1 = p.a1 / p.a2
-    out = [Equilibrium(State(x1, 0.0), "P1", _residual(model, x1, 0.0))]
-    root = _kt_p2_root(p)
-    if root is not None and root[1] > 0:
-        x2, y2 = root
-        out.append(Equilibrium(State(x2, y2), "P2", _residual(model, x2, y2)))
-    return out
-
-
-def kt_p2_status(p: KTParams) -> str:
-    """One-line note on P2 existence for reporting."""
-    root = _kt_p2_root(p)
-    if root is None:
-        return "P2 omitted: discriminant < 0"
-    if root[1] > 0:
-        return "P2 present"
-    return f"P2 omitted: y2 = {root[1]:.6g} <= 0"
+    """Equilibria of the Kuznetsov-Taylor model: P1, and P2 when its y > 0."""
+    return _kt_closed(kt_model(p))[0]
 
 
 def bell_equilibria(p: BellParams) -> list:
     """Equilibria of the Bell model: P1 on the x = 0 axis, interior P2."""
-    model = bell_model(p)
-    if p.b3 == 0:
-        raise DegenerateEquilibriumError("P1 undefined: b3 = 0")
-    den = p.a1 * p.b1 - p.a2 * p.b2
-    if den == 0:
-        raise DegenerateEquilibriumError("P2 undefined: a1*b1 = a2*b2")
-    y1 = p.b4 / p.b3
-    x2 = (p.a1 * p.b3 - p.a2 * p.b4) / den
-    y2 = p.a1 / p.a2
-    return [
-        Equilibrium(State(0.0, y1), "P1", _residual(model, 0.0, y1)),
-        Equilibrium(State(x2, y2), "P2", _residual(model, x2, y2)),
-    ]
+    return _bell_closed(bell_model(p))[0]
+
+
+_CLOSED_FORMS = {"kt": _kt_closed, "bell": _bell_closed}
+
+
+def model_equilibria(model: ModelSpec) -> tuple:
+    """(equilibria, notes) of a built model: the closed forms of the kt
+    and bell presets, a Newton search of the box (0, 50)^2 from an 8 x 8
+    lattice (find_equilibria_numeric) for every other model.  A note
+    says why kt's P2 is omitted, or that the search found nothing."""
+    closed = _CLOSED_FORMS.get(model.name) if model.rhs is None else None
+    if closed is not None:
+        return closed(model)
+    eqs = find_equilibria_numeric(model, ((0.0, 50.0), (0.0, 50.0)), grid=8)
+    return eqs, [] if eqs else ["no equilibria found in box (0,50)^2"]
 
 
 def _stencil(field, x: float, y: float) -> tuple:

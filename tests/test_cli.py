@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 import alpha_exact
-from tumorsde import cli
+from tumorsde import cli, models
 from tumorsde.cli import (
     ConfigError,
     alpha_range_values,
@@ -82,38 +82,56 @@ def test_removed_grid_n_key_is_unknown(capsys, tmp_path):
 
 
 def test_usage_lists_exactly_the_config_keys():
-    flags = {f[2:].replace("-", "_") for f in re.findall(r"--[a-z][a-z0-9-]*", cli.USAGE)}
-    assert flags <= set(cli._KEYS)  # the _PARSERS keys and config
-    assert set(cli._PARSERS) - {"command"} <= flags
+    # the flags USAGE lists under each command are the keys it reads, and
+    # those after "with --method mc only:" the keys it reads with mc
+    def flags(text):
+        return {f[2:].replace("-", "_") for f in re.findall(r"--[a-z][a-z0-9-]*", text)}
+
+    header, *sections = re.split(r"^(equilibria|simulate|lyapunov|sweep) ",
+                                 cli.USAGE, flags=re.M)
+    listed = dict(zip(sections[0::2], sections[1::2]))
+    assert flags(header) == {"config"} and tuple(listed) == cli.COMMANDS
+    for command, text in listed.items():
+        base, marker, mc = text.partition("with --method mc only:")
+        assert flags(base) == set(cli._COMMAND_KEYS[command]), command
+        assert flags(mc) == (set(cli._MC_KEYS) if marker else set()), command
+    read = set(cli._MC_KEYS).union(*cli._COMMAND_KEYS.values())
+    assert read == set(cli._PARSERS) - {"command"}
 
 
 def test_sizes_capped_before_allocation(capsys):
-    caps = ["--steps", str(10 ** 7), "--paths", str(10 ** 4),
-            "--alpha=0:999999:1"]  # 10**6 points
-    cfg = parse_config(["sweep"] + caps)
-    assert (cfg.steps, cfg.paths) == (10 ** 7, 10 ** 4)
-    over = [("steps", str(10 ** 7 + 1)), ("paths", str(10 ** 4 + 1)),
-            ("alpha", "0:1000000:1"),
-            ("alpha", "0:1e9:1e-3"), ("alpha", "-1e300:1e300:1e-300")]
-    for key, value in over:
-        with pytest.raises(ConfigError, match=f"^{key}: "):
-            parse_config(["sweep", f"--{key}={value}"])
+    assert parse_config(["simulate", "--steps", str(10 ** 7)]).steps == 10 ** 7
+    cfg = parse_config(["sweep", "--method", "mc", "--paths", str(10 ** 4),
+                        "--alpha=0:999999:1"])  # 10**6 points
+    assert cfg.paths == 10 ** 4
+    over = [(["simulate"], "steps", str(10 ** 7 + 1)),
+            (["sweep", "--method", "mc"], "paths", str(10 ** 4 + 1)),
+            (["sweep"], "alpha", "0:1000000:1"), (["sweep"], "alpha", "0:1e9:1e-3"),
+            (["sweep"], "alpha", "-1e300:1e300:1e-300")]
+    for head, key, value in over:
+        with pytest.raises(ConfigError, match=f"^{key}: (must be|range)"):
+            parse_config([*head, f"--{key}={value}"])
     # this range used to overflow int() in alpha_range_values
     assert main(["sweep", "--model", "bell", "--alpha=-1e300:1e300:1e-300"]) == 2
     assert capsys.readouterr().err.startswith("config error: alpha:")
 
 
-def test_mc_step_count_capped(capsys):
+def test_mc_step_count_capped(capsys, tmp_path):
     mc = ["--method", "mc", "--paths", "1"]
+    f = tmp_path / "steps.cfg"
+    f.write_text("horizon = 1e300\ndt = 1e-300\n", encoding="utf-8")
     for cmd in ("lyapunov", "sweep"):
         for horizon, dt in (("1e300", "1e-300"), ("1e9", "1e-9"),
                             ("10000.001", "0.001"), ("0.0004", "0.001")):
             with pytest.raises(ConfigError, match="^horizon: "):
                 parse_config([cmd, *mc, "--horizon", horizon, "--dt", dt])
-        # 1 and 10**7 steps are accepted; fd runs take no steps
+        # 1 and 10**7 steps are accepted; fd runs take no steps, so they do
+        # not read a file's horizon and dt and take neither as a flag
         parse_config([cmd, *mc, "--horizon", "0.001", "--dt", "0.001"])
         parse_config([cmd, *mc, "--horizon", "10000", "--dt", "0.001"])
-        parse_config([cmd, "--horizon", "1e300", "--dt", "1e-300"])
+        parse_config([cmd, "--config", str(f)])
+        with pytest.raises(ConfigError, match="^horizon: .* only with --method mc"):
+            parse_config([cmd, "--horizon", "1e300", "--dt", "1e-300"])
     # this used to escape lyapunov_mc as an OverflowError
     assert main(["lyapunov", *mc, "--horizon", "1e300", "--dt", "1e-300"]) == 2
     assert capsys.readouterr().err.startswith("config error: horizon:")
@@ -122,12 +140,17 @@ def test_mc_step_count_capped(capsys):
 def test_config_file_and_override(tmp_path):
     f = tmp_path / "run.cfg"
     f.write_text("# sweep settings\nmodel = bell\nbeta = -2\n"
-                 "alpha = -1:1:0.5\nmethod = fd\npaths = 500\n",
+                 "alpha = -1:1:0.5\nmethod = mc\npaths = 500\n",
                  encoding="utf-8")
     cfg = parse_config(["sweep", "--config", str(f), "--paths", "800"])
     assert cfg.model == "bell"
     assert cfg.paths == 800  # flag overrides file
     assert cfg.alpha_range == (-1.0, 1.0, 0.5)
+    # a flag overrides the file's method too; an fd sweep does not read
+    # the file's paths, and takes no --paths flag
+    assert parse_config(["sweep", "--config", str(f), "--method", "fd"]).paths == 500
+    with pytest.raises(ConfigError, match="^paths: sweep reads it only with --method mc$"):
+        parse_config(["sweep", "--config", str(f), "--method", "fd", "--paths", "800"])
 
 
 def test_config_file_errors(tmp_path):
@@ -142,7 +165,8 @@ def test_config_file_errors(tmp_path):
 
 def test_config_roundtrip(tmp_path):
     cfg = parse_config(["sweep", "--model", "bell", "--equilibrium", "P2",
-                        "--alpha=-2:2:0.25", "--beta", "-2", "--paths", "1234",
+                        "--alpha=-2:2:0.25", "--beta", "-2", "--method", "mc",
+                        "--paths", "1234",
                         "--params", "a1=2.5,b3=0.9", "--seed", "7",
                         "--out", "x.csv"])
     f = tmp_path / "echo.cfg"
@@ -345,8 +369,9 @@ def test_cli_lyapunov_closed_line_and_unresolvable_exit_three(capsys):
                          ids=["lyapunov-fd", "lyapunov-closed", "simulate"])
 def test_cli_single_alpha_commands_reject_a_range(capsys, tmp_path, command, extra):
     # a range was ignored: lyapunov fell back to the default KT noise
-    argv = [command, "--model", "bell", "--alpha=-1:1:0.5", *extra,
-            "--out", str(tmp_path / "out.csv")]
+    argv = [command, "--model", "bell", "--alpha=-1:1:0.5", *extra]
+    if command == "simulate":
+        argv += ["--out", str(tmp_path / "out.csv")]
     assert main(argv) == 2
     assert capsys.readouterr().err == (
         f"config error: alpha: {command} needs a single alpha, not a range\n")
@@ -355,13 +380,101 @@ def test_cli_single_alpha_commands_reject_a_range(capsys, tmp_path, command, ext
 
 @pytest.mark.parametrize("method", ["fd", "closed", "mc"])
 def test_cli_sweep_rejects_noise(capsys, tmp_path, method):
-    # --noise was ignored: sweep ran the alpha family and exited 0
-    argv = ["sweep", "--model", "bell", "--noise", "1,2,3,4", "--alpha=-1:1:0.5",
-            "--method", method, "--out", str(tmp_path / "sweep.csv")]
-    assert main(argv) == 2
+    # --noise was ignored: sweep ran the alpha family and exited 0; it is
+    # not a sweep flag, and a noise matrix from a file is refused too
+    argv = ["sweep", "--model", "bell", "--alpha=-1:1:0.5", "--method", method,
+            "--out", str(tmp_path / "sweep.csv")]
+    assert main([*argv, "--noise", "1,2,3,4"]) == 2
+    assert capsys.readouterr().err == "config error: noise: sweep does not read it\n"
+    f = tmp_path / "noise.cfg"
+    f.write_text("noise = 1,2,3,4\n", encoding="utf-8")
+    assert main([*argv, "--config", str(f)]) == 2
     assert capsys.readouterr().err == (
-        "config error: noise: sweep uses the alpha/beta family, not --noise\n")
+        "config error: noise: sweep uses the alpha/beta family, not a noise matrix\n")
     assert not (tmp_path / "sweep.csv").exists()
+
+
+@pytest.mark.parametrize("command", ["lyapunov", "sweep"])
+def test_cli_independent_noise_streams_exit_two(capsys, tmp_path, command):
+    # lyapunov printed the shared-noise exponent under --noise-streams
+    # independent and exited 0: the answer for a different SDE
+    argv = [command, "--model", "bell", "--equilibrium", "P1", "--alpha=-1:1:0.5",
+            "--out", str(tmp_path / "sweep.csv")] if command == "sweep" else [
+        command, "--model", "bell", "--equilibrium", "P1", "--noise", "1,0.3,-0.5,0.8"]
+    want = (f"config error: noise_streams: {command} solves the SDE with one "
+            "shared Wiener process only\n")
+    assert main([*argv, "--noise-streams", "independent"]) == 2
+    assert capsys.readouterr().err == want
+    f = tmp_path / "streams.cfg"
+    f.write_text("noise_streams = independent\n", encoding="utf-8")
+    assert main([*argv, "--config", str(f)]) == 2
+    assert capsys.readouterr().err == want
+    assert not (tmp_path / "sweep.csv").exists()
+    # the file's shared streams are the default, not read
+    f.write_text("noise_streams = shared\n", encoding="utf-8")
+    assert main([*argv, "--config", str(f)]) == 0
+
+
+_DROPPED = [
+    # --noise replaced --alpha: lambda = -0.45388...
+    (["lyapunov", "--model", "bell", "--alpha", "1", "--noise", "1,0.3,-0.5,0.8"],
+     "alpha: the noise matrix replaces the alpha/beta family; give one or the other"),
+    (["lyapunov", "--model", "bell", "--noise", "1,0.3,-0.5,0.8", "--beta", "-1"],
+     "beta: the noise matrix replaces the alpha/beta family; give one or the other"),
+    (["simulate", "--model", "kt", "--beta=-1", "--noise", "1,0,0,1", "--steps", "5"],
+     "beta: the noise matrix replaces the alpha/beta family; give one or the other"),
+    # fd takes no mc sizes, lyapunov no trajectory flags and writes no file
+    (["lyapunov", "--model", "bell", "--method", "fd", "--paths", "5", "--horizon", "3",
+      "--scheme", "euler2", "--steps", "9", "--x0", "4", "--out", "f.csv"],
+     "paths: lyapunov reads it only with --method mc"),
+    (["lyapunov", "--model", "bell", "--scheme", "euler2", "--steps", "9", "--x0", "4",
+      "--out", "f.csv"], "scheme: lyapunov does not read it"),
+    (["lyapunov", "--model", "bell", "--alpha", "0.5", "--method", "fd", "--paths", "5"],
+     "paths: lyapunov reads it only with --method mc"),
+    (["equilibria", "--method", "mc", "--alpha", "3", "--paths", "9"],
+     "method: equilibria does not read it"),
+    (["sweep", "--model", "bell", "--alpha=-1:1:0.5", "--steps", "9"],
+     "steps: sweep does not read it"),
+    (["sweep", "--model", "bell", "--alpha=-1:1:0.5", "--method", "closed", "--seed", "3"],
+     "seed: sweep reads it only with --method mc"),
+]
+
+
+@pytest.mark.parametrize("argv, msg", _DROPPED, ids=range(len(_DROPPED)))
+def test_cli_flags_a_command_drops_exit_two(capsys, tmp_path, monkeypatch, argv, msg):
+    monkeypatch.chdir(tmp_path)
+    assert main(argv) == 2
+    assert capsys.readouterr().err == f"config error: {msg}\n"
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_cli_config_file_may_hold_other_commands_keys(capsys, tmp_path, monkeypatch):
+    # one file serves simulate and lyapunov: lyapunov fd does not read its
+    # trajectory and mc keys, and prints what it prints without the file
+    monkeypatch.chdir(tmp_path)
+    f = tmp_path / "shared.cfg"
+    f.write_text("model = bell\nalpha = 0.5\nscheme = euler2\nsteps = 9\nx0 = 4\n"
+                 "paths = 5\nhorizon = 3\nseed = 8\nout = never.csv\n", encoding="utf-8")
+    assert main(["lyapunov", "--config", str(f)]) == 0
+    with_file = capsys.readouterr().out
+    assert main(["lyapunov", "--model", "bell", "--alpha", "0.5"]) == 0
+    assert capsys.readouterr().out == with_file
+    assert not (tmp_path / "never.csv").exists()
+
+
+def test_cli_builds_the_preset_once(monkeypatch, tmp_path):
+    # make_model built the preset and bell_equilibria built it again
+    built = []
+
+    class Counted(models.ModelSpec):
+        def __init__(self, *args, **kwargs):
+            built.append(kwargs.get("name"))
+            super().__init__(*args, **kwargs)
+
+    monkeypatch.setattr(models, "ModelSpec", Counted)
+    assert main(["sweep", "--model", "bell", "--equilibrium", "P1", "--alpha=-1:1:0.5",
+                 "--method", "closed", "--out", str(tmp_path / "s.csv")]) == 0
+    assert built == ["bell"]
 
 
 def _src_env() -> dict:

@@ -1,4 +1,4 @@
-"""Streams, Box-Muller sampling, Euler schemes, trajectories, ensembles."""
+"""Streams, Box-Muller sampling, Euler schemes, trajectories."""
 
 import math
 
@@ -12,7 +12,6 @@ from tumorsde.integrate import (
     RngStream,
     SimConfig,
     box_muller,
-    ensemble_stats,
     euler1_step,
     euler2_step,
     gaussian_pairs,
@@ -245,12 +244,11 @@ def _float64_loop(system, diffusion, cfg):
     read from and stored into the state array: a reference for the
     loop on Python floats.  Returns (states, blowup_index)."""
     drift, g, dpart, gpart = _reference_fns(system, diffusion)
-    stream = RngStream(cfg.seed, cfg.stream)
     if cfg.noise_streams == "shared":
-        inc1 = inc2 = wiener_increments(stream, cfg.steps, cfg.dt)
+        inc1 = inc2 = wiener_increments(RngStream(cfg.seed), cfg.steps, cfg.dt)
     else:
-        inc1 = wiener_increments(stream.substream(0), cfg.steps, cfg.dt)
-        inc2 = wiener_increments(stream.substream(1), cfg.steps, cfg.dt)
+        inc1 = wiener_increments(RngStream(cfg.seed, 1), cfg.steps, cfg.dt)
+        inc2 = wiener_increments(RngStream(cfg.seed, 2), cfg.steps, cfg.dt)
     states = np.empty((cfg.steps + 1, 2))
     states[0] = (cfg.initial.x, cfg.initial.y)
     for n in range(cfg.steps):
@@ -392,49 +390,31 @@ def test_shared_vs_independent_streams():
     # with shared increments both components of dX = X dW move in lockstep
     assert np.allclose(shared.states[:, 0], shared.states[:, 1])
     assert not np.allclose(indep.states[:, 0], indep.states[:, 1])
+    # each component steps x(n+1) = x(n) (1 + dW(n)) with the increments of
+    # its own stream of the seed: 0 for shared noise, 1 and 2 for independent
+    for traj, ids in ((shared, (0, 0)), (indep, (1, 2))):
+        for i, stream_id in enumerate(ids):
+            dw = wiener_increments(RngStream(5, stream_id), 100, 0.01)
+            np.testing.assert_allclose(traj.states[1:, i],
+                                       traj.states[:-1, i] * (1.0 + dw), rtol=1e-13)
+
+
+def _path_ends(system, paths, **cfg):
+    """x(T) of paths simulate runs from (1, 1), run p with seed p + 1."""
+    return np.array([simulate(system, None, SimConfig(
+        initial=State(1.0, 1.0), seed=p + 1, **cfg)).states[-1, 0] for p in range(paths)])
 
 
 def test_ensemble_gbm_moments():
+    # an ensemble of independent paths, one seed per path
     a, sigma, T, dt = 0.05, 0.2, 1.0, 0.01
     sys_lin = LinearSDE(Mat2(a, 0.0, 0.0, a), Mat2(sigma, 0.0, 0.0, sigma))
-    cfg = SimConfig(dt=dt, steps=int(T / dt), initial=State(1.0, 1.0), seed=17)
-    ens = ensemble_stats(sys_lin, None, cfg, paths=10_000)
-    xT = np.array([t.states[-1, 0] for t in ens.trajectories])
+    xT = _path_ends(sys_lin, 10_000, dt=dt, steps=int(T / dt))
     se = xT.std(ddof=1) / math.sqrt(len(xT))
     assert abs(xT.mean() - math.exp(a * T)) < 3 * se
     m2 = xT ** 2
     se2 = m2.std(ddof=1) / math.sqrt(len(m2))
     assert abs(m2.mean() - math.exp((2 * a + sigma ** 2) * T)) < 3 * se2
-    assert ens.mean.shape == (cfg.steps + 1, 2)
-
-
-@pytest.mark.parametrize("streams, stride", [("shared", 1), ("independent", 2)])
-def test_ensemble_paths_draw_from_own_streams(streams, stride):
-    # every (path, component) pair has its own stream: with independent
-    # noise, path p's second component once reused path p + 1's first
-    sys_lin = LinearSDE(Mat2(-0.5, 0.0, 0.0, -0.5), Mat2(0.3, 0.0, 0.0, 0.3))
-    cfg = SimConfig(dt=0.01, steps=200, initial=State(1.0, 1.0),
-                    noise_streams=streams, seed=5, stream=3)
-    ens = ensemble_stats(sys_lin, None, cfg, paths=4)
-    columns = [t.states[1:, i] for t in ens.trajectories for i in (0, 1)]
-    distinct = 1 if streams == "shared" else 2
-    for a in range(len(columns)):
-        for b in range(a + 1, len(columns)):
-            same_path = a // 2 == b // 2
-            assert np.array_equal(columns[a], columns[b]) == (same_path and distinct == 1)
-    for p, t in enumerate(ens.trajectories):
-        alone = simulate(sys_lin, None, SimConfig(
-            dt=0.01, steps=200, initial=State(1.0, 1.0), noise_streams=streams,
-            seed=5, stream=3 + 1 + stride * p))
-        assert np.array_equal(t.states, alone.states)
-
-
-def test_ensemble_zero_noise_has_zero_variance():
-    a = 0.05
-    sys_lin = LinearSDE(Mat2(a, 0.0, 0.0, a), Mat2(0.0, 0.0, 0.0, 0.0))
-    cfg = SimConfig(dt=0.01, steps=100, initial=State(1.0, 1.0), seed=3)
-    ens = ensemble_stats(sys_lin, None, cfg, paths=16)
-    assert np.abs(ens.variance).max() < 1e-28
 
 
 def test_scheme_mean_recursion_on_gbm():
@@ -457,10 +437,7 @@ def test_scheme_mean_recursion_on_gbm():
     # tie the implementation to the recursion at one (scheme, dt)
     dt, steps, paths = 0.05, 20, 4000
     sys_lin = LinearSDE(Mat2(a, 0.0, 0.0, a), Mat2(sigma, 0.0, 0.0, sigma))
-    cfg = SimConfig(dt=dt, steps=steps, initial=State(1.0, 1.0),
-                    scheme="euler2", seed=29)
-    ens = ensemble_stats(sys_lin, None, cfg, paths=paths)
-    xT = np.array([t.states[-1, 0] for t in ens.trajectories])
+    xT = _path_ends(sys_lin, paths, dt=dt, steps=steps, scheme="euler2")
     per_step = 1 + a * dt + (a * dt) ** 2 / 2
     predicted = per_step ** steps
     se = xT.std(ddof=1) / math.sqrt(paths)

@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 import alpha_exact
+from density_nodes import density_at_nodes
 from tumorsde import lyapunov
 from tumorsde.integrate import RngStream, gaussian_pairs
 from tumorsde.lyapunov import (
@@ -103,49 +104,44 @@ def test_uniform_density_for_rotation_noise(a, span):
     # the density is solved over one period [0, pi]; its pi-periodic
     # extension to [0, span], renormalised, is uniform at 1/span
     s = _sys((a, 0, 0, a), (0, -1.0, 1.0, 0))
-    dens = stationary_density_fd(s, n=500)
-    assert np.abs(dens.values - 1.0 / math.pi).max() < 1e-12
+    values = density_at_nodes(stationary_density_fd(s).modes, 500).real
+    assert np.abs(values - 1.0 / math.pi).max() < 1e-12
     periods = round(span / math.pi)
-    extended = np.concatenate([dens.values[1:]] * periods) / periods
+    extended = np.concatenate([values[1:]] * periods) / periods
     assert len(extended) == 500 * periods
     assert np.abs(extended - 1.0 / span).max() < 1e-12
-    assert dens.values[500] == dens.values[0]
 
 
 def test_density_degenerate_q4_raises():
     # b12 = b21 = 0.5 makes q4 = 0.5 cos(2 theta), zero at theta = pi/4
     s = _sys((0.1, 0, 0, 0.1), (0, 0.5, 0.5, 0))
     with pytest.raises(DegeneratePhaseDiffusionError, match="mc"):
-        stationary_density_fd(s, n=1000)
+        stationary_density_fd(s)
 
 
 def test_density_normalization_kt_p2():
-    dens = stationary_density_fd(_kt_p2_sys(0.0), n=10000)
-    assert abs(np.sum(dens.values[1:]) * dens.step - 1.0) < 1e-8
-    assert dens.values.min() >= 0.0
-    assert len(dens.values) == 10001
-    assert dens.values[10000] == dens.values[0]
+    values = density_at_nodes(stationary_density_fd(_kt_p2_sys(0.0)).modes, 10000).real
+    assert abs(np.sum(values[1:]) * math.pi / 10000 - 1.0) < 1e-8
+    assert values.min() >= 0.0
+    assert abs(values[10000] - values[0]) <= 1e-12 * values.max()
 
 
 @pytest.mark.parametrize("n", [256, 1000, 1001, 2, 7, 64, 255, 10000])
 def test_density_values_are_the_modes_at_the_nodes(n):
-    # the folded inverse FFT against the mode sum at each node; the density
-    # has 128 modes, so below n = 257 modes share a frequency, and from
-    # there on only p_0 lands on frequency 0 and the mass is 1
-    dens = stationary_density_fd(_sys(*_ROUGH), n=n)
+    # the mode sum at n nodes is real, since p_{-k} = conj(p_k); over the
+    # nodes e^{2 i k theta} sums to n where n divides k and to 0 elsewhere,
+    # so the nodes' mass is pi times the sum of those p_k: the density has
+    # 128 modes, so from n = 129 on only p_0 is left and the mass is 1
+    dens = stationary_density_fd(_sys(*_ROUGH))
     half = dens.modes.size // 2
-    assert dens.step == math.pi / n and half == 128
-    theta = dens.step * np.arange(n + 1)
-    direct = np.exp(2j * np.outer(theta, np.arange(-half, half + 1))) @ dens.modes
-    assert np.abs(direct - dens.values).max() <= 1e-14 * np.abs(direct).max()
+    assert half == 128
+    values = density_at_nodes(dens.modes, n)
+    assert np.abs(values.imag).max() <= 1e-14 * np.abs(values.real).max()
+    mass = np.sum(values[1:].real) * math.pi / n
+    aliased = math.pi * dens.modes[np.arange(-half, half + 1) % n == 0].sum().real
+    assert abs(mass - aliased) <= 1e-14
     if n > half:
-        assert abs(np.sum(dens.values[1:]) * dens.step - 1.0) <= 1e-14
-
-
-def test_density_grid_validation():
-    s = _sys((0.1, 0, 0, 0.1), (0, -1.0, 1.0, 0))
-    with pytest.raises(ValueError):
-        stationary_density_fd(s, n=1)
+        assert abs(mass - 1.0) <= 1e-14
 
 
 def test_fd_rejects_q4_with_real_zeros():
@@ -209,8 +205,8 @@ def test_fd_solves_one_period():
     n = 10000
     for alpha in (-1.0, 1.5):
         s = LinearSDE(a_mat, alpha_family(alpha, -2.0))
-        dens = stationary_density_fd(s, n=n)
-        assert dens.step == math.pi / n and len(dens.values) == n + 1
+        values = density_at_nodes(stationary_density_fd(s).modes, n).real
+        assert abs(np.sum(values[1:]) * math.pi / n - 1.0) <= 1e-12
         exact = float(alpha_exact.top_lyapunov(a_mat, alpha, -2.0, m=512))
         assert abs(lyapunov_fd(s).value - exact) <= 1e-12 * (1 + abs(exact)), alpha
 
@@ -265,8 +261,8 @@ def test_fd_accepts_steep_kt_p2(beta, n):
     est = lyapunov_fd(s)
     assert est.diagnostics["modes"] == est.n == modes
     assert abs(est.value - value) <= 1e-6
-    dens = stationary_density_fd(s, n=n)
-    assert abs(np.sum(dens.values[1:]) * dens.step - 1.0) <= 1e-12
+    values = density_at_nodes(stationary_density_fd(s).modes, n).real
+    assert abs(np.sum(values[1:]) * math.pi / n - 1.0) <= 1e-12
 
 
 def test_fd_allocation_peak():
