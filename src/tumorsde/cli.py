@@ -9,23 +9,28 @@ values.  Reals in CSV output are rendered with 17 significant digits so
 repeated seeded runs are byte-identical and values round-trip losslessly.
 
 Exit codes: 0 success, 2 configuration error, 3 numerical failure
-(degenerate angle diffusion, blow-up before the first completed step).
+(degenerate angle diffusion, blow-up before the first completed step)
+or an output file that cannot be written.
 """
 
 from __future__ import annotations
 
+import errno
 import itertools
 import math
+import os
 import sys
 from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
 
-from .integrate import SimConfig, Trajectory, simulate
+from .integrate import SimConfig, Trajectory, _state_chunks
 from .lyapunov import (
     DegeneratePhaseDiffusionError,
     SweepResult,
+    _may_fork,
+    _usable_cpus,
     closed_form_lyapunov,
     lyapunov_fd,
     lyapunov_mc,
@@ -346,8 +351,10 @@ def parse_config(argv) -> RunConfig:
 
 def _check_flags(run: RunConfig, flags) -> None:
     """ConfigError for a command-line flag that run's command would
-    drop: a key outside its set, an mc key without --method mc, and
-    --alpha or --beta beside --noise, which replaces them."""
+    drop: a key outside its set, an mc key without --method mc, --alpha
+    or --beta beside a noise matrix (from the line or the file), which
+    replaces them, and --beta without an alpha, where the default noise
+    matrix is used."""
     keys = _COMMAND_KEYS[run.command]
     mc = "method" in keys and run.method == "mc"
     for key in flags:
@@ -356,11 +363,16 @@ def _check_flags(run: RunConfig, flags) -> None:
         if "method" in keys and key in _MC_KEYS:
             raise ConfigError(key, f"{run.command} reads it only with --method mc")
         raise ConfigError(key, f"{run.command} does not read it")
-    if "noise" in flags:
+    if "noise" not in keys:
+        return
+    if run.noise is not None:
         for key in ("alpha", "beta"):
             if key in flags:
                 raise ConfigError(key, "the noise matrix replaces the alpha/beta "
                                   "family; give one or the other")
+    elif "beta" in flags and run.alpha is None and run.alpha_range is None:
+        raise ConfigError("beta", "the alpha/beta family needs an alpha; without "
+                          "one the default noise matrix is used")
 
 
 def _fmt(v: float) -> str:
@@ -407,17 +419,123 @@ _CSV_ROW = "%d,%.17g,%.17g,%.17g\n"
 _SWEEP_ROW = "%.17g,%.17g,%s,%.17g"
 
 
+def _csv_rows(n0: int, times, states) -> str:
+    """The CSV rows n0, n0 + 1, ... of times and (k, 2) states, formatted
+    by one % of _CSV_ROW repeated k times."""
+    k = len(times)
+    flat = [None] * (4 * k)
+    flat[0::4] = range(n0, n0 + k)
+    flat[1::4] = times.tolist()
+    flat[2::4] = states[:, 0].tolist()
+    flat[3::4] = states[:, 1].tolist()
+    return (_CSV_ROW * k) % tuple(flat)
+
+
+def _write_trajectory(fh, blocks) -> tuple:
+    """Write a trajectory's CSV to fh from its blocks (times, states,
+    blowup), whose last blowup is the trajectory's blow-up index; return
+    the number of states and that index."""
+    fh.write("n,t,x,y\n")
+    n, blowup = 0, None
+    for times, states, blowup in blocks:
+        for start in range(0, len(times), _CSV_CHUNK):
+            stop = start + _CSV_CHUNK
+            fh.write(_csv_rows(n + start, times[start:stop], states[start:stop]))
+        n += len(times)
+    if blowup is not None:
+        fh.write(f"# blowup at n={blowup}\n")
+    return n, blowup
+
+
 def emit_trajectory_csv(t: Trajectory, path: str) -> None:
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("n,t,x,y\n")
-        for start in range(0, len(t.times), _CSV_CHUNK):
-            stop = start + _CSV_CHUNK
-            # rows (n, t, x, y), each formatted by one % of _CSV_ROW
-            rows = zip(range(start, stop), t.times[start:stop].tolist(),
-                       *t.states[start:stop].T.tolist())
-            fh.write("".join(map(_CSV_ROW.__mod__, rows)))
-        if t.blowup_index is not None:
-            fh.write(f"# blowup at n={t.blowup_index}\n")
+        _write_trajectory(fh, [(t.times, t.states, t.blowup_index)])
+
+
+def _timed(chunks, dt: float):
+    """The pairs (states, blowup) of a trajectory as blocks (times,
+    states, blowup), with the times dt * n of simulate."""
+    n = 0
+    for states, blowup in chunks:
+        yield dt * np.arange(n, n + len(states)), states, blowup
+        n += len(states)
+
+
+def _send(pipe, chunks) -> tuple:
+    """Write each pair (states, blowup) of chunks to pipe as two int64,
+    the row count and the blow-up index (-1 for none), and the states'
+    float64 bytes; return the number of states and the blow-up index."""
+    n, blowup = 0, None
+    for states, blowup in chunks:
+        pipe.write(np.array([len(states), -1 if blowup is None else blowup],
+                            dtype=np.int64))
+        pipe.write(states)
+        n += len(states)
+    return n, blowup
+
+
+def _received(pipe):
+    """The pairs (states, blowup) that _send wrote to pipe, until it
+    ends; an error if it ends inside a chunk."""
+    while head := pipe.read(16):
+        k, blowup = (int(v) for v in np.frombuffer(head, dtype=np.int64))
+        data = pipe.read(16 * k)
+        if len(data) < 16 * k:
+            raise EOFError("trajectory pipe ended inside a chunk")
+        yield np.frombuffer(data).reshape(k, 2), None if blowup < 0 else blowup
+
+
+def _writer_child(fd: int, r: int, w: int, dt: float) -> None:
+    """The forked CSV writer: write the trajectory CSV of the chunks read
+    from the pipe end r into fd, then exit with status 0, or with the
+    errno of an OSError (EIO for any other failure).  It never returns
+    into the caller's code."""
+    code = errno.EIO
+    try:
+        os.close(w)  # else the pipe would never end for this reader
+        with open(r, "rb") as pipe, \
+                open(fd, "w", encoding="utf-8", newline="\n") as fh:
+            _write_trajectory(fh, _timed(_received(pipe), dt))
+        code = 0
+    except OSError as exc:
+        if exc.errno and exc.errno < 256:  # an exit status holds 8 bits
+            code = exc.errno
+    finally:
+        os._exit(code)
+
+
+def _write_forked(fd: int, chunks, dt: float) -> tuple:
+    """Write the trajectory CSV of chunks (as _write_trajectory, with the
+    times of _timed) into fd through a forked writer, while this process
+    goes on producing the chunks; fd is closed.  Returns the number of
+    states and the blow-up index.  The writer is reaped on every path; an
+    OSError carries its errno, or the signal that ended it."""
+    r, w = os.pipe()
+    try:
+        pid = os.fork()
+    except OSError:
+        for end in (r, w, fd):
+            os.close(end)
+        raise
+    if pid == 0:
+        _writer_child(fd, r, w, dt)
+    os.close(r)
+    os.close(fd)
+    broken = None
+    try:
+        with open(w, "wb") as pipe:
+            sent = _send(pipe, chunks)
+    except BrokenPipeError as exc:
+        broken = exc  # the writer has exited; its status says why
+    finally:
+        code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+    if code > 0:
+        raise OSError(code, os.strerror(code))
+    if code < 0:
+        raise OSError(f"the CSV writer was killed by signal {-code}")
+    if broken is not None:
+        raise broken
+    return sent
 
 
 def emit_sweep_csv(r: SweepResult, path: str) -> None:
@@ -496,15 +614,25 @@ def _cmd_simulate(cfg: RunConfig) -> int:
     sim = SimConfig(dt=cfg.dt, steps=cfg.steps, initial=State(x0, y0),
                     scheme=cfg.scheme, noise_streams=cfg.noise_streams,
                     seed=cfg.seed)
-    traj = simulate(model, diffusion, sim)
-    if traj.blowup_index is not None and len(traj.states) == 1:
+    chunks = _state_chunks(model, diffusion, sim)
+    first, blowup = next(chunks)
+    if blowup is not None and len(first) == 1:
         print(f"numerical failure: blow-up at step 0 "
               f"(component diverged immediately)", file=sys.stderr)
         return 3
     out = cfg.out or "trajectory.csv"
-    emit_trajectory_csv(traj, out)
-    tail = f" (blow-up at n={traj.blowup_index})" if traj.blowup_index else ""
-    print(f"wrote {out}: {len(traj.states)} states{tail}")
+    fd = os.open(out, os.O_WRONLY | os.O_CREAT | os.O_TRUNC, 0o666)
+    more = blowup is None and len(first) <= sim.steps
+    chunks = itertools.chain([(first, blowup)], chunks)
+    # a second process formats the CSV while this one steps; with one
+    # chunk there is nothing to overlap
+    if more and _may_fork() and _usable_cpus() > 1:
+        n, blowup = _write_forked(fd, chunks, cfg.dt)
+    else:
+        with open(fd, "w", encoding="utf-8", newline="\n") as fh:
+            n, blowup = _write_trajectory(fh, _timed(chunks, cfg.dt))
+    tail = f" (blow-up at n={blowup})" if blowup else ""
+    print(f"wrote {out}: {n} states{tail}")
     return 0
 
 

@@ -480,20 +480,25 @@ def _usable_cpus() -> int:
     return len(os.sched_getaffinity(0))
 
 
+def _may_fork() -> bool:
+    """Whether this process may fork children: only on Linux, while no
+    other thread is alive (forking it can deadlock the child), and not
+    in a daemonic process, which may have no children.  A daemonic
+    process was started by multiprocessing, so it has imported it; the
+    check imports nothing."""
+    if sys.platform != "linux" or threading.active_count() != 1:
+        return False
+    mp = sys.modules.get("multiprocessing")
+    return mp is None or not mp.current_process().daemon
+
+
 def _mc_slices(width: int, nsteps: int) -> int:
     """How many slices lyapunov_mc splits its width paths into: one per
     usable CPU, with at least 2 paths and _MC_SLICE_PATH_STEPS
-    path-steps each.  One slice (run in-process) off Linux, while other
-    threads are alive (forking them can deadlock the child) and in a
-    daemonic process, which may have no children."""
-    if sys.platform != "linux" or threading.active_count() != 1:
+    path-steps each, and one (run in-process) where _may_fork says no."""
+    if not _may_fork():
         return 1
-    k = max(1, min(_usable_cpus(), width // 2, width * nsteps // _MC_SLICE_PATH_STEPS))
-    if k > 1:
-        import multiprocessing
-        if multiprocessing.current_process().daemon:
-            return 1
-    return k
+    return max(1, min(_usable_cpus(), width // 2, width * nsteps // _MC_SLICE_PATH_STEPS))
 
 
 def _mc_paths(m: np.ndarray, nsteps: int, dt: float, seed: int,

@@ -2,6 +2,7 @@
 
 import os
 import re
+import signal
 import subprocess
 import sys
 from pathlib import Path
@@ -10,7 +11,7 @@ import numpy as np
 import pytest
 
 import alpha_exact
-from tumorsde import cli, models
+from tumorsde import cli, integrate, models
 from tumorsde.cli import (
     ConfigError,
     alpha_range_values,
@@ -20,10 +21,10 @@ from tumorsde.cli import (
     main,
     parse_config,
 )
-from tumorsde.integrate import Trajectory
+from tumorsde.integrate import SimConfig, Trajectory, simulate
 from tumorsde.lyapunov import SweepResult
-from tumorsde.models import BELL_PARAMS, Mat2, bell_equilibria, bell_model
-from tumorsde.sde import alpha_family, linearize
+from tumorsde.models import BELL_PARAMS, Mat2, State, bell_equilibria, bell_model
+from tumorsde.sde import alpha_family, diffusion_at_equilibrium, linearize
 
 
 def test_parse_sweep_example():
@@ -292,6 +293,146 @@ def test_cli_simulate_bytes_identical(tmp_path, capsys):
     assert lines[0] == "n,t,x,y" and len(lines) == 502
 
 
+# simulate's CSV writer runs in a forked process only on Linux
+_forks = pytest.mark.skipif(sys.platform != "linux", reason="Linux only")
+
+_KT_SIM = ["simulate", "--model", "kt", "--equilibrium", "P2", "--noise",
+           "1,-0.2,0.2,1", "--x0", "1.6", "--y0", "25.0"]
+# blows up at n = 2433 = 38 * 64 + 1 (found by a scan of seeds)
+_VOLTERRA_BLOWUP = ["simulate", "--model", "volterra", "--params",
+                    "a=1,b=0.5,d=0.3,f=0.4,k=0.2", "--equilibrium", "0", "--x0", "1",
+                    "--y0", "1", "--scheme", "euler2", "--noise-streams", "independent",
+                    "--noise", "1,0,0,1", "--steps", "3000", "--seed", "196"]
+
+
+def _no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def _simulate_cli(monkeypatch, argv, forked):
+    """main(argv) with simulate's CSV writer forked or in-process, as if
+    two CPUs were usable; returns the exit code and the forks made."""
+    forks = []
+    fork = os.fork
+
+    def counted_fork():
+        pid = fork()
+        if pid:
+            forks.append(pid)
+        return pid
+
+    with monkeypatch.context() as m:
+        m.setattr(os, "fork", counted_fork)
+        m.setattr(cli, "_usable_cpus", lambda: 2)
+        if not forked:
+            m.setattr(cli, "_may_fork", lambda: False)
+        code = main(argv)
+    _no_child_left()
+    return code, len(forks)
+
+
+def _trajectory_of(argv) -> Trajectory:
+    """simulate()'s trajectory for a simulate command line."""
+    cfg = parse_config(argv)
+    model, eq = cli._model_at_equilibrium(cfg)
+    sim = SimConfig(dt=cfg.dt, steps=cfg.steps, initial=State(cfg.x0, cfg.y0),
+                    scheme=cfg.scheme, noise_streams=cfg.noise_streams, seed=cfg.seed)
+    return simulate(model, diffusion_at_equilibrium(cli._noise_matrix(cfg), eq), sim)
+
+
+@_forks
+@pytest.mark.parametrize("scheme", ["euler1", "euler2"])
+@pytest.mark.parametrize("streams", ["shared", "independent"])
+def test_cli_simulate_forked_writer_writes_the_in_process_bytes(
+        monkeypatch, tmp_path, capsys, scheme, streams):
+    steps = 3 * integrate._SIM_CHUNK + 5  # four chunks
+    argv = [*_KT_SIM, "--scheme", scheme, "--noise-streams", streams,
+            "--steps", str(steps), "--seed", "5"]
+    text = {}
+    for forked in (True, False):
+        out = tmp_path / f"{forked}.csv"
+        assert _simulate_cli(monkeypatch, [*argv, "--out", str(out)], forked) \
+            == (0, int(forked))
+        assert capsys.readouterr().out == f"wrote {out}: {steps + 1} states\n"
+        text[forked] = out.read_text(encoding="utf-8")
+    assert text[True] == text[False]
+    # the rows are simulate()'s trajectory
+    t = _trajectory_of(argv)
+    assert t.blowup_index is None and len(t.states) == steps + 1
+    rows = np.array([[float(v) for v in line.split(",")]
+                     for line in text[True].splitlines()[1:]])
+    assert np.array_equal(rows[:, 0], np.arange(steps + 1))
+    assert np.array_equal(rows[:, 1], t.times)
+    assert np.array_equal(rows[:, 2:], t.states)
+
+
+@_forks
+@pytest.mark.parametrize("forked", [True, False])
+def test_cli_simulate_blowup_on_a_chunk_boundary(monkeypatch, tmp_path, capsys, forked):
+    # the first step of a chunk blows up, so the last chunk has no states
+    monkeypatch.setattr(integrate, "_SIM_CHUNK", 64)
+    out = tmp_path / "b.csv"
+    assert _simulate_cli(monkeypatch, [*_VOLTERRA_BLOWUP, "--out", str(out)],
+                         forked) == (0, int(forked))
+    assert capsys.readouterr().out == \
+        f"wrote {out}: 2433 states (blow-up at n=2433)\n"
+    t = _trajectory_of(_VOLTERRA_BLOWUP)
+    assert t.blowup_index == 2433 == 38 * 64 + 1
+    expect = tmp_path / "expect.csv"
+    emit_trajectory_csv(t, str(expect))
+    assert out.read_bytes() == expect.read_bytes()
+    assert out.read_text().splitlines()[-1] == "# blowup at n=2433"
+
+
+@_forks
+@pytest.mark.parametrize("forked", [True, False])
+def test_cli_simulate_blowup_at_step_zero_writes_no_file(
+        monkeypatch, tmp_path, capsys, forked):
+    out = tmp_path / "never.csv"
+    argv = ["simulate", "--model", "kt", "--equilibrium", "P1", "--x0", "1e308",
+            "--y0", "1e308", "--steps", "10000", "--out", str(out)]
+    assert _simulate_cli(monkeypatch, argv, forked) == (3, 0)
+    assert capsys.readouterr().err == ("numerical failure: blow-up at step 0 "
+                                       "(component diverged immediately)\n")
+    assert not out.exists()
+
+
+@_forks
+@pytest.mark.parametrize("forked", [True, False])
+def test_cli_simulate_io_errors_exit_three(monkeypatch, tmp_path, capsys, forked):
+    steps = ["--steps", str(2 * integrate._SIM_CHUNK), "--seed", "3"]
+    # --out names a directory: open fails before any writer starts
+    assert _simulate_cli(monkeypatch, [*_KT_SIM, *steps, "--out", str(tmp_path)],
+                         forked) == (3, 0)
+    assert capsys.readouterr().err == \
+        f"io error: [Errno 21] Is a directory: {str(tmp_path)!r}\n"
+    # every write fails, in the writer process or in this one
+    assert _simulate_cli(monkeypatch, [*_KT_SIM, *steps, "--out", "/dev/full"],
+                         forked) == (3, int(forked))
+    assert capsys.readouterr().err == "io error: [Errno 28] No space left on device\n"
+
+
+@_forks
+def test_cli_simulate_killed_writer_exits_three(monkeypatch, tmp_path, capsys):
+    rows = cli._csv_rows
+    calls = []
+
+    def rows_then_die(*args):
+        calls.append(1)
+        if len(calls) == 2:
+            os.kill(os.getpid(), signal.SIGKILL)
+        return rows(*args)
+
+    monkeypatch.setattr(cli, "_csv_rows", rows_then_die)
+    argv = [*_KT_SIM, "--steps", str(4 * integrate._SIM_CHUNK), "--seed", "3",
+            "--out", str(tmp_path / "t.csv")]
+    assert _simulate_cli(monkeypatch, argv, True) == (3, 1)
+    assert capsys.readouterr().err == \
+        f"io error: the CSV writer was killed by signal {int(signal.SIGKILL)}\n"
+    assert calls == []  # the rows were formatted in the writer process only
+
+
 def test_cli_lyapunov_fd_line(capsys):
     code = main(["lyapunov", "--model", "bell", "--equilibrium", "P1",
                  "--alpha", "0.0", "--beta", "-2"])
@@ -437,15 +578,27 @@ _DROPPED = [
      "steps: sweep does not read it"),
     (["sweep", "--model", "bell", "--alpha=-1:1:0.5", "--method", "closed", "--seed", "3"],
      "seed: sweep reads it only with --method mc"),
+    # the file's noise replaced a line --alpha or --beta: lambda = -0.45388...
+    (["lyapunov", "--model", "bell", "--config", "noise.cfg", "--alpha", "1"],
+     "alpha: the noise matrix replaces the alpha/beta family; give one or the other"),
+    (["simulate", "--model", "kt", "--config", "noise.cfg", "--beta=-1", "--steps", "5"],
+     "beta: the noise matrix replaces the alpha/beta family; give one or the other"),
+    # --beta without an alpha kept the default noise: lambda = -48.2714...
+    (["lyapunov", "--model", "bell", "--beta", "-1"],
+     "beta: the alpha/beta family needs an alpha; without one the default noise "
+     "matrix is used"),
 ]
 
 
 @pytest.mark.parametrize("argv, msg", _DROPPED, ids=range(len(_DROPPED)))
 def test_cli_flags_a_command_drops_exit_two(capsys, tmp_path, monkeypatch, argv, msg):
     monkeypatch.chdir(tmp_path)
+    if "--config" in argv:
+        (tmp_path / "noise.cfg").write_text("noise = 1,0.3,-0.5,0.8\n", encoding="utf-8")
     assert main(argv) == 2
     assert capsys.readouterr().err == f"config error: {msg}\n"
-    assert list(tmp_path.iterdir()) == []
+    assert sorted(p.name for p in tmp_path.iterdir()) == (
+        ["noise.cfg"] if "--config" in argv else [])
 
 
 def test_cli_config_file_may_hold_other_commands_keys(capsys, tmp_path, monkeypatch):

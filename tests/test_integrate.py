@@ -215,6 +215,40 @@ def test_simulate_blowup_truncates():
     assert np.isfinite(traj.states).all()
 
 
+@pytest.mark.parametrize("shift", [0, 1, 5])
+def test_state_chunks_end_with_the_blowup_index(monkeypatch, shift):
+    # x advances by exactly 1 per step until the drift at x = k is
+    # infinite, so the step from state k blows up: blow-up index k + 1;
+    # shift 0 puts it on a chunk's first step, which leaves that chunk empty
+    size = 8
+    monkeypatch.setattr(integrate, "_SIM_CHUNK", size)
+    k = 3 * size + shift
+    m = custom_model(lambda x, y: (1.0 if x < k else math.inf, 0.0))
+    cfg = SimConfig(dt=1.0, steps=10 * size, initial=State(0.0, 0.0))
+    chunks = list(integrate._state_chunks(m, None, cfg))
+    assert [len(states) for states, _ in chunks] == [size + 1, size, size, shift]
+    assert [blowup for _, blowup in chunks] == [None, None, None, k + 1]
+    assert all(states.shape[1:] == (2,) for states, _ in chunks)
+    traj = simulate(m, None, cfg)
+    assert traj.blowup_index == k + 1
+    assert np.array_equal(np.concatenate([st for st, _ in chunks]), traj.states)
+    assert np.array_equal(traj.states[:, 0], np.arange(k + 1))
+
+
+def test_state_chunks_hold_every_state_once(monkeypatch):
+    monkeypatch.setattr(integrate, "_SIM_CHUNK", 6)
+    m = kt_model()
+    cfg = SimConfig(dt=1e-3, steps=20, initial=State(*KT_P2), scheme="euler2", seed=4)
+    d = diffusion_at_equilibrium(Mat2(1.0, -0.2, 0.2, 1.0), kt_equilibria(KT_PARAMS)[1])
+    chunks = list(integrate._state_chunks(m, d, cfg))
+    assert [len(states) for states, _ in chunks] == [7, 6, 6, 2]
+    assert [blowup for _, blowup in chunks] == [None] * 4
+    traj = simulate(m, d, cfg)
+    assert traj.blowup_index is None
+    assert np.array_equal(np.concatenate([st for st, _ in chunks]), traj.states)
+    assert np.array_equal(traj.times, 1e-3 * np.arange(21))
+
+
 def _reference_fns(system, diffusion):
     """(drift, g, drift_partials, g_partials) of a run from the public
     evaluators: eval_vector_field and diag_partials on a State for a
