@@ -417,6 +417,15 @@ def emit_config(cfg: RunConfig) -> str:
 _CSV_CHUNK = 4096  # trajectory rows formatted per write
 _CSV_ROW = "%d,%.17g,%.17g,%.17g\n"
 _SWEEP_ROW = "%.17g,%.17g,%s,%.17g"
+# simulate forks its CSV writer only for runs of at least this many
+# steps: the fork costs about 4 ms and each 1024-step chunk formatted
+# beside the steps saves about 2 ms.  KT-P2 euler2 main, forked against
+# in-process writer, 319 alternating rounds on a 2-vCPU VM with both CPUs
+# free: the fork won 0 at 1025 steps (medians 10.4 against 6.5 ms), 71 at
+# 2048, 205 at 3000 (14.6 / 15.9 ms), 249 at 4096 (18.1 / 21.5 ms), 306
+# at 8192 (29.6 / 41.8 ms) and 317 at 20000 (62.4 / 97.2 ms); with the
+# second CPU busy it lost at every length
+_FORK_MIN_STEPS = 8192
 
 
 def _csv_rows(n0: int, times, states) -> str:
@@ -493,9 +502,8 @@ def _writer_child(fd: int, r: int, w: int, dt: float) -> None:
     code = errno.EIO
     try:
         os.close(w)  # else the pipe would never end for this reader
-        with open(r, "rb") as pipe, \
-                open(fd, "w", encoding="utf-8", newline="\n") as fh:
-            _write_trajectory(fh, _timed(_received(pipe), dt))
+        with open(r, "rb") as pipe:
+            _write_here(fd, _received(pipe), dt)
         code = 0
     except OSError as exc:
         if exc.errno and exc.errno < 256:  # an exit status holds 8 bits
@@ -504,19 +512,27 @@ def _writer_child(fd: int, r: int, w: int, dt: float) -> None:
         os._exit(code)
 
 
+def _write_here(fd: int, chunks, dt: float) -> tuple:
+    """Write the trajectory CSV of chunks into fd in this process and
+    close fd; returns the number of states and the blow-up index."""
+    with open(fd, "w", encoding="utf-8", newline="\n") as fh:
+        return _write_trajectory(fh, _timed(chunks, dt))
+
+
 def _write_forked(fd: int, chunks, dt: float) -> tuple:
-    """Write the trajectory CSV of chunks (as _write_trajectory, with the
-    times of _timed) into fd through a forked writer, while this process
-    goes on producing the chunks; fd is closed.  Returns the number of
-    states and the blow-up index.  The writer is reaped on every path; an
-    OSError carries its errno, or the signal that ended it."""
-    r, w = os.pipe()
+    """_write_here through a forked writer, while this process goes on
+    producing the chunks; where no pipe or child can be had (EMFILE,
+    EAGAIN, ENOMEM) it is _write_here.  The writer is reaped on every
+    path; an OSError carries its errno, or the signal that ended it."""
+    r = w = None
     try:
+        r, w = os.pipe()
         pid = os.fork()
     except OSError:
-        for end in (r, w, fd):
-            os.close(end)
-        raise
+        for end in (r, w):
+            if end is not None:
+                os.close(end)
+        return _write_here(fd, chunks, dt)
     if pid == 0:
         _writer_child(fd, r, w, dt)
     os.close(r)
@@ -622,15 +638,14 @@ def _cmd_simulate(cfg: RunConfig) -> int:
         return 3
     out = cfg.out or "trajectory.csv"
     fd = os.open(out, os.O_WRONLY | os.O_CREAT | os.O_TRUNC, 0o666)
-    more = blowup is None and len(first) <= sim.steps
     chunks = itertools.chain([(first, blowup)], chunks)
-    # a second process formats the CSV while this one steps; with one
-    # chunk there is nothing to overlap
-    if more and _may_fork() and _usable_cpus() > 1:
+    # a second process formats the CSV while this one steps, where the
+    # run is long enough to repay the fork (_FORK_MIN_STEPS)
+    if blowup is None and sim.steps >= _FORK_MIN_STEPS and _may_fork() \
+            and _usable_cpus() > 1:
         n, blowup = _write_forked(fd, chunks, cfg.dt)
     else:
-        with open(fd, "w", encoding="utf-8", newline="\n") as fh:
-            n, blowup = _write_trajectory(fh, _timed(chunks, cfg.dt))
+        n, blowup = _write_here(fd, chunks, cfg.dt)
     tail = f" (blow-up at n={blowup})" if blowup else ""
     print(f"wrote {out}: {n} states{tail}")
     return 0

@@ -1,5 +1,6 @@
 """Flag/config parsing, CSV emission, exit codes."""
 
+import errno
 import os
 import re
 import signal
@@ -310,9 +311,10 @@ def _no_child_left():
         os.waitpid(-1, os.WNOHANG)
 
 
-def _simulate_cli(monkeypatch, argv, forked):
+def _simulate_cli(monkeypatch, argv, forked, min_steps=0):
     """main(argv) with simulate's CSV writer forked or in-process, as if
-    two CPUs were usable; returns the exit code and the forks made."""
+    two CPUs were usable and runs of min_steps were long enough to fork;
+    returns the exit code and the forks made."""
     forks = []
     fork = os.fork
 
@@ -325,6 +327,7 @@ def _simulate_cli(monkeypatch, argv, forked):
     with monkeypatch.context() as m:
         m.setattr(os, "fork", counted_fork)
         m.setattr(cli, "_usable_cpus", lambda: 2)
+        m.setattr(cli, "_FORK_MIN_STEPS", min_steps)
         if not forked:
             m.setattr(cli, "_may_fork", lambda: False)
         code = main(argv)
@@ -431,6 +434,37 @@ def test_cli_simulate_killed_writer_exits_three(monkeypatch, tmp_path, capsys):
     assert capsys.readouterr().err == \
         f"io error: the CSV writer was killed by signal {int(signal.SIGKILL)}\n"
     assert calls == []  # the rows were formatted in the writer process only
+
+
+@_forks
+def test_cli_simulate_forks_only_for_long_runs(monkeypatch, tmp_path, capsys):
+    least = cli._FORK_MIN_STEPS
+    assert least > integrate._SIM_CHUNK
+    for steps, forks in ((least - 1, 0), (least, 1)):
+        argv = [*_KT_SIM, "--steps", str(steps), "--out", str(tmp_path / "t.csv")]
+        assert _simulate_cli(monkeypatch, argv, True, least) == (0, forks)
+        assert capsys.readouterr().out == f"wrote {tmp_path / 't.csv'}: {steps + 1} states\n"
+
+
+@_forks
+@pytest.mark.parametrize("refused, err", [("fork", errno.EAGAIN), ("pipe", errno.EMFILE)])
+def test_cli_simulate_writes_in_process_without_a_child(
+        monkeypatch, tmp_path, capsys, refused, err):
+    argv = [*_KT_SIM, "--steps", str(3 * integrate._SIM_CHUNK), "--seed", "3"]
+    expect, out = tmp_path / "expect.csv", tmp_path / "out.csv"
+    assert _simulate_cli(monkeypatch, [*argv, "--out", str(expect)], False) == (0, 0)
+
+    def refuse(*args):
+        raise OSError(err, os.strerror(err))
+
+    monkeypatch.setattr(os, refused, refuse)
+    fds = os.listdir("/proc/self/fd")
+    assert _simulate_cli(monkeypatch, [*argv, "--out", str(out)], True) == (0, 0)
+    assert os.listdir("/proc/self/fd") == fds
+    states = 3 * integrate._SIM_CHUNK + 1
+    assert capsys.readouterr() == (f"wrote {expect}: {states} states\n"
+                                   f"wrote {out}: {states} states\n", "")
+    assert out.read_bytes() == expect.read_bytes()
 
 
 def test_cli_lyapunov_fd_line(capsys):
