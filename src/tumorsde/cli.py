@@ -418,13 +418,14 @@ _CSV_CHUNK = 4096  # trajectory rows formatted per write
 _CSV_ROW = "%d,%.17g,%.17g,%.17g\n"
 _SWEEP_ROW = "%.17g,%.17g,%s,%.17g"
 # simulate forks its CSV writer only for runs of at least this many
-# steps: the fork costs about 4 ms and each 1024-step chunk formatted
-# beside the steps saves about 2 ms.  KT-P2 euler2 main, forked against
-# in-process writer, 319 alternating rounds on a 2-vCPU VM with both CPUs
-# free: the fork won 0 at 1025 steps (medians 10.4 against 6.5 ms), 71 at
-# 2048, 205 at 3000 (14.6 / 15.9 ms), 249 at 4096 (18.1 / 21.5 ms), 306
-# at 8192 (29.6 / 41.8 ms) and 317 at 20000 (62.4 / 97.2 ms); with the
-# second CPU busy it lost at every length
+# steps.  KT-P2 euler2 main with the two-call step, forked against
+# in-process writer, 198 alternating rounds on a 2-vCPU VM with both CPUs
+# free: the fork won 126 at 4096 steps (medians 19.1 against 22.2 ms),
+# 172 at 8192 (29.6 / 43.7 ms) and 181 at 12288 (41.1 / 64.9 ms).  A fit
+# of those medians gives a fixed cost of about 7 ms for the fork and
+# about 2.6 ms saved per 1024-step chunk formatted beside the steps, so
+# the medians break even near 2800 steps, but below 8192 the fork loses
+# one round in three; with the second CPU busy it can lose at every length
 _FORK_MIN_STEPS = 8192
 
 

@@ -21,10 +21,15 @@ partial derivatives only.  With uncoupled (diagonal) systems that makes
 the second scheme a complete weak order-2 scheme; for coupled systems
 the cross-component corrections are deliberately absent.
 
-simulate builds no coefficient closure of its own.  A model's drift and
-partials come from models.vector_field_fns; every affine map comes from
-sde.AffineDiffusion.fns: the given diffusion, a LinearSDE's drift A s
-and own noise B s, and the zero noise of a model run without one.
+simulate builds one step function per run (_stepper), which does the
+selected scheme's arithmetic and finiteness check with the affine
+noise's coefficients bound as locals; the noise is the given diffusion,
+a LinearSDE's own B s or the zero noise of a model run without one.
+The drift and its partials come from one closure call per step:
+models.vector_field_fns for a model, sde.AffineDiffusion.fns for a
+LinearSDE's A s.  euler1_step and euler2_step are the same schemes over
+any drift and diffusion callables, on scalars or arrays: the reference
+the step function is tested against.
 """
 
 from __future__ import annotations
@@ -145,8 +150,8 @@ class GaussianBlocks:
 
 def wiener_increments(stream: RngStream, steps: int, dt: float) -> np.ndarray:
     """Increments W((n+1)h) - W(nh): sqrt(dt) times standard normals."""
-    if dt <= 0:
-        raise ValueError("dt must be > 0")
+    if not (math.isfinite(dt) and dt > 0):
+        raise ValueError("dt must be finite and > 0")
     return math.sqrt(dt) * gaussian_pairs(stream, steps)
 
 
@@ -162,10 +167,10 @@ class SimConfig:
     seed: int = 1
 
     def __post_init__(self):
-        if self.dt <= 0:
-            raise ValueError("dt must be > 0")
-        if self.steps < 1:
-            raise ValueError("steps must be >= 1")
+        if not (math.isfinite(self.dt) and self.dt > 0):
+            raise ValueError("dt must be finite and > 0")
+        if not isinstance(self.steps, (int, np.integer)) or self.steps < 1:
+            raise ValueError("steps must be an integer >= 1")
         if self.scheme not in ("euler1", "euler2"):
             raise ValueError(f"unknown scheme {self.scheme!r}")
         if self.noise_streams not in ("shared", "independent"):
@@ -240,20 +245,60 @@ def euler2_step(drift, diffusion, drift_partials, diffusion_partials,
 _NO_NOISE = AffineDiffusion(Mat2(0.0, 0.0, 0.0, 0.0), 0.0, 0.0)
 
 
-def _step_fns(system, diffusion) -> tuple:
-    """(drift, g, drift_partials, g_partials) of one run, each built once
-    over a state pair of floats; diffusion None means a LinearSDE's own
-    B-matrix noise, or no noise for a model."""
+def _stepper(system, diffusion, cfg: SimConfig):
+    """step(s, w1, w2) -> the next state pair of cfg's scheme from the
+    state pair s of floats, with increments w1, w2: euler1_step or
+    euler2_step, term for term, built once per run.
+
+    The drift is the field (euler1) or the field with its partials
+    (euler2, the jet) of vector_field_fns for a model and of
+    AffineDiffusion.fns for a LinearSDE's A s.  The noise is affine, the
+    given diffusion, a LinearSDE's own B s or none for a model, so
+    g = b s + c and its partials (b11, 0), (b22, 0) are bound as locals.
+    A non-finite component raises BlowUpError as _check_finite does.
+    """
     if isinstance(system, LinearSDE):
-        drift, dpart = AffineDiffusion(system.A, 0.0, 0.0).fns()
+        field, jet = AffineDiffusion(system.A, 0.0, 0.0).fns()
         own = AffineDiffusion(system.B, 0.0, 0.0)
     elif isinstance(system, ModelSpec):
-        drift, dpart = vector_field_fns(system)
+        field, jet = vector_field_fns(system)
         own = _NO_NOISE
     else:
         raise TypeError(f"cannot simulate {type(system).__name__}")
-    g, gpart = (own if diffusion is None else diffusion).fns()
-    return drift, g, dpart, gpart
+    noise = own if diffusion is None else diffusion
+    b11, b12, b21, b22 = noise.b.a11, noise.b.a12, noise.b.a21, noise.b.a22
+    c1, c2, d2g, dt = noise.c1, noise.c2, 0.0, cfg.dt
+
+    if cfg.scheme == "euler1":
+        def step(s, w1, w2):
+            x, y = s
+            f1, f2 = field(s)
+            xn = x + f1 * dt + (b11 * x + b12 * y + c1) * w1
+            yn = y + f2 * dt + (b21 * x + b22 * y + c2) * w2
+            if _isfinite(xn) and _isfinite(yn):
+                return xn, yn
+            raise BlowUpError(2 if _isfinite(xn) else 1)
+
+        return step
+
+    def step(s, w1, w2):
+        x, y = s
+        f1, f2, df1, d2f1, df2, d2f2 = jet(s)
+        g1 = b11 * x + b12 * y + c1
+        g2 = b21 * x + b22 * y + c2
+        xn = (x + f1 * dt + g1 * w1
+              + g1 * b11 * (w1 * w1 - dt) / 2.0
+              + (f1 * df1 + 0.5 * g1 * g1 * d2f1) * dt * dt / 2.0
+              + (g1 * df1 + f1 * b11 + 0.5 * g1 * g1 * d2g) * dt * w1 / 2.0)
+        yn = (y + f2 * dt + g2 * w2
+              + g2 * b22 * (w2 * w2 - dt) / 2.0
+              + (f2 * df2 + 0.5 * g2 * g2 * d2f2) * dt * dt / 2.0
+              + (g2 * df2 + f2 * b22 + 0.5 * g2 * g2 * d2g) * dt * w2 / 2.0)
+        if _isfinite(xn) and _isfinite(yn):
+            return xn, yn
+        raise BlowUpError(2 if _isfinite(xn) else 1)
+
+    return step
 
 
 # steps per chunk of a trajectory; even, so that drawing each chunk's
@@ -275,7 +320,7 @@ def _state_chunks(system, diffusion, cfg: SimConfig):
     chunk starts, which gives the increments of one draw of cfg.steps,
     so memory stays O(_SIM_CHUNK) however many steps are taken.
     """
-    drift, g, dpart, gpart = _step_fns(system, diffusion)
+    step = _stepper(system, diffusion, cfg)
     if cfg.noise_streams == "shared":
         st1 = st2 = RngStream(cfg.seed)
     else:
@@ -283,17 +328,14 @@ def _state_chunks(system, diffusion, cfg: SimConfig):
     # the state is carried as a tuple of Python floats
     s = (float(cfg.initial.x), float(cfg.initial.y))
     rows, n0 = [s], 0  # n0: the step index of rows[0]
-    dt, euler1 = cfg.dt, cfg.scheme == "euler1"
+    dt = cfg.dt
     for start in range(0, cfg.steps, _SIM_CHUNK):
         count = min(_SIM_CHUNK, cfg.steps - start)
         w1 = wiener_increments(st1, count, dt).tolist()
         w2 = w1 if st2 is st1 else wiener_increments(st2, count, dt).tolist()
         for w1n, w2n in zip(w1, w2):
             try:
-                if euler1:
-                    s = euler1_step(drift, g, s, dt, w1n, w2n)
-                else:
-                    s = euler2_step(drift, g, dpart, gpart, s, dt, w1n, w2n)
+                s = step(s, w1n, w2n)
             except (BlowUpError, DomainError, OverflowError, ZeroDivisionError):
                 # the step from state n0 + len(rows) - 1 failed
                 yield np.array(rows, dtype=float).reshape(-1, 2), n0 + len(rows)
@@ -311,10 +353,10 @@ def simulate(system, diffusion, cfg: SimConfig) -> Trajectory:
     The run is fully determined by (cfg, seed).  A step that is
     non-finite, leaves a model's domain, overflows or divides by zero
     truncates the trajectory and records the offending step index.
-    Drift, diffusion and their partials are built once per run as
-    closures over Python floats (vector_field_fns, AffineDiffusion.fns),
-    so a step does only the scheme's arithmetic.  The states are the
-    chunks of _state_chunks, joined.
+    The step function is built once per run (_stepper) over Python
+    floats, so a step is two Python calls: the step and the model's
+    field, with its partials for euler2.  The states are the chunks of
+    _state_chunks, joined.
     """
     parts, blowup = [], None
     for states, blowup in _state_chunks(system, diffusion, cfg):

@@ -13,8 +13,9 @@ is quadratic in y) and is implemented directly.  Jacobians and the
 own-component partial derivatives needed by the second-order
 integration scheme are analytic for every preset and central
 differences for custom right-hand sides.  vector_field_fns builds a
-model's field and partials once, as closures over its coefficients;
-eval_vector_field and diag_partials evaluate those closures at a State.
+model's field, and its field with partials, once, as closures over its
+coefficients; eval_vector_field and diag_partials evaluate those
+closures at a State.
 model_equilibria is the one place that knows which presets have
 closed-form equilibria (kt and bell) and which need the Newton search.
 A custom right-hand side is called only through its checked field: a
@@ -320,18 +321,21 @@ def _reject_unknown(name, given, allowed):
 
 
 def vector_field_fns(model: ModelSpec) -> tuple:
-    """(field, partials) of the model, built once with its coefficients
-    bound as locals.  Both map a state pair s = (x, y) of floats:
+    """(field, jet) of the model, built once with its coefficients bound
+    as locals.  Both map a state pair s = (x, y) of floats:
 
-        field(s)    -> (f1, f2)
-        partials(s) -> ((df1/dx, d2f1/dx2), (df2/dy, d2f2/dy2))
+        field(s) -> (f1, f2)
+        jet(s)   -> (f1, f2, df1/dx, d2f1/dx2, df2/dy, d2f2/dy2)
 
     field raises DomainError when a shape function is undefined there or
     the right-hand side is non-finite or, for a custom right-hand side,
     complex (a fractional power of a negative float) or raises
-    ValueError, ZeroDivisionError or OverflowError itself.  partials are
-    analytic for every preset, central differences of that checked
-    field for custom models.
+    ValueError, ZeroDivisionError or OverflowError itself.  jet gives the
+    field and its own-component partials from one call, each shape
+    function evaluated once: analytic partials for every preset, whose
+    jet leaves a non-finite field value unchecked (a step built on it is
+    non-finite too), and central differences of the checked field for
+    custom models.
     """
     if model.name == "kt":
         p = model.params
@@ -361,11 +365,12 @@ def _kt_fns(a1, a2, a3, b1, b2) -> tuple:
             return f1, f2
         raise _nonfinite(s)
 
-    def partials(s):
+    def jet(s):
         x, y = s
-        return (-a2 + a3 * y, 0.0), (b1 * (1.0 - 2.0 * b2 * y) - x, d2f2)
+        return (a1 - a2 * x + a3 * x * y, b1 * y * (1.0 - b2 * y) - x * y,
+                -a2 + a3 * y, 0.0, b1 * (1.0 - 2.0 * b2 * y) - x, d2f2)
 
-    return field, partials
+    return field, jet
 
 
 def _h_fns(h1, h2, h3, h4, h5) -> tuple:
@@ -379,13 +384,16 @@ def _h_fns(h1, h2, h3, h4, h5) -> tuple:
             return f1, f2
         raise _nonfinite(s)
 
-    def partials(s):
+    def jet(s):
         x, y = s
-        df1 = h1(x) + x * h1d1(x) - (h2(x) + x * h2d1(x)) * y
-        d2f1 = 2.0 * h1d1(x) + x * h1d2(x) - (2.0 * h2d1(x) + x * h2d2(x)) * y
-        return (df1, d2f1), (h3(x) - h4(x), 0.0)
+        v1, v2, v3, v4 = h1(x), h2(x), h3(x), h4(x)
+        d1, d2 = h1d1(x), h2d1(x)
+        return (x * (v1 - v2 * y), (v3 - v4) * y + h5(x),
+                v1 + x * d1 - (v2 + x * d2) * y,
+                2.0 * d1 + x * h1d2(x) - (2.0 * d2 + x * h2d2(x)) * y,
+                v3 - v4, 0.0)
 
-    return field, partials
+    return field, jet
 
 
 def _custom_fns(rhs) -> tuple:
@@ -400,14 +408,15 @@ def _custom_fns(rhs) -> tuple:
             raise _nonfinite(s)
         return f1, f2
 
-    def partials(s):
+    def jet(s):
         x, y = s
-        f0 = field(s)
+        f1, f2 = field(s)
         hx, hy, fxp, fxm, fyp, fym = _stencil(field, x, y)
-        return (((fxp[0] - fxm[0]) / (2 * hx), (fxp[0] - 2 * f0[0] + fxm[0]) / hx ** 2),
-                ((fyp[1] - fym[1]) / (2 * hy), (fyp[1] - 2 * f0[1] + fym[1]) / hy ** 2))
+        return (f1, f2,
+                (fxp[0] - fxm[0]) / (2 * hx), (fxp[0] - 2 * f1 + fxm[0]) / hx ** 2,
+                (fyp[1] - fym[1]) / (2 * hy), (fyp[1] - 2 * f2 + fym[1]) / hy ** 2)
 
-    return field, partials
+    return field, jet
 
 
 def eval_vector_field(model: ModelSpec, s: State) -> tuple:
@@ -517,8 +526,9 @@ def jacobian(model: ModelSpec, at: State) -> Mat2:
 
 def diag_partials(model: ModelSpec, at: State) -> tuple:
     """Own-component drift partials ((df1/dx, d2f1/dx2), (df2/dy, d2f2/dy2))
-    at the state; the partials of vector_field_fns."""
-    return vector_field_fns(model)[1]((at.x, at.y))
+    at the state; the partials of vector_field_fns's jet."""
+    _, _, df1, d2f1, df2, d2f2 = vector_field_fns(model)[1]((at.x, at.y))
+    return (df1, d2f1), (df2, d2f2)
 
 
 def find_equilibria_numeric(model: ModelSpec, box, grid: int = 8) -> list:

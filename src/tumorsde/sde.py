@@ -50,18 +50,22 @@ class AffineDiffusion:
     c2: float
 
     def fns(self) -> tuple:
-        """(g, partials) over a state pair s = (x, y), with b11..c2 bound
-        as locals: g(s) -> (g1, g2) and the constant own-component
-        partials ((b11, 0), (b22, 0))."""
+        """(g, jet) over a state pair s = (x, y), with b11..c2 bound as
+        locals, in the form of models.vector_field_fns: g(s) -> (g1, g2)
+        and jet(s) -> (g1, g2, b11, 0, b22, 0), g with its constant
+        own-component partials."""
         b11, b12, b21, b22 = self.b.a11, self.b.a12, self.b.a21, self.b.a22
         c1, c2 = self.c1, self.c2
-        part = ((b11, 0.0), (b22, 0.0))
 
         def g(s):
             x, y = s
             return b11 * x + b12 * y + c1, b21 * x + b22 * y + c2
 
-        return g, lambda s: part
+        def jet(s):
+            x, y = s
+            return b11 * x + b12 * y + c1, b21 * x + b22 * y + c2, b11, 0.0, b22, 0.0
+
+        return g, jet
 
     def g(self, x, y):
         """Evaluate (g1, g2); accepts scalars or arrays."""

@@ -1,6 +1,7 @@
 """Streams, Box-Muller sampling, Euler schemes, trajectories."""
 
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -21,7 +22,7 @@ from tumorsde.integrate import (
 from tumorsde.models import BELL_PARAMS, KT_PARAMS, DomainError, Mat2, State, \
     bell_equilibria, bell_model, custom_model, diag_partials, eval_vector_field, \
     exponential_model, kt_equilibria, kt_model, logistic_model, stepanova_model, \
-    vladar_model, volterra_model
+    vector_field_fns, vladar_model, volterra_model
 from tumorsde.sde import AffineDiffusion, LinearSDE, diffusion_at_equilibrium
 
 KT_P2 = (1.5534604346698473, 25.2260285238853)
@@ -233,6 +234,62 @@ def test_state_chunks_end_with_the_blowup_index(monkeypatch, shift):
     assert traj.blowup_index == k + 1
     assert np.array_equal(np.concatenate([st for st, _ in chunks]), traj.states)
     assert np.array_equal(traj.states[:, 0], np.arange(k + 1))
+
+
+def _python_calls(fn) -> int:
+    """The Python-level calls that fn() makes: sys.setprofile "call"
+    events, a generator's resumptions included."""
+    calls = 0
+
+    def count(frame, event, arg):
+        nonlocal calls
+        calls += event == "call"
+
+    old = sys.getprofile()
+    sys.setprofile(count)
+    try:
+        fn()
+    finally:
+        sys.setprofile(old)
+    return calls
+
+
+@pytest.mark.parametrize("scheme", ["euler1", "euler2"])
+def test_a_scalar_step_is_two_python_calls(scheme):
+    # the step and the model's field (with its partials for euler2); the
+    # short run has as many chunks as the long one, so the two differ
+    # only in the calls of the long run's extra steps
+    m = kt_model()
+    d = diffusion_at_equilibrium(Mat2(1.0, -0.2, 0.2, 1.0), kt_equilibria(KT_PARAMS)[1])
+    chunk = integrate._SIM_CHUNK
+    long_steps = 2000
+    short_steps = chunk * ((long_steps - 1) // chunk) + 1
+    calls = {}
+    for steps in (long_steps, long_steps, short_steps):  # the first warms up
+        cfg = SimConfig(dt=1e-3, steps=steps, initial=State(1.6, 25.0),
+                        scheme=scheme, seed=3)
+        calls[steps] = _python_calls(lambda: list(integrate._state_chunks(m, d, cfg)))
+    assert simulate(m, d, cfg).blowup_index is None
+    assert calls[long_steps] - calls[short_steps] <= 2 * (long_steps - short_steps)
+
+
+def test_bell_euler2_calls_field_and_partials_once_per_step(monkeypatch):
+    seen = {"field": [], "jet": []}
+
+    def counted(model):
+        field, jet = vector_field_fns(model)
+        return (lambda s: seen["field"].append(s) or field(s),
+                lambda s: seen["jet"].append(s) or jet(s))
+
+    monkeypatch.setattr(integrate, "vector_field_fns", counted)
+    e = bell_equilibria(BELL_PARAMS)[1]
+    d = diffusion_at_equilibrium(Mat2(0.5, -0.1, 0.1, 0.5), e)
+    cfg = SimConfig(dt=0.01, steps=2_000, initial=State(1.2, 2.6), scheme="euler2", seed=4)
+    traj = simulate(bell_model(), d, cfg)
+    assert traj.blowup_index is None
+    # once from each state but the last, and the field alone never
+    assert seen["jet"] == [tuple(s) for s in traj.states[:-1].tolist()]
+    assert seen["field"] == []
 
 
 def test_state_chunks_hold_every_state_once(monkeypatch):
@@ -479,9 +536,14 @@ def test_scheme_mean_recursion_on_gbm():
 
 
 def test_simconfig_validation():
-    with pytest.raises(ValueError):
-        SimConfig(dt=0.0, steps=10, initial=State(0, 0))
-    with pytest.raises(ValueError):
-        SimConfig(dt=0.1, steps=0, initial=State(0, 0))
+    for dt in (0.0, -0.1, math.nan, math.inf):
+        with pytest.raises(ValueError, match="dt"):
+            SimConfig(dt=dt, steps=10, initial=State(1.0, 1.0))
+        with pytest.raises(ValueError, match="dt"):
+            wiener_increments(RngStream(1), 10, dt)
+    for steps in (0, -3, 2.5, 10.0):
+        with pytest.raises(ValueError, match="steps"):
+            SimConfig(dt=0.1, steps=steps, initial=State(0, 0))
+    assert SimConfig(dt=0.1, steps=np.int64(3), initial=State(0, 0)).steps == 3
     with pytest.raises(ValueError):
         SimConfig(dt=0.1, steps=10, initial=State(0, 0), scheme="rk4")

@@ -10,6 +10,7 @@ from tumorsde.models import (
     BellParams,
     DegenerateEquilibriumError,
     DomainError,
+    HFun,
     KT_PARAMS,
     KTParams,
     Mat2,
@@ -28,6 +29,7 @@ from tumorsde.models import (
     make_model,
     residual_scale,
     stepanova_model,
+    vector_field_fns,
     vladar_model,
     volterra_model,
 )
@@ -244,6 +246,24 @@ def test_diag_partials_match_finite_differences(model):
         assert abs(d2f1 - (fp[0] - 2 * f0[0] + fm[0]) / h ** 2) < 1e-3
         assert abs(df2 - (gp[1] - gm[1]) / (2 * h)) < 1e-5
         assert abs(d2f2 - (gp[1] - 2 * f0[1] + gm[1]) / h ** 2) < 1e-3
+
+
+@pytest.mark.parametrize("model", _PRESETS + [custom_model(
+    lambda x, y: (x * (1.0 - x) - 0.5 * x * y, 0.3 * x * y - 0.2 * y))])
+def test_jet_starts_with_the_field(model):
+    field, jet = vector_field_fns(model)
+    rng = np.random.default_rng(5)
+    for _ in range(10):
+        s = tuple(rng.uniform(0.1, 5.0, 2).tolist())
+        assert jet(s)[:2] == field(s)
+
+
+def test_h_family_jet_evaluates_each_shape_function_once(monkeypatch):
+    calls = []
+    call = HFun.__call__
+    monkeypatch.setattr(HFun, "__call__", lambda h, x: calls.append(h.name) or call(h, x))
+    vector_field_fns(bell_model())[1]((1.2, 2.6))
+    assert sorted(calls) == ["h1", "h2", "h3", "h4", "h5"]
 
 
 def test_custom_model_roundtrip():
