@@ -8,6 +8,9 @@ hold keys for other commands too, and explicit flags override its
 values.  Reals in CSV output are rendered with 17 significant digits so
 repeated seeded runs are byte-identical and values round-trip losslessly.
 
+simulate's rows are written by _write_csv, here or in a forked child fed
+raw float64 states; the command adds the blow-up trailer itself.
+
 Exit codes: 0 success, 2 configuration error, 3 numerical failure
 (degenerate angle diffusion, blow-up before the first completed step)
 or an output file that cannot be written.
@@ -25,7 +28,7 @@ from typing import Optional
 
 import numpy as np
 
-from .integrate import SimConfig, Trajectory, _state_chunks
+from .integrate import _SIM_CHUNK, SimConfig, _state_chunks
 from .lyapunov import (
     DegeneratePhaseDiffusionError,
     SweepResult,
@@ -49,8 +52,7 @@ from .sde import KT_NOISE, NotAnEquilibriumError, alpha_family, \
     diffusion_at_equilibrium, linearize
 
 __all__ = ["RunConfig", "ConfigError", "parse_config", "emit_config",
-           "emit_trajectory_csv", "emit_sweep_csv", "emit_equilibria_csv",
-           "main", "entry"]
+           "emit_sweep_csv", "emit_equilibria_csv", "main", "entry"]
 
 # the keys each command reads; lyapunov and sweep add _MC_KEYS with --method mc
 _COMMAND_KEYS = {
@@ -414,7 +416,6 @@ def emit_config(cfg: RunConfig) -> str:
     return "\n".join(lines) + "\n"
 
 
-_CSV_CHUNK = 4096  # trajectory rows formatted per write
 _CSV_ROW = "%d,%.17g,%.17g,%.17g\n"
 _SWEEP_ROW = "%.17g,%.17g,%s,%.17g"
 # simulate forks its CSV writer only for runs of at least this many
@@ -429,82 +430,41 @@ _SWEEP_ROW = "%.17g,%.17g,%s,%.17g"
 _FORK_MIN_STEPS = 8192
 
 
-def _csv_rows(n0: int, times, states) -> str:
-    """The CSV rows n0, n0 + 1, ... of times and (k, 2) states, formatted
-    by one % of _CSV_ROW repeated k times."""
-    k = len(times)
+def _csv_rows(n0: int, states, dt: float) -> str:
+    """The CSV rows n0, n0 + 1, ... of the (k, 2) states, at the times
+    dt * n of simulate, formatted by one % of _CSV_ROW repeated k times."""
+    k = len(states)
     flat = [None] * (4 * k)
     flat[0::4] = range(n0, n0 + k)
-    flat[1::4] = times.tolist()
+    flat[1::4] = (dt * np.arange(n0, n0 + k)).tolist()
     flat[2::4] = states[:, 0].tolist()
     flat[3::4] = states[:, 1].tolist()
     return (_CSV_ROW * k) % tuple(flat)
 
 
-def _write_trajectory(fh, blocks) -> tuple:
-    """Write a trajectory's CSV to fh from its blocks (times, states,
-    blowup), whose last blowup is the trajectory's blow-up index; return
-    the number of states and that index."""
+def _write_csv(fh, blocks, dt: float) -> int:
+    """Write the trajectory CSV header and the rows of the state blocks
+    to fh; return the number of states."""
     fh.write("n,t,x,y\n")
-    n, blowup = 0, None
-    for times, states, blowup in blocks:
-        for start in range(0, len(times), _CSV_CHUNK):
-            stop = start + _CSV_CHUNK
-            fh.write(_csv_rows(n + start, times[start:stop], states[start:stop]))
-        n += len(times)
-    if blowup is not None:
-        fh.write(f"# blowup at n={blowup}\n")
-    return n, blowup
-
-
-def emit_trajectory_csv(t: Trajectory, path: str) -> None:
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        _write_trajectory(fh, [(t.times, t.states, t.blowup_index)])
-
-
-def _timed(chunks, dt: float):
-    """The pairs (states, blowup) of a trajectory as blocks (times,
-    states, blowup), with the times dt * n of simulate."""
     n = 0
-    for states, blowup in chunks:
-        yield dt * np.arange(n, n + len(states)), states, blowup
+    for states in blocks:
+        fh.write(_csv_rows(n, states, dt))
         n += len(states)
+    return n
 
 
-def _send(pipe, chunks) -> tuple:
-    """Write each pair (states, blowup) of chunks to pipe as two int64,
-    the row count and the blow-up index (-1 for none), and the states'
-    float64 bytes; return the number of states and the blow-up index."""
-    n, blowup = 0, None
-    for states, blowup in chunks:
-        pipe.write(np.array([len(states), -1 if blowup is None else blowup],
-                            dtype=np.int64))
-        pipe.write(states)
-        n += len(states)
-    return n, blowup
-
-
-def _received(pipe):
-    """The pairs (states, blowup) that _send wrote to pipe, until it
-    ends; an error if it ends inside a chunk."""
-    while head := pipe.read(16):
-        k, blowup = (int(v) for v in np.frombuffer(head, dtype=np.int64))
-        data = pipe.read(16 * k)
-        if len(data) < 16 * k:
-            raise EOFError("trajectory pipe ended inside a chunk")
-        yield np.frombuffer(data).reshape(k, 2), None if blowup < 0 else blowup
-
-
-def _writer_child(fd: int, r: int, w: int, dt: float) -> None:
-    """The forked CSV writer: write the trajectory CSV of the chunks read
-    from the pipe end r into fd, then exit with status 0, or with the
-    errno of an OSError (EIO for any other failure).  It never returns
-    into the caller's code."""
+def _writer_child(fh, r: int, w: int, dt: float) -> None:
+    """The forked CSV writer: write to fh the CSV of the float64 state
+    rows read from the pipe end r, then exit with status 0, or with the
+    errno of an OSError (EIO for any other failure, such as a pipe that
+    ends inside a row).  It never returns into the caller's code."""
     code = errno.EIO
     try:
         os.close(w)  # else the pipe would never end for this reader
-        with open(r, "rb") as pipe:
-            _write_here(fd, _received(pipe), dt)
+        with fh, open(r, "rb") as pipe:
+            # each read but the last holds _SIM_CHUNK rows
+            reads = iter(lambda: pipe.read(16 * _SIM_CHUNK), b"")
+            _write_csv(fh, (np.frombuffer(b).reshape(-1, 2) for b in reads), dt)
         code = 0
     except OSError as exc:
         if exc.errno and exc.errno < 256:  # an exit status holds 8 bits
@@ -513,18 +473,15 @@ def _writer_child(fd: int, r: int, w: int, dt: float) -> None:
         os._exit(code)
 
 
-def _write_here(fd: int, chunks, dt: float) -> tuple:
-    """Write the trajectory CSV of chunks into fd in this process and
-    close fd; returns the number of states and the blow-up index."""
-    with open(fd, "w", encoding="utf-8", newline="\n") as fh:
-        return _write_trajectory(fh, _timed(chunks, dt))
-
-
-def _write_forked(fd: int, chunks, dt: float) -> tuple:
-    """_write_here through a forked writer, while this process goes on
-    producing the chunks; where no pipe or child can be had (EMFILE,
-    EAGAIN, ENOMEM) it is _write_here.  The writer is reaped on every
-    path; an OSError carries its errno, or the signal that ended it."""
+def _write_forked(fh, blocks, dt: float) -> int:
+    """_write_csv through a forked writer, while this process goes on
+    producing the blocks and sends their raw float64 rows down a pipe;
+    where no pipe or child can be had (EMFILE, EAGAIN, ENOMEM) it is
+    _write_csv in this process.  fh must hold no unwritten text: the
+    writer writes through its copy of fh, and on return this process's
+    fh writes after it, at the file offset the two share.  The writer
+    is reaped on every path; an OSError carries its errno, or the
+    signal that ended it."""
     r = w = None
     try:
         r, w = os.pipe()
@@ -533,15 +490,16 @@ def _write_forked(fd: int, chunks, dt: float) -> tuple:
         for end in (r, w):
             if end is not None:
                 os.close(end)
-        return _write_here(fd, chunks, dt)
+        return _write_csv(fh, blocks, dt)
     if pid == 0:
-        _writer_child(fd, r, w, dt)
+        _writer_child(fh, r, w, dt)
     os.close(r)
-    os.close(fd)
-    broken = None
+    n, broken = 0, None
     try:
         with open(w, "wb") as pipe:
-            sent = _send(pipe, chunks)
+            for states in blocks:
+                pipe.write(states)
+                n += len(states)
     except BrokenPipeError as exc:
         broken = exc  # the writer has exited; its status says why
     finally:
@@ -552,7 +510,7 @@ def _write_forked(fd: int, chunks, dt: float) -> tuple:
         raise OSError(f"the CSV writer was killed by signal {-code}")
     if broken is not None:
         raise broken
-    return sent
+    return n
 
 
 def emit_sweep_csv(r: SweepResult, path: str) -> None:
@@ -631,23 +589,22 @@ def _cmd_simulate(cfg: RunConfig) -> int:
     sim = SimConfig(dt=cfg.dt, steps=cfg.steps, initial=State(x0, y0),
                     scheme=cfg.scheme, noise_streams=cfg.noise_streams,
                     seed=cfg.seed)
-    chunks = _state_chunks(model, diffusion, sim)
-    first, blowup = next(chunks)
-    if blowup is not None and len(first) == 1:
+    blocks = _state_chunks(model, diffusion, sim)
+    first = next(blocks)
+    if len(first) == 1:  # a first chunk without a blow-up has 2 states or more
         print(f"numerical failure: blow-up at step 0 "
               f"(component diverged immediately)", file=sys.stderr)
         return 3
     out = cfg.out or "trajectory.csv"
-    fd = os.open(out, os.O_WRONLY | os.O_CREAT | os.O_TRUNC, 0o666)
-    chunks = itertools.chain([(first, blowup)], chunks)
-    # a second process formats the CSV while this one steps, where the
-    # run is long enough to repay the fork (_FORK_MIN_STEPS)
-    if blowup is None and sim.steps >= _FORK_MIN_STEPS and _may_fork() \
-            and _usable_cpus() > 1:
-        n, blowup = _write_forked(fd, chunks, cfg.dt)
-    else:
-        n, blowup = _write_here(fd, chunks, cfg.dt)
-    tail = f" (blow-up at n={blowup})" if blowup else ""
+    blocks = itertools.chain([first], blocks)
+    with open(out, "w", encoding="utf-8", newline="\n") as fh:
+        # a second process formats the CSV while this one steps, where the
+        # run is long enough to repay the fork (_FORK_MIN_STEPS)
+        fork = sim.steps >= _FORK_MIN_STEPS and _may_fork() and _usable_cpus() > 1
+        n = (_write_forked if fork else _write_csv)(fh, blocks, cfg.dt)
+        if n <= sim.steps:  # fewer than steps + 1 states: n is the blow-up index
+            fh.write(f"# blowup at n={n}\n")
+    tail = f" (blow-up at n={n})" if n <= sim.steps else ""
     print(f"wrote {out}: {n} states{tail}")
     return 0
 

@@ -29,7 +29,8 @@ The drift and its partials come from one closure call per step:
 models.vector_field_fns for a model, sde.AffineDiffusion.fns for a
 LinearSDE's A s.  euler1_step and euler2_step are the same schemes over
 any drift and diffusion callables, on scalars or arrays: the reference
-the step function is tested against.
+the step function is tested against.  A run that blows up stops with
+fewer than steps + 1 states: its blow-up index is its state count.
 """
 
 from __future__ import annotations
@@ -196,15 +197,10 @@ _isfinite = math.isfinite
 def _check_finite(x, y):
     """BlowUpError naming the first non-finite component; x and y are
     floats or arrays."""
-    if isinstance(x, float) and isinstance(y, float):
-        if _isfinite(x) and _isfinite(y):
-            return
-        ok1 = _isfinite(x)
-    else:
-        ok1 = bool(np.isfinite(x).all())
-        if ok1 and np.isfinite(y).all():
-            return
-    raise BlowUpError(1 if not ok1 else 2)
+    if not np.isfinite(x).all():
+        raise BlowUpError(1)
+    if not np.isfinite(y).all():
+        raise BlowUpError(2)
 
 
 def euler1_step(drift, diffusion, s, dt, g1_inc, g2_inc):
@@ -312,13 +308,14 @@ _SIM_CHUNK = 1024
 def _state_chunks(system, diffusion, cfg: SimConfig):
     """simulate's trajectory in chunks of _SIM_CHUNK steps.
 
-    Yields one pair (states, blowup) per chunk: states is a (k, 2) array,
-    the first one starting with cfg.initial, and blowup is None except
-    on the last chunk, where it is the blow-up index (None without a
-    blow-up).  A blow-up on a chunk's first step yields an empty last
-    chunk.  Each chunk's increments are drawn from the streams as the
-    chunk starts, which gives the increments of one draw of cfg.steps,
-    so memory stays O(_SIM_CHUNK) however many steps are taken.
+    Yields one (k, 2) array of states per chunk, the first one starting
+    with cfg.initial.  A run without a blow-up yields cfg.steps + 1
+    states; one that blows up ends with the chunk of the failed step and
+    yields fewer, as many as its blow-up index (a blow-up on a chunk's
+    first step ends with an empty chunk).  Each chunk's increments are
+    drawn from the streams as the chunk starts, which gives the
+    increments of one draw of cfg.steps, so memory stays O(_SIM_CHUNK)
+    however many steps are taken.
     """
     step = _stepper(system, diffusion, cfg)
     if cfg.noise_streams == "shared":
@@ -327,22 +324,20 @@ def _state_chunks(system, diffusion, cfg: SimConfig):
         st1, st2 = RngStream(cfg.seed, 1), RngStream(cfg.seed, 2)
     # the state is carried as a tuple of Python floats
     s = (float(cfg.initial.x), float(cfg.initial.y))
-    rows, n0 = [s], 0  # n0: the step index of rows[0]
-    dt = cfg.dt
+    rows = [s]
     for start in range(0, cfg.steps, _SIM_CHUNK):
         count = min(_SIM_CHUNK, cfg.steps - start)
-        w1 = wiener_increments(st1, count, dt).tolist()
-        w2 = w1 if st2 is st1 else wiener_increments(st2, count, dt).tolist()
-        for w1n, w2n in zip(w1, w2):
-            try:
+        w1 = wiener_increments(st1, count, cfg.dt).tolist()
+        w2 = w1 if st2 is st1 else wiener_increments(st2, count, cfg.dt).tolist()
+        try:
+            for w1n, w2n in zip(w1, w2):
                 s = step(s, w1n, w2n)
-            except (BlowUpError, DomainError, OverflowError, ZeroDivisionError):
-                # the step from state n0 + len(rows) - 1 failed
-                yield np.array(rows, dtype=float).reshape(-1, 2), n0 + len(rows)
-                return
-            rows.append(s)
-        yield np.array(rows, dtype=float), None
-        rows, n0 = [], start + count + 1
+                rows.append(s)
+        except (BlowUpError, DomainError, OverflowError, ZeroDivisionError):
+            yield np.array(rows, dtype=float).reshape(-1, 2)
+            return
+        yield np.array(rows, dtype=float)
+        rows = []
 
 
 def simulate(system, diffusion, cfg: SimConfig) -> Trajectory:
@@ -352,15 +347,13 @@ def simulate(system, diffusion, cfg: SimConfig) -> Trajectory:
     None (a LinearSDE with diffusion=None uses its own B-matrix noise).
     The run is fully determined by (cfg, seed).  A step that is
     non-finite, leaves a model's domain, overflows or divides by zero
-    truncates the trajectory and records the offending step index.
-    The step function is built once per run (_stepper) over Python
-    floats, so a step is two Python calls: the step and the model's
-    field, with its partials for euler2.  The states are the chunks of
-    _state_chunks, joined.
+    truncates the trajectory, whose blow-up index, the offending step's
+    index, is then its state count.  The step function is built once per
+    run (_stepper) over Python floats, so a step is two Python calls: the
+    step and the model's field, with its partials for euler2.  The
+    states are the chunks of _state_chunks, joined.
     """
-    parts, blowup = [], None
-    for states, blowup in _state_chunks(system, diffusion, cfg):
-        parts.append(states)
-    states = np.concatenate(parts)
-    times = cfg.dt * np.arange(len(states))
-    return Trajectory(times=times, states=states, blowup_index=blowup)
+    states = np.concatenate(list(_state_chunks(system, diffusion, cfg)))
+    n = len(states)
+    return Trajectory(times=cfg.dt * np.arange(n), states=states,
+                      blowup_index=n if n <= cfg.steps else None)

@@ -203,9 +203,14 @@ _ZERO = Mat2(0.0, 0.0, 0.0, 0.0)
 _REAL_ZEROS = "q4 has real zeros, where the angle diffusion vanishes; use the mc method"
 
 
-def _unresolved(modes: int, tail: float) -> str:
-    return (f"angle density not resolved by {modes} modes (tail {tail:.1e} "
-            f"of p_0 > {_MODE_TAIL:g}); use the mc method")
+def _rejection(modes: int, tail: float) -> str:
+    """Why a point solved with modes modes, to this tail, has no exponent:
+    a finite tail above _MODE_TAIL, else a lambda or tail that is not
+    finite."""
+    if math.isfinite(tail) and tail > _MODE_TAIL:
+        return (f"angle density not resolved by {modes} modes (tail {tail:.1e} "
+                f"of p_0 > {_MODE_TAIL:g}); use the mc method")
+    return "lambda or the tail is not finite: the solve overflows"
 
 
 @functools.cache
@@ -283,22 +288,26 @@ def _fd_solve(rows: np.ndarray, keep: bool = False) -> tuple:
     low_modes = np.ones((len(rows), 5))
     densities = {}
     modes, todo = _START_MODES, (gap > 0.0).nonzero()[0]
-    while todo.size:
-        p = _galerkin(coef[todo], modes)
-        tails[todo] = np.maximum.reduce(np.abs(p[:, -2:]), axis=1)
-        counts[todo] = modes
-        low_modes[todo, 1:] = p[:, :2].view(float)
-        if keep:
-            densities.update((i, np.concatenate((pk[::-1].conj(), [1.0], pk)) / math.pi)
-                             for i, pk in zip(todo.tolist(), p))
-        if modes == _MAX_MODES:
-            break
-        todo = todo[~(tails[todo] <= _MODE_TAIL)]
-        modes *= 2
-    values = (rows[:, :1] @ _QUAD @ low_modes[:, :, None])[:, 0, 0]
-    bad = (~(tails <= _MODE_TAIL)).nonzero()[0]
+    # coefficients that overflow give a NaN or infinite tail or lambda,
+    # which is rejected
+    with np.errstate(all="ignore"):
+        while todo.size:
+            p = _galerkin(coef[todo], modes)
+            tails[todo] = np.maximum.reduce(np.abs(p[:, -2:]), axis=1)
+            counts[todo] = modes
+            low_modes[todo, 1:] = p[:, :2].view(float)
+            if keep:
+                densities.update(
+                    (i, np.concatenate((pk[::-1].conj(), [1.0], pk)) / math.pi)
+                    for i, pk in zip(todo.tolist(), p))
+            if modes == _MAX_MODES:
+                break
+            todo = todo[tails[todo] > _MODE_TAIL]  # a NaN tail ends too
+            modes *= 2
+        values = (rows[:, :1] @ _QUAD @ low_modes[:, :, None])[:, 0, 0]
+    bad = (~(tails <= _MODE_TAIL) | ~np.isfinite(values)).nonzero()[0]
     values[bad] = np.nan
-    errors = {i: _unresolved(counts[i], tails[i]) if counts[i] else _REAL_ZEROS
+    errors = {i: _rejection(counts[i], tails[i]) if counts[i] else _REAL_ZEROS
               for i in bad.tolist()}
     return values, counts, tails, gap, errors, densities
 
@@ -369,8 +378,9 @@ def _fd_exponents(A: Mat2, beta: float, alphas: np.ndarray) -> tuple:
     values, counts, errors = np.empty(alphas.size), np.empty(alphas.size, int), {}
     for lo in range(0, alphas.size, _STACK):
         al = alphas[lo:lo + _STACK, None, None]
-        values[lo:lo + al.size], counts[lo:lo + al.size], _, _, errs, _ = _fd_solve(
-            r0 + al * (r1 + al * r2))
+        with np.errstate(over="ignore"):  # alpha^2 overflows from |alpha| ~ 1.34e154
+            rows = r0 + al * (r1 + al * r2)
+        values[lo:lo + al.size], counts[lo:lo + al.size], _, _, errs, _ = _fd_solve(rows)
         errors.update((lo + k, msg) for k, msg in errs.items())
     return values, counts, errors
 
@@ -407,9 +417,9 @@ def _closed_exponents(A: Mat2, beta: float, alphas: np.ndarray) -> tuple:
     # which numpy broadcasts faster than scalars.
     s, one = (-g[3], np.ones(1)) if g[3] != 0 else (1.0, np.zeros(1))
     c = -g[1] * g[3] / s ** 2 * one
-    h0 = (g[2] + beta * alphas) / s
     modes = _START_MODES
     with np.errstate(all="ignore"):
+        h0 = (g[2] + beta * alphas) / s
         while True:
             shifts = (1j * beta ** 2 / s) * np.arange(modes + 1)[:, None]
             tau = h0 + shifts[modes]
@@ -419,14 +429,17 @@ def _closed_exponents(A: Mat2, beta: float, alphas: np.ndarray) -> tuple:
                 tau = c / tau + h0 + shifts[k]
                 den = den * tau
             tail = one * np.maximum(last, 1.0) / np.abs(den)
-            if modes == _MAX_MODES or (tail <= _MODE_TAIL).all():
+            # a NaN tail, from overflow, is its own point's failure: more
+            # modes cannot resolve it
+            if modes == _MAX_MODES or not (tail > _MODE_TAIL).any():
                 break
             modes *= 2
-    r = one / tau
-    value = q[2].real - 0.5 * alphas ** 2 + 2.0 * (q[3].real * r.real + q[3].imag * r.imag)
-    bad = (~(tail <= _MODE_TAIL)).nonzero()[0]
+        r = one / tau
+        value = q[2].real - 0.5 * alphas ** 2 + 2.0 * (q[3].real * r.real
+                                                       + q[3].imag * r.imag)
+    bad = (~(tail <= _MODE_TAIL) | ~np.isfinite(value)).nonzero()[0]
     value[bad] = np.nan
-    return value, tail, modes, {k: _unresolved(modes, tail[k]) for k in bad.tolist()}
+    return value, tail, modes, {k: _rejection(modes, tail[k]) for k in bad.tolist()}
 
 
 def closed_form_lyapunov(A: Mat2, alpha: float, beta: float) -> LyapunovEstimate:

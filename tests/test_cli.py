@@ -6,6 +6,7 @@ import re
 import signal
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -18,7 +19,6 @@ from tumorsde.cli import (
     alpha_range_values,
     emit_config,
     emit_sweep_csv,
-    emit_trajectory_csv,
     main,
     parse_config,
 )
@@ -175,41 +175,6 @@ def test_config_roundtrip(tmp_path):
     f.write_text(emit_config(cfg), encoding="utf-8")
     cfg2 = parse_config(["--config", str(f)])
     assert cfg2 == cfg
-
-
-def test_trajectory_csv_rows(tmp_path):
-    t = Trajectory(times=np.array([0.0, 0.1, 0.2, 0.3]),
-                   states=np.array([[1, 2], [3, 4], [5, 6], [7, 8]], dtype=float))
-    p = tmp_path / "t.csv"
-    emit_trajectory_csv(t, str(p))
-    lines = p.read_text().splitlines()
-    assert lines[0] == "n,t,x,y"
-    assert len(lines) == 5  # header + 4 data rows, no marker
-    assert lines[1].startswith("0,0,1,2")
-
-
-def test_trajectory_csv_rows_across_chunks(tmp_path):
-    # rows are formatted in chunks; the file is the row-by-row text
-    rng = np.random.default_rng(5)
-    rows = 2 * cli._CSV_CHUNK + 3
-    t = Trajectory(times=1e-3 * np.arange(rows), states=rng.normal(size=(rows, 2)),
-                   blowup_index=rows)
-    p = tmp_path / "t.csv"
-    emit_trajectory_csv(t, str(p))
-    expect = ["n,t,x,y"] + [
-        f"{n},{format(float(tt), '.17g')},{format(float(st[0]), '.17g')},"
-        f"{format(float(st[1]), '.17g')}" for n, (tt, st) in enumerate(zip(t.times, t.states))]
-    expect.append(f"# blowup at n={rows}")
-    assert p.read_text(encoding="utf-8") == "\n".join(expect) + "\n"
-
-
-def test_trajectory_csv_blowup_marker(tmp_path):
-    t = Trajectory(times=np.array([0.0, 0.1]),
-                   states=np.array([[1, 2], [3, 4]], dtype=float),
-                   blowup_index=2)
-    p = tmp_path / "t.csv"
-    emit_trajectory_csv(t, str(p))
-    assert p.read_text().splitlines()[-1] == "# blowup at n=2"
 
 
 def test_sweep_csv_empty(tmp_path):
@@ -370,20 +335,78 @@ def test_cli_simulate_forked_writer_writes_the_in_process_bytes(
     assert np.array_equal(rows[:, 2:], t.states)
 
 
+def _rows(t: Trajectory) -> str:
+    """The CSV text of a trajectory, formatted value by value."""
+    lines = ["n,t,x,y"] + [",".join([str(n), *(format(v, ".17g") for v in row)])
+                           for n, row in enumerate(zip(t.times.tolist(),
+                                                       *t.states.T.tolist()))]
+    if t.blowup_index is not None:
+        lines.append(f"# blowup at n={t.blowup_index}")
+    return "\n".join(lines) + "\n"
+
+
+def test_trajectory_csv_rows(tmp_path, capsys):
+    out = tmp_path / "t.csv"
+    assert main([*_KT_SIM, "--steps", "3", "--out", str(out)]) == 0
+    assert capsys.readouterr().out == f"wrote {out}: 4 states\n"
+    lines = out.read_text(encoding="utf-8").splitlines()
+    assert lines[0] == "n,t,x,y"
+    assert len(lines) == 5  # header + 4 data rows, no marker
+    assert lines[1] == "0,0,1.6000000000000001,25"
+    assert lines[2].startswith("1,0.001,")
+
+
+# KT P2 with independent streams leaves the domain at step 2926, in its
+# third chunk
+_KT_BLOWUP = [*_KT_SIM, "--noise-streams", "independent", "--steps", "3000",
+              "--seed", "7"]
+
+
+@_forks
+def test_trajectory_csv_rows_across_chunks(monkeypatch, tmp_path, capsys):
+    # both writers write simulate()'s rows value by value, and the
+    # blow-up trailer after them
+    t = _trajectory_of(_KT_BLOWUP)
+    assert t.blowup_index == 2926 > 2 * integrate._SIM_CHUNK
+    for forked in (True, False):
+        out = tmp_path / f"{forked}.csv"
+        assert _simulate_cli(monkeypatch, [*_KT_BLOWUP, "--out", str(out)],
+                             forked) == (0, int(forked))
+        assert capsys.readouterr().out == \
+            f"wrote {out}: 2926 states (blow-up at n=2926)\n"
+        assert out.read_text(encoding="utf-8") == _rows(t)
+
+
+@_forks
+def test_trajectory_csv_blowup_marker(monkeypatch, tmp_path, capsys):
+    # the blow-up falls in the first and only chunk
+    monkeypatch.setattr(integrate, "_SIM_CHUNK", 4096)
+    for forked in (True, False):
+        out = tmp_path / f"{forked}.csv"
+        assert _simulate_cli(monkeypatch, [*_KT_BLOWUP, "--out", str(out)],
+                             forked) == (0, int(forked))
+        assert capsys.readouterr().out == \
+            f"wrote {out}: 2926 states (blow-up at n=2926)\n"
+        lines = out.read_text(encoding="utf-8").splitlines()
+        assert len(lines) == 2928 and lines[-2].startswith("2925,")
+        assert lines[-1] == "# blowup at n=2926"
+
+
 @_forks
 @pytest.mark.parametrize("forked", [True, False])
 def test_cli_simulate_blowup_on_a_chunk_boundary(monkeypatch, tmp_path, capsys, forked):
     # the first step of a chunk blows up, so the last chunk has no states
     monkeypatch.setattr(integrate, "_SIM_CHUNK", 64)
-    out = tmp_path / "b.csv"
+    expect, out = tmp_path / "expect.csv", tmp_path / "b.csv"
+    assert _simulate_cli(monkeypatch, [*_VOLTERRA_BLOWUP, "--out", str(expect)],
+                         False) == (0, 0)
     assert _simulate_cli(monkeypatch, [*_VOLTERRA_BLOWUP, "--out", str(out)],
                          forked) == (0, int(forked))
     assert capsys.readouterr().out == \
+        f"wrote {expect}: 2433 states (blow-up at n=2433)\n" \
         f"wrote {out}: 2433 states (blow-up at n=2433)\n"
     t = _trajectory_of(_VOLTERRA_BLOWUP)
     assert t.blowup_index == 2433 == 38 * 64 + 1
-    expect = tmp_path / "expect.csv"
-    emit_trajectory_csv(t, str(expect))
     assert out.read_bytes() == expect.read_bytes()
     assert out.read_text().splitlines()[-1] == "# blowup at n=2433"
 
@@ -434,6 +457,20 @@ def test_cli_simulate_killed_writer_exits_three(monkeypatch, tmp_path, capsys):
     assert capsys.readouterr().err == \
         f"io error: the CSV writer was killed by signal {int(signal.SIGKILL)}\n"
     assert calls == []  # the rows were formatted in the writer process only
+
+
+@_forks
+def test_cli_simulate_writer_exits_eio_on_a_torn_row(monkeypatch, tmp_path, capsys):
+    # the pipe carries bare float64 rows: one that ends inside a row is an
+    # error of the writer, not a short trajectory
+    def torn(*args):
+        yield np.zeros((2, 2))
+        yield np.zeros(3)
+
+    monkeypatch.setattr(cli, "_state_chunks", torn)
+    argv = [*_KT_SIM, "--out", str(tmp_path / "t.csv")]
+    assert _simulate_cli(monkeypatch, argv, True) == (3, 1)
+    assert capsys.readouterr().err == "io error: [Errno 5] Input/output error\n"
 
 
 @_forks
@@ -536,6 +573,33 @@ def test_cli_lyapunov_closed_line_and_unresolvable_exit_three(capsys):
     # at beta = 0.001 the angle density is too sharp for the mode cap
     assert main(argv[:-4] + ["--beta", "0.001", "--method", "closed"]) == 3
     assert "not resolved by 1024 modes" in capsys.readouterr().err
+
+
+_OVERFLOW = "lambda or the tail is not finite: the solve overflows"
+
+
+def test_cli_non_finite_exponent_fails_its_own_point(tmp_path, capsys):
+    # alpha^2 overflows from |alpha| ~ 1.34e154: fd's lambda is NaN; at
+    # 1e150 closed's continued fraction overflows.  Each is one point's
+    # failure, without a warning, and its neighbours keep their exponents
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["lyapunov", "--alpha", "2e154", "--method", "fd"]) == 3
+        assert capsys.readouterr() == ("", f"numerical failure: {_OVERFLOW}\n")
+        for method, grid, bad in (("fd", "-2e154:2e154:2e154", (0, 2)),
+                                  ("closed", "0:1e150:1e150", (1,))):
+            assert main(["lyapunov", "--alpha", "0", "--method", method]) == 0
+            zero = capsys.readouterr().out.split()[0][len("lambda="):]
+            out = tmp_path / f"{method}.csv"
+            assert main(["sweep", f"--alpha={grid}", "--method", method,
+                         "--out", str(out)]) == 0
+            capsys.readouterr()
+            lines = out.read_text(encoding="utf-8").splitlines()
+            rows = [line.split(",") for line in lines[1:] if not line.startswith("#")]
+            assert [r[1] for r in rows] == \
+                ["nan" if k in bad else zero for k in range(len(rows))]
+            assert [line for line in lines if line.startswith("#")] == \
+                [f"# failure alpha={rows[k][0]}: {_OVERFLOW}" for k in bad]
 
 
 @pytest.mark.parametrize("command, extra", [("lyapunov", ["--method", "fd"]),

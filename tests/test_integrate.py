@@ -126,6 +126,16 @@ def test_euler1_blowup_signal():
     assert err.value.component == 1
 
 
+@pytest.mark.parametrize("x, y, component", [
+    (math.nan, 1.0, 1), (1.0, math.inf, 2), (math.inf, math.nan, 1),
+    (np.array([1.0, math.inf]), np.zeros(2), 1), (np.zeros(2), np.array([math.nan, 1.0]), 2)])
+def test_check_finite_names_the_first_bad_component(x, y, component):
+    integrate._check_finite(np.zeros(2), 1.0)
+    with pytest.raises(BlowUpError) as err:
+        integrate._check_finite(x, y)
+    assert err.value.component == component
+
+
 def test_euler2_deterministic_taylor():
     # g = 0 reduces to x + f h + f f' h^2/2 per component
     drift, _, dpart, _ = _gbm_fns(0.7, 0.0)
@@ -219,20 +229,21 @@ def test_simulate_blowup_truncates():
 @pytest.mark.parametrize("shift", [0, 1, 5])
 def test_state_chunks_end_with_the_blowup_index(monkeypatch, shift):
     # x advances by exactly 1 per step until the drift at x = k is
-    # infinite, so the step from state k blows up: blow-up index k + 1;
-    # shift 0 puts it on a chunk's first step, which leaves that chunk empty
+    # infinite, so the step from state k blows up: blow-up index k + 1,
+    # which is the number of states; shift 0 puts it on a chunk's first
+    # step, which leaves that chunk empty, the others mid-chunk
     size = 8
     monkeypatch.setattr(integrate, "_SIM_CHUNK", size)
     k = 3 * size + shift
     m = custom_model(lambda x, y: (1.0 if x < k else math.inf, 0.0))
     cfg = SimConfig(dt=1.0, steps=10 * size, initial=State(0.0, 0.0))
     chunks = list(integrate._state_chunks(m, None, cfg))
-    assert [len(states) for states, _ in chunks] == [size + 1, size, size, shift]
-    assert [blowup for _, blowup in chunks] == [None, None, None, k + 1]
-    assert all(states.shape[1:] == (2,) for states, _ in chunks)
+    assert [states.shape for states in chunks] == \
+        [(size + 1, 2), (size, 2), (size, 2), (shift, 2)]
+    assert sum(map(len, chunks)) == k + 1 <= cfg.steps
     traj = simulate(m, None, cfg)
     assert traj.blowup_index == k + 1
-    assert np.array_equal(np.concatenate([st for st, _ in chunks]), traj.states)
+    assert np.array_equal(np.concatenate(chunks), traj.states)
     assert np.array_equal(traj.states[:, 0], np.arange(k + 1))
 
 
@@ -298,11 +309,11 @@ def test_state_chunks_hold_every_state_once(monkeypatch):
     cfg = SimConfig(dt=1e-3, steps=20, initial=State(*KT_P2), scheme="euler2", seed=4)
     d = diffusion_at_equilibrium(Mat2(1.0, -0.2, 0.2, 1.0), kt_equilibria(KT_PARAMS)[1])
     chunks = list(integrate._state_chunks(m, d, cfg))
-    assert [len(states) for states, _ in chunks] == [7, 6, 6, 2]
-    assert [blowup for _, blowup in chunks] == [None] * 4
+    # steps + 1 states: no blow-up
+    assert [states.shape for states in chunks] == [(7, 2), (6, 2), (6, 2), (2, 2)]
     traj = simulate(m, d, cfg)
     assert traj.blowup_index is None
-    assert np.array_equal(np.concatenate([st for st, _ in chunks]), traj.states)
+    assert np.array_equal(np.concatenate(chunks), traj.states)
     assert np.array_equal(traj.times, 1e-3 * np.arange(21))
 
 

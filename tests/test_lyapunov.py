@@ -349,7 +349,7 @@ def _bordered_fd(sys):
             break
         modes *= 2
     if not tail <= lyapunov._MODE_TAIL:
-        raise DegeneratePhaseDiffusionError(lyapunov._unresolved(modes, tail))
+        raise DegeneratePhaseDiffusionError(lyapunov._rejection(modes, tail))
     return math.pi * (p[modes - 2:modes + 3].conj() @ q).real, modes
 
 
@@ -493,6 +493,19 @@ def test_closed_rejects_density_unresolved_at_the_cap():
         closed_form_lyapunov(a_mat, 1.5, 0.001)
     with pytest.raises(DegeneratePhaseDiffusionError, match="not resolved by 1024"):
         lyapunov_fd(LinearSDE(a_mat, alpha_family(1.5, 0.001)))
+
+
+def test_closed_nan_tail_fails_only_its_own_point():
+    # alpha = 1e150 overflows the continued fraction's product to a NaN
+    # tail, which must not drive the shared mode count to the cap, where
+    # the product overflows for every alpha
+    a_mat = _drift_matrix("Bell-P1", -2.0)
+    values, tails, modes, errors = lyapunov._closed_exponents(
+        a_mat, -2.0, np.array([0.0, 1.0, 1e150]))
+    zero, one = (closed_form_lyapunov(a_mat, a, -2.0) for a in (0.0, 1.0))
+    assert modes == max(zero.n, one.n) < lyapunov._MAX_MODES
+    assert list(errors) == [2] and math.isnan(tails[2]) and math.isnan(values[2])
+    assert values[:2].tolist() == [zero.value, one.value]
 
 
 def test_closed_large_alpha_is_negative():
