@@ -9,7 +9,6 @@ with CSV output.
 from .models import (
     BELL_PARAMS,
     BellParams,
-    DegenerateEquilibriumError,
     DomainError,
     Equilibrium,
     HFun,

@@ -41,7 +41,6 @@ from .lyapunov import (
     stability_sweep,
 )
 from .models import (
-    DegenerateEquilibriumError,
     DomainError,
     Mat2,
     State,
@@ -666,8 +665,7 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
-    except (DegeneratePhaseDiffusionError, NotAnEquilibriumError,
-            DegenerateEquilibriumError, DomainError) as exc:
+    except (DegeneratePhaseDiffusionError, NotAnEquilibriumError, DomainError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 3
     except ValueError as exc:

@@ -1,8 +1,10 @@
 """Seeded Gaussian streams and weak Euler schemes.
 
-Uniform variates come from counter-based Philox streams keyed by
-(master seed, stream id), mapped into (0,1] so log u stays finite, and
-turned into standard normals with the Box-Muller transform.  Identical
+Variates come from counter-based Philox streams keyed by (master
+seed, stream id).  A trajectory's normals are Box-Muller pairs of
+uniforms mapped into (0,1], so log u stays finite (gaussian_pairs);
+lyapunov_mc's are numpy's ziggurat on the same streams (GaussianBlocks),
+an exact sampler that skips Box-Muller's log, cos and sin.  Identical
 (seed, id) pairs reproduce identical sequences; distinct ids behave as
 independent streams, which is what lets many paths run in any order
 or process layout without changing the result.
@@ -119,34 +121,28 @@ class GaussianBlocks:
     """Successive blocks of standard normals from many streams at once.
 
     Column p of a block holds the next normals of streams[p], exactly as
-    gaussian_pairs(streams[p], count) would return them, so even block
-    lengths leave every stream where gaussian_pairs would.  Each stream
-    fills one row of uniforms, the rows are deinterleaved once into
-    contiguous (pairs, streams) arrays and one Box-Muller pass covers
-    all streams.  The work arrays, for blocks of up to size rows, are
-    allocated once.
+    streams[p]._gen.standard_normal(count) would return them: numpy's
+    ziggurat (Marsaglia & Tsang 2000) on the stream's own Philox
+    generator.  Its draws are sequential, so blocks of any lengths, odd
+    ones too, concatenate to one draw.  Each stream fills one row and the
+    block is one transposed copy of the rows.  The work arrays, for
+    blocks of up to size rows, are allocated once.
     """
 
     def __init__(self, streams, size: int):
-        npairs = (size + 1) // 2
         self._streams = list(streams)
-        self._u = np.empty((len(self._streams), 2 * npairs))
-        self._pairs = np.empty((2, npairs, len(self._streams)))
-        self._out = np.empty((2 * npairs, len(self._streams)))
+        self._rows = np.empty((len(self._streams), size))
+        self._out = np.empty((size, len(self._streams)))
 
     def draw(self, count: int) -> np.ndarray:
         """The next count normals of every stream, as a (count, streams)
         view that the next draw overwrites."""
-        npairs = (count + 1) // 2
-        u = self._u[:, :2 * npairs]
-        for row, st in zip(u, self._streams):
-            st._gen.random(out=row)
-        np.subtract(1.0, u, out=u)  # (0, 1], as RngStream.uniforms
-        pairs = self._pairs[:, :npairs]
-        pairs[...] = u.reshape(len(self._streams), npairs, 2).transpose(2, 1, 0)
-        out = self._out
-        box_muller(pairs[0], pairs[1], out=(out[0:2 * npairs:2], out[1:2 * npairs:2]))
-        return out[:count]
+        rows = self._rows[:, :count]
+        for row, st in zip(rows, self._streams):
+            st._gen.standard_normal(out=row)
+        out = self._out[:count]
+        out[...] = rows.T
+        return out
 
 
 def wiener_increments(stream: RngStream, steps: int, dt: float) -> np.ndarray:

@@ -30,7 +30,8 @@ p(theta).  Three estimators are provided:
   [beta, alpha]], whose angle diffusion beta^2 is constant: its modes
   follow from one continued fraction, evaluated over a whole alpha
   array at once,
-* ``lyapunov_mc``   -- first-order Euler simulation of the polar pair.
+* ``lyapunov_mc``   -- first-order Euler simulation of the polar pair,
+  driven by numpy's ziggurat normals (trajectories use Box-Muller).
 
 ``stability_sweep`` maps alpha to the exponent for the alpha-family
 noise, brackets the zero crossings and reports the stable alpha-set.
@@ -424,13 +425,15 @@ def _closed_exponents(A: Mat2, beta: float, alphas: np.ndarray) -> tuple:
             shifts = (1j * beta ** 2 / s) * np.arange(modes + 1)[:, None]
             tau = h0 + shifts[modes]
             last = np.abs(one / tau)  # |p_N / p_{N-1}|
-            den = 1.0  # becomes p_0 / p_{N-1}, where one = 1
+            # becomes p_{N-1} / p_0, where one = 1: |p_k| <= |p_0|, so the
+            # product can only underflow
+            ratio = 1.0
             for k in range(modes - 1, 0, -1):
                 tau = c / tau + h0 + shifts[k]
-                den = den * tau
-            tail = one * np.maximum(last, 1.0) / np.abs(den)
-            # a NaN tail, from overflow, is its own point's failure: more
-            # modes cannot resolve it
+                ratio = ratio / tau
+            tail = one * np.maximum(last, 1.0) * np.abs(ratio)
+            # a NaN tail is its own point's failure: more modes cannot
+            # resolve it
             if modes == _MAX_MODES or not (tail > _MODE_TAIL).any():
                 break
             modes *= 2
@@ -526,12 +529,12 @@ def _mc_paths(m: np.ndarray, nsteps: int, dt: float, seed: int,
     x[1] = [2.0 * TWO_PI * st.uniforms(1)[0] for st in streams]
     v = np.ones((5, width))
     inc = np.empty((4, width))
-    phi, c, s, cc, cs = x[1], v[1], v[2], v[3], v[4]
+    phi, c, s = x[1], v[1], v[2]
+    cs, products = v[1:3], v[3:]  # (c^2, c s) is the one product c (c, s)
     drift, noise = inc[:2], inc[2:]
     cos, sin, mul, matmul = np.cos, np.sin, np.multiply, np.matmul
     sdt = math.sqrt(dt)
-    # even block lengths keep every stream's Box-Muller pairing
-    block = min(_MC_BLOCK, max(2, _MC_BLOCK_NORMALS // width // 2 * 2))
+    block = min(_MC_BLOCK, max(1, _MC_BLOCK_NORMALS // width))
     normals = GaussianBlocks(streams, block)
     done = 0
     while done < nsteps:
@@ -541,8 +544,7 @@ def _mc_paths(m: np.ndarray, nsteps: int, dt: float, seed: int,
         for w in dw:
             cos(phi, out=c)
             sin(phi, out=s)
-            mul(c, c, out=cc)
-            mul(c, s, out=cs)
+            mul(c, cs, out=products)
             matmul(m, v, out=inc)
             x += drift
             noise *= w
@@ -560,18 +562,22 @@ def lyapunov_mc(sys: LinearSDE, horizon: float = 200.0, dt: float = 1e-3,
     Euler scheme and one shared Wiener increment per step, starting from
     a uniform angle; the estimate is the path mean of log(r(T)/r(0)) / T
     with its standard error.  Path p draws from stream (seed,
-    stream_base + p) and rounds as it would alone, so results do not
-    depend on scheduling; a single path runs with a spare one, on stream
-    stream_base + 1, that is dropped.  The stderr is statistical only:
-    it does not cover the O(dt) bias of the Euler scheme.
+    stream_base + p), its start angle from one uniform and its
+    increments from the stream's ziggurat normals (``GaussianBlocks``;
+    simulate's trajectories use Box-Muller pairs), and rounds as it
+    would alone, so results do not depend on scheduling; a single path
+    runs with a spare one, on stream stream_base + 1, that is dropped.
+    The stderr is statistical only: it does not cover the O(dt) bias of
+    the Euler scheme.
 
     All paths of a slice advance together: a step evaluates V = (1, c,
-    s, c^2, c s) at c = cos phi, s = sin phi, and one product of V with
-    the rows (dt Q, 2 dt D, q2, 2 q4) of ``_polar_rows`` gives the drift
-    and noise increments of (log r, phi).  On Linux the paths are split
-    into contiguous slices of stream ids, one per usable CPU (the
-    affinity mask), each of at least 2 paths and 2^20 path-steps, with
-    sizes that differ by at most 1.  The calling process runs the first
+    s, c^2, c s) at c = cos phi, s = sin phi, the last two as one
+    product c (c, s), and one product of V with the rows (dt Q, 2 dt D,
+    q2, 2 q4) of ``_polar_rows`` gives the drift and noise increments of
+    (log r, phi).  On Linux the paths are split into contiguous slices
+    of stream ids, one per usable CPU (the affinity mask), each of at
+    least 2 paths and 2^20 path-steps, with sizes that differ by at most
+    1.  The calling process runs the first
     slice and one forked worker each other one; the workers are joined
     before the call returns, and a worker's exception is raised here.
     The slices' log r(T) are joined in stream order, so the value and

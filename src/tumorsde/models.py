@@ -34,7 +34,6 @@ import numpy as np
 
 __all__ = [
     "DomainError",
-    "DegenerateEquilibriumError",
     "State",
     "KTParams",
     "BellParams",
@@ -67,10 +66,6 @@ __all__ = [
 
 class DomainError(ValueError):
     """A model function was evaluated outside its domain."""
-
-
-class DegenerateEquilibriumError(ValueError):
-    """An equilibrium formula has a vanishing denominator."""
 
 
 @dataclass(frozen=True)
@@ -455,19 +450,27 @@ def _kt_closed(model: ModelSpec) -> tuple:
 
 
 def _bell_closed(model: ModelSpec) -> tuple:
-    """(equilibria, no notes) of a built bell model: P1 on the x = 0
-    axis, interior P2."""
+    """(equilibria, notes) of a built bell model: P1 = (0, b4/b3) on the
+    x = 0 axis and the interior P2 = ((a1 b3 - a2 b4) / (a1 b1 - a2 b2),
+    a1/a2), each when its denominator is not 0 and its coordinates are
+    not negative (a population), else a note why it is omitted."""
     a1, a2, b1, b2, b3, b4 = (model.params[k] for k in ("a1", "a2", "b1", "b2", "b3", "b4"))
+    out, notes = [], []
+    y1 = b4 / b3 if b3 != 0 else math.nan
     if b3 == 0:
-        raise DegenerateEquilibriumError("P1 undefined: b3 = 0")
+        notes.append("P1 omitted: b3 = 0")
+    elif y1 < 0:
+        notes.append(f"P1 omitted: y1 = {y1:.6g} < 0")
+    else:
+        out.append(Equilibrium(State(0.0, y1), "P1", _residual(model, 0.0, y1)))
     den = a1 * b1 - a2 * b2
     if den == 0:
-        raise DegenerateEquilibriumError("P2 undefined: a1*b1 = a2*b2")
-    y1 = b4 / b3
-    x2 = (a1 * b3 - a2 * b4) / den
-    y2 = a1 / a2
-    return [Equilibrium(State(0.0, y1), "P1", _residual(model, 0.0, y1)),
-            Equilibrium(State(x2, y2), "P2", _residual(model, x2, y2))], []
+        return out, notes + ["P2 omitted: a1*b1 = a2*b2"]
+    x2, y2 = (a1 * b3 - a2 * b4) / den, a1 / a2
+    for name, v in (("x2", x2), ("y2", y2)):
+        if v < 0:
+            return out, notes + [f"P2 omitted: {name} = {v:.6g} < 0"]
+    return out + [Equilibrium(State(x2, y2), "P2", _residual(model, x2, y2))], notes
 
 
 def kt_equilibria(p: KTParams) -> list:
@@ -476,7 +479,8 @@ def kt_equilibria(p: KTParams) -> list:
 
 
 def bell_equilibria(p: BellParams) -> list:
-    """Equilibria of the Bell model: P1 on the x = 0 axis, interior P2."""
+    """Equilibria of the Bell model: P1 on the x = 0 axis and interior P2,
+    each when it exists with x, y >= 0."""
     return _bell_closed(bell_model(p))[0]
 
 
@@ -487,7 +491,8 @@ def model_equilibria(model: ModelSpec) -> tuple:
     """(equilibria, notes) of a built model: the closed forms of the kt
     and bell presets, a Newton search of the box (0, 50)^2 from an 8 x 8
     lattice (find_equilibria_numeric) for every other model.  A note
-    says why kt's P2 is omitted, or that the search found nothing."""
+    says why a kt or bell equilibrium is omitted, or that the search
+    found nothing."""
     closed = _CLOSED_FORMS.get(model.name) if model.rhs is None else None
     if closed is not None:
         return closed(model)

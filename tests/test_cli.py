@@ -230,6 +230,38 @@ def test_cli_equilibria_p2_omitted_note(capsys):
     assert "P2 omitted" in printed
 
 
+@pytest.mark.parametrize("params, printed", [
+    ("a1=0.4", "note: P2 omitted: a1*b1 = a2*b2\n"),
+    ("b4=3", "note: P2 omitted: x2 = -0.297619 < 0\n"),
+])
+def test_cli_bell_omits_an_equilibrium_and_keeps_the_other(tmp_path, capsys, params, printed):
+    # P2 does not exist (a1*b1 = a2*b2) or is not a population (x2 < 0):
+    # equilibria notes it, P1 still runs and selecting P2 is a config error
+    out = tmp_path / "eq.csv"
+    assert main(["equilibria", "--model", "bell", "--params", params, "--out", str(out)]) == 0
+    assert capsys.readouterr().out.endswith(printed)
+    lines = out.read_text(encoding="utf-8").splitlines()
+    assert [line.split(",")[0] for line in lines] == ["label", "P1", "# " + printed[6:-1]]
+    argv = ["lyapunov", "--model", "bell", "--params", params, "--alpha", "0.5"]
+    assert main(argv + ["--equilibrium", "P1", "--method", "fd"]) == 0
+    assert capsys.readouterr().out.startswith("lambda=")
+    assert main(argv + ["--equilibrium", "P2", "--method", "fd"]) == 2
+    assert capsys.readouterr().err == \
+        "config error: equilibrium: P2 not present for this model\n"
+
+
+def test_cli_closed_matches_fd_at_large_alpha(capsys):
+    # closed's tail no longer overflows where fd's exponent is finite
+    for alpha in ("1e25", "1e150"):
+        printed = []
+        for method in ("closed", "fd"):
+            assert main(["lyapunov", "--model", "bell", "--equilibrium", "P1", "--alpha",
+                         alpha, "--beta", "-2", "--method", method]) == 0
+            printed.append(capsys.readouterr().out.split()[0])
+        assert printed[0] == printed[1]
+    assert printed[0] == "lambda=-4.9999999999999995e+299"
+
+
 def test_cli_config_error_exit_two(capsys):
     assert main(["simulate", "--dt", "0"]) == 2
     err = capsys.readouterr().err
@@ -579,15 +611,15 @@ _OVERFLOW = "lambda or the tail is not finite: the solve overflows"
 
 
 def test_cli_non_finite_exponent_fails_its_own_point(tmp_path, capsys):
-    # alpha^2 overflows from |alpha| ~ 1.34e154: fd's lambda is NaN; at
-    # 1e150 closed's continued fraction overflows.  Each is one point's
-    # failure, without a warning, and its neighbours keep their exponents
+    # alpha^2 overflows from |alpha| ~ 1.34e154, so fd's and closed's
+    # lambda is not finite there.  Each is one point's failure, without a
+    # warning, and its neighbours keep their exponents
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         assert main(["lyapunov", "--alpha", "2e154", "--method", "fd"]) == 3
         assert capsys.readouterr() == ("", f"numerical failure: {_OVERFLOW}\n")
         for method, grid, bad in (("fd", "-2e154:2e154:2e154", (0, 2)),
-                                  ("closed", "0:1e150:1e150", (1,))):
+                                  ("closed", "-2e154:2e154:2e154", (0, 2))):
             assert main(["lyapunov", "--alpha", "0", "--method", method]) == 0
             zero = capsys.readouterr().out.split()[0][len("lambda="):]
             out = tmp_path / f"{method}.csv"

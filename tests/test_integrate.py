@@ -63,18 +63,19 @@ def test_uniforms_in_half_open_unit():
     assert u.min() > 0.0 and u.max() <= 1.0
 
 
-@pytest.mark.parametrize("size, counts", [(8, (8, 6)), (8, (7,)), (1, (1,)), (5, (2, 5, 4))])
+@pytest.mark.parametrize("size, counts", [(8, (8, 6)), (8, (7,)), (1, (1, 1, 1)),
+                                          (5, (2, 5, 4)), (9, (3, 9, 1, 7))])
 def test_gaussian_blocks_match_gaussian_pairs_per_stream(size, counts):
-    # column p of each block is the stream's gaussian_pairs draw, and
-    # even blocks leave every stream where gaussian_pairs would
+    # column p of each block continues the stream's one standard_normal
+    # draw (the ziggurat, not gaussian_pairs' Box-Muller), for blocks of
+    # any lengths, odd ones too
     ids = (0, 3, 4, 2 ** 63 + 1)
     blocks = GaussianBlocks([RngStream(21, i) for i in ids], size)
-    own_streams = [RngStream(21, i) for i in ids]
-    for count in counts:
-        block = blocks.draw(count)
-        assert block.shape == (count, len(ids))
-        expect = np.stack([gaussian_pairs(st, count) for st in own_streams], axis=1)
-        assert np.array_equal(block, expect)
+    drawn = [blocks.draw(count).copy() for count in counts]
+    assert [block.shape for block in drawn] == [(count, len(ids)) for count in counts]
+    expect = np.stack([RngStream(21, i)._gen.standard_normal(sum(counts)) for i in ids],
+                      axis=1)
+    assert np.array_equal(np.concatenate(drawn), expect)
 
 
 def test_wiener_increment_scaling():

@@ -12,7 +12,7 @@ import pytest
 import alpha_exact
 from density_nodes import density_at_nodes
 from tumorsde import lyapunov
-from tumorsde.integrate import RngStream, gaussian_pairs
+from tumorsde.integrate import RngStream
 from tumorsde.lyapunov import (
     TWO_PI,
     DegeneratePhaseDiffusionError,
@@ -496,16 +496,17 @@ def test_closed_rejects_density_unresolved_at_the_cap():
 
 
 def test_closed_nan_tail_fails_only_its_own_point():
-    # alpha = 1e150 overflows the continued fraction's product to a NaN
-    # tail, which must not drive the shared mode count to the cap, where
-    # the product overflows for every alpha
+    # alpha^2 overflows from |alpha| ~ 1.34e154, so lambda at 2e154 is not
+    # finite: that point fails alone, without driving the shared mode
+    # count to the cap, and 1e150 keeps fd's exponent
     a_mat = _drift_matrix("Bell-P1", -2.0)
     values, tails, modes, errors = lyapunov._closed_exponents(
-        a_mat, -2.0, np.array([0.0, 1.0, 1e150]))
+        a_mat, -2.0, np.array([0.0, 1.0, 2e154, 1e150]))
     zero, one = (closed_form_lyapunov(a_mat, a, -2.0) for a in (0.0, 1.0))
     assert modes == max(zero.n, one.n) < lyapunov._MAX_MODES
-    assert list(errors) == [2] and math.isnan(tails[2]) and math.isnan(values[2])
+    assert list(errors) == [2] and math.isnan(values[2])
     assert values[:2].tolist() == [zero.value, one.value]
+    assert values[3] == lyapunov_fd(LinearSDE(a_mat, alpha_family(1e150, -2.0))).value
 
 
 def test_closed_large_alpha_is_negative():
@@ -532,7 +533,7 @@ def _reference_mc(s, horizon, dt, paths, seed, stream_base=0):
         blen = min(lyapunov._MC_BLOCK, nsteps - done)
         dw = np.empty((paths, blen))
         for p, st in enumerate(streams):
-            dw[p] = gaussian_pairs(st, blen)
+            dw[p] = st._gen.standard_normal(blen)
         dw *= math.sqrt(dt)
         for k in range(blen):
             c2t = np.cos(2.0 * theta)
@@ -578,6 +579,19 @@ def test_mc_kernel_matches_reference_loop(label):
     value, stderr = _reference_mc(s, **kw)
     assert abs(est.value - value) <= 1e-12 * abs(value)
     assert abs(est.stderr - stderr) <= 1e-12 * stderr
+
+
+@pytest.mark.parametrize("normals", [7, 33, 100])
+def test_mc_estimate_does_not_depend_on_block_length(monkeypatch, normals):
+    # 201 steps of 3 paths: one block, or blocks of normals // 3 = 2, 11
+    # or 33 steps with a last one of 1, 3 or 3; every blocking gives the
+    # same estimate, bit for bit
+    s = _kt_p2_sys(-3.0)
+    kw = dict(horizon=0.201, dt=1e-3, paths=3, seed=9)
+    est = lyapunov_mc(s, **kw)
+    monkeypatch.setattr(lyapunov, "_MC_BLOCK_NORMALS", normals)
+    small = lyapunov_mc(s, **kw)
+    assert (small.value, small.stderr) == (est.value, est.stderr)
 
 
 def test_mc_scalar_noise_oracle():

@@ -8,7 +8,6 @@ import pytest
 from tumorsde.models import (
     BELL_PARAMS,
     BellParams,
-    DegenerateEquilibriumError,
     DomainError,
     HFun,
     KT_PARAMS,
@@ -27,6 +26,7 @@ from tumorsde.models import (
     kt_model,
     logistic_model,
     make_model,
+    model_equilibria,
     residual_scale,
     stepanova_model,
     vector_field_fns,
@@ -99,10 +99,29 @@ def test_bell_equilibria_default_params():
 
 
 def test_bell_equilibria_degenerate():
-    # b1 = a2*b2/a1 makes the P2 denominator vanish
+    # b1 = a2*b2/a1 makes the P2 denominator vanish: P2 is omitted with a
+    # note, and P1 = (0, b4/b3) still exists
     p = BellParams(a1=2.5, a2=1.0, b1=0.16, b2=0.4, b3=0.95, b4=2.0)
-    with pytest.raises(DegenerateEquilibriumError):
-        bell_equilibria(p)
+    (p1,), notes = model_equilibria(bell_model(p))
+    assert (p1.label, p1.point) == ("P1", State(0.0, 2.0 / 0.95))
+    assert notes == ["P2 omitted: a1*b1 = a2*b2"]
+    assert bell_equilibria(p) == [p1]
+
+
+@pytest.mark.parametrize("params, labels, notes", [
+    (dict(b4=3.0), ["P1"], ["P2 omitted: x2 = -0.297619 < 0"]),
+    (dict(b4=-1.0), ["P2"], ["P1 omitted: y1 = -1.05263 < 0"]),
+    (dict(a2=-1.0), ["P1"], ["P2 omitted: y2 = -2.5 < 0"]),
+    (dict(b3=0.0), [], ["P1 omitted: b3 = 0", "P2 omitted: x2 = -0.952381 < 0"]),
+    (dict(b4=0.0), ["P1", "P2"], []),
+], ids=["x2<0", "y1<0", "y2<0", "b3=0", "on-the-axes"])
+def test_bell_equilibria_omit_what_is_not_a_population(params, labels, notes):
+    # an equilibrium exists and is a population, x, y >= 0, or is omitted
+    # with a note, as kt's P2 is
+    p = BellParams(**{**vars(BELL_PARAMS), **params})
+    eqs, got = model_equilibria(bell_model(p))
+    assert [e.label for e in eqs] == labels and got == notes
+    assert all(e.point.x >= 0 and e.point.y >= 0 and e.residual < 1e-12 for e in eqs)
 
 
 def test_numeric_finder_recovers_kt():
