@@ -665,7 +665,8 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
-    except (DegeneratePhaseDiffusionError, NotAnEquilibriumError, DomainError) as exc:
+    except (DegeneratePhaseDiffusionError, FloatingPointError, NotAnEquilibriumError,
+            DomainError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 3
     except ValueError as exc:

@@ -517,40 +517,115 @@ def _mc_slices(width: int, nsteps: int) -> int:
     return max(1, min(_usable_cpus(), width // 2, width * nsteps // _MC_SLICE_PATH_STEPS))
 
 
+def _mc_draws(nsteps: int, dt: float, seed: int, first: int, stop: int) -> tuple:
+    """The start angles phi = 2 theta, theta uniform on [0, 2 pi), of the
+    paths on streams (seed, first) .. (seed, stop - 1), and an iterator
+    over their Wiener increments: (steps, paths) blocks of at most
+    _MC_BLOCK steps and _MC_BLOCK_NORMALS normals, nsteps steps in all."""
+    streams = [RngStream(seed, p) for p in range(first, stop)]
+    phi = np.array([2.0 * TWO_PI * st.uniforms(1)[0] for st in streams])
+    block = min(_MC_BLOCK, max(1, _MC_BLOCK_NORMALS // len(streams)))
+    normals, sdt = GaussianBlocks(streams, block), math.sqrt(dt)
+
+    def blocks():
+        for done in range(0, nsteps, block):
+            dw = normals.draw(min(block, nsteps - done))
+            dw *= sdt
+            yield dw
+    return phi, blocks()
+
+
+def _mc_general(m: np.ndarray, nsteps: int, dt: float, seed: int,
+                first: int, stop: int) -> np.ndarray:
+    """``_mc_paths`` for any noise: a step evaluates V = (1, c, s, c^2,
+    c s) at c = cos phi, s = sin phi, and one product of the rows with V
+    gives the increments of (log r, phi)."""
+    phi, blocks = _mc_draws(nsteps, dt, seed, first, stop)
+    x = np.zeros((2, phi.size))  # log r, phi
+    x[1] = phi
+    v = np.ones((5, phi.size))
+    inc = np.empty((4, phi.size))
+    phi, c, s = x[1], v[1], v[2]
+    cs, products = v[1:3], v[3:]  # (c^2, c s) is the one product c (c, s)
+    drift, noise = inc[:2], inc[2:]
+    cos, sin, mul, matmul = np.cos, np.sin, np.multiply, np.matmul
+    with np.errstate(all="ignore"):  # an overflow ends as a non-finite log r
+        for dw in blocks:
+            for w in dw:
+                cos(phi, out=c)
+                sin(phi, out=s)
+                mul(c, cs, out=products)
+                matmul(m, v, out=inc)
+                x += drift
+                noise *= w
+                x += noise
+    return x[0]
+
+
+# the alpha-family kernel keeps its angles and increments for at most this
+# many steps of a block: 0.5 MB at 160 paths, and no slower than 256 steps
+_MC_SUB = 128
+
+
+def _mc_alpha(m: np.ndarray, nsteps: int, dt: float, seed: int,
+              first: int, stop: int) -> np.ndarray:
+    """``_mc_paths`` for B = alpha I + beta J, where q2 = alpha and 2 q4 =
+    2 beta are constant.  With 2 dt D = d0 + R cos(phi - phi*), the
+    angle psi = phi - phi* steps as psi + R cos psi + (d0 + 2 beta dW):
+    four numpy calls on one row.  The log r increments dt Q + alpha dW =
+    q0 + qa cos psi + qb sin psi + alpha dW, (qa, qb) Q's (qc, qs) rotated
+    by phi*, follow in bulk from the kept cosines, and are added to log r
+    in step order, so any blocking gives the same sums."""
+    (q0, qc, qs), (d0, dc, ds) = m[0, :3].tolist(), m[1, :3].tolist()
+    alpha, beta2 = m[2, 0], m[3, 0]
+    amp, star = math.hypot(dc, ds), math.atan2(ds, dc)
+    qa = qc * math.cos(star) + qs * math.sin(star)
+    qb = qs * math.cos(star) - qc * math.sin(star)
+    phi, blocks = _mc_draws(nsteps, dt, seed, first, stop)
+    size = min(_MC_SUB, nsteps)
+    # inc holds log r, then a sub-block's cosines, turned into increments
+    psi, inc = np.empty((size + 1, phi.size)), np.zeros((size + 1, phi.size))
+    shifts, t = np.empty((size, phi.size)), np.empty(phi.size)
+    psi[0] = phi - star
+    steps = list(zip(psi, psi[1:], inc[1:], shifts))
+    cos, mul, add = np.cos, np.multiply, np.add
+    with np.errstate(all="ignore"):  # an overflow ends as a non-finite log r
+        for dw in blocks:
+            for lo in range(0, len(dw), size):
+                w = dw[lo:lo + size]
+                n = len(w)
+                mul(w, beta2, out=shifts[:n])
+                shifts[:n] += d0
+                for p, after, c, b in steps[:n]:
+                    cos(p, out=c)
+                    mul(c, amp, out=t)
+                    add(p, t, out=after)
+                    after += b
+                body, s = inc[1:n + 1], np.sin(psi[:n], out=shifts[:n])
+                body *= qa
+                s *= qb
+                body += s
+                body += q0
+                body += mul(w, alpha, out=s)
+                inc[0] = np.add.reduce(inc[:n + 1], axis=0)
+                psi[0] = psi[n]
+    return inc[0]
+
+
 def _mc_paths(m: np.ndarray, nsteps: int, dt: float, seed: int,
               first: int, stop: int) -> np.ndarray:
     """log(r(T)/r(0)) of the paths on streams (seed, first) .. (seed,
     stop - 1), stop - first >= 2, after nsteps Euler steps of size dt
     with the rows m = (dt Q, 2 dt D, q2, 2 q4): lyapunov_mc's kernel for
-    one slice of its paths."""
-    width = stop - first
-    streams = [RngStream(seed, p) for p in range(first, stop)]
-    x = np.zeros((2, width))  # log r, phi; theta starts uniform on [0, 2 pi)
-    x[1] = [2.0 * TWO_PI * st.uniforms(1)[0] for st in streams]
-    v = np.ones((5, width))
-    inc = np.empty((4, width))
-    phi, c, s = x[1], v[1], v[2]
-    cs, products = v[1:3], v[3:]  # (c^2, c s) is the one product c (c, s)
-    drift, noise = inc[:2], inc[2:]
-    cos, sin, mul, matmul = np.cos, np.sin, np.multiply, np.matmul
-    sdt = math.sqrt(dt)
-    block = min(_MC_BLOCK, max(1, _MC_BLOCK_NORMALS // width))
-    normals = GaussianBlocks(streams, block)
-    done = 0
-    while done < nsteps:
-        blen = min(block, nsteps - done)
-        dw = normals.draw(blen)
-        dw *= sdt
-        for w in dw:
-            cos(phi, out=c)
-            sin(phi, out=s)
-            mul(c, cs, out=products)
-            matmul(m, v, out=inc)
-            x += drift
-            noise *= w
-            x += noise
-        done += blen
-    return x[0]
+    one slice of its paths.  Where q2 and q4 are constant (B = alpha I +
+    beta J), and so no row has a c^2 or c s term, ``_mc_alpha`` runs,
+    else ``_mc_general``."""
+    return _mc_kernel(m)(m, nsteps, dt, seed, first, stop)
+
+
+def _mc_kernel(m: np.ndarray):
+    """The kernel that ``_mc_paths`` runs on the rows m."""
+    return _mc_general if m[2:, 1:].any() or m[:, 3:].any() else _mc_alpha
 
 
 def lyapunov_mc(sys: LinearSDE, horizon: float = 200.0, dt: float = 1e-3,
@@ -568,17 +643,22 @@ def lyapunov_mc(sys: LinearSDE, horizon: float = 200.0, dt: float = 1e-3,
     would alone, so results do not depend on scheduling; a single path
     runs with a spare one, on stream stream_base + 1, that is dropped.
     The stderr is statistical only: it does not cover the O(dt) bias of
-    the Euler scheme.
+    the Euler scheme.  A value or stderr that is not finite raises
+    FloatingPointError.
 
-    All paths of a slice advance together: a step evaluates V = (1, c,
-    s, c^2, c s) at c = cos phi, s = sin phi, the last two as one
-    product c (c, s), and one product of V with the rows (dt Q, 2 dt D,
-    q2, 2 q4) of ``_polar_rows`` gives the drift and noise increments of
-    (log r, phi).  On Linux the paths are split into contiguous slices
-    of stream ids, one per usable CPU (the affinity mask), each of at
-    least 2 paths and 2^20 path-steps, with sizes that differ by at most
-    1.  The calling process runs the first
-    slice and one forked worker each other one; the workers are joined
+    All paths of a slice advance together, by one of two kernels on the
+    rows (dt Q, 2 dt D, q2, 2 q4) of ``_polar_rows``.  For B = alpha I +
+    beta J (``_mc_alpha``) a step advances only the shifted angle phi -
+    phi*, by 4 numpy calls on one row, and log r follows in bulk; its
+    sums differ from the general kernel's only in rounding.  For any
+    other noise (``_mc_general``) a step evaluates V = (1, c, s, c^2, c
+    s) at c = cos phi, s = sin phi, the last two as one product c (c,
+    s), and one product of V with the rows gives the drift and noise
+    increments of (log r, phi): 7 calls on 2-5 rows.  On Linux the
+    paths are split into contiguous slices of stream ids, one per usable
+    CPU (the affinity mask), each of at least 2 paths and 2^20
+    path-steps, with sizes that differ by at most 1.  The calling
+    process runs the first slice and one forked worker each other one; the workers are joined
     before the call returns, and a worker's exception is raised here.
     The slices' log r(T) are joined in stream order, so the value and
     stderr are the same, bit for bit, for any number of slices.  Off
@@ -609,8 +689,12 @@ def lyapunov_mc(sys: LinearSDE, horizon: float = 200.0, dt: float = 1e-3,
             logr = np.concatenate([_mc_paths(m, nsteps, dt, seed, *bounds[:2])]
                                   + [f.result() for f in rest])
     per_path = logr[:paths] / (nsteps * dt)
-    value = float(per_path.mean())
-    stderr = float(per_path.std(ddof=1) / math.sqrt(paths)) if paths > 1 else 0.0
+    with np.errstate(all="ignore"):
+        value = float(per_path.mean())
+        stderr = float(per_path.std(ddof=1) / math.sqrt(paths)) if paths > 1 else 0.0
+    if not (math.isfinite(value) and math.isfinite(stderr)):
+        raise FloatingPointError(f"lambda={value:g}, stderr={stderr:g}: "
+                                 "the Euler steps overflow")
     return LyapunovEstimate(value=value, method="mc", stderr=stderr, n=paths,
                             diagnostics={"horizon": horizon, "dt": dt})
 
@@ -650,7 +734,8 @@ def stability_sweep(model: ModelSpec, equilibrium: Equilibrium, beta: float,
     points of all open brackets, by one more: fd as stacks
     (``_fd_exponents``), closed as one continued fraction
     (``_closed_exponents``), mc point by point.  A setup failure of a
-    call (beta = 0 for closed) is recorded at each of its points.  For
+    call (beta = 0 for closed) is recorded at each of its points; an mc
+    estimate that overflows, at its own point only.  For
     the mc method, grid point k draws from stream block
     (seed, k * 2^32) and refinement points derive their stream from the
     alpha bit pattern, so results are schedule-independent.
@@ -667,7 +752,8 @@ def stability_sweep(model: ModelSpec, equilibrium: Equilibrium, beta: float,
     def evaluate(points: np.ndarray, on_grid: bool) -> tuple:
         """(lambda, stderr, {index: message}) at the points; lambda is NaN
         where a point failed.  An exception fails every point: it comes
-        from the setup (beta = 0 for closed, an mc setting)."""
+        from the setup (beta = 0 for closed, an mc setting); an mc estimate
+        that overflows fails its own point."""
         stderrs = np.zeros(points.size)
         try:
             if method == "fd":
@@ -677,10 +763,14 @@ def stability_sweep(model: ModelSpec, equilibrium: Equilibrium, beta: float,
             else:
                 values, errors = np.empty(points.size), {}
                 for k, alpha in enumerate(points.tolist()):
-                    est = lyapunov_mc(
-                        LinearSDE(a_mat, alpha_family(alpha, beta)), horizon=horizon,
-                        dt=dt, paths=paths, seed=seed,
-                        stream_base=k << 32 if on_grid else _refine_stream_base(alpha))
+                    try:
+                        est = lyapunov_mc(
+                            LinearSDE(a_mat, alpha_family(alpha, beta)), horizon=horizon,
+                            dt=dt, paths=paths, seed=seed,
+                            stream_base=k << 32 if on_grid else _refine_stream_base(alpha))
+                    except FloatingPointError as exc:  # this point's own failure
+                        values[k], errors[k] = np.nan, str(exc)
+                        continue
                     values[k], stderrs[k] = est.value, est.stderr
         except (ValueError, ArithmeticError) as exc:
             return np.full(points.size, np.nan), stderrs, dict.fromkeys(

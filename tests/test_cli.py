@@ -574,6 +574,25 @@ def test_cli_sweep_mc_stderr_populated(tmp_path):
     assert all(float(r.split(",")[3]) > 0 for r in rows)
 
 
+def test_cli_mc_overflow_is_a_numerical_failure(capsys, tmp_path):
+    # q2^2 overflows at alpha 1e200: mc's -inf is refused, as fd's is
+    head = ["--model", "bell", "--equilibrium", "P1", "--beta", "-2", "--method", "mc",
+            "--horizon", "0.01", "--dt", "1e-3", "--paths", "4"]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["lyapunov", *head, "--alpha", "1e200"]) == 3
+        cap = capsys.readouterr()
+        assert cap.out == "" and cap.err.startswith("numerical failure: lambda=-inf")
+        # in a sweep each such point is its own failure, not a stable -inf
+        out = tmp_path / "sweep.csv"
+        assert main(["sweep", *head, "--alpha=0:2e200:1e200", "--out", str(out)]) == 0
+    lines = out.read_text().splitlines()
+    assert [l.split(",")[1] for l in lines[2:4]] == ["nan", "nan"]
+    failures = [l for l in lines if l.startswith("# failure")]
+    assert len(failures) == 2 and all(l.endswith("the Euler steps overflow") for l in failures)
+    assert not any(l.startswith("# stable") and "e+200" in l for l in lines)
+
+
 def test_cli_help_and_no_args(capsys):
     assert main([]) == 0
     assert "usage" in capsys.readouterr().out

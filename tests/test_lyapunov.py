@@ -5,6 +5,7 @@ import multiprocessing
 import sys
 import threading
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -560,6 +561,9 @@ _MC_KERNEL_CASES = {
                 dict(horizon=5.0, paths=16, seed=2)),
     "zero-noise": (lambda: _sys((0.2, 0, 0, -0.5), (0, 0, 0, 0)),
                    dict(horizon=20.0, dt=2e-3, paths=4, seed=4)),
+    # A = a I: the angle drift has no harmonic, R = 0 and phi* = atan2(0, 0)
+    "aI-rotation": (lambda: LinearSDE(Mat2(0.1, 0, 0, 0.1), alpha_family(0.5, 1.0)),
+                    dict(horizon=5.0, paths=16, seed=3)),
     "one-path": (lambda: _kt_p2_sys(0.5), dict(horizon=2.0, paths=1, seed=6)),
     "two-blocks": (lambda: _kt_p2_sys(0.5),
                    dict(horizon=1e-3 * (lyapunov._MC_BLOCK + 500), paths=3, seed=9)),
@@ -579,6 +583,67 @@ def test_mc_kernel_matches_reference_loop(label):
     value, stderr = _reference_mc(s, **kw)
     assert abs(est.value - value) <= 1e-12 * abs(value)
     assert abs(est.stderr - stderr) <= 1e-12 * stderr
+
+
+def _mc_rows(s, dt):
+    """lyapunov_mc's kernel rows (dt Q, 2 dt D, q2, 2 q4)."""
+    return lyapunov._polar_rows(s)[:4] * [[dt], [2.0 * dt], [1.0], [2.0]]
+
+
+@pytest.mark.parametrize("label", list(_MC_KERNEL_CASES))
+def test_mc_kernel_choice(label):
+    # every alpha-family case takes the alpha kernel: sigma I (beta = 0),
+    # B = 0 and A = a I (R = 0) too; a general noise matrix does not
+    make, kw = _MC_KERNEL_CASES[label]
+    kernel = lyapunov._mc_kernel(_mc_rows(make(), kw.get("dt", 1e-3)))
+    general = label == "general-noise"
+    assert kernel is (lyapunov._mc_general if general else lyapunov._mc_alpha)
+
+
+@pytest.mark.parametrize("label", [k for k in _MC_KERNEL_CASES if k != "general-noise"])
+def test_mc_alpha_kernel_matches_general_kernel(label):
+    # the same Euler scheme on the same streams: log r(T) differs by rounding
+    make, kw = _MC_KERNEL_CASES[label]
+    dt = kw.get("dt", 1e-3)
+    m, nsteps = _mc_rows(make(), dt), lyapunov.mc_step_count(kw["horizon"], dt)
+    args = (m, nsteps, dt, kw["seed"], 0, max(kw["paths"], 2))
+    fast, general = lyapunov._mc_alpha(*args), lyapunov._mc_general(*args)
+    assert np.abs(fast - general).max() <= 1e-10
+
+
+@pytest.mark.parametrize("noise", [alpha_family(1e200, -2.0), Mat2(1e200, 0.3, -0.2, 1e200)])
+def test_mc_overflow_raises_without_warnings(noise):
+    # q2^2 overflows, so log r is -inf after one step: the estimate is
+    # refused, and neither kernel warns on the way
+    s = LinearSDE(_bell_p1_sys(0.0).A, noise)
+    m = _mc_rows(s, 1e-3)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert not np.isfinite(lyapunov._mc_kernel(m)(m, 10, 1e-3, 1, 0, 4)).any()
+        with pytest.raises(FloatingPointError, match="lambda=-inf, stderr=nan"):
+            lyapunov_mc(s, horizon=0.01, dt=1e-3, paths=4)
+
+
+def test_mc_alpha_kernel_at_an_infinite_angle_step():
+    # alpha beta overflows the angle drift d0: psi is inf after one step and
+    # cos(inf) NaN, which ends as a non-finite log r, not a ValueError
+    s = LinearSDE(Mat2(-0.2, 0.5, -0.8, 0.1), alpha_family(1e300, 1e10))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        m = _mc_rows(s, 1e-3)
+        assert lyapunov._mc_kernel(m) is lyapunov._mc_alpha and np.isinf(m[1, 0])
+        assert not np.isfinite(lyapunov._mc_alpha(m, 10, 1e-3, 1, 0, 4)).any()
+
+
+def test_mc_estimate_does_not_depend_on_sub_block_length(monkeypatch):
+    # the alpha kernel adds log r's increments in step order: 201 steps as
+    # one sub-block or as 28 of 7 and one of 5 give the same sums
+    s = _kt_p2_sys(-3.0)
+    kw = dict(horizon=0.201, dt=1e-3, paths=3, seed=9)
+    est = lyapunov_mc(s, **kw)
+    monkeypatch.setattr(lyapunov, "_MC_SUB", 7)
+    small = lyapunov_mc(s, **kw)
+    assert (small.value, small.stderr) == (est.value, est.stderr)
 
 
 @pytest.mark.parametrize("normals", [7, 33, 100])
@@ -1253,3 +1318,18 @@ def test_sweep_mc_reproducible():
     r2 = stability_sweep(m, e, -2.0, [0.0, 1.0], **kw)
     assert np.array_equal(r1.lambdas, r2.lambdas)
     assert (r1.stderrs > 0).all()
+
+
+def test_sweep_mc_overflow_fails_its_own_point():
+    # at alpha 1e200 and 2e200 q2^2 overflows and mc's estimate is -inf:
+    # those points fail alone, and alpha 0 keeps its exponent
+    m, e = bell_model(), bell_equilibria(BELL_PARAMS)[0]
+    kw = dict(method="mc", horizon=0.01, dt=1e-3, paths=4, seed=1)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        r = stability_sweep(m, e, -2.0, [0.0, 1e200, 2e200], **kw)
+    alone = stability_sweep(m, e, -2.0, [0.0], **kw)
+    assert r.lambdas[0] == alone.lambdas[0] and np.isnan(r.lambdas[1:]).all()
+    assert [a for a, _ in r.failures] == [1e200, 2e200]
+    assert all("overflow" in msg for _, msg in r.failures)
+    assert r.sign_changes == [] and r.stable_set == alone.stable_set
