@@ -17,15 +17,11 @@ from .models import (
     Mat2,
     ModelSpec,
     State,
-    bell_equilibria,
     bell_model,
     custom_model,
-    diag_partials,
-    eval_vector_field,
     exponential_model,
     find_equilibria_numeric,
     jacobian,
-    kt_equilibria,
     kt_model,
     logistic_model,
     make_model,
@@ -47,13 +43,11 @@ from .sde import (
 from .lyapunov import (
     DegeneratePhaseDiffusionError,
     LyapunovEstimate,
-    PhaseCoefficients,
     PhaseDensity,
     SweepResult,
     closed_form_lyapunov,
     lyapunov_fd,
     lyapunov_mc,
-    phase_coefficients,
     stability_sweep,
     stationary_density_fd,
 )

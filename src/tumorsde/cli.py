@@ -5,8 +5,10 @@ set of keys (_COMMAND_KEYS), and a flag outside it is a configuration
 error.  Keys may also be given through a line-oriented config file
 (``key = value``, ``#`` comments, UTF-8) named by --config; a file may
 hold keys for other commands too, and explicit flags override its
-values.  Reals in CSV output are rendered with 17 significant digits so
-repeated seeded runs are byte-identical and values round-trip losslessly.
+values.  A key given twice on the line or in the file, or a coefficient
+given twice in one params, is a configuration error.  Reals in CSV
+output are rendered with 17 significant digits so repeated seeded runs
+are byte-identical and values round-trip losslessly.
 
 simulate's rows are written by _write_csv, here or in a forked child fed
 raw float64 states; the command adds the blow-up trailer itself.
@@ -50,8 +52,8 @@ from .models import (
 from .sde import KT_NOISE, NotAnEquilibriumError, alpha_family, \
     diffusion_at_equilibrium, linearize
 
-__all__ = ["RunConfig", "ConfigError", "parse_config", "emit_config",
-           "emit_sweep_csv", "emit_equilibria_csv", "main", "entry"]
+__all__ = ["RunConfig", "ConfigError", "parse_config", "emit_sweep_csv",
+           "emit_equilibria_csv", "main", "entry"]
 
 # the keys each command reads; lyapunov and sweep add _MC_KEYS with --method mc
 _COMMAND_KEYS = {
@@ -186,8 +188,10 @@ def _parse_params(key, v):
     for item in v.split(","):
         if "=" not in item:
             raise ConfigError(key, f"expected k=v, got {item!r}")
-        k, val = item.split("=", 1)
-        out[k.strip()] = _parse_float(key, val.strip())
+        k, val = (part.strip() for part in item.split("=", 1))
+        if k in out:
+            raise ConfigError(key, f"coefficient {k!r} given twice")
+        out[k] = _parse_float(key, val)
     return tuple(sorted(out.items()))
 
 
@@ -289,6 +293,8 @@ def _read_config_file(path: str) -> dict:
         key = key.replace("-", "_")
         if key not in _PARSERS:
             raise ConfigError(key, "unknown key")
+        if key in out:
+            raise ConfigError(key, f"{path}:{lineno}: given twice in the file")
         out[key] = val
     return out
 
@@ -296,9 +302,10 @@ def _read_config_file(path: str) -> dict:
 def parse_config(argv) -> RunConfig:
     """Merge defaults, config-file values and command-line flags.
 
-    Raises ConfigError on unknown keys, a flag its command does not read
-    (_check_flags), malformed numbers, values out of their documented
-    ranges, a lyapunov or sweep run with independent noise streams, or
+    Raises ConfigError on unknown keys, a key given twice on the line or
+    in the file, a coefficient given twice in params, a flag its command
+    does not read (_check_flags), malformed numbers, values out of their
+    documented ranges, a lyapunov or sweep run with independent noise streams, or
     an mc lyapunov/sweep run whose Euler step count round(horizon / dt)
     is not 1 to 10^7.
     """
@@ -324,6 +331,8 @@ def parse_config(argv) -> RunConfig:
         key = key.replace("-", "_")
         if key not in _KEYS:
             raise ConfigError(key, "unknown key")
+        if key in flags:
+            raise ConfigError(key, "given twice on the command line")
         flags[key] = val
 
     cfg: dict = {}
@@ -378,41 +387,6 @@ def _check_flags(run: RunConfig, flags) -> None:
 
 def _fmt(v: float) -> str:
     return format(float(v), ".17g")
-
-
-def emit_config(cfg: RunConfig) -> str:
-    """Serialize the effective configuration in config-file syntax."""
-    lines = [f"command = {cfg.command}", f"model = {cfg.model}"]
-    if cfg.params:
-        lines.append("params = " + ",".join(f"{k}={_fmt(v)}" for k, v in cfg.params))
-    lines.append(f"equilibrium = {cfg.equilibrium}")
-    if cfg.noise is not None:
-        b = cfg.noise
-        lines.append("noise = " + ",".join(_fmt(v) for v in
-                                           (b.a11, b.a12, b.a21, b.a22)))
-    if cfg.alpha is not None:
-        lines.append(f"alpha = {_fmt(cfg.alpha)}")
-    if cfg.alpha_range is not None:
-        lo, hi, step = cfg.alpha_range
-        lines.append(f"alpha = {_fmt(lo)}:{_fmt(hi)}:{_fmt(step)}")
-    lines += [
-        f"beta = {_fmt(cfg.beta)}",
-        f"method = {cfg.method}",
-        f"dt = {_fmt(cfg.dt)}",
-        f"steps = {cfg.steps}",
-        f"paths = {cfg.paths}",
-        f"horizon = {_fmt(cfg.horizon)}",
-        f"seed = {cfg.seed}",
-        f"scheme = {cfg.scheme}",
-        f"noise_streams = {cfg.noise_streams}",
-    ]
-    if cfg.out is not None:
-        lines.append(f"out = {cfg.out}")
-    if cfg.x0 is not None:
-        lines.append(f"x0 = {_fmt(cfg.x0)}")
-    if cfg.y0 is not None:
-        lines.append(f"y0 = {_fmt(cfg.y0)}")
-    return "\n".join(lines) + "\n"
 
 
 _CSV_ROW = "%d,%.17g,%.17g,%.17g\n"

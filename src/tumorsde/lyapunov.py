@@ -54,11 +54,9 @@ from .sde import LinearSDE, alpha_family, linearize
 
 __all__ = [
     "DegeneratePhaseDiffusionError",
-    "PhaseCoefficients",
     "PhaseDensity",
     "LyapunovEstimate",
     "SweepResult",
-    "phase_coefficients",
     "stationary_density_fd",
     "lyapunov_fd",
     "closed_form_lyapunov",
@@ -72,21 +70,9 @@ TWO_PI = 2.0 * math.pi
 
 class DegeneratePhaseDiffusionError(ArithmeticError):
     """The stationary angle density cannot be solved reliably: q4 has
-    real zeros (fd), or the density's modes do not fall below the tail
-    tolerance within the mode cap (fd and closed).  Use the mc method
-    for such systems."""
-
-
-@dataclass(frozen=True)
-class PhaseCoefficients:
-    """The five angle coefficients at one angle (floats) or on an
-    angle array (arrays of its shape)."""
-
-    q1: float
-    q2: float
-    q3: float
-    q4: float
-    q5: float
+    real zeros (fd, and closed at beta = 0), or the density's modes do
+    not fall below the tail tolerance within the mode cap (fd and
+    closed).  Use the mc method for such systems."""
 
 
 def _angle_table(sys: LinearSDE) -> tuple:
@@ -126,13 +112,6 @@ def _polar_rows(sys: LinearSDE) -> np.ndarray:
                     _times(r4, r5) - d, 0.5 * q44))
     out.flags.writeable = False
     return out
-
-
-def phase_coefficients(sys: LinearSDE, theta) -> PhaseCoefficients:
-    """q1..q5 at theta, a float or an array of angles."""
-    c2t, s2t = np.cos(2.0 * theta), np.sin(2.0 * theta)
-    return PhaseCoefficients(*(m + c * c2t + s * s2t
-                               for m, c, s in _angle_table(sys)))
 
 
 @dataclass
@@ -271,12 +250,12 @@ def _galerkin(coef: np.ndarray, modes: int) -> np.ndarray:
     return np.concatenate(p, axis=1)
 
 
-def _fd_solve(rows: np.ndarray, keep: bool = False) -> tuple:
+def _fd_solve(rows: np.ndarray) -> tuple:
     """fd for a stack of systems given by their ``_polar_rows`` (M, 6, 5):
     arrays of lambda (NaN where rejected), mode count N, tail and q4's gap
-    |m| - hypot(c, s); {index: message} of the rejections; with keep,
-    {index: p_{-N}..p_N}.  Only the systems still unresolved go on to the
-    next N, so each gets its own solve's N, p and tail.
+    |m| - hypot(c, s), and {index: message} of the rejections.  Only the
+    systems still unresolved go on to the next N, so each gets its own
+    solve's N, p and tail.
 
     The tail is pi max(|p_N|, |p_{N-1}|), and lambda = int_0^pi Q p dtheta
     is Q's row times _QUAD times pi (p_0, Re p_1, Im p_1, Re p_2, Im p_2).
@@ -287,7 +266,6 @@ def _fd_solve(rows: np.ndarray, keep: bool = False) -> tuple:
     tails, counts = np.empty(len(rows)), np.zeros(len(rows), int)
     tails.fill(np.inf)
     low_modes = np.ones((len(rows), 5))
-    densities = {}
     modes, todo = _START_MODES, (gap > 0.0).nonzero()[0]
     # coefficients that overflow give a NaN or infinite tail or lambda,
     # which is rejected
@@ -297,10 +275,6 @@ def _fd_solve(rows: np.ndarray, keep: bool = False) -> tuple:
             tails[todo] = np.maximum.reduce(np.abs(p[:, -2:]), axis=1)
             counts[todo] = modes
             low_modes[todo, 1:] = p[:, :2].view(float)
-            if keep:
-                densities.update(
-                    (i, np.concatenate((pk[::-1].conj(), [1.0], pk)) / math.pi)
-                    for i, pk in zip(todo.tolist(), p))
             if modes == _MAX_MODES:
                 break
             todo = todo[tails[todo] > _MODE_TAIL]  # a NaN tail ends too
@@ -310,7 +284,7 @@ def _fd_solve(rows: np.ndarray, keep: bool = False) -> tuple:
     values[bad] = np.nan
     errors = {i: _rejection(counts[i], tails[i]) if counts[i] else _REAL_ZEROS
               for i in bad.tolist()}
-    return values, counts, tails, gap, errors, densities
+    return values, counts, tails, gap, errors
 
 
 def stationary_density_fd(sys: LinearSDE) -> PhaseDensity:
@@ -327,9 +301,10 @@ def stationary_density_fd(sys: LinearSDE) -> PhaseDensity:
     continued fraction linear in N (``_galerkin``, here on a stack of
     one).  The mode count N starts at 16 and doubles while the tail
     max(|p_N|, |p_{N-1}|) exceeds _MODE_TAIL |p_0|, up to _MAX_MODES
-    (``_fd_solve``).  Where q4 has no real zeros the density is analytic
-    and the modes fall geometrically (Boyd 2001, ch. 2), so the tail also
-    bounds the error of the density's values.
+    (``_fd_solve``); the modes are those of the solve at that N.  Where
+    q4 has no real zeros the density is analytic and the modes fall
+    geometrically (Boyd 2001, ch. 2), so the tail also bounds the error
+    of the density's values.
 
     q4's row (m, c, s) gives min q4^2 = max(0, |m| - hypot(c, s))^2.  q4
     has real zeros, where the angle diffusion vanishes, exactly when
@@ -337,11 +312,13 @@ def stationary_density_fd(sys: LinearSDE) -> PhaseDensity:
     is still above _MODE_TAIL |p_0| at the cap, is rejected with
     DegeneratePhaseDiffusionError.
     """
-    _, _, tails, gap, errors, densities = _fd_solve(_polar_rows(sys)[None], True)
+    rows = _polar_rows(sys)[None]
+    _, counts, tails, gap, errors = _fd_solve(rows)
     if errors:
         raise DegeneratePhaseDiffusionError(errors[0])
-    return PhaseDensity(modes=densities[0], min_q4_sq=float(gap[0]) ** 2,
-                        tail=float(tails[0]))
+    (p,) = _galerkin(rows[:, 4:].reshape(1, 10), int(counts[0]))
+    return PhaseDensity(modes=np.concatenate((p[::-1].conj(), [1.0], p)) / math.pi,
+                        min_q4_sq=float(gap[0]) ** 2, tail=float(tails[0]))
 
 
 def lyapunov_fd(sys: LinearSDE) -> LyapunovEstimate:
@@ -354,7 +331,7 @@ def lyapunov_fd(sys: LinearSDE) -> LyapunovEstimate:
     Diagnostics: ``min_q4_sq``, the mode count ``modes`` (also ``n``)
     and its ``tail`` relative to p_0.
     """
-    values, modes, tails, gap, errors, _ = _fd_solve(_polar_rows(sys)[None])
+    values, modes, tails, gap, errors = _fd_solve(_polar_rows(sys)[None])
     if errors:
         raise DegeneratePhaseDiffusionError(errors[0])
     return LyapunovEstimate(
@@ -381,7 +358,7 @@ def _fd_exponents(A: Mat2, beta: float, alphas: np.ndarray) -> tuple:
         al = alphas[lo:lo + _STACK, None, None]
         with np.errstate(over="ignore"):  # alpha^2 overflows from |alpha| ~ 1.34e154
             rows = r0 + al * (r1 + al * r2)
-        values[lo:lo + al.size], counts[lo:lo + al.size], _, _, errs, _ = _fd_solve(rows)
+        values[lo:lo + al.size], counts[lo:lo + al.size], _, _, errs = _fd_solve(rows)
         errors.update((lo + k, msg) for k, msg in errs.items())
     return values, counts, errors
 
@@ -406,10 +383,11 @@ def _closed_exponents(A: Mat2, beta: float, alphas: np.ndarray) -> tuple:
     tail max(|p_N|, |p_{N-1}|) / |p_0| is a product of |r_k|; N follows
     fd's rule, from 16 doubling up to _MAX_MODES while any tail exceeds
     _MODE_TAIL; an alpha whose tail is above _MODE_TAIL, or not finite,
-    is rejected.
+    is rejected.  beta = 0, where q4 = beta vanishes everywhere, raises
+    DegeneratePhaseDiffusionError with fd's message.
     """
     if beta == 0:
-        raise ValueError("beta = 0: the angle diffusion vanishes")
+        raise DegeneratePhaseDiffusionError(_REAL_ZEROS)
     g, q = _polar_rows(LinearSDE(A, alpha_family(0.0, beta)))[[4, 0]] @ _FOURIER
     # the fraction runs on its denominators over s = -g_{+1}, so r_k = 1 /
     # tau_k and tau_k = c / tau_{k+1} + (g_0 + i k beta^2) / s, c = -g_{-1}
@@ -452,10 +430,10 @@ def closed_form_lyapunov(A: Mat2, alpha: float, beta: float) -> LyapunovEstimate
     diffusion beta^2 is constant, so in the modes e^{2 i k theta} the
     stationary density equation is tridiagonal and its mode ratios form
     a continued fraction (``_closed_exponents``, the one-alpha case).
-    The mode count follows fd's tail rule and cap; an alpha whose tail
-    stays above _MODE_TAIL, or is not finite, is rejected with
-    DegeneratePhaseDiffusionError.  Diagnostics: the mode count
-    ``modes`` (also ``n``) and its ``tail`` relative to p_0.
+    The mode count follows fd's tail rule and cap; beta = 0, and an
+    alpha whose tail stays above _MODE_TAIL or is not finite, is
+    rejected with DegeneratePhaseDiffusionError.  Diagnostics: the mode
+    count ``modes`` (also ``n``) and its ``tail`` relative to p_0.
     """
     alpha_family(alpha, beta)  # a non-finite alpha: ValueError, as for any Mat2
     (value,), (tail,), modes, errors = _closed_exponents(A, beta, np.array([alpha]))
@@ -733,12 +711,13 @@ def stability_sweep(model: ModelSpec, equilibrium: Equilibrium, beta: float,
     is evaluated by one call of a batched evaluator, and each level, the
     points of all open brackets, by one more: fd as stacks
     (``_fd_exponents``), closed as one continued fraction
-    (``_closed_exponents``), mc point by point.  A setup failure of a
-    call (beta = 0 for closed) is recorded at each of its points; an mc
-    estimate that overflows, at its own point only.  For
-    the mc method, grid point k draws from stream block
-    (seed, k * 2^32) and refinement points derive their stream from the
-    alpha bit pattern, so results are schedule-independent.
+    (``_closed_exponents``), mc point by point.  A failure of a whole
+    call (beta = 0 for closed, where q4 = beta has real zeros as for fd)
+    is recorded at each of its points; an mc estimate that overflows, at
+    its own point only.  For the mc method, grid point k draws from
+    stream block (seed, k * 2^32) and refinement points derive their
+    stream from the alpha bit pattern, so results are
+    schedule-independent.
     """
     alphas = np.asarray(list(alpha_grid), dtype=float)
     if not np.isfinite(alphas).all():
@@ -752,8 +731,8 @@ def stability_sweep(model: ModelSpec, equilibrium: Equilibrium, beta: float,
     def evaluate(points: np.ndarray, on_grid: bool) -> tuple:
         """(lambda, stderr, {index: message}) at the points; lambda is NaN
         where a point failed.  An exception fails every point: it comes
-        from the setup (beta = 0 for closed, an mc setting); an mc estimate
-        that overflows fails its own point."""
+        from the whole call (beta = 0 for closed, an mc setting); an mc
+        estimate that overflows fails its own point."""
         stderrs = np.zeros(points.size)
         try:
             if method == "fd":

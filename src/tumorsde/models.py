@@ -14,8 +14,7 @@ own-component partial derivatives needed by the second-order
 integration scheme are analytic for every preset and central
 differences for custom right-hand sides.  vector_field_fns builds a
 model's field, and its field with partials, once, as closures over its
-coefficients; eval_vector_field and diag_partials evaluate those
-closures at a State.
+coefficients that take a state pair (x, y).
 model_equilibria is the one place that knows which presets have
 closed-form equilibria (kt and bell) and which need the Newton search.
 A custom right-hand side is called only through its checked field: a
@@ -53,13 +52,9 @@ __all__ = [
     "custom_model",
     "make_model",
     "vector_field_fns",
-    "eval_vector_field",
-    "kt_equilibria",
-    "bell_equilibria",
     "find_equilibria_numeric",
     "model_equilibria",
     "jacobian",
-    "diag_partials",
     "residual_scale",
 ]
 
@@ -133,9 +128,6 @@ class Mat2:
     def __post_init__(self):
         if not all(math.isfinite(v) for v in (self.a11, self.a12, self.a21, self.a22)):
             raise ValueError("Mat2 entries must be finite")
-
-    def as_array(self) -> np.ndarray:
-        return np.array([[self.a11, self.a12], [self.a21, self.a22]], dtype=float)
 
 
 @dataclass(frozen=True)
@@ -414,12 +406,6 @@ def _custom_fns(rhs) -> tuple:
     return field, jet
 
 
-def eval_vector_field(model: ModelSpec, s: State) -> tuple:
-    """Evaluate (f1, f2) at the state: the field of vector_field_fns,
-    so DomainError where it is undefined, non-finite or complex."""
-    return vector_field_fns(model)[0]((s.x, s.y))
-
-
 def residual_scale(model: ModelSpec) -> float:
     """Magnitude unit for residual tolerances: max(1, largest |coefficient|)."""
     mags = [abs(v) for v in model.params.values()] or [1.0]
@@ -427,7 +413,7 @@ def residual_scale(model: ModelSpec) -> float:
 
 
 def _residual(model: ModelSpec, x: float, y: float) -> float:
-    f1, f2 = eval_vector_field(model, State(x, y))
+    f1, f2 = vector_field_fns(model)[0]((x, y))
     return max(abs(f1), abs(f2))
 
 
@@ -473,17 +459,6 @@ def _bell_closed(model: ModelSpec) -> tuple:
     return out + [Equilibrium(State(x2, y2), "P2", _residual(model, x2, y2))], notes
 
 
-def kt_equilibria(p: KTParams) -> list:
-    """Equilibria of the Kuznetsov-Taylor model: P1, and P2 when its y > 0."""
-    return _kt_closed(kt_model(p))[0]
-
-
-def bell_equilibria(p: BellParams) -> list:
-    """Equilibria of the Bell model: P1 on the x = 0 axis and interior P2,
-    each when it exists with x, y >= 0."""
-    return _bell_closed(bell_model(p))[0]
-
-
 _CLOSED_FORMS = {"kt": _kt_closed, "bell": _bell_closed}
 
 
@@ -512,7 +487,7 @@ def _stencil(field, x: float, y: float) -> tuple:
 
 def jacobian(model: ModelSpec, at: State) -> Mat2:
     """Jacobian of the vector field: analytic for every preset (its
-    diagonal from diag_partials), central finite differences (step
+    diagonal from vector_field_fns's jet), central finite differences (step
     1e-6 * max(1, |coordinate|)) of the checked field for custom
     right-hand sides, so DomainError where a stencil point is outside
     the rhs's real domain."""
@@ -522,18 +497,11 @@ def jacobian(model: ModelSpec, at: State) -> Mat2:
         hx, hy, fxp, fxm, fyp, fym = _stencil(field, x, y)
         return Mat2((fxp[0] - fxm[0]) / (2 * hx), (fyp[0] - fym[0]) / (2 * hy),
                     (fxp[1] - fxm[1]) / (2 * hx), (fyp[1] - fym[1]) / (2 * hy))
-    (j11, _), (j22, _) = diag_partials(model, at)
+    _, _, j11, _, j22, _ = vector_field_fns(model)[1]((x, y))
     if model.name == "kt":
         return Mat2(j11, model.params["a3"] * x, -y, j22)
     _, h2, h3, h4, h5 = model.h
     return Mat2(j11, -x * h2(x), (h3.d1(x) - h4.d1(x)) * y + h5.d1(x), j22)
-
-
-def diag_partials(model: ModelSpec, at: State) -> tuple:
-    """Own-component drift partials ((df1/dx, d2f1/dx2), (df2/dy, d2f2/dy2))
-    at the state; the partials of vector_field_fns's jet."""
-    _, _, df1, d2f1, df2, d2f2 = vector_field_fns(model)[1]((at.x, at.y))
-    return (df1, d2f1), (df2, d2f2)
 
 
 def find_equilibria_numeric(model: ModelSpec, box, grid: int = 8) -> list:

@@ -67,10 +67,6 @@ class AffineDiffusion:
 
         return g, jet
 
-    def g(self, x, y):
-        """Evaluate (g1, g2); accepts scalars or arrays."""
-        return self.fns()[0]((x, y))
-
 
 @dataclass(frozen=True)
 class LinearSDE:

@@ -23,6 +23,7 @@ each reading.  The criterion is no longer red by design.
 
 import math
 import time
+from dataclasses import astuple
 
 import numpy as np
 import pytest
@@ -31,28 +32,25 @@ import alpha_exact
 from density_nodes import density_at_nodes
 from tumorsde.cli import main
 from tumorsde.integrate import RngStream, euler1_step, euler2_step, gaussian_pairs
+from tumorsde import lyapunov
 from tumorsde.lyapunov import (
     TWO_PI,
     DegeneratePhaseDiffusionError,
     closed_form_lyapunov,
     lyapunov_fd,
     lyapunov_mc,
-    phase_coefficients,
     stability_sweep,
     stationary_density_fd,
 )
 from tumorsde.models import (
-    BELL_PARAMS,
-    KT_PARAMS,
     Equilibrium,
     Mat2,
     State,
-    bell_equilibria,
     bell_model,
     find_equilibria_numeric,
     jacobian,
-    kt_equilibria,
     kt_model,
+    model_equilibria,
 )
 from tumorsde.sde import LinearSDE, alpha_family, diffusion_at_equilibrium, linearize
 from tumorsde.integrate import SimConfig, simulate
@@ -77,7 +75,7 @@ def test_c1_equilibrium_reproduction():
     # the independent Newton search must agree
     kt_expect = {"P1": (0.3151854817187083, 0.0),
                  "P2": (1.5534604346698473, 25.2260285238853)}
-    eqs = {e.label: e.point for e in kt_equilibria(KT_PARAMS)}
+    eqs = {e.label: e.point for e in model_equilibria(kt_model())[0]}
     ok = True
     for label, (ex, ey) in kt_expect.items():
         ok &= abs(eqs[label].x - ex) < 1e-4 and abs(eqs[label].y - ey) < 1e-4
@@ -85,7 +83,7 @@ def test_c1_equilibrium_reproduction():
     ok &= len(found) == 2
     for f, (ex, ey) in zip(found, sorted(kt_expect.values())):
         ok &= math.hypot(f.point.x - ex, f.point.y - ey) < 1e-6
-    bell_p2 = bell_equilibria(BELL_PARAMS)[1].point
+    bell_p2 = model_equilibria(bell_model())[0][1].point
     ok &= abs(bell_p2.x - 0.17857142857142858) < 1e-6
     ok &= abs(bell_p2.y - 2.5) < 1e-6
     bell_found = find_equilibria_numeric(bell_model(), ((0.0, 10.0), (0.0, 10.0)))
@@ -136,9 +134,9 @@ def test_c3_cross_method_consistency():
     t0 = time.time()
     m_kt, m_bell = kt_model(), bell_model()
     a_ktp2 = linearize(m_kt, alpha_family(0.0, -2.0),
-                       kt_equilibria(KT_PARAMS)[1]).A
+                       model_equilibria(kt_model())[0][1]).A
     a_bp1 = linearize(m_bell, alpha_family(0.0, -2.0),
-                      bell_equilibria(BELL_PARAMS)[0]).A
+                      model_equilibria(bell_model())[0][0]).A
     alphas = (-3.0, -1.0, 0.0, 1.5, 3.0)
     # dt per system: the KT-P2 matrix has |a21| ~ 25, so the Euler bias
     # needs the finer step; Bell-P1 coefficients are order 1
@@ -226,20 +224,20 @@ def _check_crossings(name, model, eq, lo=-4.0, hi=4.0, step=0.02):
 
 
 def test_c4_intervals_bell_p1():
-    _check_crossings("Bell-P1", bell_model(), bell_equilibria(BELL_PARAMS)[0])
+    _check_crossings("Bell-P1", bell_model(), model_equilibria(bell_model())[0][0])
 
 
 def test_c4_intervals_bell_p2():
-    _check_crossings("Bell-P2", bell_model(), bell_equilibria(BELL_PARAMS)[1])
+    _check_crossings("Bell-P2", bell_model(), model_equilibria(bell_model())[0][1])
 
 
 def test_c4_intervals_kt_p2():
-    _check_crossings("KT-P2", kt_model(), kt_equilibria(KT_PARAMS)[1])
+    _check_crossings("KT-P2", kt_model(), model_equilibria(kt_model())[0][1])
 
 
 def test_c4_kt_p1_stable_for_all_alpha():
     t0 = time.time()
-    m, eq = kt_model(), kt_equilibria(KT_PARAMS)[0]
+    m, eq = kt_model(), model_equilibria(kt_model())[0][0]
     a_mat = _drift_matrix(m, eq)
     grid = np.arange(-5.0, 5.01, 0.25)
     r = stability_sweep(m, eq, BETA, grid, **SWEEP_KW)
@@ -330,6 +328,13 @@ def test_c5_weak_order():
 
 # ------------------------------------------------------------------ criterion 6
 
+def _q(sys, theta):
+    """q1..q5 at theta: m + c cos 2theta + s sin 2theta for each row
+    (m, c, s) of the angle table."""
+    c2t, s2t = np.cos(2.0 * theta), np.sin(2.0 * theta)
+    return [m + c * c2t + s * s2t for m, c, s in lyapunov._angle_table(sys)]
+
+
 def _trapezoid(y, x):
     """The trapezoid rule in the order of operations of np.trapezoid,
     which numpy added in 2.0; np.trapz, its 1.x name, is gone from 2.4."""
@@ -389,17 +394,17 @@ def test_c6_property_suites(tmp_path):
         a, b = rng.normal(size=4), rng.normal(size=4)
         s = LinearSDE(Mat2(*a), Mat2(*b))
         th = rng.uniform(0, TWO_PI)
-        q, qq = phase_coefficients(s, th), phase_coefficients(s, th + math.pi / 2)
-        worst_trace = max(worst_trace, abs(q.q1 + qq.q1 - (a[0] + a[3])),
-                          abs(q.q2 + qq.q2 - (b[0] + b[3])))
+        q, qq = _q(s, th), _q(s, th + math.pi / 2)
+        worst_trace = max(worst_trace, abs(q[0] + qq[0] - (a[0] + a[3])),
+                          abs(q[1] + qq[1] - (b[0] + b[3])))
     ok &= worst_trace <= 1e-12
     # diffusion vanishes at its anchor, 100 random cases
     worst_anchor = 0.0
     for _ in range(100):
         b = Mat2(*rng.normal(size=4))
         pt = State(*rng.uniform(-30, 30, 2))
-        g1, g2 = diffusion_at_equilibrium(b, Equilibrium(pt, "numeric", 0.0)).g(
-            pt.x, pt.y)
+        g = diffusion_at_equilibrium(b, Equilibrium(pt, "numeric", 0.0)).fns()[0]
+        g1, g2 = g((pt.x, pt.y))
         scale = max(1.0, abs(pt.x), abs(pt.y))
         worst_anchor = max(worst_anchor, abs(g1) / scale, abs(g2) / scale)
     ok &= worst_anchor <= 1e-13
@@ -422,10 +427,10 @@ def test_c6_property_suites(tmp_path):
 def test_c7_deterministic_dynamics_sanity():
     t0 = time.time()
     m = kt_model()
-    eqs = kt_equilibria(KT_PARAMS)
+    eqs = model_equilibria(kt_model())[0]
     p1, p2 = eqs[0].point, eqs[1].point
     # saddle spectrum at P1
-    eig = sorted(np.linalg.eigvals(jacobian(m, p1).as_array()).real)
+    eig = sorted(np.linalg.eigvals(np.reshape(astuple(jacobian(m, p1)), (2, 2))).real)
     ok = abs(eig[0] - (-0.3747)) < 1e-3 and abs(eig[1] - 1.3208) < 1e-3
     # contraction toward P2 from a nearby start
     traj = simulate(m, None, SimConfig(dt=0.01, steps=50_000,

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import alpha_exact
-from tumorsde.models import BELL_PARAMS, Mat2, bell_equilibria, bell_model
+from tumorsde.models import Mat2, bell_model, model_equilibria
 from tumorsde.sde import alpha_family, linearize
 
 
@@ -19,7 +19,7 @@ def test_rotation_case(a, alpha, beta):
 
 def test_bell_p1_reference_value():
     a_mat = linearize(bell_model(), alpha_family(0.0, -2.0),
-                      bell_equilibria(BELL_PARAMS)[0]).A
+                      model_equilibria(bell_model())[0][0]).A
     lam = float(alpha_exact.top_lyapunov(a_mat, 1.5, -2.0))
     assert lam == pytest.approx(0.674072950792, abs=1e-11)
 

@@ -17,14 +17,13 @@ from tumorsde import cli, integrate, models
 from tumorsde.cli import (
     ConfigError,
     alpha_range_values,
-    emit_config,
     emit_sweep_csv,
     main,
     parse_config,
 )
 from tumorsde.integrate import SimConfig, Trajectory, simulate
 from tumorsde.lyapunov import SweepResult
-from tumorsde.models import BELL_PARAMS, Mat2, State, bell_equilibria, bell_model
+from tumorsde.models import Mat2, State, bell_model, model_equilibria
 from tumorsde.sde import alpha_family, diffusion_at_equilibrium, linearize
 
 
@@ -165,14 +164,54 @@ def test_config_file_errors(tmp_path):
         parse_config(["sweep", "--config", str(f)])
 
 
+@pytest.mark.parametrize("argv, msg", [
+    (["--alpha", "0.5", "--alpha", "0.7"], "alpha: given twice on the command line"),
+    (["--alpha", "0.5", "--noise-streams", "shared", "--noise_streams", "shared"],
+     "noise_streams: given twice on the command line"),
+    (["--alpha", "0.5", "--params", "a1=1,a1=2.5"], "params: coefficient 'a1' given twice"),
+    (["--alpha", "0.5", "--params", "a1=1, a1 =1"], "params: coefficient 'a1' given twice"),
+], ids=["flag", "flag-spellings", "params", "params-same-value"])
+def test_cli_repeated_key_exits_two(capsys, argv, msg):
+    # a value the command would drop is an error, a repeated one too
+    assert main(["lyapunov", "--model", "bell", "--method", "closed", *argv]) == 2
+    assert capsys.readouterr().err == f"config error: {msg}\n"
+
+
+def test_repeated_key_in_a_config_file_exits_two(capsys, tmp_path):
+    f = tmp_path / "twice.cfg"
+    f.write_text("model = bell\nalpha = 0.5\n# override\nalpha = 0.7\n", encoding="utf-8")
+    assert main(["lyapunov", "--config", str(f)]) == 2
+    assert capsys.readouterr().err == f"config error: alpha: {f}:4: given twice in the file\n"
+    # a flag still overrides the file's one value
+    f.write_text("model = bell\nalpha = 0.5\n", encoding="utf-8")
+    assert parse_config(["lyapunov", "--config", str(f), "--alpha", "0.7"]).alpha == 0.7
+
+
 def test_config_roundtrip(tmp_path):
     cfg = parse_config(["sweep", "--model", "bell", "--equilibrium", "P2",
                         "--alpha=-2:2:0.25", "--beta", "-2", "--method", "mc",
                         "--paths", "1234",
                         "--params", "a1=2.5,b3=0.9", "--seed", "7",
                         "--out", "x.csv"])
+    # every key of the run, in config-file syntax
     f = tmp_path / "echo.cfg"
-    f.write_text(emit_config(cfg), encoding="utf-8")
+    f.write_text("""\
+command = sweep
+model = bell
+params = a1=2.5,b3=0.90000000000000002
+equilibrium = P2
+alpha = -2:2:0.25
+beta = -2
+method = mc
+dt = 0.001
+steps = 1000
+paths = 1234
+horizon = 200
+seed = 7
+scheme = euler1
+noise_streams = shared
+out = x.csv
+""", encoding="utf-8")
     cfg2 = parse_config(["--config", str(f)])
     assert cfg2 == cfg
 
@@ -276,6 +315,22 @@ def test_cli_numerical_failure_exit_three(capsys):
                  "--noise", "0,0.5,0.5,0", "--method", "fd"])
     assert code == 3
     assert "numerical failure" in capsys.readouterr().err
+
+
+def test_cli_beta_zero_fails_closed_as_fd(capsys, tmp_path):
+    # q4 = beta: at beta = 0 closed rejects the system with fd's message,
+    # and a sweep records it at each point
+    msg = "q4 has real zeros, where the angle diffusion vanishes; use the mc method"
+    argv = ["--model", "bell", "--equilibrium", "P1", "--beta", "0"]
+    for method in ("closed", "fd"):
+        assert main(["lyapunov", *argv, "--alpha", "0.5", "--method", method]) == 3
+        assert capsys.readouterr().err == f"numerical failure: {msg}\n"
+    out = tmp_path / "s.csv"
+    assert main(["sweep", *argv, "--alpha=0:1:0.5", "--method", "closed",
+                 "--out", str(out)]) == 0
+    failures = [line for line in out.read_text(encoding="utf-8").splitlines()
+                if line.startswith("# failure")]
+    assert failures == [f"# failure alpha={a}: {msg}" for a in ("0", "0.5", "1")]
 
 
 def test_cli_simulate_bytes_identical(tmp_path, capsys):
@@ -543,7 +598,8 @@ def test_cli_lyapunov_fd_line(capsys):
     out = capsys.readouterr().out
     assert out.startswith("lambda=") and "method=fd" in out
     lam = float(out.split()[0].split("=")[1])
-    a_mat = linearize(bell_model(), alpha_family(0.0, -2.0), bell_equilibria(BELL_PARAMS)[0]).A
+    p1 = model_equilibria(bell_model())[0][0]
+    a_mat = linearize(bell_model(), alpha_family(0.0, -2.0), p1).A
     exact = float(alpha_exact.top_lyapunov(a_mat, 0.0, -2.0))
     assert abs(lam - exact) <= 1e-12 * (1 + abs(exact)), (lam, exact)
 
@@ -765,7 +821,8 @@ def test_cli_config_file_may_hold_other_commands_keys(capsys, tmp_path, monkeypa
 
 
 def test_cli_builds_the_preset_once(monkeypatch, tmp_path):
-    # make_model built the preset and bell_equilibria built it again
+    # make_model built the preset and the closed-form equilibria built it
+    # again
     built = []
 
     class Counted(models.ModelSpec):

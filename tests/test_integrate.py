@@ -19,9 +19,8 @@ from tumorsde.integrate import (
     simulate,
     wiener_increments,
 )
-from tumorsde.models import BELL_PARAMS, KT_PARAMS, DomainError, Mat2, State, \
-    bell_equilibria, bell_model, custom_model, diag_partials, eval_vector_field, \
-    exponential_model, kt_equilibria, kt_model, logistic_model, stepanova_model, \
+from tumorsde.models import DomainError, Mat2, State, bell_model, custom_model, \
+    exponential_model, kt_model, logistic_model, model_equilibria, stepanova_model, \
     vector_field_fns, vladar_model, volterra_model
 from tumorsde.sde import AffineDiffusion, LinearSDE, diffusion_at_equilibrium
 
@@ -111,9 +110,7 @@ def test_euler1_identity_and_formula():
 
 
 def test_euler1_kt_drift_step():
-    m = kt_model()
-    from tumorsde.models import eval_vector_field
-    drift = lambda s: eval_vector_field(m, State(s[0], s[1]))
+    drift = vector_field_fns(kt_model())[0]
     zero = lambda s: (0.0, 0.0)
     x, y = euler1_step(drift, zero, (0.0, 0.0), 0.1, 0.0, 0.0)
     assert abs(x - 0.01181) < 1e-15 and y == 0.0
@@ -196,7 +193,7 @@ def test_simulate_kt_ode_contracts_to_p2():
 
 def test_simulate_kt_saddle_escape():
     m = kt_model()
-    p1 = kt_equilibria(KT_PARAMS)[0]
+    p1 = model_equilibria(kt_model())[0][0]
     cfg = SimConfig(dt=0.01, steps=2_000, initial=State(p1.point.x, 1e-4))
     traj = simulate(m, None, cfg)
     y = traj.states[:, 1]
@@ -205,7 +202,7 @@ def test_simulate_kt_saddle_escape():
 
 def test_simulate_bit_identical_reruns():
     m = kt_model()
-    e = kt_equilibria(KT_PARAMS)[1]
+    e = model_equilibria(kt_model())[0][1]
     d = diffusion_at_equilibrium(Mat2(1.0, -0.2, 0.2, 1.0), e)
     # start off the anchor so the noise is active
     start = State(e.point.x + 0.1, e.point.y - 0.5)
@@ -272,7 +269,7 @@ def test_a_scalar_step_is_two_python_calls(scheme):
     # short run has as many chunks as the long one, so the two differ
     # only in the calls of the long run's extra steps
     m = kt_model()
-    d = diffusion_at_equilibrium(Mat2(1.0, -0.2, 0.2, 1.0), kt_equilibria(KT_PARAMS)[1])
+    d = diffusion_at_equilibrium(Mat2(1.0, -0.2, 0.2, 1.0), model_equilibria(kt_model())[0][1])
     chunk = integrate._SIM_CHUNK
     long_steps = 2000
     short_steps = chunk * ((long_steps - 1) // chunk) + 1
@@ -294,7 +291,7 @@ def test_bell_euler2_calls_field_and_partials_once_per_step(monkeypatch):
                 lambda s: seen["jet"].append(s) or jet(s))
 
     monkeypatch.setattr(integrate, "vector_field_fns", counted)
-    e = bell_equilibria(BELL_PARAMS)[1]
+    e = model_equilibria(bell_model())[0][1]
     d = diffusion_at_equilibrium(Mat2(0.5, -0.1, 0.1, 0.5), e)
     cfg = SimConfig(dt=0.01, steps=2_000, initial=State(1.2, 2.6), scheme="euler2", seed=4)
     traj = simulate(bell_model(), d, cfg)
@@ -308,7 +305,7 @@ def test_state_chunks_hold_every_state_once(monkeypatch):
     monkeypatch.setattr(integrate, "_SIM_CHUNK", 6)
     m = kt_model()
     cfg = SimConfig(dt=1e-3, steps=20, initial=State(*KT_P2), scheme="euler2", seed=4)
-    d = diffusion_at_equilibrium(Mat2(1.0, -0.2, 0.2, 1.0), kt_equilibria(KT_PARAMS)[1])
+    d = diffusion_at_equilibrium(Mat2(1.0, -0.2, 0.2, 1.0), model_equilibria(kt_model())[0][1])
     chunks = list(integrate._state_chunks(m, d, cfg))
     # steps + 1 states: no blow-up
     assert [states.shape for states in chunks] == [(7, 2), (6, 2), (6, 2), (2, 2)]
@@ -320,16 +317,16 @@ def test_state_chunks_hold_every_state_once(monkeypatch):
 
 def _reference_fns(system, diffusion):
     """(drift, g, drift_partials, g_partials) of a run from the public
-    evaluators: eval_vector_field and diag_partials on a State for a
-    model, the matrix entries for a LinearSDE and the affine formula
-    b s + c for an AffineDiffusion."""
+    evaluators: a model's field and the partials of its jet
+    (vector_field_fns), the matrix entries for a LinearSDE and the
+    affine formula b s + c for an AffineDiffusion."""
     if isinstance(system, LinearSDE):
         a = system.A
         drift = lambda s: (a.a11 * s[0] + a.a12 * s[1], a.a21 * s[0] + a.a22 * s[1])
         dpart = lambda s: ((a.a11, 0.0), (a.a22, 0.0))
     else:
-        drift = lambda s: eval_vector_field(system, State(s[0], s[1]))
-        dpart = lambda s: diag_partials(system, State(s[0], s[1]))
+        drift, jet = vector_field_fns(system)
+        dpart = lambda s: (jet(s)[2:4], jet(s)[4:])
     if diffusion is not None:
         b, c1, c2 = diffusion.b, diffusion.c1, diffusion.c2
         g = lambda s: (b.a11 * s[0] + b.a12 * s[1] + c1, b.a21 * s[0] + b.a22 * s[1] + c2)
@@ -386,9 +383,9 @@ def _noise(b11, b12, b21, b22):
 # side and a LinearSDE with its own noise
 _PARITY_SYSTEMS = {
     "kt": (kt_model(), diffusion_at_equilibrium(
-        Mat2(1.0, -0.2, 0.2, 1.0), kt_equilibria(KT_PARAMS)[1]), (1.6, 25.0), 1e-3),
+        Mat2(1.0, -0.2, 0.2, 1.0), model_equilibria(kt_model())[0][1]), (1.6, 25.0), 1e-3),
     "bell": (bell_model(), diffusion_at_equilibrium(
-        Mat2(0.5, -0.1, 0.1, 0.5), bell_equilibria(BELL_PARAMS)[1]), (1.2, 2.6), 1e-2),
+        Mat2(0.5, -0.1, 0.1, 0.5), model_equilibria(bell_model())[0][1]), (1.2, 2.6), 1e-2),
     "volterra": (volterra_model(a=1.0, b=0.5, d=0.3, f=0.4, k=0.2),
                  _noise(0.2, 0.0, 0.0, 0.2), (1.0, 1.0), 1e-2),
     "stepanova": (stepanova_model(a1=1.2, b=0.6, b1=0.8, b2=0.3, b4=1.1),
@@ -418,7 +415,7 @@ def test_simulate_matches_float64_loop(name, scheme, streams):
 
 
 def test_simulate_matches_float64_loop_kt_euler2():
-    e = kt_equilibria(KT_PARAMS)[1]
+    e = model_equilibria(kt_model())[0][1]
     d = diffusion_at_equilibrium(Mat2(1.0, -0.2, 0.2, 1.0), e)
     cfg = SimConfig(dt=1e-3, steps=10_000, initial=State(1.6, 25.0),
                     scheme="euler2", seed=3)
@@ -428,7 +425,7 @@ def test_simulate_matches_float64_loop_kt_euler2():
 
 
 def test_simulate_matches_float64_loop_bell_euler1():
-    e = bell_equilibria(BELL_PARAMS)[1]
+    e = model_equilibria(bell_model())[0][1]
     d = diffusion_at_equilibrium(Mat2(0.5, -0.1, 0.1, 0.5), e)
     cfg = SimConfig(dt=0.01, steps=5_000, initial=State(e.point.x + 0.1, e.point.y),
                     scheme="euler1", seed=4)
@@ -437,7 +434,7 @@ def test_simulate_matches_float64_loop_bell_euler1():
 
 def test_simulate_matches_float64_loop_at_blowup():
     # KT with independent streams leaves the domain at step 2926
-    e = kt_equilibria(KT_PARAMS)[1]
+    e = model_equilibria(kt_model())[0][1]
     d = diffusion_at_equilibrium(Mat2(1.0, -0.2, 0.2, 1.0), e)
     cfg = SimConfig(dt=1e-3, steps=3_000, initial=State(1.6, 25.0),
                     noise_streams="independent", seed=7)
@@ -454,7 +451,7 @@ def test_simulate_matches_float64_loop_vladar_leaves_domain():
     assert traj.blowup_index == 38 and len(traj.states) == 38
     assert traj.states[-2, 0] > 0.0 > traj.states[-1, 0]
     with pytest.raises(DomainError, match="h1"):
-        eval_vector_field(m, State(*traj.states[-1].tolist()))
+        vector_field_fns(m)[0](tuple(traj.states[-1].tolist()))
 
 
 @pytest.mark.parametrize("scheme", ["euler1", "euler2"])

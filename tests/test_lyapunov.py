@@ -20,12 +20,10 @@ from tumorsde.lyapunov import (
     closed_form_lyapunov,
     lyapunov_fd,
     lyapunov_mc,
-    phase_coefficients,
     stability_sweep,
     stationary_density_fd,
 )
-from tumorsde.models import BELL_PARAMS, KT_PARAMS, Mat2, bell_equilibria, \
-    bell_model, kt_equilibria, kt_model
+from tumorsde.models import Mat2, bell_model, kt_model, model_equilibria
 from tumorsde.sde import LinearSDE, alpha_family, linearize
 
 
@@ -33,15 +31,22 @@ def _sys(a_entries, b_entries):
     return LinearSDE(Mat2(*a_entries), Mat2(*b_entries))
 
 
+def _q(sys, theta):
+    """q1..q5 at theta: m + c cos 2theta + s sin 2theta for each row
+    (m, c, s) of the angle table."""
+    c2t, s2t = np.cos(2.0 * theta), np.sin(2.0 * theta)
+    return [m + c * c2t + s * s2t for m, c, s in lyapunov._angle_table(sys)]
+
+
 def _kt_p2_sys(alpha, beta=-2.0):
     m = kt_model()
-    e = kt_equilibria(KT_PARAMS)[1]
+    e = model_equilibria(kt_model())[0][1]
     return linearize(m, alpha_family(alpha, beta), e)
 
 
 def _bell_p1_sys(alpha, beta=-2.0):
     m = bell_model()
-    e = bell_equilibria(BELL_PARAMS)[0]
+    e = model_equilibria(bell_model())[0][0]
     return linearize(m, alpha_family(alpha, beta), e)
 
 
@@ -50,21 +55,21 @@ def _bell_p1_sys(alpha, beta=-2.0):
 def test_phase_coefficients_at_zero():
     rng = np.random.default_rng(3)
     a, b = rng.normal(size=4), rng.normal(size=4)
-    q = phase_coefficients(_sys(a, b), 0.0)
+    q1, q2, q3, q4, q5 = _q(_sys(a, b), 0.0)
     tol = 1e-14
-    assert abs(q.q1 - a[0]) < tol and abs(q.q2 - b[0]) < tol
-    assert abs(q.q3 - a[2]) < tol and abs(q.q4 - b[2]) < tol
-    assert abs(q.q5 - (b[3] - b[0])) < tol
+    assert abs(q1 - a[0]) < tol and abs(q2 - b[0]) < tol
+    assert abs(q3 - a[2]) < tol and abs(q4 - b[2]) < tol
+    assert abs(q5 - (b[3] - b[0])) < tol
 
 
 def test_phase_coefficients_at_half_pi():
     rng = np.random.default_rng(4)
     a, b = rng.normal(size=4), rng.normal(size=4)
-    q = phase_coefficients(_sys(a, b), math.pi / 2)
+    q1, q2, q3, q4, q5 = _q(_sys(a, b), math.pi / 2)
     tol = 1e-14
-    assert abs(q.q1 - a[3]) < tol and abs(q.q2 - b[3]) < tol
-    assert abs(q.q3 + a[1]) < tol and abs(q.q4 + b[1]) < tol
-    assert abs(q.q5 + (b[3] - b[0])) < tol
+    assert abs(q1 - a[3]) < tol and abs(q2 - b[3]) < tol
+    assert abs(q3 + a[1]) < tol and abs(q4 + b[1]) < tol
+    assert abs(q5 + (b[3] - b[0])) < tol
 
 
 def test_trace_identities_random():
@@ -73,23 +78,13 @@ def test_trace_identities_random():
         a, b = rng.normal(size=4), rng.normal(size=4)
         th = rng.uniform(0, TWO_PI)
         s = _sys(a, b)
-        q, qq = phase_coefficients(s, th), phase_coefficients(s, th + math.pi / 2)
-        assert abs(q.q1 + qq.q1 - (a[0] + a[3])) < 1e-12
-        assert abs(q.q2 + qq.q2 - (b[0] + b[3])) < 1e-12
+        q, qq = _q(s, th), _q(s, th + math.pi / 2)
+        assert abs(q[0] + qq[0] - (a[0] + a[3])) < 1e-12
+        assert abs(q[1] + qq[1] - (b[0] + b[3])) < 1e-12
         # q5 is dq4/dtheta
         h = 1e-5
-        dq4 = (phase_coefficients(s, th + h).q4 - phase_coefficients(s, th - h).q4) / (2 * h)
-        assert abs(q.q5 - dq4) < 1e-6
-
-
-def test_phase_coefficients_on_arrays_match_scalars():
-    s = _sys((0.3, -1.0, 0.7, -0.5), (1.5, -0.4, 1.1, 0.2))
-    th = np.linspace(0.0, TWO_PI, 7)
-    grid = phase_coefficients(s, th)
-    for k, t in enumerate(th):
-        one = phase_coefficients(s, float(t))
-        for name in ("q1", "q2", "q3", "q4", "q5"):
-            assert getattr(grid, name)[k] == getattr(one, name)
+        dq4 = (_q(s, th + h)[3] - _q(s, th - h)[3]) / (2 * h)
+        assert abs(q[4] - dq4) < 1e-6
 
 
 # --------------------------------------------------------------------- density
@@ -218,7 +213,7 @@ def test_fd_error_does_not_grow_with_n(alpha):
     # beta^2 is about alpha, so the density carries a large flux; the
     # spectral solve is exact to rounding there too
     a_mat = linearize(kt_model(), alpha_family(0.0, -2.0),
-                      kt_equilibria(KT_PARAMS)[0]).A
+                      model_equilibria(kt_model())[0][0]).A
     exact = float(alpha_exact.top_lyapunov(a_mat, alpha, -2.0))
     s = LinearSDE(a_mat, alpha_family(alpha, -2.0))
     assert abs(lyapunov_fd(s).value - exact) <= 1e-12 * (1 + abs(exact))
@@ -322,8 +317,8 @@ def test_fd_matches_zero_flux_density(seed):
     theta = np.arange(4096) * (math.pi / 4096)
     log_p = (a12 * np.sin(2 * theta) - 0.5 * (a22 - a11) * np.cos(2 * theta)) / beta ** 2
     p = np.exp(log_p - log_p.max())
-    q = phase_coefficients(s, theta)
-    exact = float(np.sum((q.q1 + 0.5 * (q.q4 ** 2 - q.q2 ** 2)) * p) / np.sum(p))
+    q1, q2, _, q4, _ = _q(s, theta)
+    exact = float(np.sum((q1 + 0.5 * (q4 ** 2 - q2 ** 2)) * p) / np.sum(p))
     est = lyapunov_fd(s)
     assert abs(est.value - exact) <= 1e-13 * (1 + abs(exact)), (est.value, exact)
 
@@ -402,10 +397,9 @@ def test_polar_rows_match_phase_coefficients():
         c, s = np.cos(2.0 * theta), np.sin(2.0 * theta)
         values = lyapunov._polar_rows(_sys(a, b)) @ np.stack(
             (np.ones_like(c), c, s, c * c, c * s))
-        q = phase_coefficients(_sys(a, b), theta)
-        want = (q.q1 + 0.5 * (q.q4 * q.q4 - q.q2 * q.q2),
-                q.q3 - q.q2 * q.q4, q.q2, q.q4,
-                -q.q3 + q.q2 * q.q4 + q.q4 * q.q5, 0.5 * q.q4 * q.q4)
+        q1, q2, q3, q4, q5 = _q(_sys(a, b), theta)
+        want = (q1 + 0.5 * (q4 * q4 - q2 * q2), q3 - q2 * q4, q2, q4,
+                -q3 + q2 * q4 + q4 * q5, 0.5 * q4 * q4)
         scale = 1.0 + np.abs(a).max() + np.abs(b).max() ** 2
         assert np.abs(values - np.array(want)).max() <= 1e-13 * scale
         g, d = lyapunov._polar_rows(_sys(a, b))[4:] @ lyapunov._FOURIER
@@ -415,7 +409,9 @@ def test_polar_rows_match_phase_coefficients():
 # ------------------------------------------------------------------ closed form
 
 def test_closed_density_beta_zero_rejected():
-    with pytest.raises(ValueError):
+    # q4 = beta: at beta = 0 it is identically zero, so closed rejects it
+    # as fd does
+    with pytest.raises(DegeneratePhaseDiffusionError, match="q4 has real zeros"):
         closed_form_lyapunov(Mat2(0.5, 0, 0, 0.5), alpha=0.0, beta=0.0)
 
 
@@ -434,16 +430,16 @@ def test_closed_matches_fd_on_constant_integrand():
 
 
 _ALPHA_FAMILY_SYSTEMS = {
-    "Bell-P1": (bell_model, bell_equilibria, BELL_PARAMS, 0),
-    "Bell-P2": (bell_model, bell_equilibria, BELL_PARAMS, 1),
-    "KT-P1": (kt_model, kt_equilibria, KT_PARAMS, 0),
-    "KT-P2": (kt_model, kt_equilibria, KT_PARAMS, 1),
+    "Bell-P1": (bell_model, 0),
+    "Bell-P2": (bell_model, 1),
+    "KT-P1": (kt_model, 0),
+    "KT-P2": (kt_model, 1),
 }
 
 
 def _drift_matrix(label, beta=-2.0):
-    model, equilibria, params, k = _ALPHA_FAMILY_SYSTEMS[label]
-    return linearize(model(), alpha_family(0.0, beta), equilibria(params)[k]).A
+    model, k = _ALPHA_FAMILY_SYSTEMS[label]
+    return linearize(model(), alpha_family(0.0, beta), model_equilibria(model())[0][k]).A
 
 
 @pytest.mark.parametrize("label", sorted(_ALPHA_FAMILY_SYSTEMS))
@@ -512,7 +508,7 @@ def test_closed_nan_tail_fails_only_its_own_point():
 
 def test_closed_large_alpha_is_negative():
     m = kt_model()
-    a_p1 = linearize(m, alpha_family(10.0, -2.0), kt_equilibria(KT_PARAMS)[0]).A
+    a_p1 = linearize(m, alpha_family(10.0, -2.0), model_equilibria(kt_model())[0][0]).A
     est = closed_form_lyapunov(a_p1, alpha=10.0, beta=-2.0)
     assert est.value < 0.0
 
@@ -838,7 +834,7 @@ def test_fd_matches_mc_for_general_noise():
 # ----------------------------------------------------------------------- sweep
 
 def test_sweep_brackets_nest_under_grid_refinement():
-    m, e = bell_model(), bell_equilibria(BELL_PARAMS)[0]
+    m, e = bell_model(), model_equilibria(bell_model())[0][0]
     coarse = stability_sweep(m, e, -2.0, np.arange(-4, 4.01, 0.5),
                              method="fd")
     fine = stability_sweep(m, e, -2.0, np.arange(-4, 4.01, 0.25),
@@ -850,7 +846,7 @@ def test_sweep_brackets_nest_under_grid_refinement():
 
 
 def test_sweep_stable_set_matches_signs():
-    m, e = bell_model(), bell_equilibria(BELL_PARAMS)[0]
+    m, e = bell_model(), model_equilibria(bell_model())[0][0]
     r = stability_sweep(m, e, -2.0, np.arange(-4, 4.01, 0.5),
                         method="fd")
     # outer stability: negative at the edges, positive in the middle
@@ -889,7 +885,7 @@ def test_sweep_bracket_stays_wide_when_a_midpoint_fails(monkeypatch):
         return values, modes, errors
 
     monkeypatch.setattr(lyapunov, "_fd_exponents", grid_only)
-    m, e = bell_model(), bell_equilibria(BELL_PARAMS)[0]
+    m, e = bell_model(), model_equilibria(bell_model())[0][0]
     r = stability_sweep(m, e, -2.0, grid, method="fd",
                         refine_tol=1e-3)
     assert r.sign_changes == [(-2.0, -1.5), (1.5, 2.0)]
@@ -903,14 +899,14 @@ def test_sweep_bracket_stays_wide_when_a_midpoint_fails(monkeypatch):
 
 
 def test_sweep_empty_grid():
-    m, e = bell_model(), bell_equilibria(BELL_PARAMS)[0]
+    m, e = bell_model(), model_equilibria(bell_model())[0][0]
     r = stability_sweep(m, e, -2.0, [], method="fd")
     assert r.alphas.size == 0 and r.sign_changes == [] and r.stable_set == []
 
 
 @pytest.mark.parametrize("method", ["fd", "closed"])
 def test_sweep_records_per_point_failures(method):
-    m, e = bell_model(), bell_equilibria(BELL_PARAMS)[0]
+    m, e = bell_model(), model_equilibria(bell_model())[0][0]
     r = stability_sweep(m, e, 0.0, [0.0, 1.0], method=method)
     assert len(r.failures) == 2
     assert np.isnan(r.lambdas).all()
@@ -918,7 +914,7 @@ def test_sweep_records_per_point_failures(method):
 
 
 def test_sweep_grid_must_increase():
-    m, e = bell_model(), bell_equilibria(BELL_PARAMS)[0]
+    m, e = bell_model(), model_equilibria(bell_model())[0][0]
     with pytest.raises(ValueError):
         stability_sweep(m, e, -2.0, [1.0, 0.5], method="fd")
 
@@ -928,7 +924,7 @@ def test_sweep_grid_must_increase():
 @pytest.mark.parametrize("method", ["fd", "closed"])
 def test_sweep_grid_must_be_finite(grid, method):
     # comparisons with NaN are false, so such grids pass the increase check
-    m, e = bell_model(), bell_equilibria(BELL_PARAMS)[0]
+    m, e = bell_model(), model_equilibria(bell_model())[0][0]
     with pytest.raises(ValueError, match="finite"):
         stability_sweep(m, e, -2.0, grid, method=method)
 
@@ -941,10 +937,10 @@ def test_sweep_grid_must_be_finite(grid, method):
 def test_closed_sweep_matches_per_point_solve(label, beta):
     # the batched sweep against one closed and one fd solve per alpha; at
     # the small betas the density needs 64 to 256 modes, and no point fails
-    model, equilibria, params, k = _ALPHA_FAMILY_SYSTEMS[label]
+    model, k = _ALPHA_FAMILY_SYSTEMS[label]
     a_mat = _drift_matrix(label, beta)
     alphas = np.linspace(-5.0, 5.0, 61)
-    r = stability_sweep(model(), equilibria(params)[k], beta, alphas, method="closed")
+    r = stability_sweep(model(), model_equilibria(model())[0][k], beta, alphas, method="closed")
     want = np.array([closed_form_lyapunov(a_mat, float(al), beta).value for al in alphas])
     fd = np.array([lyapunov_fd(LinearSDE(a_mat, alpha_family(al, beta))).value
                    for al in alphas])
@@ -957,8 +953,8 @@ def test_closed_sweep_records_a_cap_rejection_per_point():
     # KT P2 at beta = 0.004: the density at alpha = -5 is not resolved
     # by 1024 modes, while alpha = 0 is: one failure, and the other point
     # keeps its per-point value
-    model, equilibria, params, k = _ALPHA_FAMILY_SYSTEMS["KT-P2"]
-    r = stability_sweep(model(), equilibria(params)[k], 0.004, [-5.0, 0.0],
+    model, k = _ALPHA_FAMILY_SYSTEMS["KT-P2"]
+    r = stability_sweep(model(), model_equilibria(model())[0][k], 0.004, [-5.0, 0.0],
                         method="closed")
     assert [a for a, _ in r.failures] == [-5.0]
     assert "not resolved by 1024 modes" in r.failures[0][1]
@@ -978,10 +974,10 @@ def test_fd_sweep_matches_per_point_solve(label, beta, alphas):
     # value, mode count and failure message; at beta = -0.1 the points
     # need 64 or 128 modes, and KT P2 at beta = 0.004 rejects alpha = -5
     # at the cap while alpha = 0 resolves there
-    model, equilibria, params, k = _ALPHA_FAMILY_SYSTEMS[label]
+    model, k = _ALPHA_FAMILY_SYSTEMS[label]
     a_mat = _drift_matrix(label, beta)
     values, modes, errors = lyapunov._fd_exponents(a_mat, beta, alphas)
-    r = stability_sweep(model(), equilibria(params)[k], beta, alphas, method="fd")
+    r = stability_sweep(model(), model_equilibria(model())[0][k], beta, alphas, method="fd")
     np.testing.assert_array_equal(r.lambdas, values)
     want_failures = []
     for i, alpha in enumerate(alphas.tolist()):
@@ -1017,25 +1013,32 @@ def test_fd_stack_split_leaves_values_unchanged(monkeypatch):
 def test_fd_one_system_equals_its_stack(monkeypatch):
     # the seed-11 systems whose q4 has no real zeros, capped at 32 modes
     # (two blocks): each solved alone gives its row of the stacked solve,
-    # values, mode counts, tails and every mode bit for bit
+    # values, mode counts, tails and, solved again at its mode count as
+    # stationary_density_fd does, every mode bit for bit
     monkeypatch.setattr(lyapunov, "_MAX_MODES", 32)
     rows = np.array([lyapunov._polar_rows(s) for s in _seed_11_systems()])
-    values, counts, tails, gap, errors, densities = lyapunov._fd_solve(rows, True)
-    assert len(densities) == 65 and 32 in counts.tolist()
+    values, counts, tails, gap, errors = lyapunov._fd_solve(rows)
+    solved = (counts > 0).nonzero()[0]
+    assert solved.size == 65 and 32 in counts.tolist()
     for i in range(len(rows)):
-        one = lyapunov._fd_solve(rows[i:i + 1], True)
+        one = lyapunov._fd_solve(rows[i:i + 1])
         np.testing.assert_array_equal(one[0], values[i:i + 1])
         np.testing.assert_array_equal(one[1], counts[i:i + 1])
         np.testing.assert_array_equal(one[2], tails[i:i + 1])
         assert one[4] == ({0: errors[i]} if i in errors else {})
-        if i in densities:
-            np.testing.assert_array_equal(one[5][0], densities[i])
+    coef = rows[:, 4:].reshape(len(rows), 10)
+    for n in (16, 32):
+        stack = lyapunov._galerkin(coef[solved], n)
+        for k, i in enumerate(solved.tolist()):
+            if counts[i] == n:
+                np.testing.assert_array_equal(
+                    lyapunov._galerkin(coef[i:i + 1], n), stack[k:k + 1])
 
 
 def test_fd_sweep_allocation_is_bounded():
     # 4001 points at 16 modes, taken in stacks of _STACK alphas whose
     # block rows take 5 KB each, stay within 4 MiB
-    m, e = bell_model(), bell_equilibria(BELL_PARAMS)[0]
+    m, e = bell_model(), model_equilibria(bell_model())[0][0]
     grid = np.linspace(-5.0, 5.0, 4001)
     stability_sweep(m, e, -2.0, grid[:5], method="fd")
     tracemalloc.start()
@@ -1129,7 +1132,7 @@ def test_sweep_bisects_all_brackets_level_by_level(method):
     # the batched levels give the brackets of one bracket refined at a
     # time, bit for bit: secant guard points for fd and closed, bisection
     # for mc, whose midpoints keep their alpha-derived streams
-    m, e = bell_model(), bell_equilibria(BELL_PARAMS)[0]
+    m, e = bell_model(), model_equilibria(bell_model())[0][0]
     a_mat = _drift_matrix("Bell-P1")
     kw = dict(horizon=2.0, dt=1e-2, paths=8, seed=11)
     for grid in (np.arange(-4.0, 4.01, 0.5), np.arange(-4.0, 4.01, 0.1)):
@@ -1164,10 +1167,8 @@ def _counting(monkeypatch, method, wrap=None):
     return calls
 
 
-_C4_SYSTEMS = {"Bell-P1": (bell_model, bell_equilibria, BELL_PARAMS, 0),
-               "Bell-P2": (bell_model, bell_equilibria, BELL_PARAMS, 1),
-               "KT-P2": (kt_model, kt_equilibria, KT_PARAMS, 1),
-               "KT-P1": (kt_model, kt_equilibria, KT_PARAMS, 0)}
+_C4_SYSTEMS = {"Bell-P1": (bell_model, 0), "Bell-P2": (bell_model, 1),
+               "KT-P2": (kt_model, 1), "KT-P1": (kt_model, 0)}
 
 
 @pytest.mark.parametrize("label", list(_C4_SYSTEMS))
@@ -1177,8 +1178,8 @@ def test_sweep_closes_c4_crossings_in_one_level(monkeypatch, method, label):
     # of every crossing: the grid call and one level, and each bracket of
     # width <= refine_tol / 2 holds the exact root (widened by fd's error
     # bound at lambda = 0 over the exact slope)
-    model, equilibria, params, k = _C4_SYSTEMS[label]
-    eq = equilibria(params)[k]
+    model, k = _C4_SYSTEMS[label]
+    eq = model_equilibria(model())[0][k]
     a_mat = linearize(model(), alpha_family(0.0, -2.0), eq).A
     calls = _counting(monkeypatch, method)
     r = stability_sweep(model(), eq, -2.0, np.arange(-4.0, 4.01, 0.02), method=method)
@@ -1210,7 +1211,7 @@ def test_sweep_secant_never_takes_more_levels_than_bisection(monkeypatch, method
         return exponents
 
     calls = _counting(monkeypatch, method, fake)
-    m, e = bell_model(), bell_equilibria(BELL_PARAMS)[0]
+    m, e = bell_model(), model_equilibria(bell_model())[0][0]
     r = stability_sweep(m, e, -2.0, np.arange(-4.0, 4.01, 0.5), method=method)
     (lo, hi), = r.sign_changes
     assert 1 < len(calls) <= 1 + math.ceil(math.log2(0.5 / 1e-3))
@@ -1237,7 +1238,7 @@ def test_sweep_failed_midpoint_ends_only_its_bracket(monkeypatch):
         return values, modes, errors
 
     monkeypatch.setattr(lyapunov, "_fd_exponents", refuse_negative_midpoints)
-    m, e = bell_model(), bell_equilibria(BELL_PARAMS)[0]
+    m, e = bell_model(), model_equilibria(bell_model())[0][0]
     r = stability_sweep(m, e, -2.0, grid, method="fd")
     (llo, lhi), (rlo, rhi) = r.sign_changes
     assert (llo, lhi) == (-2.0, -1.5)
@@ -1249,7 +1250,7 @@ def test_sweep_failed_midpoint_ends_only_its_bracket(monkeypatch):
 def test_sweep_bisection_stops_at_adjacent_floats():
     # with refine_tol = 0 a midpoint eventually rounds onto a bracket end;
     # the bracket is closed there instead of being bisected forever
-    m, e = bell_model(), bell_equilibria(BELL_PARAMS)[0]
+    m, e = bell_model(), model_equilibria(bell_model())[0][0]
     r = stability_sweep(m, e, -2.0, np.arange(-4, 4.01, 0.5), method="closed",
                         refine_tol=0.0)
     assert len(r.sign_changes) == 2 and r.failures == []
@@ -1312,7 +1313,7 @@ def test_stable_intervals_match_the_loop():
 
 
 def test_sweep_mc_reproducible():
-    m, e = bell_model(), bell_equilibria(BELL_PARAMS)[0]
+    m, e = bell_model(), model_equilibria(bell_model())[0][0]
     kw = dict(method="mc", horizon=2.0, dt=1e-2, paths=8, seed=11)
     r1 = stability_sweep(m, e, -2.0, [0.0, 1.0], **kw)
     r2 = stability_sweep(m, e, -2.0, [0.0, 1.0], **kw)
@@ -1323,7 +1324,7 @@ def test_sweep_mc_reproducible():
 def test_sweep_mc_overflow_fails_its_own_point():
     # at alpha 1e200 and 2e200 q2^2 overflows and mc's estimate is -inf:
     # those points fail alone, and alpha 0 keeps its exponent
-    m, e = bell_model(), bell_equilibria(BELL_PARAMS)[0]
+    m, e = bell_model(), model_equilibria(bell_model())[0][0]
     kw = dict(method="mc", horizon=0.01, dt=1e-3, paths=4, seed=1)
     with warnings.catch_warnings():
         warnings.simplefilter("error")

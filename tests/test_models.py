@@ -1,6 +1,7 @@
 """Model presets, equilibria, Jacobians."""
 
 import math
+from dataclasses import astuple
 
 import numpy as np
 import pytest
@@ -14,15 +15,11 @@ from tumorsde.models import (
     KTParams,
     Mat2,
     State,
-    bell_equilibria,
     bell_model,
     custom_model,
-    diag_partials,
-    eval_vector_field,
     exponential_model,
     find_equilibria_numeric,
     jacobian,
-    kt_equilibria,
     kt_model,
     logistic_model,
     make_model,
@@ -55,22 +52,21 @@ def test_param_validation():
 
 def test_kt_field_values():
     m = kt_model()
-    p1 = State(*KT_P1)
-    f = eval_vector_field(m, p1)
+    f = vector_field_fns(m)[0](KT_P1)
     assert max(abs(f[0]), abs(f[1])) < 1e-14
-    assert eval_vector_field(m, State(0.0, 0.0)) == (0.1181, 0.0)
+    assert vector_field_fns(m)[0]((0.0, 0.0)) == (0.1181, 0.0)
 
 
 def test_bell_field_value():
     m = bell_model()
-    f1, f2 = eval_vector_field(m, State(1.0, 2.5))
+    f1, f2 = vector_field_fns(m)[0]((1.0, 2.5))
     # f1 = 1*(2.5 - 1*2.5), f2 = (1*1 - 0.95)*2.5 - 0.4*1 + 2
     assert abs(f1) < 1e-14
     assert abs(f2 - 1.725) < 1e-12
 
 
 def test_kt_equilibria_default_params():
-    eqs = kt_equilibria(KT_PARAMS)
+    eqs = model_equilibria(kt_model())[0]
     assert [e.label for e in eqs] == ["P1", "P2"]
     p1, p2 = eqs
     assert abs(p1.point.x - KT_P1[0]) < 1e-12 and p1.point.y == 0.0
@@ -85,12 +81,12 @@ def test_kt_p2_omitted_when_y2_nonpositive():
     # y2 > 0 iff b1*a2 > a1; pick a1 above that product
     p = KTParams(a1=1.0, a2=0.5, a3=0.01, b1=1.0, b2=0.1)
     assert p.b1 * p.a2 < p.a1
-    eqs = kt_equilibria(p)
+    eqs = model_equilibria(kt_model(p))[0]
     assert [e.label for e in eqs] == ["P1"]
 
 
 def test_bell_equilibria_default_params():
-    p1, p2 = bell_equilibria(BELL_PARAMS)
+    p1, p2 = model_equilibria(bell_model())[0]
     assert abs(p1.point.x) < 1e-15
     assert abs(p1.point.y - BELL_P1[1]) < 1e-12
     assert abs(p2.point.x - BELL_P2[0]) < 1e-15
@@ -105,7 +101,7 @@ def test_bell_equilibria_degenerate():
     (p1,), notes = model_equilibria(bell_model(p))
     assert (p1.label, p1.point) == ("P1", State(0.0, 2.0 / 0.95))
     assert notes == ["P2 omitted: a1*b1 = a2*b2"]
-    assert bell_equilibria(p) == [p1]
+    assert model_equilibria(bell_model(p))[0] == [p1]
 
 
 @pytest.mark.parametrize("params, labels, notes", [
@@ -127,7 +123,7 @@ def test_bell_equilibria_omit_what_is_not_a_population(params, labels, notes):
 def test_numeric_finder_recovers_kt():
     m = kt_model()
     found = find_equilibria_numeric(m, ((0.0, 50.0), (0.0, 50.0)), grid=8)
-    analytic = kt_equilibria(KT_PARAMS)
+    analytic = model_equilibria(kt_model())[0]
     assert len(found) == len(analytic)
     for f, a in zip(found, sorted(analytic, key=lambda e: (e.point.x, e.point.y))):
         assert math.hypot(f.point.x - a.point.x, f.point.y - a.point.y) < 1e-8
@@ -136,7 +132,7 @@ def test_numeric_finder_recovers_kt():
 def test_numeric_finder_recovers_bell():
     m = bell_model()
     found = find_equilibria_numeric(m, ((0.0, 10.0), (0.0, 10.0)), grid=8)
-    analytic = sorted(bell_equilibria(BELL_PARAMS), key=lambda e: (e.point.x, e.point.y))
+    analytic = sorted(model_equilibria(bell_model())[0], key=lambda e: (e.point.x, e.point.y))
     assert len(found) == 2
     for f, a in zip(found, analytic):
         assert math.hypot(f.point.x - a.point.x, f.point.y - a.point.y) < 1e-8
@@ -163,13 +159,16 @@ def test_jacobian_bell_p2():
     assert abs(j.a22 - (-0.7714285714285715)) < 1e-14
 
 
+def _matrix(m):
+    return np.reshape(astuple(m), (2, 2))
+
+
 def _fd_jacobian(model, s):
     hx = 1e-6 * max(1.0, abs(s.x))
     hy = 1e-6 * max(1.0, abs(s.y))
-    fxp = eval_vector_field(model, State(s.x + hx, s.y))
-    fxm = eval_vector_field(model, State(s.x - hx, s.y))
-    fyp = eval_vector_field(model, State(s.x, s.y + hy))
-    fym = eval_vector_field(model, State(s.x, s.y - hy))
+    field = vector_field_fns(model)[0]
+    fxp, fxm = field((s.x + hx, s.y)), field((s.x - hx, s.y))
+    fyp, fym = field((s.x, s.y + hy)), field((s.x, s.y - hy))
     return np.array([[(fxp[0] - fxm[0]) / (2 * hx), (fyp[0] - fym[0]) / (2 * hy)],
                      [(fxp[1] - fxm[1]) / (2 * hx), (fyp[1] - fym[1]) / (2 * hy)]])
 
@@ -190,7 +189,7 @@ def test_analytic_vs_fd_jacobian_random_states(model):
     rng = np.random.default_rng(7)
     for _ in range(10):
         s = State(*rng.uniform(0.1, 5.0, 2))
-        diff = np.abs(jacobian(model, s).as_array() - _fd_jacobian(model, s))
+        diff = np.abs(_matrix(jacobian(model, s)) - _fd_jacobian(model, s))
         assert diff.max() < 1e-5
 
 
@@ -205,14 +204,14 @@ def test_h_family_jacobian_matches_hand_derivation():
                   (vla, ((math.log(10.0 / x) - 1.0 - y, -x),
                          ((0.5 - 0.1 * x) * y, 0.5 * x - 0.2 - 0.05 * x * x)))]
         for model, rows in expect:
-            diff = np.abs(jacobian(model, State(x, y)).as_array() - np.array(rows))
+            diff = np.abs(_matrix(jacobian(model, State(x, y))) - np.array(rows))
             assert diff.max() < 1e-12, model.name
 
 
 def test_fd_jacobian_kt_p2():
     m = kt_model()
     s = State(*KT_P2)
-    diff = np.abs(jacobian(m, s).as_array() - _fd_jacobian(m, s))
+    diff = np.abs(_matrix(jacobian(m, s)) - _fd_jacobian(m, s))
     assert diff.max() < 1e-5
 
 
@@ -222,7 +221,7 @@ def test_volterra_matches_direct_evaluation():
     m = volterra_model(a, b, d, f, k)
     for _ in range(100):
         x, y = rng.uniform(-3.0, 3.0, 2)
-        f1, f2 = eval_vector_field(m, State(x, y))
+        f1, f2 = vector_field_fns(m)[0]((x, y))
         assert abs(f1 - (a * x - b * x * y)) < 1e-12
         assert abs(f2 - (d * x * y - f * y - k * x)) < 1e-12
 
@@ -230,17 +229,17 @@ def test_volterra_matches_direct_evaluation():
 def test_vladar_domain_error_names_h1():
     m = vladar_model(K=10.0, b1=0.5, b2=0.2, b3=0.05)
     with pytest.raises(DomainError, match="h1"):
-        eval_vector_field(m, State(-1.0, 1.0))
+        vector_field_fns(m)[0]((-1.0, 1.0))
     with pytest.raises(DomainError, match="h1"):
-        eval_vector_field(m, State(0.0, 1.0))
-    f1, f2 = eval_vector_field(m, State(2.0, 1.0))
+        vector_field_fns(m)[0]((0.0, 1.0))
+    f1, f2 = vector_field_fns(m)[0]((2.0, 1.0))
     assert math.isfinite(f1) and math.isfinite(f2)
 
 
 def test_logistic_domain_error_at_zero():
     m = logistic_model(a1=0.5, b1=0.3, b2=0.2, b3=0.01)
     with pytest.raises(DomainError):
-        eval_vector_field(m, State(0.0, 1.0))
+        vector_field_fns(m)[0]((0.0, 1.0))
 
 
 @pytest.mark.parametrize("model", [
@@ -251,16 +250,15 @@ def test_logistic_domain_error_at_zero():
     stepanova_model(a1=0.8, b=0.3, b1=0.5, b2=0.2, b4=1.0),
 ])
 def test_diag_partials_match_finite_differences(model):
+    field, jet = vector_field_fns(model)
     rng = np.random.default_rng(13)
     for _ in range(10):
         s = State(*rng.uniform(0.5, 4.0, 2))
-        (df1, d2f1), (df2, d2f2) = diag_partials(model, s)
+        df1, d2f1, df2, d2f2 = jet((s.x, s.y))[2:]
         h = 1e-5
-        fp = eval_vector_field(model, State(s.x + h, s.y))
-        fm = eval_vector_field(model, State(s.x - h, s.y))
-        f0 = eval_vector_field(model, s)
-        gp = eval_vector_field(model, State(s.x, s.y + h))
-        gm = eval_vector_field(model, State(s.x, s.y - h))
+        fp, fm = field((s.x + h, s.y)), field((s.x - h, s.y))
+        f0 = field((s.x, s.y))
+        gp, gm = field((s.x, s.y + h)), field((s.x, s.y - h))
         assert abs(df1 - (fp[0] - fm[0]) / (2 * h)) < 1e-5
         assert abs(d2f1 - (fp[0] - 2 * f0[0] + fm[0]) / h ** 2) < 1e-3
         assert abs(df2 - (gp[1] - gm[1]) / (2 * h)) < 1e-5
@@ -287,7 +285,7 @@ def test_h_family_jet_evaluates_each_shape_function_once(monkeypatch):
 
 def test_custom_model_roundtrip():
     m = custom_model(lambda x, y: (y, -x), name="oscillator")
-    assert eval_vector_field(m, State(2.0, 3.0)) == (3.0, -2.0)
+    assert vector_field_fns(m)[0]((2.0, 3.0)) == (3.0, -2.0)
     j = jacobian(m, State(1.0, 1.0))
     assert abs(j.a12 - 1.0) < 1e-8 and abs(j.a21 + 1.0) < 1e-8
 

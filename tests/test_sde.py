@@ -1,10 +1,12 @@
 """Equilibrium-anchored diffusion and linearization."""
 
+from dataclasses import astuple
+
 import numpy as np
 import pytest
 
-from tumorsde.models import BELL_PARAMS, KT_PARAMS, Equilibrium, Mat2, State, \
-    bell_equilibria, bell_model, eval_vector_field, jacobian, kt_equilibria, kt_model
+from tumorsde.models import Equilibrium, Mat2, State, bell_model, jacobian, kt_model, \
+    model_equilibria, vector_field_fns
 from tumorsde.sde import (
     KT_NOISE,
     NotAnEquilibriumError,
@@ -15,7 +17,7 @@ from tumorsde.sde import (
 
 
 def test_offsets_at_kt_p1():
-    e = kt_equilibria(KT_PARAMS)[0]
+    e = model_equilibria(kt_model())[0][0]
     d = diffusion_at_equilibrium(KT_NOISE, e)
     # c1 = -10 * a1/a2, c2 = -2 * a1/a2 with y1 = 0
     assert abs(d.c1 - (-3.151854817187083)) < 1e-12
@@ -29,21 +31,21 @@ def test_diffusion_vanishes_at_anchor_random():
         pt = State(*rng.uniform(-20, 20, 2))
         e = Equilibrium(pt, "numeric", 0.0)
         d = diffusion_at_equilibrium(b, e)
-        g1, g2 = d.g(pt.x, pt.y)
+        g1, g2 = d.fns()[0]((pt.x, pt.y))
         assert g1 == 0.0 or abs(g1) < 1e-13 * max(1.0, abs(pt.x), abs(pt.y))
         assert g2 == 0.0 or abs(g2) < 1e-13 * max(1.0, abs(pt.x), abs(pt.y))
 
 
 def test_zero_matrix_recovers_deterministic_model():
-    e = kt_equilibria(KT_PARAMS)[1]
-    d = diffusion_at_equilibrium(Mat2(0, 0, 0, 0), e)
+    e = model_equilibria(kt_model())[0][1]
+    g = diffusion_at_equilibrium(Mat2(0, 0, 0, 0), e).fns()[0]
     for x, y in [(0.0, 0.0), (3.0, -2.0), (12.5, 40.0)]:
-        assert d.g(x, y) == (0.0, 0.0)
+        assert g((x, y)) == (0.0, 0.0)
 
 
 def test_linearize_kt_p1():
     m = kt_model()
-    e = kt_equilibria(KT_PARAMS)[0]
+    e = model_equilibria(kt_model())[0][0]
     sys_lin = linearize(m, KT_NOISE, e)
     expect = jacobian(m, e.point)
     assert sys_lin.A == expect
@@ -52,7 +54,7 @@ def test_linearize_kt_p1():
 
 def test_linearize_bell_p2_alpha_family():
     m = bell_model()
-    e = bell_equilibria(BELL_PARAMS)[1]
+    e = model_equilibria(bell_model())[0][1]
     sys_lin = linearize(m, alpha_family(1.0, -2.0), e)
     assert sys_lin.B == Mat2(1.0, 2.0, -2.0, 1.0)
 
@@ -65,8 +67,8 @@ def test_linearize_rejects_non_equilibrium():
 
 
 @pytest.mark.parametrize("model,eq_list", [
-    (kt_model(), kt_equilibria(KT_PARAMS)),
-    (bell_model(), bell_equilibria(BELL_PARAMS)),
+    (kt_model(), model_equilibria(kt_model())[0]),
+    (bell_model(), model_equilibria(bell_model())[0]),
 ])
 def test_first_order_agreement(model, eq_list):
     # drift: |f(e+d) - A d| = O(|d|^2) <= 1e-8 at |d| = 1e-5
@@ -74,17 +76,16 @@ def test_first_order_agreement(model, eq_list):
     rng = np.random.default_rng(31)
     for e in eq_list:
         sys_lin = linearize(model, KT_NOISE, e)
-        a = sys_lin.A.as_array()
-        diff = diffusion_at_equilibrium(KT_NOISE, e)
+        a = np.reshape(astuple(sys_lin.A), (2, 2))
+        g = diffusion_at_equilibrium(KT_NOISE, e).fns()[0]
         for _ in range(10):
             d = rng.normal(size=2)
             d *= 1e-5 / np.linalg.norm(d)
             s = State(e.point.x + d[0], e.point.y + d[1])
-            f = np.array(eval_vector_field(model, s))
+            f = np.array(vector_field_fns(model)[0]((s.x, s.y)))
             assert np.abs(f - a @ d).max() < 1e-8
-            g = np.array(diff.g(s.x, s.y))
-            bd = KT_NOISE.as_array() @ d
-            assert np.abs(g - bd).max() < 1e-12
+            bd = np.reshape(astuple(KT_NOISE), (2, 2)) @ d
+            assert np.abs(np.array(g((s.x, s.y))) - bd).max() < 1e-12
 
 
 def test_alpha_family_layout():
