@@ -27,7 +27,6 @@ from .models import (
     make_model,
     model_equilibria,
     stepanova_model,
-    vector_field_fns,
     vladar_model,
     volterra_model,
 )

@@ -34,8 +34,7 @@ from .integrate import _SIM_CHUNK, SimConfig, _state_chunks
 from .lyapunov import (
     DegeneratePhaseDiffusionError,
     SweepResult,
-    _may_fork,
-    _usable_cpus,
+    _fork_cpus,
     closed_form_lyapunov,
     lyapunov_fd,
     lyapunov_mc,
@@ -573,7 +572,7 @@ def _cmd_simulate(cfg: RunConfig) -> int:
     with open(out, "w", encoding="utf-8", newline="\n") as fh:
         # a second process formats the CSV while this one steps, where the
         # run is long enough to repay the fork (_FORK_MIN_STEPS)
-        fork = sim.steps >= _FORK_MIN_STEPS and _may_fork() and _usable_cpus() > 1
+        fork = sim.steps >= _FORK_MIN_STEPS and _fork_cpus() > 1
         n = (_write_forked if fork else _write_csv)(fh, blocks, cfg.dt)
         if n <= sim.steps:  # fewer than steps + 1 states: n is the blow-up index
             fh.write(f"# blowup at n={n}\n")

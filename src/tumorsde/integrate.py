@@ -28,7 +28,7 @@ selected scheme's arithmetic and finiteness check with the affine
 noise's coefficients bound as locals; the noise is the given diffusion,
 a LinearSDE's own B s or the zero noise of a model run without one.
 The drift and its partials come from one closure call per step:
-models.vector_field_fns for a model, sde.AffineDiffusion.fns for a
+a model's own field or jet (ModelSpec), sde.AffineDiffusion.fns for a
 LinearSDE's A s.  euler1_step and euler2_step are the same schemes over
 any drift and diffusion callables, on scalars or arrays: the reference
 the step function is tested against.  A run that blows up stops with
@@ -43,7 +43,7 @@ from typing import Optional
 
 import numpy as np
 
-from .models import DomainError, Mat2, ModelSpec, State, vector_field_fns
+from .models import DomainError, Mat2, ModelSpec, State
 from .sde import AffineDiffusion, LinearSDE
 
 __all__ = [
@@ -243,7 +243,7 @@ def _stepper(system, diffusion, cfg: SimConfig):
     euler2_step, term for term, built once per run.
 
     The drift is the field (euler1) or the field with its partials
-    (euler2, the jet) of vector_field_fns for a model and of
+    (euler2, the jet) that a model carries, and those of
     AffineDiffusion.fns for a LinearSDE's A s.  The noise is affine, the
     given diffusion, a LinearSDE's own B s or none for a model, so
     g = b s + c and its partials (b11, 0), (b22, 0) are bound as locals.
@@ -253,7 +253,7 @@ def _stepper(system, diffusion, cfg: SimConfig):
         field, jet = AffineDiffusion(system.A, 0.0, 0.0).fns()
         own = AffineDiffusion(system.B, 0.0, 0.0)
     elif isinstance(system, ModelSpec):
-        field, jet = vector_field_fns(system)
+        field, jet = system.field, system.jet
         own = _NO_NOISE
     else:
         raise TypeError(f"cannot simulate {type(system).__name__}")

@@ -468,31 +468,26 @@ def mc_step_count(horizon: float, dt: float) -> int:
 _MC_SLICE_PATH_STEPS = 2 ** 20
 
 
-def _usable_cpus() -> int:
-    """CPUs this process may run on: its affinity mask, so that taskset
-    and cpusets are respected."""
-    return len(os.sched_getaffinity(0))
-
-
-def _may_fork() -> bool:
-    """Whether this process may fork children: only on Linux, while no
-    other thread is alive (forking it can deadlock the child), and not
-    in a daemonic process, which may have no children.  A daemonic
-    process was started by multiprocessing, so it has imported it; the
-    check imports nothing."""
+def _fork_cpus() -> int:
+    """CPUs this process may fork children onto: its affinity mask, so
+    that taskset and cpusets are respected, or 1 where it may not fork:
+    off Linux, while another thread is alive (forking it can deadlock
+    the child), or in a daemonic process, which may have no children.
+    A daemonic process was started by multiprocessing, so it has
+    imported it; the check imports nothing."""
     if sys.platform != "linux" or threading.active_count() != 1:
-        return False
+        return 1
     mp = sys.modules.get("multiprocessing")
-    return mp is None or not mp.current_process().daemon
+    if mp is not None and mp.current_process().daemon:
+        return 1
+    return len(os.sched_getaffinity(0))
 
 
 def _mc_slices(width: int, nsteps: int) -> int:
     """How many slices lyapunov_mc splits its width paths into: one per
-    usable CPU, with at least 2 paths and _MC_SLICE_PATH_STEPS
-    path-steps each, and one (run in-process) where _may_fork says no."""
-    if not _may_fork():
-        return 1
-    return max(1, min(_usable_cpus(), width // 2, width * nsteps // _MC_SLICE_PATH_STEPS))
+    CPU it may fork onto (_fork_cpus), with at least 2 paths and
+    _MC_SLICE_PATH_STEPS path-steps each."""
+    return max(1, min(_fork_cpus(), width // 2, width * nsteps // _MC_SLICE_PATH_STEPS))
 
 
 def _mc_draws(nsteps: int, dt: float, seed: int, first: int, stop: int) -> tuple:

@@ -9,25 +9,20 @@ count x:
 
 Presets: volterra, bell, stepanova, vladar, exponential, logistic.  The
 Kuznetsov-Taylor right-hand side does not fit the family (its y-equation
-is quadratic in y) and is implemented directly.  Jacobians and the
-own-component partial derivatives needed by the second-order
-integration scheme are analytic for every preset and central
-differences for custom right-hand sides.  vector_field_fns builds a
-model's field, and its field with partials, once, as closures over its
-coefficients that take a state pair (x, y).
-model_equilibria is the one place that knows which presets have
-closed-form equilibria (kt and bell) and which need the Newton search.
-A custom right-hand side is called only through its checked field: a
-value that raises, is complex or is non-finite there is a DomainError,
-and the Jacobian's and the partials' difference stencils read that
-field too.
+is quadratic in y) and is implemented directly.  Each model builder
+makes the model's field, jet (the field with the own-component partials
+of the second-order scheme) and Jacobian once, as closures over its
+coefficients stored on the ModelSpec, with the closed-form equilibria of
+kt and bell; no caller dispatches on a model's name.  A custom
+right-hand side is called only through its checked field, which its
+difference stencils read too.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from typing import Callable, Mapping, Optional, Sequence
+from typing import Callable, Mapping, Optional
 
 import numpy as np
 
@@ -51,7 +46,6 @@ __all__ = [
     "logistic_model",
     "custom_model",
     "make_model",
-    "vector_field_fns",
     "find_equilibria_numeric",
     "model_equilibria",
     "jacobian",
@@ -160,13 +154,29 @@ class HFun:
 
 @dataclass(frozen=True)
 class ModelSpec:
-    """A named 2-D vector field: a preset of the h-family, the
-    Kuznetsov-Taylor system, or user-supplied right-hand sides."""
+    """A named 2-D vector field with the closures its builder made once,
+    each over a state pair s = (x, y) of floats:
+
+        field(s) -> (f1, f2)
+        jet(s)   -> (f1, f2, df1/dx, d2f1/dx2, df2/dy, d2f2/dy2)
+        jac(s)   -> (df1/dx, df1/dy, df2/dx, df2/dy)
+
+    field raises DomainError where a shape function is undefined, the
+    value is non-finite or a custom rhs is complex or raises ValueError,
+    ZeroDivisionError or OverflowError.  A preset's jet and jac are
+    analytic (the jet evaluates each shape function once and leaves a
+    non-finite value to the step built on it; jac's diagonal is the
+    jet's); a custom model's are central differences (step 1e-6 *
+    max(1, |coordinate|)) of the checked field.  closed(model) ->
+    (equilibria, notes) is kt's and bell's closed form, else None.
+    """
 
     name: str
     params: Mapping[str, float]
-    h: Optional[Sequence[HFun]] = None  # (h1..h5) for family presets
-    rhs: Optional[Callable[[float, float], tuple]] = None  # custom models
+    field: Callable[[tuple], tuple]
+    jet: Callable[[tuple], tuple]
+    jac: Callable[[tuple], tuple]
+    closed: Optional[Callable[["ModelSpec"], tuple]] = None
 
 
 def _poly(name: str, c0: float, c1: float = 0.0, c2: float = 0.0) -> HFun:
@@ -175,13 +185,18 @@ def _poly(name: str, c0: float, c1: float = 0.0, c2: float = 0.0) -> HFun:
                 lambda x: c1 + 2.0 * c2 * x, lambda x: 2.0 * c2)
 
 
+def _model(name: str, params: dict, fns: tuple, closed=None) -> ModelSpec:
+    field, jet, jac = fns
+    return ModelSpec(name=name, params=params, field=field, jet=jet, jac=jac, closed=closed)
+
+
 KT_PARAMS = KTParams(a1=0.1181, a2=0.3747, a3=0.01184, b1=1.636, b2=0.002)
 BELL_PARAMS = BellParams(a1=2.5, a2=1.0, b1=1.0, b2=0.4, b3=0.95, b4=2.0)
 
 
 def kt_model(params: KTParams = KT_PARAMS) -> ModelSpec:
     """Kuznetsov-Taylor model (positive immune response)."""
-    return ModelSpec(name="kt", params=dict(vars(params)))
+    return _model("kt", dict(vars(params)), _kt_fns(**vars(params)), _kt_closed)
 
 
 def bell_model(params: BellParams = BELL_PARAMS) -> ModelSpec:
@@ -192,7 +207,7 @@ def bell_model(params: BellParams = BELL_PARAMS) -> ModelSpec:
         _poly("h4", params.b3),
         _poly("h5", params.b4, -params.b2),
     )
-    return ModelSpec(name="bell", params=dict(vars(params)), h=h)
+    return _model("bell", dict(vars(params)), _h_fns(*h), _bell_closed)
 
 
 def volterra_model(a: float, b: float, d: float, f: float, k: float) -> ModelSpec:
@@ -204,7 +219,7 @@ def volterra_model(a: float, b: float, d: float, f: float, k: float) -> ModelSpe
         _poly("h4", f),
         _poly("h5", 0.0, -k),
     )
-    return ModelSpec(name="volterra", params={"a": a, "b": b, "d": d, "f": f, "k": k}, h=h)
+    return _model("volterra", {"a": a, "b": b, "d": d, "f": f, "k": k}, _h_fns(*h))
 
 
 def stepanova_model(a1: float, b: float, b1: float, b2: float, b4: float) -> ModelSpec:
@@ -215,8 +230,7 @@ def stepanova_model(a1: float, b: float, b1: float, b2: float, b4: float) -> Mod
         _poly("h4", b),
         _poly("h5", b4, -b2),
     )
-    return ModelSpec(name="stepanova",
-                     params={"a1": a1, "b": b, "b1": b1, "b2": b2, "b4": b4}, h=h)
+    return _model("stepanova", {"a1": a1, "b": b, "b1": b1, "b2": b2, "b4": b4}, _h_fns(*h))
 
 
 def vladar_model(K: float, b1: float, b2: float, b3: float) -> ModelSpec:
@@ -233,7 +247,7 @@ def vladar_model(K: float, b1: float, b2: float, b3: float) -> ModelSpec:
         _poly("h4", b2, 0.0, b3),
         _poly("h5", 1.0),
     )
-    return ModelSpec(name="vladar", params={"K": K, "b1": b1, "b2": b2, "b3": b3}, h=h)
+    return _model("vladar", {"K": K, "b1": b1, "b2": b2, "b3": b3}, _h_fns(*h))
 
 
 def exponential_model(b1: float, b2: float, b3: float) -> ModelSpec:
@@ -244,7 +258,7 @@ def exponential_model(b1: float, b2: float, b3: float) -> ModelSpec:
         _poly("h4", b2, 0.0, b3),
         _poly("h5", 1.0),
     )
-    return ModelSpec(name="exponential", params={"b1": b1, "b2": b2, "b3": b3}, h=h)
+    return _model("exponential", {"b1": b1, "b2": b2, "b3": b3}, _h_fns(*h))
 
 
 def logistic_model(a1: float, b1: float, b2: float, b3: float) -> ModelSpec:
@@ -261,14 +275,13 @@ def logistic_model(a1: float, b1: float, b2: float, b3: float) -> ModelSpec:
         _poly("h4", b2, 0.0, b3),
         _poly("h5", 1.0),
     )
-    return ModelSpec(name="logistic",
-                     params={"a1": a1, "b1": b1, "b2": b2, "b3": b3}, h=h)
+    return _model("logistic", {"a1": a1, "b1": b1, "b2": b2, "b3": b3}, _h_fns(*h))
 
 
 def custom_model(rhs: Callable[[float, float], tuple], name: str = "custom",
                  params: Optional[Mapping[str, float]] = None) -> ModelSpec:
     """Wrap a user-supplied (x, y) -> (f1, f2) right-hand side."""
-    return ModelSpec(name=name, params=dict(params or {}), rhs=rhs)
+    return _model(name, dict(params or {}), _custom_fns(rhs))
 
 
 _FACTORIES = {
@@ -307,33 +320,6 @@ def _reject_unknown(name, given, allowed):
         raise ValueError(f"model {name}: unknown params {sorted(unknown)}")
 
 
-def vector_field_fns(model: ModelSpec) -> tuple:
-    """(field, jet) of the model, built once with its coefficients bound
-    as locals.  Both map a state pair s = (x, y) of floats:
-
-        field(s) -> (f1, f2)
-        jet(s)   -> (f1, f2, df1/dx, d2f1/dx2, df2/dy, d2f2/dy2)
-
-    field raises DomainError when a shape function is undefined there or
-    the right-hand side is non-finite or, for a custom right-hand side,
-    complex (a fractional power of a negative float) or raises
-    ValueError, ZeroDivisionError or OverflowError itself.  jet gives the
-    field and its own-component partials from one call, each shape
-    function evaluated once: analytic partials for every preset, whose
-    jet leaves a non-finite field value unchecked (a step built on it is
-    non-finite too), and central differences of the checked field for
-    custom models.
-    """
-    if model.name == "kt":
-        p = model.params
-        return _kt_fns(p["a1"], p["a2"], p["a3"], p["b1"], p["b2"])
-    if model.h is not None:
-        return _h_fns(*model.h)
-    if model.rhs is not None:
-        return _custom_fns(model.rhs)
-    raise ValueError(f"model {model.name} has no right-hand side")
-
-
 _isfinite = math.isfinite
 
 
@@ -357,7 +343,11 @@ def _kt_fns(a1, a2, a3, b1, b2) -> tuple:
         return (a1 - a2 * x + a3 * x * y, b1 * y * (1.0 - b2 * y) - x * y,
                 -a2 + a3 * y, 0.0, b1 * (1.0 - 2.0 * b2 * y) - x, d2f2)
 
-    return field, jet
+    def jac(s):
+        _, _, j11, _, j22, _ = jet(s)
+        return j11, a3 * s[0], -s[1], j22
+
+    return field, jet, jac
 
 
 def _h_fns(h1, h2, h3, h4, h5) -> tuple:
@@ -380,7 +370,12 @@ def _h_fns(h1, h2, h3, h4, h5) -> tuple:
                 2.0 * d1 + x * h1d2(x) - (2.0 * d2 + x * h2d2(x)) * y,
                 v3 - v4, 0.0)
 
-    return field, jet
+    def jac(s):
+        x, y = s
+        _, _, j11, _, j22, _ = jet(s)
+        return j11, -x * h2(x), (h3.d1(x) - h4.d1(x)) * y + h5.d1(x), j22
+
+    return field, jet, jac
 
 
 def _custom_fns(rhs) -> tuple:
@@ -403,7 +398,12 @@ def _custom_fns(rhs) -> tuple:
                 (fxp[0] - fxm[0]) / (2 * hx), (fxp[0] - 2 * f1 + fxm[0]) / hx ** 2,
                 (fyp[1] - fym[1]) / (2 * hy), (fyp[1] - 2 * f2 + fym[1]) / hy ** 2)
 
-    return field, jet
+    def jac(s):
+        hx, hy, fxp, fxm, fyp, fym = _stencil(field, s[0], s[1])
+        return ((fxp[0] - fxm[0]) / (2 * hx), (fyp[0] - fym[0]) / (2 * hy),
+                (fxp[1] - fxm[1]) / (2 * hx), (fyp[1] - fym[1]) / (2 * hy))
+
+    return field, jet, jac
 
 
 def residual_scale(model: ModelSpec) -> float:
@@ -413,7 +413,7 @@ def residual_scale(model: ModelSpec) -> float:
 
 
 def _residual(model: ModelSpec, x: float, y: float) -> float:
-    f1, f2 = vector_field_fns(model)[0]((x, y))
+    f1, f2 = model.field((x, y))
     return max(abs(f1), abs(f2))
 
 
@@ -459,20 +459,23 @@ def _bell_closed(model: ModelSpec) -> tuple:
     return out + [Equilibrium(State(x2, y2), "P2", _residual(model, x2, y2))], notes
 
 
-_CLOSED_FORMS = {"kt": _kt_closed, "bell": _bell_closed}
-
-
 def model_equilibria(model: ModelSpec) -> tuple:
-    """(equilibria, notes) of a built model: the closed forms of the kt
-    and bell presets, a Newton search of the box (0, 50)^2 from an 8 x 8
-    lattice (find_equilibria_numeric) for every other model.  A note
-    says why a kt or bell equilibrium is omitted, or that the search
-    found nothing."""
-    closed = _CLOSED_FORMS.get(model.name) if model.rhs is None else None
-    if closed is not None:
-        return closed(model)
+    """(equilibria, notes) of a built model: its closed form (the kt and
+    bell presets), else a Newton search of the box (0, 50)^2 from an
+    8 x 8 lattice (find_equilibria_numeric) whose roots with x < 0 or
+    y < 0 (not populations) are omitted.  A note says why an equilibrium
+    is omitted, or that the search found nothing."""
+    if model.closed is not None:
+        return model.closed(model)
     eqs = find_equilibria_numeric(model, ((0.0, 50.0), (0.0, 50.0)), grid=8)
-    return eqs, [] if eqs else ["no equilibria found in box (0,50)^2"]
+    out, notes = [], []
+    for e in eqs:
+        bad = [f"{k} = {v:.6g} < 0" for k, v in zip("xy", (e.point.x, e.point.y)) if v < 0]
+        if bad:
+            notes.append(f"root omitted: {bad[0]}")
+        else:
+            out.append(e)
+    return out, notes if eqs else ["no equilibria found in box (0,50)^2"]
 
 
 def _stencil(field, x: float, y: float) -> tuple:
@@ -486,22 +489,9 @@ def _stencil(field, x: float, y: float) -> tuple:
 
 
 def jacobian(model: ModelSpec, at: State) -> Mat2:
-    """Jacobian of the vector field: analytic for every preset (its
-    diagonal from vector_field_fns's jet), central finite differences (step
-    1e-6 * max(1, |coordinate|)) of the checked field for custom
-    right-hand sides, so DomainError where a stencil point is outside
-    the rhs's real domain."""
-    x, y = at.x, at.y
-    if model.rhs is not None:
-        field = _custom_fns(model.rhs)[0]
-        hx, hy, fxp, fxm, fyp, fym = _stencil(field, x, y)
-        return Mat2((fxp[0] - fxm[0]) / (2 * hx), (fyp[0] - fym[0]) / (2 * hy),
-                    (fxp[1] - fxm[1]) / (2 * hx), (fyp[1] - fym[1]) / (2 * hy))
-    _, _, j11, _, j22, _ = vector_field_fns(model)[1]((x, y))
-    if model.name == "kt":
-        return Mat2(j11, model.params["a3"] * x, -y, j22)
-    _, h2, h3, h4, h5 = model.h
-    return Mat2(j11, -x * h2(x), (h3.d1(x) - h4.d1(x)) * y + h5.d1(x), j22)
+    """Jacobian of the vector field at a state: the model's jac, so a
+    DomainError where a custom model's stencil leaves the rhs's domain."""
+    return Mat2(*model.jac((at.x, at.y)))
 
 
 def find_equilibria_numeric(model: ModelSpec, box, grid: int = 8) -> list:
@@ -534,21 +524,21 @@ def find_equilibria_numeric(model: ModelSpec, box, grid: int = 8) -> list:
 
 def _newton(model: ModelSpec, x: float, y: float, max_iter: int = 100):
     """Damped Newton iteration; returns (x, y) or None."""
-    field = vector_field_fns(model)[0]
+    field, jac = model.field, model.jac
     for _ in range(max_iter):
         try:
             f1, f2 = field((x, y))
-            jm = jacobian(model, State(x, y))
+            j11, j12, j21, j22 = jac((x, y))
         except DomainError:
             return None
         norm0 = f1 * f1 + f2 * f2
         if not math.isfinite(norm0):
             return None
-        det = jm.a11 * jm.a22 - jm.a12 * jm.a21
+        det = j11 * j22 - j12 * j21
         if det == 0 or not math.isfinite(det):
             return None
-        dx = -(f1 * jm.a22 - f2 * jm.a12) / det
-        dy = -(jm.a11 * f2 - jm.a21 * f1) / det
+        dx = -(f1 * j22 - f2 * j12) / det
+        dy = -(j11 * f2 - j21 * f1) / det
         step = math.hypot(dx, dy)
         if step < 1e-12 * (1.0 + math.hypot(x, y)):
             return x, y

@@ -51,7 +51,7 @@ class AffineDiffusion:
 
     def fns(self) -> tuple:
         """(g, jet) over a state pair s = (x, y), with b11..c2 bound as
-        locals, in the form of models.vector_field_fns: g(s) -> (g1, g2)
+        locals, in the form of a ModelSpec's field and jet: g(s) -> (g1, g2)
         and jet(s) -> (g1, g2, b11, 0, b22, 0), g with its constant
         own-component partials."""
         b11, b12, b21, b22 = self.b.a11, self.b.a12, self.b.a21, self.b.a22

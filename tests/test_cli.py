@@ -378,10 +378,10 @@ def _simulate_cli(monkeypatch, argv, forked, min_steps=0):
 
     with monkeypatch.context() as m:
         m.setattr(os, "fork", counted_fork)
-        m.setattr(cli, "_usable_cpus", lambda: 2)
+        m.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
         m.setattr(cli, "_FORK_MIN_STEPS", min_steps)
         if not forked:
-            m.setattr(cli, "_may_fork", lambda: False)
+            m.setattr(cli, "_fork_cpus", lambda: 1)
         code = main(argv)
     _no_child_left()
     return code, len(forks)

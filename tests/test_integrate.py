@@ -2,6 +2,7 @@
 
 import math
 import sys
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -21,7 +22,7 @@ from tumorsde.integrate import (
 )
 from tumorsde.models import DomainError, Mat2, State, bell_model, custom_model, \
     exponential_model, kt_model, logistic_model, model_equilibria, stepanova_model, \
-    vector_field_fns, vladar_model, volterra_model
+    vladar_model, volterra_model
 from tumorsde.sde import AffineDiffusion, LinearSDE, diffusion_at_equilibrium
 
 KT_P2 = (1.5534604346698473, 25.2260285238853)
@@ -110,7 +111,7 @@ def test_euler1_identity_and_formula():
 
 
 def test_euler1_kt_drift_step():
-    drift = vector_field_fns(kt_model())[0]
+    drift = kt_model().field
     zero = lambda s: (0.0, 0.0)
     x, y = euler1_step(drift, zero, (0.0, 0.0), 0.1, 0.0, 0.0)
     assert abs(x - 0.01181) < 1e-15 and y == 0.0
@@ -282,19 +283,15 @@ def test_a_scalar_step_is_two_python_calls(scheme):
     assert calls[long_steps] - calls[short_steps] <= 2 * (long_steps - short_steps)
 
 
-def test_bell_euler2_calls_field_and_partials_once_per_step(monkeypatch):
+def test_bell_euler2_calls_field_and_partials_once_per_step():
     seen = {"field": [], "jet": []}
-
-    def counted(model):
-        field, jet = vector_field_fns(model)
-        return (lambda s: seen["field"].append(s) or field(s),
-                lambda s: seen["jet"].append(s) or jet(s))
-
-    monkeypatch.setattr(integrate, "vector_field_fns", counted)
-    e = model_equilibria(bell_model())[0][1]
+    m = bell_model()
+    counted = replace(m, field=lambda s: seen["field"].append(s) or m.field(s),
+                      jet=lambda s: seen["jet"].append(s) or m.jet(s))
+    e = model_equilibria(m)[0][1]
     d = diffusion_at_equilibrium(Mat2(0.5, -0.1, 0.1, 0.5), e)
     cfg = SimConfig(dt=0.01, steps=2_000, initial=State(1.2, 2.6), scheme="euler2", seed=4)
-    traj = simulate(bell_model(), d, cfg)
+    traj = simulate(counted, d, cfg)
     assert traj.blowup_index is None
     # once from each state but the last, and the field alone never
     assert seen["jet"] == [tuple(s) for s in traj.states[:-1].tolist()]
@@ -317,15 +314,15 @@ def test_state_chunks_hold_every_state_once(monkeypatch):
 
 def _reference_fns(system, diffusion):
     """(drift, g, drift_partials, g_partials) of a run from the public
-    evaluators: a model's field and the partials of its jet
-    (vector_field_fns), the matrix entries for a LinearSDE and the
-    affine formula b s + c for an AffineDiffusion."""
+    evaluators: a model's field and the partials of its jet, the matrix
+    entries for a LinearSDE and the affine formula b s + c for an
+    AffineDiffusion."""
     if isinstance(system, LinearSDE):
         a = system.A
         drift = lambda s: (a.a11 * s[0] + a.a12 * s[1], a.a21 * s[0] + a.a22 * s[1])
         dpart = lambda s: ((a.a11, 0.0), (a.a22, 0.0))
     else:
-        drift, jet = vector_field_fns(system)
+        drift, jet = system.field, system.jet
         dpart = lambda s: (jet(s)[2:4], jet(s)[4:])
     if diffusion is not None:
         b, c1, c2 = diffusion.b, diffusion.c1, diffusion.c2
@@ -451,7 +448,7 @@ def test_simulate_matches_float64_loop_vladar_leaves_domain():
     assert traj.blowup_index == 38 and len(traj.states) == 38
     assert traj.states[-2, 0] > 0.0 > traj.states[-1, 0]
     with pytest.raises(DomainError, match="h1"):
-        vector_field_fns(m)[0](tuple(traj.states[-1].tolist()))
+        m.field(tuple(traj.states[-1].tolist()))
 
 
 @pytest.mark.parametrize("scheme", ["euler1", "euler2"])

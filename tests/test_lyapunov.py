@@ -2,6 +2,7 @@
 
 import math
 import multiprocessing
+import os
 import sys
 import threading
 import tracemalloc
@@ -721,9 +722,11 @@ def _kernel_failing_after_slice_0(m, nsteps, dt, seed, first, stop):
 
 
 def _force_slices(monkeypatch, cpus):
-    """Every mc call splits into min(cpus, width // 2) slices, however
-    few its path-steps; the kernel records the slices run in-process."""
-    monkeypatch.setattr(lyapunov, "_usable_cpus", lambda: cpus)
+    """Every mc call that may fork splits into min(cpus, width // 2)
+    slices, cpus being its affinity mask's count, however few its
+    path-steps; the kernel records the slices run in-process."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)),
+                        raising=False)
     monkeypatch.setattr(lyapunov, "_MC_SLICE_PATH_STEPS", 1)
     monkeypatch.setattr(lyapunov, "_mc_paths", _recording_kernel)
     _PARENT_SLICES.clear()

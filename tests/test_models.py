@@ -6,6 +6,8 @@ from dataclasses import astuple
 import numpy as np
 import pytest
 
+from tumorsde import models
+from tumorsde.integrate import SimConfig, simulate
 from tumorsde.models import (
     BELL_PARAMS,
     BellParams,
@@ -26,10 +28,10 @@ from tumorsde.models import (
     model_equilibria,
     residual_scale,
     stepanova_model,
-    vector_field_fns,
     vladar_model,
     volterra_model,
 )
+from tumorsde.sde import linearize
 
 # frozen from evaluating the equilibrium formulas with the default
 # coefficients; confirmed by direct substitution (residual < 1e-15)
@@ -52,14 +54,14 @@ def test_param_validation():
 
 def test_kt_field_values():
     m = kt_model()
-    f = vector_field_fns(m)[0](KT_P1)
+    f = m.field(KT_P1)
     assert max(abs(f[0]), abs(f[1])) < 1e-14
-    assert vector_field_fns(m)[0]((0.0, 0.0)) == (0.1181, 0.0)
+    assert m.field((0.0, 0.0)) == (0.1181, 0.0)
 
 
 def test_bell_field_value():
     m = bell_model()
-    f1, f2 = vector_field_fns(m)[0]((1.0, 2.5))
+    f1, f2 = m.field((1.0, 2.5))
     # f1 = 1*(2.5 - 1*2.5), f2 = (1*1 - 0.95)*2.5 - 0.4*1 + 2
     assert abs(f1) < 1e-14
     assert abs(f2 - 1.725) < 1e-12
@@ -166,7 +168,7 @@ def _matrix(m):
 def _fd_jacobian(model, s):
     hx = 1e-6 * max(1.0, abs(s.x))
     hy = 1e-6 * max(1.0, abs(s.y))
-    field = vector_field_fns(model)[0]
+    field = model.field
     fxp, fxm = field((s.x + hx, s.y)), field((s.x - hx, s.y))
     fyp, fym = field((s.x, s.y + hy)), field((s.x, s.y - hy))
     return np.array([[(fxp[0] - fxm[0]) / (2 * hx), (fyp[0] - fym[0]) / (2 * hy)],
@@ -221,7 +223,7 @@ def test_volterra_matches_direct_evaluation():
     m = volterra_model(a, b, d, f, k)
     for _ in range(100):
         x, y = rng.uniform(-3.0, 3.0, 2)
-        f1, f2 = vector_field_fns(m)[0]((x, y))
+        f1, f2 = m.field((x, y))
         assert abs(f1 - (a * x - b * x * y)) < 1e-12
         assert abs(f2 - (d * x * y - f * y - k * x)) < 1e-12
 
@@ -229,17 +231,17 @@ def test_volterra_matches_direct_evaluation():
 def test_vladar_domain_error_names_h1():
     m = vladar_model(K=10.0, b1=0.5, b2=0.2, b3=0.05)
     with pytest.raises(DomainError, match="h1"):
-        vector_field_fns(m)[0]((-1.0, 1.0))
+        m.field((-1.0, 1.0))
     with pytest.raises(DomainError, match="h1"):
-        vector_field_fns(m)[0]((0.0, 1.0))
-    f1, f2 = vector_field_fns(m)[0]((2.0, 1.0))
+        m.field((0.0, 1.0))
+    f1, f2 = m.field((2.0, 1.0))
     assert math.isfinite(f1) and math.isfinite(f2)
 
 
 def test_logistic_domain_error_at_zero():
     m = logistic_model(a1=0.5, b1=0.3, b2=0.2, b3=0.01)
     with pytest.raises(DomainError):
-        vector_field_fns(m)[0]((0.0, 1.0))
+        m.field((0.0, 1.0))
 
 
 @pytest.mark.parametrize("model", [
@@ -250,7 +252,7 @@ def test_logistic_domain_error_at_zero():
     stepanova_model(a1=0.8, b=0.3, b1=0.5, b2=0.2, b4=1.0),
 ])
 def test_diag_partials_match_finite_differences(model):
-    field, jet = vector_field_fns(model)
+    field, jet = model.field, model.jet
     rng = np.random.default_rng(13)
     for _ in range(10):
         s = State(*rng.uniform(0.5, 4.0, 2))
@@ -268,7 +270,7 @@ def test_diag_partials_match_finite_differences(model):
 @pytest.mark.parametrize("model", _PRESETS + [custom_model(
     lambda x, y: (x * (1.0 - x) - 0.5 * x * y, 0.3 * x * y - 0.2 * y))])
 def test_jet_starts_with_the_field(model):
-    field, jet = vector_field_fns(model)
+    field, jet = model.field, model.jet
     rng = np.random.default_rng(5)
     for _ in range(10):
         s = tuple(rng.uniform(0.1, 5.0, 2).tolist())
@@ -279,13 +281,13 @@ def test_h_family_jet_evaluates_each_shape_function_once(monkeypatch):
     calls = []
     call = HFun.__call__
     monkeypatch.setattr(HFun, "__call__", lambda h, x: calls.append(h.name) or call(h, x))
-    vector_field_fns(bell_model())[1]((1.2, 2.6))
+    bell_model().jet((1.2, 2.6))
     assert sorted(calls) == ["h1", "h2", "h3", "h4", "h5"]
 
 
 def test_custom_model_roundtrip():
     m = custom_model(lambda x, y: (y, -x), name="oscillator")
-    assert vector_field_fns(m)[0]((2.0, 3.0)) == (3.0, -2.0)
+    assert m.field((2.0, 3.0)) == (3.0, -2.0)
     j = jacobian(m, State(1.0, 1.0))
     assert abs(j.a12 - 1.0) < 1e-8 and abs(j.a21 + 1.0) < 1e-8
 
@@ -316,3 +318,65 @@ def test_make_model_rejects_unknown():
         make_model("volterra", {"a": 1.0})  # missing coefficients
     m = make_model("kt", {"a1": 0.2})
     assert m.params["a1"] == 0.2 and m.params["a2"] == KT_PARAMS.a2
+
+
+_SHIFT = lambda x, y: (1.0 - x, 2.0 - y)  # one root, (1, 2)
+
+
+@pytest.mark.parametrize("name, params", [
+    ("kt", None), ("kt", dict(a1=1, a2=1, a3=1, b1=1, b2=1)),
+    ("bell", None), ("bell", dict(vars(BELL_PARAMS)))])
+def test_custom_model_named_like_a_preset_runs_its_own_rhs(name, params):
+    # the name once chose the preset's field and closed-form equilibria,
+    # and without the preset's params raised KeyError
+    m = custom_model(_SHIFT, name=name, params=params)
+    assert m.field((0.0, 0.0)) == (1.0, 2.0)
+    f1, f2, df1, _, df2, _ = m.jet((0.0, 0.0))
+    assert (f1, f2) == (1.0, 2.0)
+    assert abs(df1 + 1.0) < 1e-8 and abs(df2 + 1.0) < 1e-8
+    j = _matrix(jacobian(m, State(0.0, 0.0)))
+    assert np.abs(j - np.array([[-1.0, 0.0], [0.0, -1.0]])).max() < 1e-8
+    eqs, notes = model_equilibria(m)
+    assert [e.label for e in eqs] == ["numeric"] and notes == []
+    assert math.hypot(eqs[0].point.x - 1.0, eqs[0].point.y - 2.0) < 1e-9
+    # the deterministic euler1 step contracts to the root by 1 - dt a step
+    cfg = SimConfig(dt=0.01, steps=50, initial=State(0.0, 0.0), scheme="euler1", seed=1)
+    x, y = simulate(m, None, cfg).states[-1]
+    assert abs(x - (1.0 - 0.99 ** 50)) < 1e-12 and abs(y - 2.0 * (1.0 - 0.99 ** 50)) < 1e-12
+
+
+@pytest.mark.parametrize("model, note", [
+    (exponential_model(b1=0.7, b2=0.3, b3=0.1), "root omitted: x = -0.887482 < 0"),
+    (stepanova_model(a1=1.2, b=0.6, b1=0.8, b2=0.3, b4=1.1),
+     "root omitted: x = -0.575758 < 0"),
+    (custom_model(lambda x, y: (1.0 - x, (y + 1.0) * (y - 2.0))), "root omitted: y = -1 < 0"),
+])
+def test_searched_roots_that_are_not_populations_are_omitted(model, note):
+    # find_equilibria_numeric stays the raw search; the README's box is
+    # (0, 50)^2 and a Newton path may leave it
+    raw = find_equilibria_numeric(model, ((0.0, 50.0), (0.0, 50.0)), grid=8)
+    eqs, notes = model_equilibria(model)
+    assert eqs == [e for e in raw if e.point.x >= 0 and e.point.y >= 0]
+    assert len(eqs) == len(raw) - 1 and eqs
+    assert notes == [note]
+
+
+def test_a_model_builds_its_closures_once(monkeypatch):
+    built = [kt_model(), bell_model(), vladar_model(K=10.0, b1=0.5, b2=0.2, b3=0.05),
+             custom_model(_SHIFT)]
+    calls = []
+
+    def counted(name, fn):
+        return lambda *a, **k: calls.append(name) or fn(*a, **k)
+
+    for name in ("_kt_fns", "_h_fns", "_custom_fns"):
+        monkeypatch.setattr(models, name, counted(name, getattr(models, name)))
+    for m in built:
+        e = model_equilibria(m)[0][0]
+        linearize(m, Mat2(0.5, -0.1, 0.1, 0.5), e)
+        jacobian(m, e.point)
+        find_equilibria_numeric(m, ((0.0, 5.0), (0.0, 5.0)), grid=3)
+        simulate(m, None, SimConfig(dt=1e-3, steps=10, initial=e.point, scheme="euler2"))
+    assert calls == []
+    kt_model()  # the patch does count a build
+    assert calls == ["_kt_fns"]

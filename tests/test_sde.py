@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from tumorsde.models import Equilibrium, Mat2, State, bell_model, jacobian, kt_model, \
-    model_equilibria, vector_field_fns
+    model_equilibria
 from tumorsde.sde import (
     KT_NOISE,
     NotAnEquilibriumError,
@@ -82,7 +82,7 @@ def test_first_order_agreement(model, eq_list):
             d = rng.normal(size=2)
             d *= 1e-5 / np.linalg.norm(d)
             s = State(e.point.x + d[0], e.point.y + d[1])
-            f = np.array(vector_field_fns(model)[0]((s.x, s.y)))
+            f = np.array(model.field((s.x, s.y)))
             assert np.abs(f - a @ d).max() < 1e-8
             bd = np.reshape(astuple(KT_NOISE), (2, 2)) @ d
             assert np.abs(np.array(g((s.x, s.y))) - bd).max() < 1e-12
