@@ -53,13 +53,11 @@ from .lyapunov import (
 from .integrate import (
     BlowUpError,
     GaussianBlocks,
-    RngStream,
     SimConfig,
     Trajectory,
-    box_muller,
     euler1_step,
     euler2_step,
-    gaussian_pairs,
+    rng_stream,
     simulate,
     wiener_increments,
 )

@@ -1,13 +1,14 @@
 """Seeded Gaussian streams and weak Euler schemes.
 
-Variates come from counter-based Philox streams keyed by (master
-seed, stream id).  A trajectory's normals are Box-Muller pairs of
-uniforms mapped into (0,1], so log u stays finite (gaussian_pairs);
-lyapunov_mc's are numpy's ziggurat on the same streams (GaussianBlocks),
-an exact sampler that skips Box-Muller's log, cos and sin.  Identical
-(seed, id) pairs reproduce identical sequences; distinct ids behave as
-independent streams, which is what lets many paths run in any order
-or process layout without changing the result.
+Variates come from counter-based Philox streams: numpy Generators
+keyed by (master seed, stream id) (rng_stream).  A trajectory's normals
+are Box-Muller pairs of uniforms mapped into (0,1], so log u stays
+finite (wiener_increments); lyapunov_mc's are numpy's ziggurat on the
+same streams (GaussianBlocks), an exact sampler that skips Box-Muller's
+log, cos and sin.  Identical (seed, id) pairs reproduce identical
+sequences; distinct ids behave as independent streams, which is what
+lets many paths run in any order or process layout without changing
+the result.
 
 Stream ids: a trajectory draws both components from stream 0 of its
 seed (shared noise) or component i from stream i, i = 1, 2
@@ -47,12 +48,10 @@ from .models import DomainError, Mat2, ModelSpec, State
 from .sde import AffineDiffusion, LinearSDE
 
 __all__ = [
-    "RngStream",
+    "rng_stream",
     "BlowUpError",
     "SimConfig",
     "Trajectory",
-    "box_muller",
-    "gaussian_pairs",
     "GaussianBlocks",
     "wiener_increments",
     "euler1_step",
@@ -71,85 +70,60 @@ class BlowUpError(ArithmeticError):
         self.component = component
 
 
-@dataclass
-class RngStream:
-    """Counter-based uniform/Gaussian source for one logical stream."""
-
-    seed: int
-    stream: int = 0
-
-    def __post_init__(self):
-        key = np.array([self.seed & _MASK64, self.stream & _MASK64], dtype=np.uint64)
-        self._gen = np.random.Generator(np.random.Philox(key=key))
-
-    def uniforms(self, count: int) -> np.ndarray:
-        """count uniforms in (0,1]."""
-        return 1.0 - self._gen.random(count)
-
-
-def box_muller(u1, u2, out=None):
-    """Map two (0,1] uniforms to two independent standard normals.
-
-    With out=(z1, z2) the arrays u1 and u2 are overwritten as scratch and
-    the normals are written to z1 and z2, so nothing is allocated.
-    """
-    if out is None:
-        u1, u2 = np.array(u1, dtype=float), np.array(u2, dtype=float)
-        out = np.empty_like(u1), np.empty_like(u2)
-    z1, z2 = out
-    r = np.sqrt(np.multiply(-2.0, np.log(u1, out=u1), out=u1), out=u1)
-    angle = np.multiply(2.0 * np.pi, u2, out=u2)
-    np.multiply(r, np.cos(angle, out=z1), out=z1)
-    np.multiply(r, np.sin(angle, out=z2), out=z2)
-    return z1[()], z2[()]  # numpy scalars for scalar input
-
-
-def gaussian_pairs(stream: RngStream, count: int) -> np.ndarray:
-    """count standard normals from consecutive Box-Muller pairs."""
-    if count < 0:
-        raise ValueError("count must be >= 0")
-    if count == 0:
-        return np.empty(0)
-    npairs = (count + 1) // 2
-    u = stream.uniforms(2 * npairs)
-    out = np.empty(2 * npairs)
-    box_muller(u[0::2], u[1::2], out=(out[0::2], out[1::2]))
-    return out[:count]
+def rng_stream(seed: int, stream: int = 0) -> np.random.Generator:
+    """The Philox generator of stream id stream of a master seed, keyed
+    by (seed mod 2^64, stream mod 2^64)."""
+    key = np.array([seed & _MASK64, stream & _MASK64], dtype=np.uint64)
+    return np.random.Generator(np.random.Philox(key=key))
 
 
 class GaussianBlocks:
-    """Successive blocks of standard normals from many streams at once.
+    """Successive blocks of standard normals from many generators at once.
 
-    Column p of a block holds the next normals of streams[p], exactly as
-    streams[p]._gen.standard_normal(count) would return them: numpy's
-    ziggurat (Marsaglia & Tsang 2000) on the stream's own Philox
-    generator.  Its draws are sequential, so blocks of any lengths, odd
-    ones too, concatenate to one draw.  Each stream fills one row and the
-    block is one transposed copy of the rows.  The work arrays, for
-    blocks of up to size rows, are allocated once.
+    Column p of a block holds the next normals of gens[p], exactly as
+    gens[p].standard_normal(count) would return them: numpy's ziggurat
+    (Marsaglia & Tsang 2000) on the stream's Philox generator.  Its
+    draws are sequential, so blocks of any lengths, odd ones too,
+    concatenate to one draw.  Each generator fills one row and the block
+    is one transposed copy of the rows.  The work arrays, for blocks of
+    up to size rows, are allocated once.
     """
 
-    def __init__(self, streams, size: int):
-        self._streams = list(streams)
-        self._rows = np.empty((len(self._streams), size))
-        self._out = np.empty((size, len(self._streams)))
+    def __init__(self, gens, size: int):
+        self._gens = list(gens)
+        self._rows = np.empty((len(self._gens), size))
+        self._out = np.empty((size, len(self._gens)))
 
     def draw(self, count: int) -> np.ndarray:
-        """The next count normals of every stream, as a (count, streams)
-        view that the next draw overwrites."""
+        """The next count normals of every generator, as a (count, gens)
+        view that the next draw overwrites; ValueError unless count is
+        an integer 0 to size."""
+        if not isinstance(count, (int, np.integer)) or not 0 <= count <= len(self._out):
+            raise ValueError(f"count must be an integer 0 to {len(self._out)}")
         rows = self._rows[:, :count]
-        for row, st in zip(rows, self._streams):
-            st._gen.standard_normal(out=row)
+        for row, gen in zip(rows, self._gens):
+            gen.standard_normal(out=row)
         out = self._out[:count]
         out[...] = rows.T
         return out
 
 
-def wiener_increments(stream: RngStream, steps: int, dt: float) -> np.ndarray:
-    """Increments W((n+1)h) - W(nh): sqrt(dt) times standard normals."""
+def wiener_increments(gen: np.random.Generator, steps: int, dt: float) -> np.ndarray:
+    """steps increments W((n+1)h) - W(nh): sqrt(dt) times Box-Muller
+    pairs, cosine first, of gen's uniforms 1 - U in (0, 1], whose log is
+    finite.  ValueError unless steps is an integer >= 0 and dt > 0."""
     if not (math.isfinite(dt) and dt > 0):
         raise ValueError("dt must be finite and > 0")
-    return math.sqrt(dt) * gaussian_pairs(stream, steps)
+    if not isinstance(steps, (int, np.integer)) or steps < 0:
+        raise ValueError("steps must be an integer >= 0")
+    u = 1.0 - gen.random(2 * ((steps + 1) // 2))
+    z = np.empty_like(u)
+    u1, u2, z1, z2 = u[0::2], u[1::2], z[0::2], z[1::2]
+    r = np.sqrt(np.multiply(-2.0, np.log(u1, out=u1), out=u1), out=u1)
+    angle = np.multiply(2.0 * np.pi, u2, out=u2)
+    np.multiply(r, np.cos(angle, out=z1), out=z1)
+    np.multiply(r, np.sin(angle, out=z2), out=z2)
+    return math.sqrt(dt) * z[:steps]
 
 
 @dataclass(frozen=True)
@@ -315,9 +289,9 @@ def _state_chunks(system, diffusion, cfg: SimConfig):
     """
     step = _stepper(system, diffusion, cfg)
     if cfg.noise_streams == "shared":
-        st1 = st2 = RngStream(cfg.seed)
+        st1 = st2 = rng_stream(cfg.seed)
     else:
-        st1, st2 = RngStream(cfg.seed, 1), RngStream(cfg.seed, 2)
+        st1, st2 = rng_stream(cfg.seed, 1), rng_stream(cfg.seed, 2)
     # the state is carried as a tuple of Python floats
     s = (float(cfg.initial.x), float(cfg.initial.y))
     rows = [s]

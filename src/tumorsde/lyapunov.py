@@ -31,7 +31,8 @@ p(theta).  Three estimators are provided:
   follow from one continued fraction, evaluated over a whole alpha
   array at once,
 * ``lyapunov_mc``   -- first-order Euler simulation of the polar pair,
-  driven by numpy's ziggurat normals (trajectories use Box-Muller).
+  driven by the ziggurat normals of one ``rng_stream`` generator per
+  path (trajectories use ``wiener_increments``' Box-Muller pairs).
 
 ``stability_sweep`` maps alpha to the exponent for the alpha-family
 noise, brackets the zero crossings and reports the stable alpha-set.
@@ -48,7 +49,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .integrate import GaussianBlocks, RngStream
+from .integrate import GaussianBlocks, rng_stream
 from .models import Equilibrium, Mat2, ModelSpec
 from .sde import LinearSDE, alpha_family, linearize
 
@@ -443,9 +444,8 @@ def closed_form_lyapunov(A: Mat2, alpha: float, beta: float) -> LyapunovEstimate
                             diagnostics={"modes": modes, "tail": float(tail)})
 
 
-# increments of an mc estimate are drawn in blocks of at most _MC_BLOCK
-# steps and _MC_BLOCK_NORMALS normals over all paths
-_MC_BLOCK = 8192
+# increments of an mc estimate are drawn in blocks of at most this many
+# normals over all paths (or one step): 4 MB of work arrays at 2 paths
 _MC_BLOCK_NORMALS = 2 ** 18
 # an mc estimate of more Euler steps than this is refused
 _MAX_MC_STEPS = 10 ** 7
@@ -494,11 +494,11 @@ def _mc_draws(nsteps: int, dt: float, seed: int, first: int, stop: int) -> tuple
     """The start angles phi = 2 theta, theta uniform on [0, 2 pi), of the
     paths on streams (seed, first) .. (seed, stop - 1), and an iterator
     over their Wiener increments: (steps, paths) blocks of at most
-    _MC_BLOCK steps and _MC_BLOCK_NORMALS normals, nsteps steps in all."""
-    streams = [RngStream(seed, p) for p in range(first, stop)]
-    phi = np.array([2.0 * TWO_PI * st.uniforms(1)[0] for st in streams])
-    block = min(_MC_BLOCK, max(1, _MC_BLOCK_NORMALS // len(streams)))
-    normals, sdt = GaussianBlocks(streams, block), math.sqrt(dt)
+    _MC_BLOCK_NORMALS normals, nsteps steps in all."""
+    gens = [rng_stream(seed, p) for p in range(first, stop)]
+    phi = np.array([2.0 * TWO_PI * (1.0 - gen.random()) for gen in gens])
+    block = max(1, _MC_BLOCK_NORMALS // len(gens))
+    normals, sdt = GaussianBlocks(gens, block), math.sqrt(dt)
 
     def blocks():
         for done in range(0, nsteps, block):
@@ -609,12 +609,13 @@ def lyapunov_mc(sys: LinearSDE, horizon: float = 200.0, dt: float = 1e-3,
     Each path integrates (log r, phi = 2 theta) with the first-order
     Euler scheme and one shared Wiener increment per step, starting from
     a uniform angle; the estimate is the path mean of log(r(T)/r(0)) / T
-    with its standard error.  Path p draws from stream (seed,
-    stream_base + p), its start angle from one uniform and its
-    increments from the stream's ziggurat normals (``GaussianBlocks``;
-    simulate's trajectories use Box-Muller pairs), and rounds as it
-    would alone, so results do not depend on scheduling; a single path
-    runs with a spare one, on stream stream_base + 1, that is dropped.
+    with its standard error.  Path p draws from the generator
+    ``rng_stream(seed, stream_base + p)``, its start angle from one
+    uniform and its increments from the generator's ziggurat normals
+    (``GaussianBlocks``; simulate's trajectories use Box-Muller pairs),
+    and rounds as it would alone, so results do not depend on
+    scheduling; a single path runs with a spare one, on stream
+    stream_base + 1, that is dropped.
     The stderr is statistical only: it does not cover the O(dt) bias of
     the Euler scheme.  A value or stderr that is not finite raises
     FloatingPointError.

@@ -418,21 +418,25 @@ def _residual(model: ModelSpec, x: float, y: float) -> float:
 
 
 def _kt_closed(model: ModelSpec) -> tuple:
-    """(equilibria, notes) of a built kt model: P1 = (a1/a2, 0), and P2
-    from the positive root of the coexistence quadratic when its y is
-    positive (y < 0 is not a population), else a note why it is omitted."""
+    """(equilibria, notes) of a built kt model: P1 = (a1/a2, 0) when x1
+    is not negative, and P2 from the positive root of the coexistence
+    quadratic when its y is positive (x < 0 or y < 0 is not a
+    population), else a note why it is omitted."""
     a1, a2, a3, b1, b2 = (model.params[k] for k in ("a1", "a2", "a3", "b1", "b2"))
     x1 = a1 / a2
-    out = [Equilibrium(State(x1, 0.0), "P1", _residual(model, x1, 0.0))]
+    if x1 < 0:
+        out, notes = [], [f"P1 omitted: x1 = {x1:.6g} < 0"]
+    else:
+        out, notes = [Equilibrium(State(x1, 0.0), "P1", _residual(model, x1, 0.0))], []
     delta = b1 ** 2 * (b2 * a2 - a3) ** 2 + 4.0 * b1 * b2 * a1 * a3
     if delta < 0:
-        return out, ["P2 omitted: discriminant < 0"]
+        return out, notes + ["P2 omitted: discriminant < 0"]
     sd = math.sqrt(delta)
     x2 = (b1 * (a3 - b2 * a2) + sd) / (2.0 * a3)
     y2 = (b1 * (a3 + b2 * a2) - sd) / (2.0 * b1 * b2 * a3)
     if not y2 > 0:
-        return out, [f"P2 omitted: y2 = {y2:.6g} <= 0"]
-    return out + [Equilibrium(State(x2, y2), "P2", _residual(model, x2, y2))], []
+        return out, notes + [f"P2 omitted: y2 = {y2:.6g} <= 0"]
+    return out + [Equilibrium(State(x2, y2), "P2", _residual(model, x2, y2))], notes
 
 
 def _bell_closed(model: ModelSpec) -> tuple:

@@ -31,7 +31,7 @@ import pytest
 import alpha_exact
 from density_nodes import density_at_nodes
 from tumorsde.cli import main
-from tumorsde.integrate import RngStream, euler1_step, euler2_step, gaussian_pairs
+from tumorsde.integrate import euler1_step, euler2_step, rng_stream, wiener_increments
 from tumorsde import lyapunov
 from tumorsde.lyapunov import (
     TWO_PI,
@@ -282,14 +282,13 @@ def test_c5_weak_order():
         exact sampler driven by the same increments and the accumulated
         Milstein term along the exact path."""
         steps = int(round(horizon / dt))
-        st = RngStream(777, sid)
+        st = rng_stream(777, sid)
         x = np.ones(paths)
         y = np.ones(paths)
         ex = np.ones(paths)
         ctrl = np.zeros(paths)
-        sdt = math.sqrt(dt)
         for n in range(steps):
-            dw = gaussian_pairs(st, paths) * sdt
+            dw = wiener_increments(st, paths, dt)
             grow = math.exp(a * (horizon - (n + 1) * dt))
             ctrl += 0.5 * sigma * sigma * ex * (dw * dw - dt) * grow
             if scheme == "euler1":

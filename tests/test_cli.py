@@ -269,6 +269,13 @@ def test_cli_equilibria_p2_omitted_note(capsys):
     assert "P2 omitted" in printed
 
 
+def test_cli_kt_omits_a_negative_p1(capsys):
+    # x1 = a1/a2 < 0 is not a population; without P1 no P2 either
+    assert main(["equilibria", "--model", "kt", "--params", "a1=-10"]) == 0
+    assert capsys.readouterr().out == ("note: P1 omitted: x1 = -26.688 < 0\n"
+                                       "note: P2 omitted: discriminant < 0\n")
+
+
 @pytest.mark.parametrize("params, printed", [
     ("a1=0.4", "note: P2 omitted: a1*b1 = a2*b2\n"),
     ("b4=3", "note: P2 omitted: x2 = -0.297619 < 0\n"),
@@ -307,6 +314,50 @@ def test_cli_config_error_exit_two(capsys):
     assert err.startswith("config error:") and "dt" in err
     assert main(["sweep", "--frobnicate", "1"]) == 2
     assert main(["lyapunov", "--model", "bogus"]) == 2
+
+
+_INPUT_CHECKS = [
+    (["lyapunov", "--beta", "inf"], "beta: value must be finite, got 'inf'"),
+    (["simulate", "--seed", "1.5"], "seed: malformed integer '1.5'"),
+    (["equilibria", "--params", "a1"], "params: expected k=v, got 'a1'"),
+    (["lyapunov", "--noise", "1,2,3"],
+     "noise: expected four comma-separated reals m11,m12,m21,m22"),
+    (["sweep", "--alpha=1:2"], "alpha: range must be lo:hi:step"),
+    (["sweep", "--alpha=0:1:0"], "alpha: range step must be > 0"),
+    (["sweep", "--alpha=1:0:0.5"], "alpha: range needs hi >= lo"),
+    (["equilibria", "--config", "{missing}"],
+     "config: cannot read '{missing}': [Errno 2] No such file or directory: '{missing}'"),
+    (["frobnicate"], "command: unknown command 'frobnicate'"),
+    (["equilibria", "stray"], "command: unexpected argument 'stray'"),
+    (["lyapunov", "--alpha"], "alpha: missing value"),
+    (["lyapunov", "--equilibrium", "7"], "equilibrium: index 7 out of range (2 found)"),
+    (["lyapunov", "--model", "bell", "--method", "closed"],
+     "method: closed needs the alpha/beta noise family"),
+    (["sweep"], "alpha: sweep needs an alpha range lo:hi:step"),
+    # a ValueError of the model builder, not a ConfigError
+    (["equilibria", "--model", "volterra"],
+     "model volterra needs params ['a', 'b', 'd', 'f', 'k']"),
+]
+
+
+@pytest.mark.parametrize("argv, msg", _INPUT_CHECKS, ids=[
+    "beta-inf", "seed-float", "params-no-equals", "noise-three", "alpha-two-parts",
+    "alpha-step-zero", "alpha-hi-below-lo", "config-unreadable", "unknown-command",
+    "stray-positional", "alpha-no-value", "equilibrium-index", "closed-no-alpha",
+    "sweep-no-range", "volterra-no-params"])
+def test_cli_input_check_exits_two(capsys, tmp_path, argv, msg):
+    missing = str(tmp_path / "none.cfg")
+    assert main([a.format(missing=missing) for a in argv]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == f"config error: {msg.format(missing=missing)}\n"
+    assert captured.out == ""
+
+
+def test_cli_empty_params_are_no_overrides(capsys):
+    assert main(["equilibria", "--params", ""]) == 0
+    empty = capsys.readouterr()
+    assert main(["equilibria"]) == 0
+    assert capsys.readouterr() == empty and empty.err == ""
 
 
 def test_cli_numerical_failure_exit_three(capsys):

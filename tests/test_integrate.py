@@ -1,4 +1,4 @@
-"""Streams, Box-Muller sampling, Euler schemes, trajectories."""
+"""Streams, Wiener increments, Euler schemes, trajectories."""
 
 import math
 import sys
@@ -11,12 +11,10 @@ from tumorsde import integrate
 from tumorsde.integrate import (
     BlowUpError,
     GaussianBlocks,
-    RngStream,
     SimConfig,
-    box_muller,
     euler1_step,
     euler2_step,
-    gaussian_pairs,
+    rng_stream,
     simulate,
     wiener_increments,
 )
@@ -28,60 +26,74 @@ from tumorsde.sde import AffineDiffusion, LinearSDE, diffusion_at_equilibrium
 KT_P2 = (1.5534604346698473, 25.2260285238853)
 
 
-def test_box_muller_exact_pairs():
-    z1, z2 = box_muller(math.exp(-2.0), 0.25)
-    assert abs(z1) < 1e-12  # sqrt(4) * cos(pi/2)
-    assert abs(z2 - 2.0) < 1e-12
-    z1, z2 = box_muller(1.0, 0.7)
-    assert z1 == 0.0 and z2 == 0.0
+@pytest.mark.parametrize("n", [0, 1, 7, 64])
+def test_wiener_increments_follow_the_formula_bit_for_bit(n):
+    # Box-Muller of the uniforms 1 - U in (0, 1], cosine first, times
+    # sqrt(dt): an odd count drops its last pair's sine
+    dt = 0.04
+    u = 1.0 - rng_stream(13, 2).random(2 * math.ceil(n / 2))
+    assert u.size == 0 or (u.min() > 0.0 and u.max() <= 1.0)
+    r, angle = np.sqrt(-2.0 * np.log(u[0::2])), 2.0 * np.pi * u[1::2]
+    z = np.stack([r * np.cos(angle), r * np.sin(angle)], axis=1).ravel()[:n]
+    assert np.array_equal(wiener_increments(rng_stream(13, 2), n, dt), math.sqrt(dt) * z)
 
 
-def test_gaussian_pairs_moments():
-    z = gaussian_pairs(RngStream(2024, 0), 10 ** 6)
+def test_wiener_increments_moments():
+    z = wiener_increments(rng_stream(2024, 0), 10 ** 6, 1.0)
     assert abs(z.mean()) <= 0.005
     assert abs(z.var() - 1.0) <= 0.01
 
 
-def test_gaussian_pairs_count_edges():
-    s = RngStream(5, 1)
-    assert gaussian_pairs(s, 0).shape == (0,)
-    assert gaussian_pairs(RngStream(5, 1), 7).shape == (7,)
-    with pytest.raises(ValueError):
-        gaussian_pairs(s, -1)
+def test_wiener_increments_count_edges():
+    gen = rng_stream(5, 1)
+    assert wiener_increments(gen, 0, 1.0).shape == (0,)
+    assert wiener_increments(rng_stream(5, 1), np.int64(7), 1.0).shape == (7,)
+    for steps in (-1, 2.5, 7.0, "7", None):
+        with pytest.raises(ValueError, match="steps must be an integer >= 0"):
+            wiener_increments(gen, steps, 1.0)
 
 
 def test_stream_determinism_and_independence():
-    a = gaussian_pairs(RngStream(42, 3), 64)
-    b = gaussian_pairs(RngStream(42, 3), 64)
-    c = gaussian_pairs(RngStream(42, 4), 64)
+    a = wiener_increments(rng_stream(42, 3), 64, 1.0)
+    b = wiener_increments(rng_stream(42, 3), 64, 1.0)
+    c = wiener_increments(rng_stream(42, 4), 64, 1.0)
     assert np.array_equal(a, b)
     assert not np.array_equal(a, c)
 
 
-def test_uniforms_in_half_open_unit():
-    u = RngStream(9, 0).uniforms(10 ** 5)
-    assert u.min() > 0.0 and u.max() <= 1.0
-
-
 @pytest.mark.parametrize("size, counts", [(8, (8, 6)), (8, (7,)), (1, (1, 1, 1)),
                                           (5, (2, 5, 4)), (9, (3, 9, 1, 7))])
-def test_gaussian_blocks_match_gaussian_pairs_per_stream(size, counts):
-    # column p of each block continues the stream's one standard_normal
-    # draw (the ziggurat, not gaussian_pairs' Box-Muller), for blocks of
+def test_gaussian_blocks_match_standard_normal_per_stream(size, counts):
+    # column p of each block continues the generator's one standard_normal
+    # draw (the ziggurat, not wiener_increments' Box-Muller), for blocks of
     # any lengths, odd ones too
     ids = (0, 3, 4, 2 ** 63 + 1)
-    blocks = GaussianBlocks([RngStream(21, i) for i in ids], size)
+    blocks = GaussianBlocks([rng_stream(21, i) for i in ids], size)
     drawn = [blocks.draw(count).copy() for count in counts]
     assert [block.shape for block in drawn] == [(count, len(ids)) for count in counts]
-    expect = np.stack([RngStream(21, i)._gen.standard_normal(sum(counts)) for i in ids],
+    expect = np.stack([rng_stream(21, i).standard_normal(sum(counts)) for i in ids],
                       axis=1)
     assert np.array_equal(np.concatenate(drawn), expect)
 
 
+@pytest.mark.parametrize("count", [5, -1, 2.0])
+def test_gaussian_blocks_refuse_a_count_outside_the_block(count):
+    blocks = GaussianBlocks([rng_stream(21, 0), rng_stream(21, 1)], 4)
+    assert blocks.draw(0).shape == (0, 2) and blocks.draw(np.int64(4)).shape == (4, 2)
+    with pytest.raises(ValueError, match="count must be an integer 0 to 4"):
+        blocks.draw(count)
+
+
+def test_stream_keys_wrap_mod_2_64():
+    # the key is (seed mod 2^64, stream mod 2^64)
+    a = rng_stream(-1, 2 ** 64 + 3).random(4)
+    assert np.array_equal(a, rng_stream(2 ** 64 - 1, 3).random(4))
+
+
 def test_wiener_increment_scaling():
-    inc = wiener_increments(RngStream(7, 0), 10 ** 5, 0.01)
+    inc = wiener_increments(rng_stream(7, 0), 10 ** 5, 0.01)
     assert abs(inc.var() / 0.01 - 1.0) < 0.05
-    again = wiener_increments(RngStream(7, 0), 10 ** 5, 0.01)
+    again = wiener_increments(rng_stream(7, 0), 10 ** 5, 0.01)
     assert np.array_equal(inc, again)
 
 
@@ -89,7 +101,7 @@ def test_wiener_path_second_moment():
     # <W(T)^2> ~ T across paths
     T, dt = 1.0, 0.01
     steps = int(T / dt)
-    finals = np.array([wiener_increments(RngStream(11, p), steps, dt).sum()
+    finals = np.array([wiener_increments(rng_stream(11, p), steps, dt).sum()
                        for p in range(1000)])
     assert abs(np.mean(finals ** 2) - T) < 0.15
 
@@ -342,10 +354,10 @@ def _float64_loop(system, diffusion, cfg):
     loop on Python floats.  Returns (states, blowup_index)."""
     drift, g, dpart, gpart = _reference_fns(system, diffusion)
     if cfg.noise_streams == "shared":
-        inc1 = inc2 = wiener_increments(RngStream(cfg.seed), cfg.steps, cfg.dt)
+        inc1 = inc2 = wiener_increments(rng_stream(cfg.seed), cfg.steps, cfg.dt)
     else:
-        inc1 = wiener_increments(RngStream(cfg.seed, 1), cfg.steps, cfg.dt)
-        inc2 = wiener_increments(RngStream(cfg.seed, 2), cfg.steps, cfg.dt)
+        inc1 = wiener_increments(rng_stream(cfg.seed, 1), cfg.steps, cfg.dt)
+        inc2 = wiener_increments(rng_stream(cfg.seed, 2), cfg.steps, cfg.dt)
     states = np.empty((cfg.steps + 1, 2))
     states[0] = (cfg.initial.x, cfg.initial.y)
     for n in range(cfg.steps):
@@ -491,7 +503,7 @@ def test_shared_vs_independent_streams():
     # its own stream of the seed: 0 for shared noise, 1 and 2 for independent
     for traj, ids in ((shared, (0, 0)), (indep, (1, 2))):
         for i, stream_id in enumerate(ids):
-            dw = wiener_increments(RngStream(5, stream_id), 100, 0.01)
+            dw = wiener_increments(rng_stream(5, stream_id), 100, 0.01)
             np.testing.assert_allclose(traj.states[1:, i],
                                        traj.states[:-1, i] * (1.0 + dw), rtol=1e-13)
 
@@ -546,7 +558,7 @@ def test_simconfig_validation():
         with pytest.raises(ValueError, match="dt"):
             SimConfig(dt=dt, steps=10, initial=State(1.0, 1.0))
         with pytest.raises(ValueError, match="dt"):
-            wiener_increments(RngStream(1), 10, dt)
+            wiener_increments(rng_stream(1), 10, dt)
     for steps in (0, -3, 2.5, 10.0):
         with pytest.raises(ValueError, match="steps"):
             SimConfig(dt=0.1, steps=steps, initial=State(0, 0))

@@ -14,7 +14,7 @@ import pytest
 import alpha_exact
 from density_nodes import density_at_nodes
 from tumorsde import lyapunov
-from tumorsde.integrate import RngStream
+from tumorsde.integrate import rng_stream
 from tumorsde.lyapunov import (
     TWO_PI,
     DegeneratePhaseDiffusionError,
@@ -523,27 +523,20 @@ def _reference_mc(s, horizon, dt, paths, seed, stream_base=0):
     (q1m, q1c, q1s), (q2m, q2c, q2s), (q3m, q3c, q3s), (q4m, q4c, q4s), _ = \
         lyapunov._angle_table(s)
     nsteps = lyapunov.mc_step_count(horizon, dt)
-    streams = [RngStream(seed, stream_base + p) for p in range(paths)]
-    theta = np.array([TWO_PI * st.uniforms(1)[0] for st in streams])
+    gens = [rng_stream(seed, stream_base + p) for p in range(paths)]
+    theta = np.array([TWO_PI * (1.0 - gen.random()) for gen in gens])
+    dw = np.stack([gen.standard_normal(nsteps) for gen in gens]) * math.sqrt(dt)
     logr = np.zeros(paths)
-    done = 0
-    while done < nsteps:
-        blen = min(lyapunov._MC_BLOCK, nsteps - done)
-        dw = np.empty((paths, blen))
-        for p, st in enumerate(streams):
-            dw[p] = st._gen.standard_normal(blen)
-        dw *= math.sqrt(dt)
-        for k in range(blen):
-            c2t = np.cos(2.0 * theta)
-            s2t = np.sin(2.0 * theta)
-            q1 = q1m + q1c * c2t + q1s * s2t
-            q2 = q2m + q2c * c2t + q2s * s2t
-            q3 = q3m + q3c * c2t + q3s * s2t
-            q4 = q4m + q4c * c2t + q4s * s2t
-            w = dw[:, k]
-            logr += (q1 + 0.5 * (q4 * q4 - q2 * q2)) * dt + q2 * w
-            theta += (q3 - q2 * q4) * dt + q4 * w
-        done += blen
+    for k in range(nsteps):
+        c2t = np.cos(2.0 * theta)
+        s2t = np.sin(2.0 * theta)
+        q1 = q1m + q1c * c2t + q1s * s2t
+        q2 = q2m + q2c * c2t + q2s * s2t
+        q3 = q3m + q3c * c2t + q3s * s2t
+        q4 = q4m + q4c * c2t + q4s * s2t
+        w = dw[:, k]
+        logr += (q1 + 0.5 * (q4 * q4 - q2 * q2)) * dt + q2 * w
+        theta += (q3 - q2 * q4) * dt + q4 * w
     per_path = logr / (nsteps * dt)
     stderr = float(per_path.std(ddof=1) / math.sqrt(paths)) if paths > 1 else 0.0
     return float(per_path.mean()), stderr
@@ -562,8 +555,6 @@ _MC_KERNEL_CASES = {
     "aI-rotation": (lambda: LinearSDE(Mat2(0.1, 0, 0, 0.1), alpha_family(0.5, 1.0)),
                     dict(horizon=5.0, paths=16, seed=3)),
     "one-path": (lambda: _kt_p2_sys(0.5), dict(horizon=2.0, paths=1, seed=6)),
-    "two-blocks": (lambda: _kt_p2_sys(0.5),
-                   dict(horizon=1e-3 * (lyapunov._MC_BLOCK + 500), paths=3, seed=9)),
     # 96 paths: blocks of 2730 steps (the normals bound), odd last block
     "normals-bound": (lambda: _bell_p1_sys(-3.0),
                       dict(horizon=1e-3 * (lyapunov._MC_BLOCK_NORMALS // 96 + 501),

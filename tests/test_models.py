@@ -87,6 +87,14 @@ def test_kt_p2_omitted_when_y2_nonpositive():
     assert [e.label for e in eqs] == ["P1"]
 
 
+def test_kt_p1_omitted_when_x1_negative():
+    # x1 = a1/a2 < 0 is not a population, as Bell's y1 < 0 is not
+    p = KTParams(**{**vars(KT_PARAMS), "a1": -10.0})
+    eqs, notes = model_equilibria(kt_model(p))
+    assert eqs == []
+    assert notes == [f"P1 omitted: x1 = {-10.0 / p.a2:.6g} < 0", "P2 omitted: discriminant < 0"]
+
+
 def test_bell_equilibria_default_params():
     p1, p2 = model_equilibria(bell_model())[0]
     assert abs(p1.point.x) < 1e-15
