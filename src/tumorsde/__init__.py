@@ -7,13 +7,9 @@ with CSV output.
 """
 
 from .models import (
-    BELL_PARAMS,
-    BellParams,
     DomainError,
     Equilibrium,
     HFun,
-    KT_PARAMS,
-    KTParams,
     Mat2,
     ModelSpec,
     State,

@@ -389,19 +389,20 @@ def _closed_exponents(A: Mat2, beta: float, alphas: np.ndarray) -> tuple:
     """
     if beta == 0:
         raise DegeneratePhaseDiffusionError(_REAL_ZEROS)
-    g, q = _polar_rows(LinearSDE(A, alpha_family(0.0, beta)))[[4, 0]] @ _FOURIER
-    # the fraction runs on its denominators over s = -g_{+1}, so r_k = 1 /
-    # tau_k and tau_k = c / tau_{k+1} + (g_0 + i k beta^2) / s, c = -g_{-1}
-    # g_{+1} / s^2: four array operations a step.  Where g_{+1} = 0 every
-    # r_k is 0: s = 1 and one = 0.  The constants are 1-element arrays,
-    # which numpy broadcasts faster than scalars.
-    s, one = (-g[3], np.ones(1)) if g[3] != 0 else (1.0, np.zeros(1))
-    c = -g[1] * g[3] / s ** 2 * one
+    rows = _polar_rows(LinearSDE(A, alpha_family(0.0, beta)))[[4, 0]]
     modes = _START_MODES
-    with np.errstate(all="ignore"):
+    with np.errstate(all="ignore"):  # an overflow is a non-finite tail
+        g, q = rows @ _FOURIER
+        # the fraction runs on its denominators over s = -g_{+1}, so r_k =
+        # 1 / tau_k and tau_k = c / tau_{k+1} + (g_0 + i k beta^2) / s, c =
+        # -g_{-1} g_{+1} / s^2: four array operations a step.  Where g_{+1}
+        # = 0 every r_k is 0: s = 1 and one = 0.  The constants are
+        # 1-element arrays, which numpy broadcasts faster than scalars.
+        s, one = (-g[3], np.ones(1)) if g[3] != 0 else (1.0, np.zeros(1))
+        c = -g[1] * g[3] / s ** 2 * one
         h0 = (g[2] + beta * alphas) / s
         while True:
-            shifts = (1j * beta ** 2 / s) * np.arange(modes + 1)[:, None]
+            shifts = (1j * np.float64(beta) ** 2 / s) * np.arange(modes + 1)[:, None]
             tau = h0 + shifts[modes]
             last = np.abs(one / tau)  # |p_N / p_{N-1}|
             # becomes p_{N-1} / p_0, where one = 1: |p_k| <= |p_0|, so the

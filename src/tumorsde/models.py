@@ -21,7 +21,7 @@ difference stencils read too.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Callable, Mapping, Optional
 
 import numpy as np
@@ -29,14 +29,10 @@ import numpy as np
 __all__ = [
     "DomainError",
     "State",
-    "KTParams",
-    "BellParams",
     "Mat2",
     "Equilibrium",
     "HFun",
     "ModelSpec",
-    "KT_PARAMS",
-    "BELL_PARAMS",
     "kt_model",
     "bell_model",
     "volterra_model",
@@ -63,51 +59,6 @@ class State:
 
     x: float
     y: float
-
-
-@dataclass(frozen=True)
-class KTParams:
-    """Coefficients of the Kuznetsov-Taylor vector field.
-
-    dx/dt = a1 - a2*x + a3*x*y
-    dy/dt = b1*y*(1 - b2*y) - x*y
-    """
-
-    a1: float
-    a2: float
-    a3: float
-    b1: float
-    b2: float
-
-    def __post_init__(self):
-        vals = (self.a1, self.a2, self.a3, self.b1, self.b2)
-        if not all(math.isfinite(v) for v in vals):
-            raise ValueError("KTParams entries must be finite")
-        if self.a2 <= 0 or self.b1 <= 0 or self.b2 <= 0 or self.a3 <= 0:
-            raise ValueError("KTParams requires a2, a3, b1, b2 > 0")
-
-
-@dataclass(frozen=True)
-class BellParams:
-    """Coefficients of the Bell vector field.
-
-    dx/dt = x * (a1 - a2*y)
-    dy/dt = (b1*x - b3)*y - b2*x + b4
-    """
-
-    a1: float
-    a2: float
-    b1: float
-    b2: float
-    b3: float
-    b4: float
-
-    def __post_init__(self):
-        vals = (self.a1, self.a2, self.b1, self.b2, self.b3, self.b4)
-        if not all(math.isfinite(v) for v in vals):
-            raise ValueError("BellParams entries must be finite")
-        if self.a2 == 0:
-            raise ValueError("BellParams requires a2 != 0")
 
 
 @dataclass(frozen=True)
@@ -186,28 +137,35 @@ def _poly(name: str, c0: float, c1: float = 0.0, c2: float = 0.0) -> HFun:
 
 
 def _model(name: str, params: dict, fns: tuple, closed=None) -> ModelSpec:
+    if not all(math.isfinite(v) for v in params.values()):
+        raise ValueError(f"model {name} requires finite params")
     field, jet, jac = fns
     return ModelSpec(name=name, params=params, field=field, jet=jet, jac=jac, closed=closed)
 
 
-KT_PARAMS = KTParams(a1=0.1181, a2=0.3747, a3=0.01184, b1=1.636, b2=0.002)
-BELL_PARAMS = BellParams(a1=2.5, a2=1.0, b1=1.0, b2=0.4, b3=0.95, b4=2.0)
+def kt_model(a1: float = 0.1181, a2: float = 0.3747, a3: float = 0.01184,
+             b1: float = 1.636, b2: float = 0.002) -> ModelSpec:
+    """Kuznetsov-Taylor model: dx/dt = a1 - a2*x + a3*x*y, dy/dt = b1*y*(1 - b2*y) - x*y."""
+    if a2 <= 0 or a3 <= 0 or b1 <= 0 or b2 <= 0:
+        raise ValueError("model kt requires a2, a3, b1, b2 > 0")
+    return _model("kt", {"a1": a1, "a2": a2, "a3": a3, "b1": b1, "b2": b2},
+                  _kt_fns(a1, a2, a3, b1, b2), _kt_closed)
 
 
-def kt_model(params: KTParams = KT_PARAMS) -> ModelSpec:
-    """Kuznetsov-Taylor model (positive immune response)."""
-    return _model("kt", dict(vars(params)), _kt_fns(**vars(params)), _kt_closed)
-
-
-def bell_model(params: BellParams = BELL_PARAMS) -> ModelSpec:
+def bell_model(a1: float = 2.5, a2: float = 1.0, b1: float = 1.0, b2: float = 0.4,
+               b3: float = 0.95, b4: float = 2.0) -> ModelSpec:
+    """Bell model: dx/dt = x*(a1 - a2*y), dy/dt = (b1*x - b3)*y - b2*x + b4."""
+    if a2 == 0:
+        raise ValueError("model bell requires a2 != 0")
     h = (
-        _poly("h1", params.a1),
-        _poly("h2", params.a2),
-        _poly("h3", 0.0, params.b1),
-        _poly("h4", params.b3),
-        _poly("h5", params.b4, -params.b2),
+        _poly("h1", a1),
+        _poly("h2", a2),
+        _poly("h3", 0.0, b1),
+        _poly("h4", b3),
+        _poly("h5", b4, -b2),
     )
-    return _model("bell", dict(vars(params)), _h_fns(*h), _bell_closed)
+    return _model("bell", {"a1": a1, "a2": a2, "b1": b1, "b2": b2, "b3": b3, "b4": b4},
+                  _h_fns(*h), _bell_closed)
 
 
 def volterra_model(a: float, b: float, d: float, f: float, k: float) -> ModelSpec:
@@ -280,44 +238,32 @@ def logistic_model(a1: float, b1: float, b2: float, b3: float) -> ModelSpec:
 
 def custom_model(rhs: Callable[[float, float], tuple], name: str = "custom",
                  params: Optional[Mapping[str, float]] = None) -> ModelSpec:
-    """Wrap a user-supplied (x, y) -> (f1, f2) right-hand side."""
+    """Wrap a user-supplied (x, y) -> (f1, f2) right-hand side; params,
+    its coefficients for residual_scale, must be finite."""
     return _model(name, dict(params or {}), _custom_fns(rhs))
 
 
-_FACTORIES = {
-    "volterra": (volterra_model, ("a", "b", "d", "f", "k")),
-    "stepanova": (stepanova_model, ("a1", "b", "b1", "b2", "b4")),
-    "vladar": (vladar_model, ("K", "b1", "b2", "b3")),
-    "exponential": (exponential_model, ("b1", "b2", "b3")),
-    "logistic": (logistic_model, ("a1", "b1", "b2", "b3")),
-}
-
-
-_DEFAULTED = {"kt": (kt_model, KT_PARAMS), "bell": (bell_model, BELL_PARAMS)}
+_PRESETS = {"kt": kt_model, "bell": bell_model, "volterra": volterra_model,
+            "stepanova": stepanova_model, "vladar": vladar_model,
+            "exponential": exponential_model, "logistic": logistic_model}
 
 
 def make_model(name: str, params: Optional[Mapping[str, float]] = None) -> ModelSpec:
-    """Build a preset by name; kt and bell fall back to their defaults
-    for any coefficient not overridden, other presets need every one."""
-    params = dict(params or {})
-    if name in _DEFAULTED:
-        factory, defaults = _DEFAULTED[name]
-        _reject_unknown(name, params, vars(defaults))
-        return factory(replace(defaults, **params))
-    if name in _FACTORIES:
-        factory, keys = _FACTORIES[name]
-        missing = [k for k in keys if k not in params]
-        if missing:
-            raise ValueError(f"model {name} needs params {missing}")
-        _reject_unknown(name, params, dict.fromkeys(keys))
-        return factory(**{k: params[k] for k in keys})
-    raise ValueError(f"unknown model preset: {name}")
+    """Build a preset by name from its builder's keywords: each one without
+    a default (kt's and bell's have them) is needed, any other is refused."""
+    import inspect
 
-
-def _reject_unknown(name, given, allowed):
-    unknown = set(given) - set(allowed)
+    if name not in _PRESETS:
+        raise ValueError(f"unknown model preset: {name}")
+    builder, params = _PRESETS[name], dict(params or {})
+    keys = inspect.signature(builder).parameters
+    missing = [k for k, p in keys.items() if p.default is p.empty and k not in params]
+    if missing:
+        raise ValueError(f"model {name} needs params {missing}")
+    unknown = set(params) - set(keys)
     if unknown:
         raise ValueError(f"model {name}: unknown params {sorted(unknown)}")
+    return builder(**params)
 
 
 _isfinite = math.isfinite
@@ -420,20 +366,28 @@ def _residual(model: ModelSpec, x: float, y: float) -> float:
 def _kt_closed(model: ModelSpec) -> tuple:
     """(equilibria, notes) of a built kt model: P1 = (a1/a2, 0) when x1
     is not negative, and P2 from the positive root of the coexistence
-    quadratic when its y is positive (x < 0 or y < 0 is not a
-    population), else a note why it is omitted."""
+    quadratic when its discriminant is finite, its x not negative and
+    its y positive (x < 0 or y < 0 is not a population), else a note why
+    it is omitted."""
     a1, a2, a3, b1, b2 = (model.params[k] for k in ("a1", "a2", "a3", "b1", "b2"))
     x1 = a1 / a2
     if x1 < 0:
         out, notes = [], [f"P1 omitted: x1 = {x1:.6g} < 0"]
     else:
         out, notes = [Equilibrium(State(x1, 0.0), "P1", _residual(model, x1, 0.0))], []
-    delta = b1 ** 2 * (b2 * a2 - a3) ** 2 + 4.0 * b1 * b2 * a1 * a3
+    try:
+        delta = b1 ** 2 * (b2 * a2 - a3) ** 2 + 4.0 * b1 * b2 * a1 * a3
+    except OverflowError:
+        delta = math.inf
+    if not math.isfinite(delta):
+        return out, notes + ["P2 omitted: discriminant overflows"]
     if delta < 0:
         return out, notes + ["P2 omitted: discriminant < 0"]
     sd = math.sqrt(delta)
     x2 = (b1 * (a3 - b2 * a2) + sd) / (2.0 * a3)
     y2 = (b1 * (a3 + b2 * a2) - sd) / (2.0 * b1 * b2 * a3)
+    if x2 < 0:
+        return out, notes + [f"P2 omitted: x2 = {x2:.6g} < 0"]
     if not y2 > 0:
         return out, notes + [f"P2 omitted: y2 = {y2:.6g} <= 0"]
     return out + [Equilibrium(State(x2, y2), "P2", _residual(model, x2, y2))], notes

@@ -760,6 +760,23 @@ def test_cli_non_finite_exponent_fails_its_own_point(tmp_path, capsys):
                 [f"# failure alpha={rows[k][0]}: {_OVERFLOW}" for k in bad]
 
 
+def test_cli_closed_beta_overflow_fails_as_fd(tmp_path, capsys):
+    # beta ** 2 overflows at beta = 1e200: closed fails as fd does, exit 3
+    # with fd's message and no warning, and a sweep records it per point
+    argv = ["--model", "bell", "--equilibrium", "P1", "--beta", "1e200"]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for method in ("fd", "closed"):
+            assert main(["lyapunov", *argv, "--alpha", "0.5", "--method", method]) == 3
+            assert capsys.readouterr() == ("", f"numerical failure: {_OVERFLOW}\n")
+        out = tmp_path / "s.csv"
+        assert main(["sweep", *argv, "--alpha=0:1:0.5", "--method", "closed",
+                     "--out", str(out)]) == 0
+    failures = [line for line in out.read_text(encoding="utf-8").splitlines()
+                if line.startswith("# failure")]
+    assert failures == [f"# failure alpha={a}: {_OVERFLOW}" for a in ("0", "0.5", "1")]
+
+
 @pytest.mark.parametrize("command, extra", [("lyapunov", ["--method", "fd"]),
                                             ("lyapunov", ["--method", "closed"]),
                                             ("simulate", [])],

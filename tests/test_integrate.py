@@ -237,6 +237,16 @@ def test_simulate_blowup_truncates():
     assert np.isfinite(traj.states).all()
 
 
+@pytest.mark.parametrize("drift", [(1e308, 0.0), (0.0, 1e308)], ids=["x", "y"])
+def test_simulate_euler1_step_that_overflows_is_a_blowup(drift):
+    # the field is finite, the step's sum 1e308 + 1e308 is not: the step
+    # itself, not the field, ends the trajectory at step 1
+    m = custom_model(lambda x, y: drift)
+    cfg = SimConfig(dt=1.0, steps=5, initial=State(1e308, 1e308), scheme="euler1")
+    traj = _assert_simulate_matches_float64_loop(m, None, cfg)
+    assert traj.blowup_index == 1 and len(traj.states) == 1
+
+
 @pytest.mark.parametrize("shift", [0, 1, 5])
 def test_state_chunks_end_with_the_blowup_index(monkeypatch, shift):
     # x advances by exactly 1 per step until the drift at x = k is
@@ -563,5 +573,7 @@ def test_simconfig_validation():
         with pytest.raises(ValueError, match="steps"):
             SimConfig(dt=0.1, steps=steps, initial=State(0, 0))
     assert SimConfig(dt=0.1, steps=np.int64(3), initial=State(0, 0)).steps == 3
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="unknown scheme 'rk4'"):
         SimConfig(dt=0.1, steps=10, initial=State(0, 0), scheme="rk4")
+    with pytest.raises(ValueError, match="unknown noise_streams 'split'"):
+        SimConfig(dt=0.1, steps=10, initial=State(0, 0), noise_streams="split")

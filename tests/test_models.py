@@ -9,12 +9,8 @@ import pytest
 from tumorsde import models
 from tumorsde.integrate import SimConfig, simulate
 from tumorsde.models import (
-    BELL_PARAMS,
-    BellParams,
     DomainError,
     HFun,
-    KT_PARAMS,
-    KTParams,
     Mat2,
     State,
     bell_model,
@@ -42,12 +38,18 @@ BELL_P2 = (0.17857142857142858, 2.5)
 
 
 def test_param_validation():
-    with pytest.raises(ValueError):
-        KTParams(a1=0.1, a2=-1.0, a3=0.01, b1=1.0, b2=0.1)
-    with pytest.raises(ValueError):
-        KTParams(a1=math.nan, a2=1.0, a3=0.01, b1=1.0, b2=0.1)
-    with pytest.raises(ValueError):
-        BellParams(a1=1.0, a2=0.0, b1=1.0, b2=0.1, b3=0.5, b4=1.0)
+    # each builder checks its own coefficients; every one must be finite,
+    # for every preset and for a custom model's params
+    with pytest.raises(ValueError, match="model kt requires a2, a3, b1, b2 > 0"):
+        kt_model(a2=-1.0)
+    with pytest.raises(ValueError, match="model kt requires finite params"):
+        kt_model(a1=math.nan)
+    with pytest.raises(ValueError, match="model bell requires a2 != 0"):
+        bell_model(a2=0.0)
+    with pytest.raises(ValueError, match="model volterra requires finite params"):
+        volterra_model(1.0, 0.5, 0.3, 0.4, math.inf)
+    with pytest.raises(ValueError, match="model custom requires finite params"):
+        custom_model(lambda x, y: (x, y), params={"a": math.nan})
     with pytest.raises(ValueError):
         Mat2(1.0, math.inf, 0.0, 1.0)
 
@@ -81,18 +83,31 @@ def test_kt_equilibria_default_params():
 
 def test_kt_p2_omitted_when_y2_nonpositive():
     # y2 > 0 iff b1*a2 > a1; pick a1 above that product
-    p = KTParams(a1=1.0, a2=0.5, a3=0.01, b1=1.0, b2=0.1)
-    assert p.b1 * p.a2 < p.a1
-    eqs = model_equilibria(kt_model(p))[0]
+    m = kt_model(a1=1.0, a2=0.5, a3=0.01, b1=1.0, b2=0.1)
+    assert m.params["b1"] * m.params["a2"] < m.params["a1"]
+    eqs, notes = model_equilibria(m)
     assert [e.label for e in eqs] == ["P1"]
+    assert notes == ["P2 omitted: y2 = -7.41657 <= 0"]
 
 
 def test_kt_p1_omitted_when_x1_negative():
     # x1 = a1/a2 < 0 is not a population, as Bell's y1 < 0 is not
-    p = KTParams(**{**vars(KT_PARAMS), "a1": -10.0})
-    eqs, notes = model_equilibria(kt_model(p))
+    eqs, notes = model_equilibria(kt_model(a1=-10.0))
     assert eqs == []
-    assert notes == [f"P1 omitted: x1 = {-10.0 / p.a2:.6g} < 0", "P2 omitted: discriminant < 0"]
+    a2 = kt_model().params["a2"]
+    assert notes == [f"P1 omitted: x1 = {-10.0 / a2:.6g} < 0", "P2 omitted: discriminant < 0"]
+
+
+@pytest.mark.parametrize("params, labels, notes", [
+    (dict(a1=-0.01, b2=0.1), [], ["P1 omitted: x1 = -0.026688 < 0",
+                                  "P2 omitted: x2 = -0.0394564 < 0"]),
+    (dict(b1=1e200), ["P1"], ["P2 omitted: discriminant overflows"]),
+], ids=["x2<0", "overflow"])
+def test_kt_equilibria_omit_what_is_not_a_population(params, labels, notes):
+    # x2 is checked before y2, as Bell's are; b1 ** 2 overflows a float
+    eqs, got = model_equilibria(kt_model(**params))
+    assert [e.label for e in eqs] == labels and got == notes
+    assert all(e.point.x >= 0 and e.point.y >= 0 and e.residual < 1e-12 for e in eqs)
 
 
 def test_bell_equilibria_default_params():
@@ -107,11 +122,11 @@ def test_bell_equilibria_default_params():
 def test_bell_equilibria_degenerate():
     # b1 = a2*b2/a1 makes the P2 denominator vanish: P2 is omitted with a
     # note, and P1 = (0, b4/b3) still exists
-    p = BellParams(a1=2.5, a2=1.0, b1=0.16, b2=0.4, b3=0.95, b4=2.0)
-    (p1,), notes = model_equilibria(bell_model(p))
+    m = bell_model(a1=2.5, a2=1.0, b1=0.16, b2=0.4, b3=0.95, b4=2.0)
+    (p1,), notes = model_equilibria(m)
     assert (p1.label, p1.point) == ("P1", State(0.0, 2.0 / 0.95))
     assert notes == ["P2 omitted: a1*b1 = a2*b2"]
-    assert model_equilibria(bell_model(p))[0] == [p1]
+    assert model_equilibria(m)[0] == [p1]
 
 
 @pytest.mark.parametrize("params, labels, notes", [
@@ -124,8 +139,7 @@ def test_bell_equilibria_degenerate():
 def test_bell_equilibria_omit_what_is_not_a_population(params, labels, notes):
     # an equilibrium exists and is a population, x, y >= 0, or is omitted
     # with a note, as kt's P2 is
-    p = BellParams(**{**vars(BELL_PARAMS), **params})
-    eqs, got = model_equilibria(bell_model(p))
+    eqs, got = model_equilibria(bell_model(**params))
     assert [e.label for e in eqs] == labels and got == notes
     assert all(e.point.x >= 0 and e.point.y >= 0 and e.residual < 1e-12 for e in eqs)
 
@@ -246,6 +260,13 @@ def test_vladar_domain_error_names_h1():
     assert math.isfinite(f1) and math.isfinite(f2)
 
 
+def test_shape_function_non_finite_value_is_a_domain_error():
+    # log(K/x) is finite for every finite K/x; K/x itself overflows to inf
+    m = vladar_model(K=1e308, b1=0.5, b2=0.2, b3=0.05)
+    with pytest.raises(DomainError, match="h1 evaluated non-finite at x=1e-10"):
+        m.field((1e-10, 1.0))
+
+
 def test_logistic_domain_error_at_zero():
     m = logistic_model(a1=0.5, b1=0.3, b2=0.2, b3=0.01)
     with pytest.raises(DomainError):
@@ -320,12 +341,13 @@ def test_custom_rhs_outside_its_domain_is_a_domain_error():
 def test_make_model_rejects_unknown():
     with pytest.raises(ValueError):
         make_model("nope")
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"model kt: unknown params \['zz'\]"):
         make_model("kt", {"zz": 1.0})
-    with pytest.raises(ValueError):
-        make_model("volterra", {"a": 1.0})  # missing coefficients
+    with pytest.raises(ValueError, match=r"model volterra needs params \['b', 'd', 'f', 'k'\]"):
+        make_model("volterra", {"a": 1.0})
     m = make_model("kt", {"a1": 0.2})
-    assert m.params["a1"] == 0.2 and m.params["a2"] == KT_PARAMS.a2
+    assert m.params == kt_model(a1=0.2).params
+    assert m.params["a1"] == 0.2 and m.params["a2"] == kt_model().params["a2"]
 
 
 _SHIFT = lambda x, y: (1.0 - x, 2.0 - y)  # one root, (1, 2)
@@ -333,7 +355,7 @@ _SHIFT = lambda x, y: (1.0 - x, 2.0 - y)  # one root, (1, 2)
 
 @pytest.mark.parametrize("name, params", [
     ("kt", None), ("kt", dict(a1=1, a2=1, a3=1, b1=1, b2=1)),
-    ("bell", None), ("bell", dict(vars(BELL_PARAMS)))])
+    ("bell", None), ("bell", dict(bell_model().params))])
 def test_custom_model_named_like_a_preset_runs_its_own_rhs(name, params):
     # the name once chose the preset's field and closed-form equilibria,
     # and without the preset's params raised KeyError
