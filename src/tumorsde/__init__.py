@@ -48,7 +48,6 @@ from .lyapunov import (
 )
 from .integrate import (
     BlowUpError,
-    GaussianBlocks,
     SimConfig,
     Trajectory,
     euler1_step,

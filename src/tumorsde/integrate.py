@@ -4,11 +4,10 @@ Variates come from counter-based Philox streams: numpy Generators
 keyed by (master seed, stream id) (rng_stream).  A trajectory's normals
 are Box-Muller pairs of uniforms mapped into (0,1], so log u stays
 finite (wiener_increments); lyapunov_mc's are numpy's ziggurat on the
-same streams (GaussianBlocks), an exact sampler that skips Box-Muller's
-log, cos and sin.  Identical (seed, id) pairs reproduce identical
-sequences; distinct ids behave as independent streams, which is what
-lets many paths run in any order or process layout without changing
-the result.
+same streams, an exact sampler that skips Box-Muller's log, cos and
+sin.  Identical (seed, id) pairs reproduce identical sequences; distinct
+ids behave as independent streams, which is what lets many paths run in
+any order or process layout without changing the result.
 
 Stream ids: a trajectory draws both components from stream 0 of its
 seed (shared noise) or component i from stream i, i = 1, 2
@@ -29,9 +28,9 @@ selected scheme's arithmetic and finiteness check with the affine
 noise's coefficients bound as locals; the noise is the given diffusion,
 a LinearSDE's own B s or the zero noise of a model run without one.
 The drift and its partials come from one closure call per step:
-a model's own field or jet (ModelSpec), sde.AffineDiffusion.fns for a
-LinearSDE's A s.  euler1_step and euler2_step are the same schemes over
-any drift and diffusion callables, on scalars or arrays: the reference
+a model's own field or jet (ModelSpec), or the step's own closures over
+a LinearSDE's A s.  euler1_step and euler2_step are the same schemes
+over any drift and diffusion callables, on scalars or arrays: the reference
 the step function is tested against.  A run that blows up stops with
 fewer than steps + 1 states: its blow-up index is its state count.
 """
@@ -52,7 +51,6 @@ __all__ = [
     "BlowUpError",
     "SimConfig",
     "Trajectory",
-    "GaussianBlocks",
     "wiener_increments",
     "euler1_step",
     "euler2_step",
@@ -75,37 +73,6 @@ def rng_stream(seed: int, stream: int = 0) -> np.random.Generator:
     by (seed mod 2^64, stream mod 2^64)."""
     key = np.array([seed & _MASK64, stream & _MASK64], dtype=np.uint64)
     return np.random.Generator(np.random.Philox(key=key))
-
-
-class GaussianBlocks:
-    """Successive blocks of standard normals from many generators at once.
-
-    Column p of a block holds the next normals of gens[p], exactly as
-    gens[p].standard_normal(count) would return them: numpy's ziggurat
-    (Marsaglia & Tsang 2000) on the stream's Philox generator.  Its
-    draws are sequential, so blocks of any lengths, odd ones too,
-    concatenate to one draw.  Each generator fills one row and the block
-    is one transposed copy of the rows.  The work arrays, for blocks of
-    up to size rows, are allocated once.
-    """
-
-    def __init__(self, gens, size: int):
-        self._gens = list(gens)
-        self._rows = np.empty((len(self._gens), size))
-        self._out = np.empty((size, len(self._gens)))
-
-    def draw(self, count: int) -> np.ndarray:
-        """The next count normals of every generator, as a (count, gens)
-        view that the next draw overwrites; ValueError unless count is
-        an integer 0 to size."""
-        if not isinstance(count, (int, np.integer)) or not 0 <= count <= len(self._out):
-            raise ValueError(f"count must be an integer 0 to {len(self._out)}")
-        rows = self._rows[:, :count]
-        for row, gen in zip(rows, self._gens):
-            gen.standard_normal(out=row)
-        out = self._out[:count]
-        out[...] = rows.T
-        return out
 
 
 def wiener_increments(gen: np.random.Generator, steps: int, dt: float) -> np.ndarray:
@@ -217,14 +184,24 @@ def _stepper(system, diffusion, cfg: SimConfig):
     euler2_step, term for term, built once per run.
 
     The drift is the field (euler1) or the field with its partials
-    (euler2, the jet) that a model carries, and those of
-    AffineDiffusion.fns for a LinearSDE's A s.  The noise is affine, the
-    given diffusion, a LinearSDE's own B s or none for a model, so
-    g = b s + c and its partials (b11, 0), (b22, 0) are bound as locals.
-    A non-finite component raises BlowUpError as _check_finite does.
+    (euler2, the jet) that a model carries, or a LinearSDE's A s with
+    its partials (a11, 0), (a22, 0).  The noise is affine, the given
+    diffusion, a LinearSDE's own B s or none for a model, so g = b s + c
+    and its partials (b11, 0), (b22, 0) are bound as locals.  A
+    non-finite component raises BlowUpError as _check_finite does.
     """
     if isinstance(system, LinearSDE):
-        field, jet = AffineDiffusion(system.A, 0.0, 0.0).fns()
+        a11, a12, a21, a22 = system.A.a11, system.A.a12, system.A.a21, system.A.a22
+
+        # A s + 0, the affine form with zero offsets: a -0.0 sum becomes 0.0
+        def field(s):
+            x, y = s
+            return a11 * x + a12 * y + 0.0, a21 * x + a22 * y + 0.0
+
+        def jet(s):
+            x, y = s
+            return a11 * x + a12 * y + 0.0, a21 * x + a22 * y + 0.0, a11, 0.0, a22, 0.0
+
         own = AffineDiffusion(system.B, 0.0, 0.0)
     elif isinstance(system, ModelSpec):
         field, jet = system.field, system.jet

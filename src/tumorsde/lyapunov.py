@@ -49,7 +49,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .integrate import GaussianBlocks, rng_stream
+from .integrate import rng_stream
 from .models import Equilibrium, Mat2, ModelSpec
 from .sde import LinearSDE, alpha_family, linearize
 
@@ -99,8 +99,8 @@ def _times(a, b) -> np.ndarray:
                      ca * cb - sa * sb, ca * sb + sa * cb))
 
 
-# a sweep reads the same four row sets (``_fd_exponents``), or one (closed),
-# at every refinement level
+# a sweep reads the same row set (``_fd_exponents`` and closed) at every
+# refinement level
 @functools.lru_cache(maxsize=8)
 def _polar_rows(sys: LinearSDE) -> np.ndarray:
     """Read-only rows over the basis of ``_times``, stacked: the log r
@@ -180,8 +180,7 @@ _QUAD = np.array([[1.0, 0, 0, 0, 0],
                   [0, 0, -1.0, 0, 0],
                   [0.5, 0, 0, 0.5, 0],
                   [0, 0, 0, 0, -0.5]])
-_ZERO = Mat2(0.0, 0.0, 0.0, 0.0)
-_REAL_ZEROS = "q4 has real zeros, where the angle diffusion vanishes; use the mc method"
+_Q4_ROOTS = "q4 has real zeros, where the angle diffusion vanishes; use the mc method"
 
 
 def _rejection(modes: int, tail: float) -> str:
@@ -283,7 +282,7 @@ def _fd_solve(rows: np.ndarray) -> tuple:
         values = (rows[:, :1] @ _QUAD @ low_modes[:, :, None])[:, 0, 0]
     bad = (~(tails <= _MODE_TAIL) | ~np.isfinite(values)).nonzero()[0]
     values[bad] = np.nan
-    errors = {i: _rejection(counts[i], tails[i]) if counts[i] else _REAL_ZEROS
+    errors = {i: _rejection(counts[i], tails[i]) if counts[i] else _Q4_ROOTS
               for i in bad.tolist()}
     return values, counts, tails, gap, errors
 
@@ -346,14 +345,14 @@ def _fd_exponents(A: Mat2, beta: float, alphas: np.ndarray) -> tuple:
 
     ``_polar_rows`` is the sum of a part linear in A and a part quadratic
     in B, and B = alpha I + beta J is affine in alpha, so the rows at alpha
-    are R0 + alpha R1 + alpha^2 R2: R0 the rows at alpha = 0, and R1, R2
-    from the rows of the noise alone (A = 0) at alpha = -1, 0 and 1, where
-    A's entries do not round them.  Each block of _STACK alphas is one
-    ``_fd_solve``."""
+    are R0 + alpha R1 + alpha^2 R2, R0 the rows at alpha = 0.  As q2 =
+    alpha, q4 = beta and q5 = 0, R1 is -beta in D's mean, 1 in q2's and
+    beta in the fd drift's, and R2 is -1/2 in Q's: constants, exact for
+    any beta.  Each block of _STACK alphas is one ``_fd_solve``."""
     r0 = _polar_rows(LinearSDE(A, alpha_family(0.0, beta)))
-    below, middle, above = (_polar_rows(LinearSDE(_ZERO, alpha_family(a, beta)))
-                            for a in (-1.0, 0.0, 1.0))
-    r1, r2 = 0.5 * (above - below), 0.5 * (above + below) - middle
+    r1, r2 = np.zeros(r0.shape), np.zeros(r0.shape)
+    r1[[1, 2, 4], 0] = -beta, 1.0, beta
+    r2[0, 0] = -0.5
     values, counts, errors = np.empty(alphas.size), np.empty(alphas.size, int), {}
     for lo in range(0, alphas.size, _STACK):
         al = alphas[lo:lo + _STACK, None, None]
@@ -388,7 +387,7 @@ def _closed_exponents(A: Mat2, beta: float, alphas: np.ndarray) -> tuple:
     DegeneratePhaseDiffusionError with fd's message.
     """
     if beta == 0:
-        raise DegeneratePhaseDiffusionError(_REAL_ZEROS)
+        raise DegeneratePhaseDiffusionError(_Q4_ROOTS)
     rows = _polar_rows(LinearSDE(A, alpha_family(0.0, beta)))[[4, 0]]
     modes = _START_MODES
     with np.errstate(all="ignore"):  # an overflow is a non-finite tail
@@ -495,17 +494,22 @@ def _mc_draws(nsteps: int, dt: float, seed: int, first: int, stop: int) -> tuple
     """The start angles phi = 2 theta, theta uniform on [0, 2 pi), of the
     paths on streams (seed, first) .. (seed, stop - 1), and an iterator
     over their Wiener increments: (steps, paths) blocks of at most
-    _MC_BLOCK_NORMALS normals, nsteps steps in all."""
+    _MC_BLOCK_NORMALS normals, nsteps steps in all, each a view that the
+    next block overwrites.  Column p is sqrt(dt) times the next normals
+    of path p's stream by numpy's ziggurat (Marsaglia & Tsang 2000),
+    whose draws are sequential: blocks of any lengths, odd ones too,
+    concatenate to one standard_normal draw."""
     gens = [rng_stream(seed, p) for p in range(first, stop)]
     phi = np.array([2.0 * TWO_PI * (1.0 - gen.random()) for gen in gens])
-    block = max(1, _MC_BLOCK_NORMALS // len(gens))
-    normals, sdt = GaussianBlocks(gens, block), math.sqrt(dt)
+    block, sdt = max(1, _MC_BLOCK_NORMALS // len(gens)), math.sqrt(dt)
+    rows, out = np.empty((len(gens), block)), np.empty((block, len(gens)))
 
     def blocks():
         for done in range(0, nsteps, block):
-            dw = normals.draw(min(block, nsteps - done))
-            dw *= sdt
-            yield dw
+            n = min(block, nsteps - done)
+            for row, gen in zip(rows[:, :n], gens):
+                gen.standard_normal(out=row)
+            yield np.multiply(rows[:, :n].T, sdt, out=out[:n])
     return phi, blocks()
 
 
@@ -613,7 +617,7 @@ def lyapunov_mc(sys: LinearSDE, horizon: float = 200.0, dt: float = 1e-3,
     with its standard error.  Path p draws from the generator
     ``rng_stream(seed, stream_base + p)``, its start angle from one
     uniform and its increments from the generator's ziggurat normals
-    (``GaussianBlocks``; simulate's trajectories use Box-Muller pairs),
+    (``_mc_draws``; simulate's trajectories use Box-Muller pairs),
     and rounds as it would alone, so results do not depend on
     scheduling; a single path runs with a spare one, on stream
     stream_base + 1, that is dropped.

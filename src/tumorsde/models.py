@@ -363,18 +363,30 @@ def _residual(model: ModelSpec, x: float, y: float) -> float:
     return max(abs(f1), abs(f2))
 
 
+def _admit(model: ModelSpec, out: list, notes: list, label: str, x: float, y: float):
+    """(out, notes), the equilibrium label at (x, y) with its residual
+    appended to out or, where the field there is not finite, a note that
+    it is omitted appended to notes."""
+    try:
+        out.append(Equilibrium(State(x, y), label, _residual(model, x, y)))
+    except DomainError:
+        notes.append(f"{label} omitted: residual not finite at ({x:.6g}, {y:.6g})")
+    return out, notes
+
+
 def _kt_closed(model: ModelSpec) -> tuple:
     """(equilibria, notes) of a built kt model: P1 = (a1/a2, 0) when x1
     is not negative, and P2 from the positive root of the coexistence
     quadratic when its discriminant is finite, its x not negative and
-    its y positive (x < 0 or y < 0 is not a population), else a note why
-    it is omitted."""
+    its y positive (x < 0 or y < 0 is not a population), each when its
+    residual is finite, else a note why it is omitted."""
     a1, a2, a3, b1, b2 = (model.params[k] for k in ("a1", "a2", "a3", "b1", "b2"))
     x1 = a1 / a2
+    out, notes = [], []
     if x1 < 0:
-        out, notes = [], [f"P1 omitted: x1 = {x1:.6g} < 0"]
+        notes.append(f"P1 omitted: x1 = {x1:.6g} < 0")
     else:
-        out, notes = [Equilibrium(State(x1, 0.0), "P1", _residual(model, x1, 0.0))], []
+        _admit(model, out, notes, "P1", x1, 0.0)
     try:
         delta = b1 ** 2 * (b2 * a2 - a3) ** 2 + 4.0 * b1 * b2 * a1 * a3
     except OverflowError:
@@ -390,14 +402,14 @@ def _kt_closed(model: ModelSpec) -> tuple:
         return out, notes + [f"P2 omitted: x2 = {x2:.6g} < 0"]
     if not y2 > 0:
         return out, notes + [f"P2 omitted: y2 = {y2:.6g} <= 0"]
-    return out + [Equilibrium(State(x2, y2), "P2", _residual(model, x2, y2))], notes
+    return _admit(model, out, notes, "P2", x2, y2)
 
 
 def _bell_closed(model: ModelSpec) -> tuple:
     """(equilibria, notes) of a built bell model: P1 = (0, b4/b3) on the
     x = 0 axis and the interior P2 = ((a1 b3 - a2 b4) / (a1 b1 - a2 b2),
-    a1/a2), each when its denominator is not 0 and its coordinates are
-    not negative (a population), else a note why it is omitted."""
+    a1/a2), each when its denominator is not 0, its coordinates are not
+    negative (a population) and its residual finite, else a note why."""
     a1, a2, b1, b2, b3, b4 = (model.params[k] for k in ("a1", "a2", "b1", "b2", "b3", "b4"))
     out, notes = [], []
     y1 = b4 / b3 if b3 != 0 else math.nan
@@ -406,7 +418,7 @@ def _bell_closed(model: ModelSpec) -> tuple:
     elif y1 < 0:
         notes.append(f"P1 omitted: y1 = {y1:.6g} < 0")
     else:
-        out.append(Equilibrium(State(0.0, y1), "P1", _residual(model, 0.0, y1)))
+        _admit(model, out, notes, "P1", 0.0, y1)
     den = a1 * b1 - a2 * b2
     if den == 0:
         return out, notes + ["P2 omitted: a1*b1 = a2*b2"]
@@ -414,7 +426,7 @@ def _bell_closed(model: ModelSpec) -> tuple:
     for name, v in (("x2", x2), ("y2", y2)):
         if v < 0:
             return out, notes + [f"P2 omitted: {name} = {v:.6g} < 0"]
-    return out + [Equilibrium(State(x2, y2), "P2", _residual(model, x2, y2))], notes
+    return _admit(model, out, notes, "P2", x2, y2)
 
 
 def model_equilibria(model: ModelSpec) -> tuple:

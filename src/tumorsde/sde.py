@@ -42,30 +42,12 @@ class NotAnEquilibriumError(ValueError):
 
 @dataclass(frozen=True)
 class AffineDiffusion:
-    """Pair of affine noise coefficients vanishing at the anchor point;
-    with c1 = c2 = 0 also the linear map s -> b s of a LinearSDE."""
+    """Pair of affine noise coefficients g(s) = b s + c, vanishing at the
+    anchor point; with c1 = c2 = 0 also the noise B s of a LinearSDE."""
 
     b: Mat2
     c1: float
     c2: float
-
-    def fns(self) -> tuple:
-        """(g, jet) over a state pair s = (x, y), with b11..c2 bound as
-        locals, in the form of a ModelSpec's field and jet: g(s) -> (g1, g2)
-        and jet(s) -> (g1, g2, b11, 0, b22, 0), g with its constant
-        own-component partials."""
-        b11, b12, b21, b22 = self.b.a11, self.b.a12, self.b.a21, self.b.a22
-        c1, c2 = self.c1, self.c2
-
-        def g(s):
-            x, y = s
-            return b11 * x + b12 * y + c1, b21 * x + b22 * y + c2
-
-        def jet(s):
-            x, y = s
-            return b11 * x + b12 * y + c1, b21 * x + b22 * y + c2, b11, 0.0, b22, 0.0
-
-        return g, jet
 
 
 @dataclass(frozen=True)

@@ -402,8 +402,9 @@ def test_c6_property_suites(tmp_path):
     for _ in range(100):
         b = Mat2(*rng.normal(size=4))
         pt = State(*rng.uniform(-30, 30, 2))
-        g = diffusion_at_equilibrium(b, Equilibrium(pt, "numeric", 0.0)).fns()[0]
-        g1, g2 = g((pt.x, pt.y))
+        d = diffusion_at_equilibrium(b, Equilibrium(pt, "numeric", 0.0))
+        g1 = b.a11 * pt.x + b.a12 * pt.y + d.c1
+        g2 = b.a21 * pt.x + b.a22 * pt.y + d.c2
         scale = max(1.0, abs(pt.x), abs(pt.y))
         worst_anchor = max(worst_anchor, abs(g1) / scale, abs(g2) / scale)
     ok &= worst_anchor <= 1e-13

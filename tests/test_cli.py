@@ -296,6 +296,20 @@ def test_cli_bell_omits_an_equilibrium_and_keeps_the_other(tmp_path, capsys, par
         "config error: equilibrium: P2 not present for this model\n"
 
 
+@pytest.mark.parametrize("method", ["fd", "closed"])
+def test_cli_keeps_bell_p2_where_p1_overflows(capsys, method):
+    # P1 = (0, b4/b3) is (0, inf) at b3 = 1e-309: equilibria notes it and
+    # exits 0, and P2 = (13.33, 2.5) still runs
+    params = ["--model", "bell", "--params", "b3=1e-309,b1=0.1"]
+    assert main(["equilibria", *params]) == 0
+    assert capsys.readouterr().out == (
+        "P2  x=13.333333333333332  y=2.5  residual=0.000e+00\n"
+        "note: P1 omitted: residual not finite at (0, inf)\n")
+    assert main(["lyapunov", *params, "--equilibrium", "P2", "--alpha", "0.5",
+                 "--method", method]) == 0
+    assert capsys.readouterr().out.startswith("lambda=4.086")
+
+
 def test_cli_closed_matches_fd_at_large_alpha(capsys):
     # closed's tail no longer overflows where fd's exponent is finite
     for alpha in ("1e25", "1e150"):

@@ -7,10 +7,9 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from tumorsde import integrate
+from tumorsde import integrate, lyapunov
 from tumorsde.integrate import (
     BlowUpError,
-    GaussianBlocks,
     SimConfig,
     euler1_step,
     euler2_step,
@@ -61,27 +60,26 @@ def test_stream_determinism_and_independence():
     assert not np.array_equal(a, c)
 
 
-@pytest.mark.parametrize("size, counts", [(8, (8, 6)), (8, (7,)), (1, (1, 1, 1)),
-                                          (5, (2, 5, 4)), (9, (3, 9, 1, 7))])
-def test_gaussian_blocks_match_standard_normal_per_stream(size, counts):
-    # column p of each block continues the generator's one standard_normal
-    # draw (the ziggurat, not wiener_increments' Box-Muller), for blocks of
-    # any lengths, odd ones too
-    ids = (0, 3, 4, 2 ** 63 + 1)
-    blocks = GaussianBlocks([rng_stream(21, i) for i in ids], size)
-    drawn = [blocks.draw(count).copy() for count in counts]
-    assert [block.shape for block in drawn] == [(count, len(ids)) for count in counts]
-    expect = np.stack([rng_stream(21, i).standard_normal(sum(counts)) for i in ids],
-                      axis=1)
+@pytest.mark.parametrize("first, stop, normals, nsteps",
+                         [(0, 4, 12, 10), (0, 3, 15, 10), (5, 7, 2 ** 18, 9),
+                          (0, 4, 4, 3), (2 ** 63 - 1, 2 ** 63 + 2, 3, 4)],
+                         ids=["3-3-3-1", "5-5", "one-block", "1-1-1", "ones-past-2^63"])
+def test_mc_draws_match_standard_normal_per_stream(monkeypatch, first, stop, normals,
+                                                   nsteps):
+    # phi is 4 pi (1 - the stream's first uniform); column p of the blocks
+    # continues the stream's one standard_normal draw (the ziggurat, not
+    # wiener_increments' Box-Muller) times sqrt(dt), for blocks of any
+    # lengths, odd ones too: 12 normals over 4 paths are blocks of 3, 3, 3, 1
+    monkeypatch.setattr(lyapunov, "_MC_BLOCK_NORMALS", normals)
+    dt, ids = 0.01, range(first, stop)
+    phi, blocks = lyapunov._mc_draws(nsteps, dt, 21, first, stop)
+    drawn = [block.copy() for block in blocks]
+    block = max(1, normals // len(ids))
+    assert [len(b) for b in drawn] == [min(block, nsteps - lo) for lo in range(0, nsteps, block)]
+    gens = [rng_stream(21, i) for i in ids]
+    assert np.array_equal(phi, [4.0 * math.pi * (1.0 - gen.random()) for gen in gens])
+    expect = np.stack([math.sqrt(dt) * gen.standard_normal(nsteps) for gen in gens], axis=1)
     assert np.array_equal(np.concatenate(drawn), expect)
-
-
-@pytest.mark.parametrize("count", [5, -1, 2.0])
-def test_gaussian_blocks_refuse_a_count_outside_the_block(count):
-    blocks = GaussianBlocks([rng_stream(21, 0), rng_stream(21, 1)], 4)
-    assert blocks.draw(0).shape == (0, 2) and blocks.draw(np.int64(4)).shape == (4, 2)
-    with pytest.raises(ValueError, match="count must be an integer 0 to 4"):
-        blocks.draw(count)
 
 
 def test_stream_keys_wrap_mod_2_64():

@@ -331,7 +331,7 @@ def _bordered_fd(sys):
     rows = lyapunov._polar_rows(sys)
     diffusion, drift, q = rows[[5, 4, 0]] @ lyapunov._FOURIER
     if not abs(rows[3, 0]) - math.hypot(rows[3, 1], rows[3, 2]) > 0:
-        raise DegeneratePhaseDiffusionError(lyapunov._REAL_ZEROS)
+        raise DegeneratePhaseDiffusionError(lyapunov._Q4_ROOTS)
     modes = lyapunov._START_MODES
     while True:
         size = 2 * modes + 1
@@ -989,6 +989,20 @@ def test_fd_sweep_matches_per_point_solve(label, beta, alphas):
         assert modes.tolist() == [1024, 1024]
     if beta == -0.1:
         assert set(modes.tolist()) == {64, 128}
+
+
+@pytest.mark.parametrize("beta", [1e8, 1e9])
+def test_fd_sweep_keeps_the_alpha_squared_term_at_large_beta(beta):
+    # the rows' alpha^2 term is Q's -1/2, a constant: where beta^2 - 1
+    # rounds to beta^2, rows derived by differences at alpha = -1, 0, 1
+    # lost it, and at alpha = -1e4 the sweep was 5e7 above lyapunov_fd
+    model, k = _ALPHA_FAMILY_SYSTEMS["Bell-P1"]
+    alphas = np.array([-1e4, -4.0, 4.0, 1e4])
+    r = stability_sweep(model(), model_equilibria(model())[0][k], beta, alphas, method="fd")
+    a_mat = _drift_matrix("Bell-P1", beta)
+    for alpha, value in zip(alphas.tolist(), r.lambdas.tolist()):
+        want = lyapunov_fd(LinearSDE(a_mat, alpha_family(alpha, beta))).value
+        assert abs(value - want) <= 1e-14 * (1.0 + abs(want)), alpha
 
 
 def test_fd_stack_split_leaves_values_unchanged(monkeypatch):

@@ -110,6 +110,24 @@ def test_kt_equilibria_omit_what_is_not_a_population(params, labels, notes):
     assert all(e.point.x >= 0 and e.point.y >= 0 and e.residual < 1e-12 for e in eqs)
 
 
+@pytest.mark.parametrize("model, labels, notes", [
+    (bell_model(b3=1e-309, b1=0.1), ["P2"], ["P1 omitted: residual not finite at (0, inf)"]),
+    (bell_model(b3=1e308, a1=1e10), ["P1"],
+     ["P2 omitted: residual not finite at (inf, 1e+10)"]),
+    (kt_model(a1=1e300, a3=1e300), [],
+     ["P1 omitted: residual not finite at (2.6688e+300, 0)",
+      "P2 omitted: discriminant overflows"]),
+    (kt_model(a2=1.0, a3=1e-160, b1=1e150, b2=1e-162), ["P1"],
+     ["P2 omitted: residual not finite at (9.90032e+149, 9.96812e+159)"]),
+], ids=["bell-P1", "bell-P2", "kt-P1", "kt-P2"])
+def test_closed_equilibria_omit_a_point_whose_residual_is_not_finite(model, labels, notes):
+    # the field overflows at that point alone: it is omitted with a note
+    # and the other equilibrium is kept
+    eqs, got = model_equilibria(model)
+    assert [e.label for e in eqs] == labels and got == notes
+    assert all(math.isfinite(e.residual) for e in eqs)
+
+
 def test_bell_equilibria_default_params():
     p1, p2 = model_equilibria(bell_model())[0]
     assert abs(p1.point.x) < 1e-15
