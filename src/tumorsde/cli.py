@@ -2,7 +2,9 @@
 
 Commands: equilibria, simulate, lyapunov, sweep.  Each reads its own
 set of keys (_COMMAND_KEYS), and a flag outside it is a configuration
-error.  Keys may also be given through a line-oriented config file
+error.  The keys are the fields of RunConfig, each with its default
+and its parser; alpha holds a real or a (lo, hi, step) range.  Keys
+may also be given through a line-oriented config file
 (``key = value``, ``#`` comments, UTF-8) named by --config; a file may
 hold keys for other commands too, and explicit flags override its
 values.  A key given twice on the line or in the file, or a coefficient
@@ -25,8 +27,8 @@ import itertools
 import math
 import os
 import sys
-from dataclasses import dataclass
-from typing import Optional
+from dataclasses import dataclass, field, fields
+from typing import Optional, Union
 
 import numpy as np
 
@@ -42,6 +44,7 @@ from .lyapunov import (
     stability_sweep,
 )
 from .models import (
+    _PRESETS,
     DomainError,
     Mat2,
     State,
@@ -109,29 +112,6 @@ class ConfigError(ValueError):
     def __init__(self, key: str, msg: str):
         super().__init__(f"{key}: {msg}")
         self.key = key
-
-
-@dataclass(frozen=True)
-class RunConfig:
-    command: str
-    model: str = "kt"
-    params: tuple = ()  # sorted (key, value) pairs
-    equilibrium: str = "P1"
-    noise: Optional[Mat2] = None
-    alpha: Optional[float] = None
-    alpha_range: Optional[tuple] = None  # (lo, hi, step)
-    beta: float = -2.0
-    method: str = "fd"
-    dt: float = 1e-3
-    steps: int = 1000
-    paths: int = 64
-    horizon: float = 200.0
-    seed: int = 1
-    out: Optional[str] = None
-    scheme: str = "euler1"
-    x0: Optional[float] = None
-    y0: Optional[float] = None
-    noise_streams: str = "shared"
 
 
 def _parse_float(key, v):
@@ -217,7 +197,7 @@ _MAX_ALPHA_POINTS = 10 ** 6
 
 def _parse_alpha(key, v):
     """A single real, or an inclusive lo:hi:step range of at most
-    _MAX_ALPHA_POINTS points; returns (alpha, alpha_range)."""
+    _MAX_ALPHA_POINTS points as (lo, hi, step)."""
     if ":" in v:
         parts = v.split(":")
         if len(parts) != 3:
@@ -231,8 +211,8 @@ def _parse_alpha(key, v):
         # compared as a float so that an overflowing range is rejected too
         if not (hi - lo) / step + 0.5 < _MAX_ALPHA_POINTS:
             raise ConfigError(key, f"range has more than {_MAX_ALPHA_POINTS} points")
-        return None, (lo, hi, step)
-    return _parse_float(key, v), None
+        return lo, hi, step
+    return _parse_float(key, v)
 
 
 def alpha_range_values(lo: float, hi: float, step: float) -> np.ndarray:
@@ -242,37 +222,38 @@ def alpha_range_values(lo: float, hi: float, step: float) -> np.ndarray:
     return vals[vals <= hi + 0.5 * step]
 
 
+def _key(default, parse):
+    """A RunConfig field: its default and its parser(key, text)."""
+    return field(default=default, metadata={"parse": parse})
+
+
+@dataclass(frozen=True)
+class RunConfig:
+    """One run's config, a field per key, read through its field's parser."""
+
+    command: str = field(metadata={"parse": _choice(*COMMANDS)})
+    model: str = _key("kt", _choice(*_PRESETS))
+    params: tuple = _key((), _parse_params)  # sorted (key, value) pairs
+    equilibrium: str = _key("P1", _parse_equilibrium)
+    noise: Optional[Mat2] = _key(None, _parse_noise)
+    alpha: Union[float, tuple, None] = _key(None, _parse_alpha)  # or (lo, hi, step)
+    beta: float = _key(-2.0, _parse_float)
+    method: str = _key("fd", _choice("fd", "closed", "mc"))
+    dt: float = _key(1e-3, _positive_float)
+    steps: int = _key(1000, _bounded_int(1, _MAX_STEPS))
+    paths: int = _key(64, _bounded_int(1, _MAX_PATHS))
+    horizon: float = _key(200.0, _positive_float)
+    seed: int = _key(1, _parse_int)
+    out: Optional[str] = _key(None, lambda key, v: v)
+    scheme: str = _key("euler1", _choice("euler1", "euler2"))
+    x0: Optional[float] = _key(None, _parse_float)
+    y0: Optional[float] = _key(None, _parse_float)
+    noise_streams: str = _key("shared", _choice("shared", "independent"))
+
+
 # config key -> parser(key, text) of its RunConfig value
-_PARSERS = {
-    "model": _choice("kt", "volterra", "bell", "stepanova", "vladar",
-                     "exponential", "logistic"),
-    "params": _parse_params,
-    "equilibrium": _parse_equilibrium,
-    "noise": _parse_noise,
-    "alpha": _parse_alpha,
-    "beta": _parse_float,
-    "method": _choice("fd", "closed", "mc"),
-    "dt": _positive_float,
-    "steps": _bounded_int(1, _MAX_STEPS),
-    "paths": _bounded_int(1, _MAX_PATHS),
-    "horizon": _positive_float,
-    "seed": _parse_int,
-    "out": lambda key, v: v,
-    "scheme": _choice("euler1", "euler2"),
-    "x0": _parse_float,
-    "y0": _parse_float,
-    "noise_streams": _choice("shared", "independent"),
-    "command": _choice(*COMMANDS),
-}
+_PARSERS = {f.name: f.metadata["parse"] for f in fields(RunConfig)}
 _KEYS = (*_PARSERS, "config")
-
-
-def _convert(key, val, cfg_dict):
-    value = _PARSERS[key](key, val)  # keys were checked against _KEYS
-    if key == "alpha":
-        cfg_dict["alpha"], cfg_dict["alpha_range"] = value
-    else:
-        cfg_dict[key] = value
 
 
 def _read_config_file(path: str) -> dict:
@@ -334,12 +315,9 @@ def parse_config(argv) -> RunConfig:
             raise ConfigError(key, "given twice on the command line")
         flags[key] = val
 
-    cfg: dict = {}
-    if "config" in flags:
-        for key, val in _read_config_file(flags.pop("config")).items():
-            _convert(key, val, cfg)
-    for key, val in flags.items():  # explicit flags override file values
-        _convert(key, val, cfg)
+    file = _read_config_file(flags.pop("config")) if "config" in flags else {}
+    # explicit flags override file values; keys were checked against _KEYS
+    cfg = {key: _PARSERS[key](key, val) for key, val in (*file.items(), *flags.items())}
     if command is not None:
         cfg["command"] = command
     if "command" not in cfg:
@@ -379,7 +357,7 @@ def _check_flags(run: RunConfig, flags) -> None:
             if key in flags:
                 raise ConfigError(key, "the noise matrix replaces the alpha/beta "
                                   "family; give one or the other")
-    elif "beta" in flags and run.alpha is None and run.alpha_range is None:
+    elif "beta" in flags and run.alpha is None:
         raise ConfigError("beta", "the alpha/beta family needs an alpha; without "
                           "one the default noise matrix is used")
 
@@ -532,7 +510,7 @@ def _model_at_equilibrium(cfg: RunConfig) -> tuple:
 
 
 def _noise_matrix(cfg: RunConfig) -> Mat2:
-    if cfg.alpha_range is not None:
+    if isinstance(cfg.alpha, tuple):
         raise ConfigError("alpha", f"{cfg.command} needs a single alpha, not a range")
     if cfg.noise is not None:
         return cfg.noise
@@ -603,11 +581,10 @@ def _cmd_lyapunov(cfg: RunConfig) -> int:
 def _cmd_sweep(cfg: RunConfig) -> int:
     if cfg.noise is not None:
         raise ConfigError("noise", "sweep uses the alpha/beta family, not a noise matrix")
-    if cfg.alpha_range is None:
+    if not isinstance(cfg.alpha, tuple):
         raise ConfigError("alpha", "sweep needs an alpha range lo:hi:step")
     model, eq = _model_at_equilibrium(cfg)
-    lo, hi, step = cfg.alpha_range
-    grid = alpha_range_values(lo, hi, step)
+    grid = alpha_range_values(*cfg.alpha)
     result = stability_sweep(model, eq, cfg.beta, grid, method=cfg.method,
                              horizon=cfg.horizon, dt=cfg.dt,
                              paths=cfg.paths, seed=cfg.seed)

@@ -108,9 +108,10 @@ def _polar_rows(sys: LinearSDE) -> np.ndarray:
     q2, q4, and fd's angle drift -D + q4 q5 and diffusion q4^2 / 2."""
     r1, r2, r3, r4, r5 = _angle_table(sys)
     q1, q2, q3, q4 = (np.array((*r, 0.0, 0.0)) for r in (r1, r2, r3, r4))
-    d, q44 = q3 - _times(r2, r4), _times(r4, r4)
-    out = np.array((q1 + 0.5 * (q44 - _times(r2, r2)), d, q2, q4,
-                    _times(r4, r5) - d, 0.5 * q44))
+    with np.errstate(all="ignore"):  # each method rejects a row that is not finite
+        d, q44 = q3 - _times(r2, r4), _times(r4, r4)
+        out = np.array((q1 + 0.5 * (q44 - _times(r2, r2)), d, q2, q4,
+                        _times(r4, r5) - d, 0.5 * q44))
     out.flags.writeable = False
     return out
 

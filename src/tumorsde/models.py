@@ -243,7 +243,8 @@ def custom_model(rhs: Callable[[float, float], tuple], name: str = "custom",
     return _model(name, dict(params or {}), _custom_fns(rhs))
 
 
-_PRESETS = {"kt": kt_model, "bell": bell_model, "volterra": volterra_model,
+# in the order of the CLI's --model choices
+_PRESETS = {"kt": kt_model, "volterra": volterra_model, "bell": bell_model,
             "stepanova": stepanova_model, "vladar": vladar_model,
             "exponential": exponential_model, "logistic": logistic_model}
 
@@ -396,8 +397,13 @@ def _kt_closed(model: ModelSpec) -> tuple:
     if delta < 0:
         return out, notes + ["P2 omitted: discriminant < 0"]
     sd = math.sqrt(delta)
-    x2 = (b1 * (a3 - b2 * a2) + sd) / (2.0 * a3)
-    y2 = (b1 * (a3 + b2 * a2) - sd) / (2.0 * b1 * b2 * a3)
+    # each root in the form that adds terms of one sign, so that neither
+    # cancels as b2 or a3 shrinks; y2 is the smaller root by Vieta
+    if a3 < b2 * a2:
+        x2 = 2.0 * a1 * b1 * b2 / (sd + b1 * (b2 * a2 - a3))
+    else:
+        x2 = (b1 * (a3 - b2 * a2) + sd) / (2.0 * a3)
+    y2 = 2.0 * (a2 * b1 - a1) / (b1 * (a3 + b2 * a2) + sd)
     if x2 < 0:
         return out, notes + [f"P2 omitted: x2 = {x2:.6g} < 0"]
     if not y2 > 0:

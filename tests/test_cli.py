@@ -7,6 +7,7 @@ import signal
 import subprocess
 import sys
 import warnings
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
@@ -31,10 +32,17 @@ def test_parse_sweep_example():
     cfg = parse_config(["sweep", "--model", "bell", "--equilibrium", "P1",
                         "--beta", "-2", "--alpha=-4:4:0.02", "--method", "fd"])
     assert cfg.command == "sweep" and cfg.model == "bell"
-    assert cfg.alpha_range == (-4.0, 4.0, 0.02)
-    grid = alpha_range_values(*cfg.alpha_range)
+    assert cfg.alpha == (-4.0, 4.0, 0.02)
+    grid = alpha_range_values(*cfg.alpha)
     assert len(grid) == 401
     assert grid[0] == -4.0 and abs(grid[-1] - 4.0) < 1e-12
+
+
+def test_alpha_holds_a_real_or_a_range():
+    cfg = parse_config(["lyapunov", "--alpha", "0.5"])
+    assert type(cfg.alpha) is float and cfg.alpha == 0.5
+    cfg = parse_config(["sweep", "--alpha=-1:1:0.5"])
+    assert type(cfg.alpha) is tuple and cfg.alpha == (-1.0, 1.0, 0.5)
 
 
 def test_parse_simulate_example():
@@ -146,7 +154,7 @@ def test_config_file_and_override(tmp_path):
     cfg = parse_config(["sweep", "--config", str(f), "--paths", "800"])
     assert cfg.model == "bell"
     assert cfg.paths == 800  # flag overrides file
-    assert cfg.alpha_range == (-1.0, 1.0, 0.5)
+    assert cfg.alpha == (-1.0, 1.0, 0.5)
     # a flag overrides the file's method too; an fd sweep does not read
     # the file's paths, and takes no --paths flag
     assert parse_config(["sweep", "--config", str(f), "--method", "fd"]).paths == 500
@@ -185,6 +193,40 @@ def test_repeated_key_in_a_config_file_exits_two(capsys, tmp_path):
     # a flag still overrides the file's one value
     f.write_text("model = bell\nalpha = 0.5\n", encoding="utf-8")
     assert parse_config(["lyapunov", "--config", str(f), "--alpha", "0.7"]).alpha == 0.7
+
+
+# key -> a value other than its default, and a command line that reads it
+_ONE_KEY = {
+    "model": ("bell", ["simulate"]),
+    "params": ("a1=0.2,b2=0.003", ["simulate"]),
+    "equilibrium": ("P2", ["simulate"]),
+    "noise": ("1,0.5,-0.5,1", ["simulate"]),
+    "alpha": ("-1:1:0.5", ["sweep"]),
+    "beta": ("-1.5", ["simulate", "--alpha", "0.5"]),
+    "method": ("closed", ["lyapunov"]),
+    "dt": ("0.01", ["simulate"]),
+    "steps": ("20", ["simulate"]),
+    "paths": ("8", ["lyapunov", "--method", "mc"]),
+    "horizon": ("3", ["lyapunov", "--method", "mc"]),
+    "seed": ("9", ["sweep", "--method", "mc"]),
+    "out": ("x.csv", ["equilibria"]),
+    "scheme": ("euler2", ["simulate"]),
+    "x0": ("0.5", ["simulate"]),
+    "y0": ("1.5", ["simulate"]),
+    "noise_streams": ("independent", ["simulate"]),
+}
+
+
+@pytest.mark.parametrize("key", [f.name for f in fields(cli.RunConfig) if f.name != "command"])
+def test_every_key_reads_the_same_from_the_line_and_a_file(tmp_path, key):
+    # each RunConfig field is a key, parsed by the same parser wherever
+    # its text comes from
+    value, argv = _ONE_KEY[key]
+    f = tmp_path / "one.cfg"
+    f.write_text(f"{key} = {value}\n", encoding="utf-8")
+    cfg = parse_config([*argv, f"--{key.replace('_', '-')}={value}"])
+    assert cfg == parse_config([*argv, "--config", str(f)])
+    assert cfg != parse_config(argv)
 
 
 def test_config_roundtrip(tmp_path):
@@ -267,6 +309,17 @@ def test_cli_equilibria_p2_omitted_note(capsys):
     assert main(["equilibria", "--model", "kt", "--params", "a1=1.0"]) == 0
     printed = capsys.readouterr().out
     assert "P2 omitted" in printed
+
+
+def test_cli_kt_keeps_p2_as_b2_shrinks(capsys):
+    # 2 b1 b2 a3 underflowed to 0 at b2 = 1e-323, a ZeroDivisionError for
+    # every kt command; at b2 = 1e-12, P2's y2 cancelled to a residual of
+    # 1.3e-6, refused as not an equilibrium
+    assert main(["equilibria", "--model", "kt", "--params", "b2=1e-323"]) == 0
+    assert [line.split()[0] for line in capsys.readouterr().out.splitlines()] == ["P1", "P2"]
+    assert main(["lyapunov", "--model", "kt", "--params", "b2=1e-12",
+                 "--equilibrium", "P2", "--alpha", "0.5"]) == 0
+    assert capsys.readouterr().out.startswith("lambda=")
 
 
 def test_cli_kt_omits_a_negative_p1(capsys):
@@ -789,6 +842,29 @@ def test_cli_closed_beta_overflow_fails_as_fd(tmp_path, capsys):
     failures = [line for line in out.read_text(encoding="utf-8").splitlines()
                 if line.startswith("# failure")]
     assert failures == [f"# failure alpha={a}: {_OVERFLOW}" for a in ("0", "0.5", "1")]
+
+
+_MC_OVERFLOW = "lambda=nan, stderr=nan: the Euler steps overflow"
+
+
+@pytest.mark.parametrize("method, noise, msg", [
+    ("fd", "1e200,-1e200,1e200,1e200", _OVERFLOW),
+    ("fd", "2,-1e308,1e200,-0.5",
+     "q4 has real zeros, where the angle diffusion vanishes; use the mc method"),
+    ("mc", "1e200,-1e200,1e200,1e200", _MC_OVERFLOW),
+    ("mc", "2,-1e308,1e200,-0.5", _MC_OVERFLOW),
+], ids=["fd-1e200", "fd-1e308", "mc-1e200", "mc-1e308"])
+def test_cli_overflowing_noise_fails_without_a_warning(capsys, method, noise, msg):
+    # the angle rows overflow as they are built; the method refuses them,
+    # and its message is all that stderr holds
+    argv = ["lyapunov", "--model", "bell", "--equilibrium", "P1", "--noise", noise,
+            "--method", method]
+    if method == "mc":
+        argv += ["--horizon", "0.01", "--dt", "1e-3", "--paths", "4"]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(argv) == 3
+    assert capsys.readouterr() == ("", f"numerical failure: {msg}\n")
 
 
 @pytest.mark.parametrize("command, extra", [("lyapunov", ["--method", "fd"]),

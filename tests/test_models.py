@@ -110,6 +110,17 @@ def test_kt_equilibria_omit_what_is_not_a_population(params, labels, notes):
     assert all(e.point.x >= 0 and e.point.y >= 0 and e.residual < 1e-12 for e in eqs)
 
 
+@pytest.mark.parametrize("value", [1e-6, 1e-12, 1e-15, 1e-300, 1e-323])
+@pytest.mark.parametrize("key", ["b2", "a3"])
+def test_kt_p2_does_not_cancel_as_b2_or_a3_shrinks(key, value):
+    # the textbook roots lost P2's y2 to cancellation (residual 1.3e-6 at
+    # b2 = 1e-12, 1.9e-2 at a3 = 1e-15), omitted it at b2 = 1e-300 and
+    # divided by zero at 1e-323
+    eqs, notes = model_equilibria(kt_model(**{key: value}))
+    assert [e.label for e in eqs] == ["P1", "P2"] and notes == []
+    assert eqs[1].residual < 1e-12
+
+
 @pytest.mark.parametrize("model, labels, notes", [
     (bell_model(b3=1e-309, b1=0.1), ["P2"], ["P1 omitted: residual not finite at (0, inf)"]),
     (bell_model(b3=1e308, a1=1e10), ["P1"],
@@ -118,7 +129,7 @@ def test_kt_equilibria_omit_what_is_not_a_population(params, labels, notes):
      ["P1 omitted: residual not finite at (2.6688e+300, 0)",
       "P2 omitted: discriminant overflows"]),
     (kt_model(a2=1.0, a3=1e-160, b1=1e150, b2=1e-162), ["P1"],
-     ["P2 omitted: residual not finite at (9.90032e+149, 9.96812e+159)"]),
+     ["P2 omitted: residual not finite at (9.90032e+149, 9.99968e+159)"]),
 ], ids=["bell-P1", "bell-P2", "kt-P1", "kt-P2"])
 def test_closed_equilibria_omit_a_point_whose_residual_is_not_finite(model, labels, notes):
     # the field overflows at that point alone: it is omitted with a note
