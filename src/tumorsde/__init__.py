@@ -38,20 +38,16 @@ from .sde import (
 from .lyapunov import (
     DegeneratePhaseDiffusionError,
     LyapunovEstimate,
-    PhaseDensity,
     SweepResult,
     closed_form_lyapunov,
     lyapunov_fd,
     lyapunov_mc,
     stability_sweep,
-    stationary_density_fd,
 )
 from .integrate import (
     BlowUpError,
     SimConfig,
     Trajectory,
-    euler1_step,
-    euler2_step,
     rng_stream,
     simulate,
     wiener_increments,

@@ -29,10 +29,10 @@ noise's coefficients bound as locals; the noise is the given diffusion,
 a LinearSDE's own B s or the zero noise of a model run without one.
 The drift and its partials come from one closure call per step:
 a model's own field or jet (ModelSpec), or the step's own closures over
-a LinearSDE's A s.  euler1_step and euler2_step are the same schemes
-over any drift and diffusion callables, on scalars or arrays: the reference
-the step function is tested against.  A run that blows up stops with
-fewer than steps + 1 states: its blow-up index is its state count.
+a LinearSDE's A s.  tests/euler_ref.py holds the same schemes over any
+callables, on scalars or arrays: the step is pinned to it bit for bit,
+and criterion 5 certifies its weak order.  A run that blows up stops
+with fewer than steps + 1 states: its blow-up index is its state count.
 """
 
 from __future__ import annotations
@@ -52,8 +52,6 @@ __all__ = [
     "SimConfig",
     "Trajectory",
     "wiener_increments",
-    "euler1_step",
-    "euler2_step",
     "simulate",
 ]
 
@@ -131,64 +129,21 @@ class Trajectory:
 _isfinite = math.isfinite
 
 
-def _check_finite(x, y):
-    """BlowUpError naming the first non-finite component; x and y are
-    floats or arrays."""
-    if not np.isfinite(x).all():
-        raise BlowUpError(1)
-    if not np.isfinite(y).all():
-        raise BlowUpError(2)
-
-
-def euler1_step(drift, diffusion, s, dt, g1_inc, g2_inc):
-    """One explicit first-order step; works on scalars or arrays."""
-    f1, f2 = drift(s)
-    g1, g2 = diffusion(s)
-    x = s[0] + f1 * dt + g1 * g1_inc
-    y = s[1] + f2 * dt + g2 * g2_inc
-    _check_finite(x, y)
-    return x, y
-
-
-def euler2_step(drift, diffusion, drift_partials, diffusion_partials,
-                s, dt, g1_inc, g2_inc):
-    """One second-order step with own-component partials.
-
-    drift_partials / diffusion_partials map a state to
-    ((d/dx of component 1, d2/dx2 of component 1),
-     (d/dy of component 2, d2/dy2 of component 2)).
-    """
-    f1, f2 = drift(s)
-    g1, g2 = diffusion(s)
-    (df1, d2f1), (df2, d2f2) = drift_partials(s)
-    (dg1, d2g1), (dg2, d2g2) = diffusion_partials(s)
-    x = (s[0] + f1 * dt + g1 * g1_inc
-         + g1 * dg1 * (g1_inc * g1_inc - dt) / 2.0
-         + (f1 * df1 + 0.5 * g1 * g1 * d2f1) * dt * dt / 2.0
-         + (g1 * df1 + f1 * dg1 + 0.5 * g1 * g1 * d2g1) * dt * g1_inc / 2.0)
-    y = (s[1] + f2 * dt + g2 * g2_inc
-         + g2 * dg2 * (g2_inc * g2_inc - dt) / 2.0
-         + (f2 * df2 + 0.5 * g2 * g2 * d2f2) * dt * dt / 2.0
-         + (g2 * df2 + f2 * dg2 + 0.5 * g2 * g2 * d2g2) * dt * g2_inc / 2.0)
-    _check_finite(x, y)
-    return x, y
-
-
 # the noise of a model run without a diffusion
 _NO_NOISE = AffineDiffusion(Mat2(0.0, 0.0, 0.0, 0.0), 0.0, 0.0)
 
 
 def _stepper(system, diffusion, cfg: SimConfig):
     """step(s, w1, w2) -> the next state pair of cfg's scheme from the
-    state pair s of floats, with increments w1, w2: euler1_step or
-    euler2_step, term for term, built once per run.
+    state pair s of floats, with increments w1, w2: the first- or
+    second-order step of the module docstring, built once per run.
 
     The drift is the field (euler1) or the field with its partials
     (euler2, the jet) that a model carries, or a LinearSDE's A s with
     its partials (a11, 0), (a22, 0).  The noise is affine, the given
     diffusion, a LinearSDE's own B s or none for a model, so g = b s + c
     and its partials (b11, 0), (b22, 0) are bound as locals.  A
-    non-finite component raises BlowUpError as _check_finite does.
+    non-finite component raises BlowUpError naming the first one.
     """
     if isinstance(system, LinearSDE):
         a11, a12, a21, a22 = system.A.a11, system.A.a12, system.A.a21, system.A.a22

@@ -55,10 +55,8 @@ from .sde import LinearSDE, alpha_family, linearize
 
 __all__ = [
     "DegeneratePhaseDiffusionError",
-    "PhaseDensity",
     "LyapunovEstimate",
     "SweepResult",
-    "stationary_density_fd",
     "lyapunov_fd",
     "closed_form_lyapunov",
     "lyapunov_mc",
@@ -114,17 +112,6 @@ def _polar_rows(sys: LinearSDE) -> np.ndarray:
                         _times(r4, r5) - d, 0.5 * q44))
     out.flags.writeable = False
     return out
-
-
-@dataclass
-class PhaseDensity:
-    """Stationary angle density over one period [0, pi] as its Fourier
-    modes: p(theta) = sum_k modes[N + k] e^{2 i k theta}, |k| <= N, with
-    pi p_0 = 1.  tail is max(|p_{+-N}|, |p_{+-(N-1)}|) / |p_0|."""
-
-    modes: np.ndarray
-    min_q4_sq: float
-    tail: float
 
 
 @dataclass
@@ -288,46 +275,20 @@ def _fd_solve(rows: np.ndarray) -> tuple:
     return values, counts, tails, gap, errors
 
 
-def stationary_density_fd(sys: LinearSDE) -> PhaseDensity:
-    """Stationary angle density over one period [0, pi] by a
-    Fourier-Galerkin solve.
-
-    The density solves  q4^2/2 p' + g p = p0,  g = -q3 + q2 q4 + q4 q5
-    (both in ``_polar_rows``), where the constant p0 is the stationary probability
-    flux through the period.  q4^2/2 and g are rows over the basis of
-    ``_times``, so each has five Fourier modes in e^{2 i j theta}, |j| <=
-    2, and in the modes p_k the equation is pentadiagonal.  The density
-    is real, so p_{-k} = conj(p_k), and pi p_0 = 1 fixes p_0: modes k =
-    1..N of the equation determine p_1..p_N without the flux, by a block
-    continued fraction linear in N (``_galerkin``, here on a stack of
-    one).  The mode count N starts at 16 and doubles while the tail
-    max(|p_N|, |p_{N-1}|) exceeds _MODE_TAIL |p_0|, up to _MAX_MODES
-    (``_fd_solve``); the modes are those of the solve at that N.  Where
-    q4 has no real zeros the density is analytic and the modes fall
-    geometrically (Boyd 2001, ch. 2), so the tail also bounds the error
-    of the density's values.
-
-    q4's row (m, c, s) gives min q4^2 = max(0, |m| - hypot(c, s))^2.  q4
-    has real zeros, where the angle diffusion vanishes, exactly when
-    (b22 - b11)^2 + 4 b12 b21 >= 0; such a system, and one whose tail
-    is still above _MODE_TAIL |p_0| at the cap, is rejected with
-    DegeneratePhaseDiffusionError.
-    """
-    rows = _polar_rows(sys)[None]
-    _, counts, tails, gap, errors = _fd_solve(rows)
-    if errors:
-        raise DegeneratePhaseDiffusionError(errors[0])
-    (p,) = _galerkin(rows[:, 4:].reshape(1, 10), int(counts[0]))
-    return PhaseDensity(modes=np.concatenate((p[::-1].conj(), [1.0], p)) / math.pi,
-                        min_q4_sq=float(gap[0]) ** 2, tail=float(tails[0]))
-
-
 def lyapunov_fd(sys: LinearSDE) -> LyapunovEstimate:
     """The average of the log r drift Q (``_polar_rows``) against the
-    density of ``stationary_density_fd``, from Q's five modes Q_j:
+    stationary angle density p over one period [0, pi], from Q's five
+    modes Q_j:
 
         lambda = int_0^pi Q p dtheta = pi sum_{|j| <= 2} Q_j p_{-j}
                = Q_0 + 2 pi Re(Q_1 conj(p_1) + Q_2 conj(p_2))
+
+    p's modes p_1..p_N, pi p_0 = 1, are ``_fd_solve``'s on a stack of one,
+    to a tail max(|p_N|, |p_{N-1}|) of at most _MODE_TAIL |p_0|.  Where q4
+    has no real zeros the modes fall geometrically (Boyd 2001, ch. 2), so
+    the tail also bounds the error of the density's values.  A q4 with
+    real zeros, (b22 - b11)^2 + 4 b12 b21 >= 0, or a tail still above that
+    bound at _MAX_MODES raises DegeneratePhaseDiffusionError.
 
     Diagnostics: ``min_q4_sq``, the mode count ``modes`` (also ``n``)
     and its ``tail`` relative to p_0.

@@ -378,9 +378,9 @@ def _admit(model: ModelSpec, out: list, notes: list, label: str, x: float, y: fl
 def _kt_closed(model: ModelSpec) -> tuple:
     """(equilibria, notes) of a built kt model: P1 = (a1/a2, 0) when x1
     is not negative, and P2 from the positive root of the coexistence
-    quadratic when its discriminant is finite, its x not negative and
-    its y positive (x < 0 or y < 0 is not a population), each when its
-    residual is finite, else a note why it is omitted."""
+    quadratic when its discriminant is finite, its denominators nonzero,
+    its x not negative and its y positive (else not a population), each
+    when its residual is finite, else a note why it is omitted."""
     a1, a2, a3, b1, b2 = (model.params[k] for k in ("a1", "a2", "a3", "b1", "b2"))
     x1 = a1 / a2
     out, notes = [], []
@@ -400,10 +400,13 @@ def _kt_closed(model: ModelSpec) -> tuple:
     # each root in the form that adds terms of one sign, so that neither
     # cancels as b2 or a3 shrinks; y2 is the smaller root by Vieta
     if a3 < b2 * a2:
-        x2 = 2.0 * a1 * b1 * b2 / (sd + b1 * (b2 * a2 - a3))
+        x_num, x_den = 2.0 * a1 * b1 * b2, sd + b1 * (b2 * a2 - a3)
     else:
-        x2 = (b1 * (a3 - b2 * a2) + sd) / (2.0 * a3)
-    y2 = 2.0 * (a2 * b1 - a1) / (b1 * (a3 + b2 * a2) + sd)
+        x_num, x_den = b1 * (a3 - b2 * a2) + sd, 2.0 * a3
+    y_den = b1 * (a3 + b2 * a2) + sd
+    if x_den == 0 or y_den == 0:  # positive sums of products that underflow
+        return out, notes + ["P2 omitted: a root's denominator underflows"]
+    x2, y2 = x_num / x_den, 2.0 * (a2 * b1 - a1) / y_den
     if x2 < 0:
         return out, notes + [f"P2 omitted: x2 = {x2:.6g} < 0"]
     if not y2 > 0:

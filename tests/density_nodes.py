@@ -1,8 +1,23 @@
-"""The stationary angle density at nodes over one period, from its modes."""
+"""The stationary angle density of fd over one period: its modes, and its
+values at nodes from the modes."""
 
 import math
 
 import numpy as np
+
+from tumorsde.lyapunov import DegeneratePhaseDiffusionError, _fd_solve, _galerkin, _polar_rows
+
+
+def density_modes(sys):
+    """The density's modes p_{-N}..p_N, p(theta) = sum_k modes[N + k]
+    e^{2 i k theta} with pi p_0 = 1, at the mode count N that fd's solve
+    chose for sys; DegeneratePhaseDiffusionError where fd rejects sys."""
+    rows = _polar_rows(sys)[None]
+    _, counts, _, _, errors = _fd_solve(rows)
+    if errors:
+        raise DegeneratePhaseDiffusionError(errors[0])
+    (p,) = _galerkin(rows[:, 4:].reshape(1, 10), int(counts[0]))
+    return np.concatenate((p[::-1].conj(), [1.0], p)) / math.pi
 
 
 def density_at_nodes(modes, n):

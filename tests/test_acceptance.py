@@ -29,9 +29,10 @@ import numpy as np
 import pytest
 
 import alpha_exact
-from density_nodes import density_at_nodes
+from density_nodes import density_at_nodes, density_modes
+from euler_ref import euler1_step, euler2_step
 from tumorsde.cli import main
-from tumorsde.integrate import euler1_step, euler2_step, rng_stream, wiener_increments
+from tumorsde.integrate import rng_stream, wiener_increments
 from tumorsde import lyapunov
 from tumorsde.lyapunov import (
     TWO_PI,
@@ -40,7 +41,6 @@ from tumorsde.lyapunov import (
     lyapunov_fd,
     lyapunov_mc,
     stability_sweep,
-    stationary_density_fd,
 )
 from tumorsde.models import (
     Equilibrium,
@@ -376,7 +376,7 @@ def test_c6_property_suites(tmp_path):
         attempts += 1
         assert attempts < 500
         try:
-            modes = stationary_density_fd(LinearSDE(a, b)).modes
+            modes = density_modes(LinearSDE(a, b))
         except DegeneratePhaseDiffusionError:
             continue  # solver declined this system: draw another
         values = density_at_nodes(modes, n).real

@@ -322,6 +322,17 @@ def test_cli_kt_keeps_p2_as_b2_shrinks(capsys):
     assert capsys.readouterr().out.startswith("lambda=")
 
 
+@pytest.mark.parametrize("params", ["b1=1e-200,a3=1e-200,b2=1e-200",
+                                    "b1=1e-200,b2=1e-200,a3=1e-201"])
+def test_cli_kt_p2_denominator_underflow_is_a_note(capsys, params):
+    # a ZeroDivisionError traceback and exit 1 before: P1 is still listed
+    assert main(["equilibria", "--model", "kt", "--params", params]) == 0
+    out, err = capsys.readouterr()
+    assert [line.split()[0] for line in out.splitlines()] == ["P1", "note:"]
+    assert out.endswith("note: P2 omitted: a root's denominator underflows\n")
+    assert err == ""
+
+
 def test_cli_kt_omits_a_negative_p1(capsys):
     # x1 = a1/a2 < 0 is not a population; without P1 no P2 either
     assert main(["equilibria", "--model", "kt", "--params", "a1=-10"]) == 0

@@ -7,12 +7,11 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from euler_ref import _check_finite, euler1_step, euler2_step
 from tumorsde import integrate, lyapunov
 from tumorsde.integrate import (
     BlowUpError,
     SimConfig,
-    euler1_step,
-    euler2_step,
     rng_stream,
     simulate,
     wiener_increments,
@@ -139,9 +138,9 @@ def test_euler1_blowup_signal():
     (math.nan, 1.0, 1), (1.0, math.inf, 2), (math.inf, math.nan, 1),
     (np.array([1.0, math.inf]), np.zeros(2), 1), (np.zeros(2), np.array([math.nan, 1.0]), 2)])
 def test_check_finite_names_the_first_bad_component(x, y, component):
-    integrate._check_finite(np.zeros(2), 1.0)
+    _check_finite(np.zeros(2), 1.0)
     with pytest.raises(BlowUpError) as err:
-        integrate._check_finite(x, y)
+        _check_finite(x, y)
     assert err.value.component == component
 
 
@@ -397,7 +396,8 @@ def _noise(b11, b12, b21, b22):
 
 # (system, diffusion, initial state, dt) for every kind of drift simulate
 # builds: the kt preset, the six h-family presets, a custom right-hand
-# side and a LinearSDE with its own noise
+# side and a LinearSDE with its own noise; "c5" is the diagonal system
+# whose weak order criterion 5 certifies on euler_ref's schemes
 _PARITY_SYSTEMS = {
     "kt": (kt_model(), diffusion_at_equilibrium(
         Mat2(1.0, -0.2, 0.2, 1.0), model_equilibria(kt_model())[0][1]), (1.6, 25.0), 1e-3),
@@ -418,6 +418,8 @@ _PARITY_SYSTEMS = {
                _noise(0.3, 0.0, 0.1, 0.3), (1.0, 1.0), 1e-2),
     "linear": (LinearSDE(Mat2(-0.5, 1.0, -1.0, -0.2), Mat2(0.4, -0.3, 0.3, 0.4)),
                None, (1.0, -1.0), 1e-2),
+    "c5": (LinearSDE(Mat2(0.05, 0.0, 0.0, 0.05), Mat2(0.2, 0.0, 0.0, 0.2)),
+           None, (1.0, 1.0), 1e-2),
 }
 
 

@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 import alpha_exact
-from density_nodes import density_at_nodes
+from density_nodes import density_at_nodes, density_modes
 from tumorsde import lyapunov
 from tumorsde.integrate import rng_stream
 from tumorsde.lyapunov import (
@@ -22,7 +22,6 @@ from tumorsde.lyapunov import (
     lyapunov_fd,
     lyapunov_mc,
     stability_sweep,
-    stationary_density_fd,
 )
 from tumorsde.models import Mat2, bell_model, kt_model, model_equilibria
 from tumorsde.sde import LinearSDE, alpha_family, linearize
@@ -101,7 +100,7 @@ def test_uniform_density_for_rotation_noise(a, span):
     # the density is solved over one period [0, pi]; its pi-periodic
     # extension to [0, span], renormalised, is uniform at 1/span
     s = _sys((a, 0, 0, a), (0, -1.0, 1.0, 0))
-    values = density_at_nodes(stationary_density_fd(s).modes, 500).real
+    values = density_at_nodes(density_modes(s), 500).real
     assert np.abs(values - 1.0 / math.pi).max() < 1e-12
     periods = round(span / math.pi)
     extended = np.concatenate([values[1:]] * periods) / periods
@@ -113,11 +112,11 @@ def test_density_degenerate_q4_raises():
     # b12 = b21 = 0.5 makes q4 = 0.5 cos(2 theta), zero at theta = pi/4
     s = _sys((0.1, 0, 0, 0.1), (0, 0.5, 0.5, 0))
     with pytest.raises(DegeneratePhaseDiffusionError, match="mc"):
-        stationary_density_fd(s)
+        density_modes(s)
 
 
 def test_density_normalization_kt_p2():
-    values = density_at_nodes(stationary_density_fd(_kt_p2_sys(0.0)).modes, 10000).real
+    values = density_at_nodes(density_modes(_kt_p2_sys(0.0)), 10000).real
     assert abs(np.sum(values[1:]) * math.pi / 10000 - 1.0) < 1e-8
     assert values.min() >= 0.0
     assert abs(values[10000] - values[0]) <= 1e-12 * values.max()
@@ -129,13 +128,13 @@ def test_density_values_are_the_modes_at_the_nodes(n):
     # nodes e^{2 i k theta} sums to n where n divides k and to 0 elsewhere,
     # so the nodes' mass is pi times the sum of those p_k: the density has
     # 128 modes, so from n = 129 on only p_0 is left and the mass is 1
-    dens = stationary_density_fd(_sys(*_ROUGH))
-    half = dens.modes.size // 2
+    modes = density_modes(_sys(*_ROUGH))
+    half = modes.size // 2
     assert half == 128
-    values = density_at_nodes(dens.modes, n)
+    values = density_at_nodes(modes, n)
     assert np.abs(values.imag).max() <= 1e-14 * np.abs(values.real).max()
     mass = np.sum(values[1:].real) * math.pi / n
-    aliased = math.pi * dens.modes[np.arange(-half, half + 1) % n == 0].sum().real
+    aliased = math.pi * modes[np.arange(-half, half + 1) % n == 0].sum().real
     assert abs(mass - aliased) <= 1e-14
     if n > half:
         assert abs(mass - 1.0) <= 1e-14
@@ -202,7 +201,7 @@ def test_fd_solves_one_period():
     n = 10000
     for alpha in (-1.0, 1.5):
         s = LinearSDE(a_mat, alpha_family(alpha, -2.0))
-        values = density_at_nodes(stationary_density_fd(s).modes, n).real
+        values = density_at_nodes(density_modes(s), n).real
         assert abs(np.sum(values[1:]) * math.pi / n - 1.0) <= 1e-12
         exact = float(alpha_exact.top_lyapunov(a_mat, alpha, -2.0, m=512))
         assert abs(lyapunov_fd(s).value - exact) <= 1e-12 * (1 + abs(exact)), alpha
@@ -258,7 +257,7 @@ def test_fd_accepts_steep_kt_p2(beta, n):
     est = lyapunov_fd(s)
     assert est.diagnostics["modes"] == est.n == modes
     assert abs(est.value - value) <= 1e-6
-    values = density_at_nodes(stationary_density_fd(s).modes, n).real
+    values = density_at_nodes(density_modes(s), n).real
     assert abs(np.sum(values[1:]) * math.pi / n - 1.0) <= 1e-12
 
 
@@ -1022,7 +1021,7 @@ def test_fd_one_system_equals_its_stack(monkeypatch):
     # the seed-11 systems whose q4 has no real zeros, capped at 32 modes
     # (two blocks): each solved alone gives its row of the stacked solve,
     # values, mode counts, tails and, solved again at its mode count as
-    # stationary_density_fd does, every mode bit for bit
+    # the tests' density_modes does, every mode bit for bit
     monkeypatch.setattr(lyapunov, "_MAX_MODES", 32)
     rows = np.array([lyapunov._polar_rows(s) for s in _seed_11_systems()])
     values, counts, tails, gap, errors = lyapunov._fd_solve(rows)

@@ -102,9 +102,15 @@ def test_kt_p1_omitted_when_x1_negative():
     (dict(a1=-0.01, b2=0.1), [], ["P1 omitted: x1 = -0.026688 < 0",
                                   "P2 omitted: x2 = -0.0394564 < 0"]),
     (dict(b1=1e200), ["P1"], ["P2 omitted: discriminant overflows"]),
-], ids=["x2<0", "overflow"])
+    (dict(b1=1e-200, a3=1e-200, b2=1e-200), ["P1"],
+     ["P2 omitted: a root's denominator underflows"]),
+    (dict(b1=1e-200, b2=1e-200, a3=1e-201), ["P1"],
+     ["P2 omitted: a root's denominator underflows"]),
+], ids=["x2<0", "overflow", "y2-underflow", "x2-underflow"])
 def test_kt_equilibria_omit_what_is_not_a_population(params, labels, notes):
-    # x2 is checked before y2, as Bell's are; b1 ** 2 overflows a float
+    # x2 is checked before y2, as Bell's are; b1 ** 2 overflows a float;
+    # y2's b1 (a3 + b2 a2) + sd, or x2's sd + b1 (b2 a2 - a3), is a sum of
+    # positive terms that underflows to 0 (a ZeroDivisionError before)
     eqs, got = model_equilibria(kt_model(**params))
     assert [e.label for e in eqs] == labels and got == notes
     assert all(e.point.x >= 0 and e.point.y >= 0 and e.residual < 1e-12 for e in eqs)

@@ -25,3 +25,21 @@ def test_public_names_resolve_and_reexports_are_public():
     for node in imports:
         public = importlib.import_module(f"tumorsde.{node.module}").__all__
         assert [a.name for a in node.names if a.name not in public] == [], node.module
+
+
+# names deleted from the package, and what replaced them: a stream is a
+# numpy Generator (rng_stream); mc draws its normals in place and a
+# LinearSDE's step builds its own drift (no GaussianBlocks, no
+# AffineDiffusion.fns); every preset is a keyword builder (no parameter
+# dataclasses); the Euler steps and the fd density that only tests called
+# are test-side (tests/euler_ref.py, tests/density_nodes.py)
+_DELETED = ("RngStream", "GaussianBlocks", "KTParams", "euler1_step", "euler2_step",
+            "stationary_density_fd", "PhaseDensity")
+
+
+def test_deleted_names_stay_deleted():
+    for module in (tumorsde, *(importlib.import_module(f"tumorsde.{n}") for n in _MODULES)):
+        assert [n for n in _DELETED if hasattr(module, n)] == [], module.__name__
+    assert not hasattr(tumorsde.AffineDiffusion, "fns")
+    assert tumorsde.rng_stream(1).random() < 1
+    assert tumorsde.kt_model(a1=0.2).params == tumorsde.make_model("kt", {"a1": 0.2}).params
